@@ -83,6 +83,10 @@ def _build_spray(name: str, params: dict) -> sc.SprayChart:
         kwargs.setdefault("n", max(max(i, j) for i, j in metric))
     elif metric or oneform:
         raise InputError(f"family {name!r} takes no metric entries")
+    return _make_family(name, **kwargs)
+
+
+def _make_family(name: str, **kwargs) -> sc.SprayChart:
     try:
         return sc.make_family(name, **kwargs)
     except (TypeError, ValueError) as e:
@@ -93,28 +97,15 @@ def _resolve_spray(args) -> tuple:
     """Returns (spray, sigma list from file or None, Finsler metric or None)."""
     if bool(args.spray) == bool(args.file):
         raise InputError("give exactly one of --spray or --file")
-    from . import finsler as fl
+    sigma = None
     if args.file:
         doc = exprdsl.load_spray_file(args.file)
-        sigma = [exprdsl.pretty(doc.sigma)] if doc.sigma is not None else None
-        if doc.metric is not None:
-            rd = fl.RandersData(doc.metric, doc.one_form or {}, doc.dim,
-                                box=doc.box)
-            metric = rd.metric()
-            return fl.induced_spray(metric), sigma, metric
-        return sc.make_family("custom", file=None, doc=doc), sigma, None
-    name, params = _parse_family_spec(args.spray)
-    spray = _build_spray(name, params)
-    metric = None
-    if name == "randers":
-        a = {(int(k[1]), int(k[2])): v for k, v in params.items()
-             if k[0] == "a" and len(k) == 3 and k[1:].isdigit()}
-        b = {int(k[1:]): v for k, v in params.items()
-             if k[0] == "b" and k[1:].isdigit()}
-        n = int(params.get("n", max(max(i, j) for i, j in a)))
-        metric = fl.RandersData(a, b, n,
-                                box=float(params.get("box", 1.0))).metric()
-    return spray, None, metric
+        if doc.sigma is not None:
+            sigma = [exprdsl.pretty(doc.sigma)]
+        spray = _make_family("custom", doc=doc)
+    else:
+        spray = _build_spray(*_parse_family_spec(args.spray))
+    return spray, sigma, spray.metric
 
 
 def _volumes(sigmas, spray):
@@ -165,6 +156,25 @@ def cmd_list(args) -> int:
     return 0
 
 
+def _document(args, command, sigmas, spray, points, rows, pt_docs) -> dict:
+    cls = cv.classify(spray, points, verify.FLAG_TOL)
+    return {
+        "version": __version__,
+        "config": _config_echo(args, command, sigmas),
+        "rows": [r.as_dict() for r in rows],
+        "points": pt_docs,
+        "classification": {
+            "isotropy_residual": cls.isotropy_residual,
+            "scalar_residual": cls.scalar_residual,
+            "chi_residual": cls.chi_residual,
+            "isotropic": cls.isotropic,
+            "scalar_curvature": cls.scalar_curvature,
+            "chi_zero": cls.chi_zero,
+        },
+        "wall_clock_seconds": None,
+    }
+
+
 def cmd_evaluate(args) -> int:
     t0 = time.time()
     spray, file_sigma, _metric = _resolve_spray(args)
@@ -191,50 +201,20 @@ def cmd_evaluate(args) -> int:
         if order >= 4:
             q["eta"] = cv.eta(spray, p).components.tolist()
         pt_docs.append({"x": list(p.x), "y": list(p.y), "quantities": q})
-    cls = cv.classify(spray, points, verify.FLAG_TOL)
-    doc = {
-        "version": __version__,
-        "config": _config_echo(args, "evaluate", sigmas),
-        "rows": [],
-        "points": pt_docs,
-        "classification": {
-            "isotropy_residual": cls.isotropy_residual,
-            "scalar_residual": cls.scalar_residual,
-            "chi_residual": cls.chi_residual,
-            "isotropic": cls.isotropic,
-            "scalar_curvature": cls.scalar_curvature,
-            "chi_zero": cls.chi_zero,
-        },
-        "wall_clock_seconds": None,
-    }
+    doc = _document(args, "evaluate", sigmas, spray, points, [], pt_docs)
     _emit(doc, args, time.time() - t0)
     return 0
 
 
 def cmd_verify(args) -> int:
     t0 = time.time()
-    spray, file_sigma, metric = _resolve_spray(args)
+    spray, file_sigma, _metric = _resolve_spray(args)
     sigmas = args.sigma or file_sigma or DEFAULT_SIGMAS
     vols = _volumes(sigmas, spray)
     points = sc.sample_points(spray, args.points, args.seed)
-    rows = verify.run_suite(spray, points, vols, tolerances=args.tol,
-                            metric=metric)
-    cls = cv.classify(spray, points, verify.FLAG_TOL)
-    doc = {
-        "version": __version__,
-        "config": _config_echo(args, "verify", sigmas),
-        "rows": [r.as_dict() for r in rows],
-        "points": [{"x": list(p.x), "y": list(p.y)} for p in points],
-        "classification": {
-            "isotropy_residual": cls.isotropy_residual,
-            "scalar_residual": cls.scalar_residual,
-            "chi_residual": cls.chi_residual,
-            "isotropic": cls.isotropic,
-            "scalar_curvature": cls.scalar_curvature,
-            "chi_zero": cls.chi_zero,
-        },
-        "wall_clock_seconds": None,
-    }
+    rows = verify.run_suite(spray, points, vols, tolerances=args.tol)
+    doc = _document(args, "verify", sigmas, spray, points, rows,
+                    [{"x": list(p.x), "y": list(p.y)} for p in points])
     _emit(doc, args, time.time() - t0)
     failed = [r for r in rows if r.passed is False]
     if failed:

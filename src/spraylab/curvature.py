@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spray_core import (Frame, PointTM, SprayChart, TensorValue, _obj,
-                         carrier_value, rel_residual, tensor_values)
+                         carrier_sum, carrier_value, rel_residual,
+                         tensor_values)
 
 
 @dataclass
@@ -63,20 +64,7 @@ def t_jets(fr: Frame):
 
 def eta_jets(fr: Frame):
     """eta_k = (1/2) R_{.k|m} y^m - R_{|k} as jets (R the curvature scalar)."""
-    n = fr.n
-    R = fr.r_scalar
-    Rv = _obj((n,))
-    for k in range(n):
-        Rv[k] = fr.dy(R, k)
-    dRv = [fr.cov_h(Rv, ("down",), m) for m in range(n)]
-    out = _obj((n,))
-    for k in range(n):
-        acc = None
-        for m in range(n):
-            term = dRv[m][k] * fr.yj[m]
-            acc = term if acc is None else acc + term
-        out[k] = 0.5 * acc - fr.hpart(R, k)
-    return out
+    return fr.rapcsak(fr.r_scalar, 0.5)
 
 
 # -- public operations ------------------------------------------------------------
@@ -93,11 +81,8 @@ def chi_trace(G: SprayChart, p: PointTM) -> ChiValue:
     n = fr.n
     comps = np.empty(n)
     for k in range(n):
-        acc = None
-        for m in range(n):
-            for l in range(n):
-                term = fr.R4[m, m, k, l] * fr.yj[l]
-                acc = term if acc is None else acc + term
+        acc = carrier_sum(fr.R4[m, m, k, l] * fr.yj[l]
+                          for m in range(n) for l in range(n))
         comps[k] = -0.5 * carrier_value(acc)
     return ChiValue(comps, "trace", p)
 
@@ -109,13 +94,10 @@ def chi_local(G: SprayChart, p: PointTM) -> ChiValue:
     Pi = fr.Pi
     comps = np.empty(n)
     for k in range(n):
-        acc = None
-        for m in range(n):
-            term = fr.dy(fr.dx(Pi, m), k) * fr.yj[m]
-            term = term - 2.0 * (fr.dy(fr.dy(Pi, k), m) * fr.G[m])
-            acc = term if acc is None else acc + term
-        acc = acc - fr.dx(Pi, k)
-        comps[k] = 0.5 * carrier_value(acc)
+        acc = carrier_sum(fr.dy(fr.dx(Pi, m), k) * fr.yj[m]
+                          - 2.0 * (fr.dy(fr.dy(Pi, k), m) * fr.G[m])
+                          for m in range(n))
+        comps[k] = 0.5 * carrier_value(acc - fr.dx(Pi, k))
     return ChiValue(comps, "local-S", p)
 
 
@@ -126,11 +108,8 @@ def chi_from_t(G: SprayChart, p: PointTM) -> ChiValue:
     n = fr.n
     comps = np.empty(n)
     for k in range(n):
-        acc = None
-        for m in range(n):
-            term = fr.dy(T[m, k], m)
-            acc = term if acc is None else acc + term
-        comps[k] = carrier_value(acc) / -3.0
+        comps[k] = carrier_value(carrier_sum(fr.dy(T[m, k], m)
+                                             for m in range(n))) / -3.0
     return ChiValue(comps, "from-T", p)
 
 
@@ -198,11 +177,8 @@ def weyl(G: SprayChart, p: PointTM, route: str = "direct") -> TensorValue:
             A[i, k] = fr.R2[i, k] - R if i == k else fr.R2[i, k]
         comps = tensor_values(A)
         for k in range(n):
-            acc = None
-            for m in range(n):
-                term = fr.dy(A[m, k], m)
-                acc = term if acc is None else acc + term
-            div = carrier_value(acc)
+            div = carrier_value(carrier_sum(fr.dy(A[m, k], m)
+                                            for m in range(n)))
             comps[:, k] -= div / (n + 1) * np.array(p.y)
     else:
         raise ValueError(f"unknown Weyl route {route!r}")

@@ -24,9 +24,9 @@ import numpy as np
 from . import curvature, exprdsl, jets
 from .jets import Jet, JetDomainError
 from .spray_core import (Box, FunctionSpray, PointTM, SprayChart, TensorValue,
-                         _normalize_metric, _obj, carrier_value, invert_carrier,
-                         metric_spray_fn, rel_residual, riemann_two_index,
-                         solve_carrier)
+                         _normalize_metric, _obj, carrier_sum, carrier_value,
+                         invert_carrier, metric_spray_fn, rel_residual,
+                         riemann_two_index, solve_carrier)
 
 COND_LIMIT = 1e8
 
@@ -82,7 +82,7 @@ class FinslerMetric:
             if f <= 0.0:
                 raise ValueError(f"{self.label}: F is not positive at {p}")
             for s in (0.5, 2.0, 3.0):
-                fs = self.value(PointTM(p.x, tuple(s * v for v in p.y)))
+                fs = self.value(p.scaled(s))
                 if abs(fs - s * f) > tol * (1.0 + abs(f)):
                     raise ValueError(f"{self.label}: F is not 1-homogeneous")
             ev = np.linalg.eigvalsh(fundamental_tensor(self, p).components)
@@ -146,7 +146,9 @@ def _induced_spray(F: FinslerMetric) -> SprayChart:
         (sol,) = solve_carrier(g, [q])
         return [0.25 * v for v in sol]
 
-    return FunctionSpray(n, fn, F.domain, f"spray({F.label})")
+    sp = FunctionSpray(n, fn, F.domain, f"spray({F.label})")
+    sp.metric = F
+    return sp
 
 
 def induced_spray(F: FinslerMetric) -> SprayChart:
@@ -180,11 +182,8 @@ def chi_cartan(F: FinslerMetric, p: PointTM) -> curvature.ChiValue:
                     C[perm] = v
     I = _obj((n,))
     for k in range(n):
-        acc = None
-        for i, j in itertools.product(range(n), repeat=2):
-            term = ginv[i][j] * C[i, j, k]
-            acc = term if acc is None else acc + term
-        I[k] = acc
+        I[k] = carrier_sum(ginv[i][j] * C[i, j, k]
+                           for i, j in itertools.product(range(n), repeat=2))
     dI = [sfr.cov_h(I, ("down",), q) for q in range(n)]
     Ipq = _obj((n, n))
     for k, q in itertools.product(range(n), repeat=2):
@@ -192,12 +191,10 @@ def chi_cartan(F: FinslerMetric, p: PointTM) -> curvature.ChiValue:
     ddI = [sfr.cov_h(Ipq, ("down", "down"), q) for q in range(n)]
     comps = np.empty(n)
     for k in range(n):
-        acc = None
-        for pp, qq in itertools.product(range(n), repeat=2):
-            term = ddI[qq][k, pp] * (sfr.yj[pp] * sfr.yj[qq])
-            acc = term if acc is None else acc + term
-        for m in range(n):
-            acc = acc + I[m] * sfr.R2[m, k]
+        acc = carrier_sum(itertools.chain(
+            (ddI[qq][k, pp] * (sfr.yj[pp] * sfr.yj[qq])
+             for pp, qq in itertools.product(range(n), repeat=2)),
+            (I[m] * sfr.R2[m, k] for m in range(n))))
         comps[k] = 0.5 * carrier_value(acc)
     return curvature.ChiValue(comps, "cartan", p)
 
@@ -329,19 +326,12 @@ class RandersData:
             memo = {}
             base = alpha_fn(xs, ys)
             av, _, _, _, _, _, s_up, _ = self._carrier_tensors(list(xs), memo)
-            a2 = None
-            for i, j in itertools.product(range(n), repeat=2):
-                term = av[i][j] * (ys[i] * ys[j])
-                a2 = term if a2 is None else a2 + term
-            alpha = jets.sqrt(a2)
-            out = []
-            for i in range(n):
-                si0 = None
-                for j in range(n):
-                    term = s_up[j][i] * ys[j]
-                    si0 = term if si0 is None else si0 + term
-                out.append(base[i] + alpha * si0)
-            return out
+            alpha = jets.sqrt(carrier_sum(
+                av[i][j] * (ys[i] * ys[j])
+                for i, j in itertools.product(range(n), repeat=2)))
+            return [base[i] + alpha * carrier_sum(s_up[j][i] * ys[j]
+                                                  for j in range(n))
+                    for i in range(n)]
 
         return FunctionSpray(n, fn, self.box, "randers-hat")
 

@@ -435,24 +435,3 @@ def eval_derivatives(f, coords, order: int = DEFAULT_ORDER):
     return [{alpha: comp.partial(alpha) for alpha in sp.exponents}
             for comp in out]
 
-
-def compose(f_jet: Jet, args) -> Jet:
-    """Substitute argument jets into a jet, i.e. the jet of f(g_1, ..., g_d).
-
-    `f_jet` must be the jet of f at the point whose coordinates are the
-    values of the argument jets.
-    """
-    if len(args) != f_jet.dim:
-        raise ValueError("argument count does not match jet dimension")
-    k = min(min(a.order for a in args), f_jet.order)
-    shifted = [a.truncated(k) - a.value for a in args]
-    result = Jet.constant(0.0, args[0].dim, k)
-    for alpha, c in zip(f_jet.space.exponents, f_jet.coeffs):
-        if c == 0.0:
-            continue
-        term = Jet.constant(c, args[0].dim, k)
-        for s, a in zip(shifted, alpha):
-            if a:
-                term = term * s.powi(a)
-        result = result + term
-    return result

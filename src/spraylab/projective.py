@@ -19,7 +19,7 @@ import numpy as np
 from . import curvature, exprdsl, jets
 from .jets import Jet, JetDomainError
 from .spray_core import (Box, Frame, PointTM, ScalarField, SprayChart,
-                         TensorValue, _obj, carrier_value, rel_residual,
+                         TensorValue, carrier_sum, carrier_value, rel_residual,
                          tensor_values)
 
 
@@ -96,25 +96,13 @@ def chi_via_s(G: SprayChart, dV: VolumeForm, p: PointTM,
     fr = G.frame(p, 3)
     n = fr.n
     S = s_jet(fr, dV)
-    comps = np.empty(n)
     if ordering == "vertical-first":
-        Sv = _obj((n,))
-        for k in range(n):
-            Sv[k] = fr.dy(S, k)
-        dSv = [fr.cov_h(Sv, ("down",), m) for m in range(n)]
-        for k in range(n):
-            acc = None
-            for m in range(n):
-                term = dSv[m][k] * fr.yj[m]
-                acc = term if acc is None else acc + term
-            comps[k] = 0.5 * carrier_value(acc - fr.hpart(S, k))
+        comps = 0.5 * tensor_values(fr.rapcsak(S))
     elif ordering == "horizontal-first":
         Sh = [fr.hpart(S, m) for m in range(n)]
+        comps = np.empty(n)
         for k in range(n):
-            acc = None
-            for m in range(n):
-                term = fr.dy(Sh[m], k) * fr.yj[m]
-                acc = term if acc is None else acc + term
+            acc = carrier_sum(fr.dy(Sh[m], k) * fr.yj[m] for m in range(n))
             comps[k] = 0.5 * carrier_value(acc - Sh[k])
     else:
         raise ValueError(f"unknown ordering {ordering!r}")
@@ -146,19 +134,11 @@ class DeformedSpray(SprayChart):
                 for i in range(self.n)]
 
     def eval_coefficients(self, xs, ys):
-        if any(isinstance(v, Jet) for v in list(xs) + list(ys)):
-            # arbitrary jet arguments: compose the S-jet with them
-            p = PointTM(tuple(carrier_value(v) for v in xs),
-                        tuple(carrier_value(v) for v in ys))
-            order = min(v.order for v in list(xs) + list(ys)
-                        if isinstance(v, Jet))
-            fr = self.base.frame(p, order + 1)
-            args = [v if isinstance(v, Jet) else jets.as_jet(v, fr.xj[0])
-                    for v in list(xs) + list(ys)]
-            S = jets.compose(s_jet(fr, self.volume), args)
-            base_vals = self.base.eval_coefficients(xs, ys)
-            return [base_vals[i] - S * ys[i] / (self.n + 1)
-                    for i in range(self.n)]
+        """The coefficients at float arguments only.
+
+        Frames get their coefficient jets from `_make_coefficient_jets`,
+        which reads the S-jet off a base frame one order deeper.
+        """
         p = PointTM(tuple(xs), tuple(ys))
         S = s_curvature(self.base, self.volume, p)
         base_vals = self.base.coefficients(p)
@@ -182,10 +162,7 @@ def projective_invariance_check(G1: SprayChart, G2: SprayChart,
     h1, h2 = deform(G1, dV), deform(G2, dV)
     worst = 0.0
     for p in points:
-        a = np.array([carrier_value(v) for v in
-                      h1.eval_coefficients(list(p.x), list(p.y))])
-        b = np.array([carrier_value(v) for v in
-                      h2.eval_coefficients(list(p.x), list(p.y))])
+        a, b = h1.coefficients(p), h2.coefficients(p)
         worst = max(worst, rel_residual(a - b, a, b))
     return worst
 
@@ -330,22 +307,11 @@ def rapcsak_residual(F, G: SprayChart, p: PointTM) -> TensorValue:
     equivalent to G at this point, at tolerance)."""
     field = F if isinstance(F, ScalarField) else ScalarField(F, G.n)
     fr = G.frame(p, 3)
-    n = fr.n
     Fj = field.jet(fr)
     if carrier_value(Fj) <= 0.0:
         raise JetDomainError("the metric function must be positive at the point")
-    Fv = _obj((n,))
-    for k in range(n):
-        Fv[k] = fr.dy(Fj, k)
-    dFv = [fr.cov_h(Fv, ("down",), m) for m in range(n)]
-    comps = np.empty(n)
-    for k in range(n):
-        acc = None
-        for m in range(n):
-            term = dFv[m][k] * fr.yj[m]
-            acc = term if acc is None else acc + term
-        comps[k] = carrier_value(acc - fr.hpart(Fj, k))
-    return TensorValue(comps, ("down",), ("k",), p, "rapcsak")
+    return TensorValue(tensor_values(fr.rapcsak(Fj)), ("down",), ("k",), p,
+                       "rapcsak")
 
 
 def dual_residual(L, G: SprayChart, p: PointTM) -> TensorValue:
@@ -353,17 +319,5 @@ def dual_residual(L, G: SprayChart, p: PointTM) -> TensorValue:
     equivalence residual)."""
     field = L if isinstance(L, ScalarField) else ScalarField(L, G.n)
     fr = G.frame(p, 3)
-    n = fr.n
-    Lj = field.jet(fr)
-    Lv = _obj((n,))
-    for k in range(n):
-        Lv[k] = fr.dy(Lj, k)
-    dLv = [fr.cov_h(Lv, ("down",), m) for m in range(n)]
-    comps = np.empty(n)
-    for k in range(n):
-        acc = None
-        for m in range(n):
-            term = dLv[m][k] * fr.yj[m]
-            acc = term if acc is None else acc + term
-        comps[k] = carrier_value(0.5 * acc - fr.hpart(Lj, k))
+    comps = tensor_values(fr.rapcsak(field.jet(fr), 0.5))
     return TensorValue(comps, ("down",), ("k",), p, "dual")

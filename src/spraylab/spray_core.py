@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -70,6 +71,10 @@ class PointTM:
     def n(self) -> int:
         return len(self.x)
 
+    def scaled(self, s: float) -> "PointTM":
+        """The point (x; s y) on the same fibre."""
+        return PointTM(self.x, tuple(s * v for v in self.y))
+
 
 @dataclass
 class TensorValue:
@@ -103,6 +108,11 @@ def rel_residual(diff, *refs) -> float:
 
 def carrier_value(c) -> float:
     return c.value if isinstance(c, Jet) else float(c)
+
+
+def carrier_sum(terms):
+    """Left-to-right sum ((t0 + t1) + t2) + ... of carriers (floats or jets)."""
+    return reduce(operator.add, terms)
 
 
 def solve_carrier(A, B):
@@ -224,6 +234,24 @@ class Frame:
             out[idx] = t
         return out
 
+    def rapcsak(self, L: Jet, a: float = 1.0):
+        """The covector a L_{.k|m} y^m - L_{|k} of a scalar jet L, as jets.
+
+        The vertical derivative is taken first and the horizontal covariant
+        derivative of the resulting covector second.  a = 1 gives the Rapcsak
+        residual, a = 1/2 the dual-equivalence residual and eta (L = R).
+        """
+        n = self.n
+        Lv = _obj((n,))
+        for k in range(n):
+            Lv[k] = self.dy(L, k)
+        dLv = [self.cov_h(Lv, ("down",), m) for m in range(n)]
+        out = _obj((n,))
+        for k in range(n):
+            acc = carrier_sum(dLv[m][k] * self.yj[m] for m in range(n))
+            out[k] = a * acc - self.hpart(L, k)
+        return out
+
     # -- connection and curvature fields ----------------------------------------
 
     @cached_property
@@ -259,10 +287,7 @@ class Frame:
     @cached_property
     def Pi(self):
         """The trace Pi = dG^m/dy^m (a 1-homogeneous scalar)."""
-        out = self.N[0, 0]
-        for m in range(1, self.n):
-            out = out + self.N[m, m]
-        return out
+        return carrier_sum(self.N[m, m] for m in range(self.n))
 
     @cached_property
     def R2(self):
@@ -314,10 +339,7 @@ class Frame:
     @cached_property
     def ric(self):
         """Ricci scalar Ric = R^m_m (contracting the two-index curvature)."""
-        out = self.R2[0, 0]
-        for m in range(1, self.n):
-            out = out + self.R2[m, m]
-        return out
+        return carrier_sum(self.R2[m, m] for m in range(self.n))
 
     @cached_property
     def r_scalar(self):
@@ -345,10 +367,8 @@ class Frame:
         moved = np.moveaxis(arr, axis, -1)
         out = _obj(moved.shape[:-1])
         for idx in np.ndindex(moved.shape[:-1]):
-            t = moved[idx + (0,)] * self.yj[0]
-            for m in range(1, self.n):
-                t = t + moved[idx + (m,)] * self.yj[m]
-            out[idx] = t
+            out[idx] = carrier_sum(moved[idx + (m,)] * self.yj[m]
+                                   for m in range(self.n))
         return out if out.shape else out[()]
 
 
@@ -363,6 +383,7 @@ class SprayChart:
         self.n = n
         self.domain = domain
         self.label = label
+        self.metric = None      # the FinslerMetric of an induced spray
         self._frames = {}
 
     # subclasses provide carrier-generic evaluation
@@ -388,20 +409,20 @@ class SprayChart:
             self._frames[key] = fr
         return fr
 
-    def coefficient_jets(self, p: PointTM, order: int):
-        return self.frame(p, order).G
-
-    def clear_cache(self):
-        self._frames.clear()
+    def homogeneity_residual(self, p: PointTM, lambdas=(0.5, 2.0, 3.0)) -> float:
+        """Worst relative residual of G(x, s*y) = s^2 G(x, y) over `lambdas`."""
+        base = self.coefficients(p)
+        worst = 0.0
+        for s in lambdas:
+            scaled = self.coefficients(p.scaled(s))
+            worst = max(worst, rel_residual(scaled - s * s * base, base))
+        return worst
 
     def check_homogeneity(self, points, lambdas=(0.5, 2.0, 3.0), tol=1e-9):
         """Verify G(x, s*y) = s^2 G(x, y) at sample points; raise on failure."""
         worst = 0.0
         for p in points:
-            base = self.coefficients(p)
-            for s in lambdas:
-                scaled = self.coefficients(PointTM(p.x, tuple(s * v for v in p.y)))
-                worst = max(worst, rel_residual(scaled - s * s * base, base))
+            worst = max(worst, self.homogeneity_residual(p, lambdas))
         if worst > tol:
             raise ValueError(
                 f"{self.label}: 2-homogeneity violated (residual {worst:.2e})")
@@ -621,14 +642,9 @@ def metric_spray_fn(g_asts, n):
         dgv = [[[exprdsl.evaluate(dg[i][j][k], env, memo) for k in range(n)]
                 for j in range(n)] for i in range(n)]
         yy = [[ys[k] * ys[m] for m in range(n)] for k in range(n)]
-        q = []
-        for l in range(n):
-            acc = None
-            for k in range(n):
-                for m in range(n):
-                    term = (2.0 * dgv[l][k][m] - dgv[m][k][l]) * yy[k][m]
-                    acc = term if acc is None else acc + term
-            q.append(acc)
+        q = [carrier_sum((2.0 * dgv[l][k][m] - dgv[m][k][l]) * yy[k][m]
+                         for k in range(n) for m in range(n))
+             for l in range(n)]
         (sol,) = solve_carrier(g, [q])
         return [0.25 * v for v in sol]
 
@@ -680,10 +696,7 @@ def make_custom(file=None, doc=None, label: str = "custom"):
     if doc is None:
         doc = exprdsl.load_spray_file(file)
     if doc.metric is not None:
-        from . import finsler
-        rd = finsler.RandersData(doc.metric, doc.one_form or {}, doc.dim,
-                                 box=doc.box)
-        return finsler.induced_spray(rd.metric())
+        return make_randers(doc.metric, doc.one_form or {}, doc.dim, box=doc.box)
     return ExpressionSpray(doc.dim, doc.coeffs, Box.cube(doc.dim, doc.box), label)
 
 

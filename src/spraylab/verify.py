@@ -17,7 +17,7 @@ import numpy as np
 
 from . import curvature as cv
 from . import projective as pj
-from .spray_core import (PointTM, SprayChart, _obj, carrier_value,
+from .spray_core import (SprayChart, _obj, carrier_sum, carrier_value,
                          rel_residual, tensor_values)
 
 # default tolerances per row id; overridable through RunConfig
@@ -123,20 +123,16 @@ class Row:
         }
 
 
-def _vals(arr):
-    return tensor_values(np.asarray(arr, dtype=object))
-
-
 class SuiteRunner:
     """Runs the identity suite for one spray over a point sample.
 
-    When the spray came from a Finsler metric, pass it as `metric` to add
-    the mean-Cartan route row for chi (its looser tolerance reflects the
-    order-5 jet chain with a matrix inverse inside).
+    When the spray was induced by a Finsler metric (`spray.metric`), the
+    mean-Cartan route row for chi is added (its looser tolerance reflects
+    the order-5 jet chain with a matrix inverse inside).
     """
 
     def __init__(self, spray: SprayChart, points, volumes=None,
-                 tolerances=None, deep: bool = True, metric=None):
+                 tolerances=None, deep: bool = True):
         self.spray = spray
         self.points = list(points)
         self.volumes = volumes if volumes is not None else [
@@ -148,7 +144,6 @@ class SuiteRunner:
         if tolerances:
             self.tol.update(tolerances)
         self.deep = deep
-        self.metric = metric
         self.rows = []
 
     def row(self, rid: str, eq_tag: str, statement: str) -> Row:
@@ -189,12 +184,7 @@ class SuiteRunner:
         r = self.row("homogeneity", "spray-degree-2",
                      "G^i(x, s y) = s^2 G^i(x, y) for s in {0.5, 2, 3}")
         for pi, p in enumerate(self.points):
-            base = self.spray.coefficients(p)
-            worst = 0.0
-            for s in (0.5, 2.0, 3.0):
-                scl = self.spray.coefficients(PointTM(p.x, tuple(s * v for v in p.y)))
-                worst = max(worst, rel_residual(scl - s * s * base, base))
-            r.add(worst, pi)
+            r.add(self.spray.homogeneity_residual(p), pi)
 
     def _connection_rows(self):
         r_euler = self.row("euler-connection", "connection-euler",
@@ -208,12 +198,12 @@ class SuiteRunner:
             fr = self.spray.frame(p, 3)
             y = np.array(p.y)
             G = np.array([carrier_value(g) for g in fr.G])
-            N = _vals(fr.N)
-            Gm = _vals(fr.Gamma)
+            N = tensor_values(fr.N)
+            Gm = tensor_values(fr.Gamma)
             e1 = rel_residual(N @ y - 2 * G, G, N)
             e2 = rel_residual(np.einsum("ijm,m->ij", Gm, y) - N, N, Gm)
             r_euler.add(max(e1, e2), pi)
-            B = _vals(fr.B)
+            B = tensor_values(fr.B)
             worst = 0.0
             for perm in ((0, 2, 1, 3), (0, 3, 2, 1), (0, 1, 3, 2)):
                 worst = max(worst, rel_residual(B - B.transpose(perm), B))
@@ -235,7 +225,7 @@ class SuiteRunner:
         for pi, p in enumerate(self.points):
             fr = self.spray.frame(p, 4)
             y = np.array(p.y)
-            R4 = _vals(fr.R4)
+            R4 = tensor_values(fr.R4)
             cyc = R4 + R4.transpose(0, 2, 3, 1) + R4.transpose(0, 3, 1, 2)
             r_b1.add(rel_residual(cyc, R4), pi)
             # vertical derivatives of the two-index tensor
@@ -246,7 +236,7 @@ class SuiteRunner:
                     d1[i, k, l] = fr.dy(fr.R2[i, k], l)
                     for j in range(n):
                         d2[i, k, l, j] = fr.dy(d1[i, k, l], j)
-            d1v, d2v = _vals(d1), _vals(d2)
+            d1v, d2v = tensor_values(d1), tensor_values(d2)
             # d1v[i,k,l] = dR^i_k/dy^l; d2v[i,k,l,j] = d2 R^i_k / dy^l dy^j
             rec = (np.einsum("iklj->ijkl", d2v) - np.einsum("ilkj->ijkl", d2v)) / 3.0
             r_rec.add(rel_residual(rec - R4, R4), pi)
@@ -256,7 +246,7 @@ class SuiteRunner:
             lhs2 = np.einsum("ijkl,j->ikl", R4, y)
             rhs2 = (d1v - np.einsum("ilk->ikl", d1v)) / 3.0
             r_c2.add(rel_residual(lhs2 - rhs2, R4, d1v), pi)
-            R2v = _vals(fr.R2)
+            R2v = tensor_values(fr.R2)
             contracted = np.einsum("ijkl,j,l->ik", R4, y, y)
             r_x.add(rel_residual(R2v - contracted, R2v), pi)
         if self.deep:
@@ -281,19 +271,16 @@ class SuiteRunner:
             fr = self.spray.frame(p, 4)
             y = np.array(p.y)
             R4, B = fr.R4, fr.B
-            Bv = _vals(B)
+            Bv = tensor_values(B)
             R3 = _obj((n, n, n))     # R^p_{ kl} = y^j R^{ p}_{j kl}
             for pp, k, l in itertools.product(range(n), repeat=3):
-                acc = None
-                for j in range(n):
-                    t = fr.yj[j] * R4[pp, j, k, l]
-                    acc = t if acc is None else acc + t
-                R3[pp, k, l] = acc
+                R3[pp, k, l] = carrier_sum(fr.yj[j] * R4[pp, j, k, l]
+                                           for j in range(n))
             covR4 = [fr.cov_h(R4, roles4, m) for m in range(n)]
             covB = [fr.cov_h(B, roles4, m) for m in range(n)]
-            R3v = _vals(R3)
-            covR4v = np.stack([_vals(c) for c in covR4], axis=-1)
-            covBv = np.stack([_vals(c) for c in covB], axis=-1)
+            R3v = tensor_values(R3)
+            covR4v = np.stack([tensor_values(c) for c in covR4], axis=-1)
+            covBv = np.stack([tensor_values(c) for c in covB], axis=-1)
             # covR4v[i,j,k,l,m] = R^{ i}_{j kl|m}
             term = (covR4v
                     + np.einsum("ijlmk->ijklm", covR4v)
@@ -316,20 +303,17 @@ class SuiteRunner:
                     dB[idx + (m,)] = carrier_value(fr.dy(B[idx], m))
             r_bv.add(rel_residual(dB - np.einsum("ijkml->ijklm", dB), dB), pi)
             # contracted forms: covR3[p,k,l,m] = R^p_{ kl|m}
-            covR3 = np.stack([_vals(fr.cov_h(R3, ("up", "down", "down"), m))
+            covR3 = np.stack([tensor_values(fr.cov_h(R3, roles4[:3], m))
                               for m in range(n)], axis=-1)
             cyc = (covR3 + np.einsum("plmk->pklm", covR3)
                    + np.einsum("pmkl->pklm", covR3))
             r_b4.add(rel_residual(cyc, covR3), pi)
-            R2j = _obj((n, n))
-            for i, k in itertools.product(range(n), repeat=2):
-                R2j[i, k] = fr.R2[i, k]
-            covR2 = np.stack([_vals(fr.cov_h(R2j, ("up", "down"), m))
+            covR2 = np.stack([tensor_values(fr.cov_h(fr.R2, roles4[:2], m))
                               for m in range(n)], axis=-1)
             lhs5 = (covR2 - np.einsum("imk->ikm", covR2)
                     + np.einsum("imkl,l->ikm", covR3, y))
             r_b5.add(rel_residual(lhs5, covR2, covR3), pi)
-            ricv = _vals(fr.ric_jl)
+            ricv = tensor_values(fr.ric_jl)
             e = rel_residual(ricv - ricv.T, ricv)
             e = max(e, rel_residual(float(y @ ricv @ y) - carrier_value(fr.ric),
                                     ricv))
@@ -346,8 +330,9 @@ class SuiteRunner:
                        "chi_k(x, s y) = s chi_k(x, y) for s in {0.5, 2}")
         r_y = self.row("chi-y-contraction", "chi-contract",
                        "chi_k y^k = 0")
+        metric = self.spray.metric
         r_ca = None
-        if self.metric is not None:
+        if metric is not None:
             r_ca = self.row("chi-cartan-route", "chi-mean-cartan",
                             "the mean-Cartan route to chi equals the "
                             "definition on the induced spray")
@@ -358,15 +343,14 @@ class SuiteRunner:
             r_t.add(rel_residual(cv.chi_from_t(self.spray, p).components - base, base), pi)
             worst = 0.0
             for s in (0.5, 2.0):
-                scl = cv.chi_definition(
-                    self.spray, PointTM(p.x, tuple(s * v for v in p.y))).components
+                scl = cv.chi_definition(self.spray, p.scaled(s)).components
                 worst = max(worst, rel_residual(scl - s * base, base))
             r_h.add(worst, pi)
             r_y.add(rel_residual(float(base @ np.array(p.y)), base), pi)
             if r_ca is not None:
                 from . import finsler as fl
-                scale = _vals(self.spray.frame(p, 3).R2)
-                cart = fl.chi_cartan(self.metric, p).components
+                scale = tensor_values(self.spray.frame(p, 3).R2)
+                cart = fl.chi_cartan(metric, p).components
                 r_ca.add(rel_residual(cart - base, base, scale), pi)
 
     def _weyl_t_rows(self):
@@ -389,13 +373,10 @@ class SuiteRunner:
                 Wj[i, k] = T[i, k] + (3.0 / (n + 1)) * (chi[k] * fr.yj[i])
             worst = 0.0
             for k in range(n):
-                acc = None
-                for m in range(n):
-                    t = fr.dy(Wj[m, k], m)
-                    acc = t if acc is None else acc + t
+                acc = carrier_sum(fr.dy(Wj[m, k], m) for m in range(n))
                 worst = max(worst, abs(carrier_value(acc)))
-            r_wt.add(rel_residual(worst, _vals(Wj)), pi)
-            Tv = _vals(cv.t_jets(self.spray.frame(p, 3)))
+            r_wt.add(rel_residual(worst, tensor_values(Wj)), pi)
+            Tv = tensor_values(cv.t_jets(self.spray.frame(p, 3)))
             r_tt.add(rel_residual(np.trace(Tv), Tv), pi)
 
     def _isotropic_rows(self, cls):
@@ -421,7 +402,7 @@ class SuiteRunner:
                 r.note = "not applicable in dimension 2 (factor n-2 vanishes)"
         for pi, p in enumerate(self.points):
             fr = self.spray.frame(p, 4)
-            R4v = _vals(fr.R4)
+            R4v = tensor_values(fr.R4)
             R = fr.r_scalar
             dRR = np.array([[carrier_value(fr.dy(fr.dy(R, l), j))
                              for j in range(n)] for l in range(n)])
@@ -429,8 +410,8 @@ class SuiteRunner:
                             - np.einsum("kj,il->ijkl", dRR, np.eye(n)))
             r4.add(rel_residual(R4v - expect, R4v, dRR), pi)
             if n >= 3:
-                etav = _vals(cv.eta_jets(fr))
-                scale = _vals(fr.R2)
+                etav = tensor_values(cv.eta_jets(fr))
+                scale = tensor_values(fr.R2)
                 rg.add(rel_residual((n - 2) * 2.0 * etav, scale), pi)
                 re.add(rel_residual(etav, scale), pi)
                 rd.add(rel_residual(etav, scale), pi)
@@ -448,7 +429,8 @@ class SuiteRunner:
             return
         for pi, p in enumerate(self.points):
             chi = cv.chi_definition(self.spray, p).components
-            r.add(rel_residual(chi, _vals(self.spray.frame(p, 3).R2)), pi)
+            scale = tensor_values(self.spray.frame(p, 3).R2)
+            r.add(rel_residual(chi, scale), pi)
 
     # -- volume-form rows ---------------------------------------------------------
 
@@ -508,12 +490,11 @@ class SuiteRunner:
             r_pi.add(res_pi)
             for pi, p in enumerate(self.points):
                 base_chi = cv.chi_definition(self.spray, p).components
-                scaleR = _vals(self.spray.frame(p, 3).R2)
+                scaleR = tensor_values(self.spray.frame(p, 3).R2)
                 s_val = pj.s_curvature(self.spray, dV, p)
                 worst = 0.0
                 for s in (0.5, 2.0):
-                    ss = pj.s_curvature(self.spray, dV,
-                                        PointTM(p.x, tuple(s * v for v in p.y)))
+                    ss = pj.s_curvature(self.spray, dV, p.scaled(s))
                     worst = max(worst, abs(ss - s * s_val) / (1.0 + abs(s_val)))
                 r_sh.add(worst, pi)
                 hat = pj.deform(self.spray, dV)
@@ -532,7 +513,7 @@ class SuiteRunner:
                 tau = pj.tau_jet(fr, dV)
                 tvv = np.array([[carrier_value(fr.dy(fr.dy(tau, j), l))
                                  for l in range(n)] for j in range(n)])
-                ric_base = _vals(fr.ric_jl)
+                ric_base = tensor_values(fr.ric_jl)
                 expect = ric_base + (n - 1) / 2.0 * tvv - pr["h_jl"].components
                 r_pd.add(rel_residual(pr["ric_jl"].components - expect,
                                       pr["ric_jl"].components, expect), pi)
@@ -558,7 +539,6 @@ class SuiteRunner:
 
 
 def run_suite(spray, points, volumes=None, tolerances=None, deep=True,
-              groups=None, metric=None):
+              groups=None):
     """Run the identity suite (or selected groups); returns the Row objects."""
-    return SuiteRunner(spray, points, volumes, tolerances, deep,
-                       metric=metric).run(groups)
+    return SuiteRunner(spray, points, volumes, tolerances, deep).run(groups)

@@ -124,7 +124,7 @@ def test_file_sigma_used_by_default(tmp_path, capsys):
     assert doc["config"]["sigma"] == ["exp(x1)"]
 
 
-def test_exit_code_2_on_input_errors(capsys):
+def test_exit_code_2_on_input_errors(tmp_path, capsys):
     assert run_cli("evaluate", "--spray", "nosuch", capsys=capsys)[0] == 2
     assert run_cli("evaluate", "--spray", "flat", "--sigma", "y1",
                    capsys=capsys)[0] == 2
@@ -137,6 +137,19 @@ def test_exit_code_2_on_input_errors(capsys):
     # malformed family parameters
     assert run_cli("evaluate", "--spray", "sphere(n=3", capsys=capsys)[0] == 2
     assert run_cli("evaluate", "--spray", "sphere(3)", capsys=capsys)[0] == 2
+    # invalid --file sprays: not 2-homogeneous, and a Randers block with
+    # |b|_a >= 1; both are bad input, reported without a traceback
+    cubic = tmp_path / "cubic.spray"
+    cubic.write_text("dim = 2\nG1 = y1^3\nG2 = 0\n")
+    wide = tmp_path / "wide.spray"
+    wide.write_text("dim = 2\na_11 = 1\na_22 = 1\nb_1 = 1.5\n")
+    for path, msg in ((cubic, "2-homogeneity"), (wide, "|b|_a")):
+        for command in ("evaluate", "verify"):
+            code, _, err = run_cli(command, "--file", str(path), "--points",
+                                   "2", capsys=capsys)
+            assert code == 2
+            assert err.startswith("error: ") and msg in err
+            assert "Traceback" not in err
 
 
 def test_exit_code_1_on_tolerance_failure(capsys):

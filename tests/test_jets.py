@@ -204,11 +204,3 @@ def test_mixed_order_arithmetic_truncates():
     assert c.order == 2
     assert c.value == pytest.approx(-0.75)
 
-
-def test_compose_matches_direct_evaluation():
-    x = lift_variable(0, 0.5, dim=1, order=5)
-    inner = x * x * (x + 1.0)
-    direct = inner.sin()
-    outer = lift_variable(0, inner.value, dim=1, order=5).sin()
-    composed = jets.compose(outer, [inner])
-    assert np.allclose(direct.coeffs, composed.coeffs, atol=1e-14)

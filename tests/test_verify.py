@@ -30,8 +30,13 @@ def test_full_suite_on_non_berwaldian_spray(nonquad3):
 def test_full_suite_on_randers_spray():
     sp = make_family("randers", a={(1, 1): "1+x2^2", (2, 2): "1+x1^2"},
                      b={1: "0.2*x2", 2: "-0.1*x1"}, n=2, box=0.8)
+    # an induced spray carries its metric, so the mean-Cartan chi route
+    # joins the suite without being asked for
+    assert sp.metric.spray() is sp
     rows = verify.run_suite(sp, sample_points(sp, 5, seed=98))
     assert not [r.id for r in rows if r.passed is False]
+    cartan = [r for r in rows if r.id == "chi-cartan-route"]
+    assert len(cartan) == 1 and cartan[0].passed is True
 
 
 def test_group_selection(nonquad3):
