@@ -12,6 +12,8 @@ import argparse
 import sys
 import time
 
+import numpy as np
+
 from . import __version__
 from . import curvature as cv
 from . import exprdsl
@@ -282,8 +284,11 @@ def main(argv=None) -> int:
         sys.stderr.write("error: --points must be at least 1\n")
         return 2
     try:
-        return args.fn(args)
-    except (InputError, exprdsl.ExprSyntaxError, FileNotFoundError) as e:
+        # overflow shows up as a located non-finite value, not as warnings
+        with np.errstate(all="ignore"):
+            return args.fn(args)
+    except (InputError, exprdsl.ExprSyntaxError, FileNotFoundError,
+            report.NonFiniteError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
     except CrossCheckError as e:

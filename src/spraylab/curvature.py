@@ -62,11 +62,6 @@ def t_jets(fr: Frame):
     return out
 
 
-def eta_jets(fr: Frame):
-    """eta_k = (1/2) R_{.k|m} y^m - R_{|k} as jets (R the curvature scalar)."""
-    return fr.rapcsak(fr.r_scalar, 0.5)
-
-
 # -- public operations ------------------------------------------------------------
 
 def chi_definition(G: SprayChart, p: PointTM) -> ChiValue:
@@ -77,14 +72,9 @@ def chi_definition(G: SprayChart, p: PointTM) -> ChiValue:
 
 def chi_trace(G: SprayChart, p: PointTM) -> ChiValue:
     """chi_k = -(1/2) R^{ m}_{m kl} y^l from the four-index tensor."""
-    fr = G.frame(p, 3)
-    n = fr.n
-    comps = np.empty(n)
-    for k in range(n):
-        acc = carrier_sum(fr.R4[m, m, k, l] * fr.yj[l]
-                          for m in range(n) for l in range(n))
-        comps[k] = -0.5 * carrier_value(acc)
-    return ChiValue(comps, "trace", p)
+    R4v = tensor_values(G.frame(p, 3).R4)
+    return ChiValue(-0.5 * np.einsum("mmkl,l->k", R4v, np.array(p.y)),
+                    "trace", p)
 
 
 def chi_local(G: SprayChart, p: PointTM) -> ChiValue:
@@ -104,13 +94,8 @@ def chi_local(G: SprayChart, p: PointTM) -> ChiValue:
 def chi_from_t(G: SprayChart, p: PointTM) -> ChiValue:
     """chi_k = -(1/3) dT^m_k/dy^m (needs one extra vertical order)."""
     fr = G.frame(p, 4)
-    T = t_jets(fr)
-    n = fr.n
-    comps = np.empty(n)
-    for k in range(n):
-        comps[k] = carrier_value(carrier_sum(fr.dy(T[m, k], m)
-                                             for m in range(n))) / -3.0
-    return ChiValue(comps, "from-T", p)
+    dT = fr.table(t_jets(fr), 1)[1][..., fr.n:]
+    return ChiValue(np.einsum("mkm->k", dT) / -3.0, "from-T", p)
 
 
 def ricci_tensor(G: SprayChart, p: PointTM) -> TensorValue:
@@ -175,11 +160,9 @@ def weyl(G: SprayChart, p: PointTM, route: str = "direct") -> TensorValue:
         A = _obj((n, n))
         for i, k in itertools.product(range(n), repeat=2):
             A[i, k] = fr.R2[i, k] - R if i == k else fr.R2[i, k]
-        comps = tensor_values(A)
-        for k in range(n):
-            div = carrier_value(carrier_sum(fr.dy(A[m, k], m)
-                                            for m in range(n)))
-            comps[:, k] -= div / (n + 1) * np.array(p.y)
+        Av, dA = fr.table(A, 1)
+        div = np.einsum("mkm->k", dA[..., n:])           # A^m_{k.m}
+        comps = Av - np.outer(np.array(p.y), div / (n + 1))
     else:
         raise ValueError(f"unknown Weyl route {route!r}")
     return TensorValue(comps, ("up", "down"), ("i", "k"), p, f"W[{route}]")
@@ -188,7 +171,8 @@ def weyl(G: SprayChart, p: PointTM, route: str = "direct") -> TensorValue:
 def eta(G: SprayChart, p: PointTM) -> TensorValue:
     """eta_k = (1/2) R_{.k|m} y^m - R_{|k}."""
     fr = G.frame(p, 4)
-    return TensorValue(tensor_values(eta_jets(fr)), ("down",), ("k",), p, "eta")
+    return TensorValue(fr.rapcsak(fr.r_scalar, 0.5), ("down",), ("k",), p,
+                       "eta")
 
 
 # -- classification ---------------------------------------------------------------

@@ -26,7 +26,7 @@ from .jets import Jet, JetDomainError
 from .spray_core import (Box, FunctionSpray, PointTM, SprayChart, TensorValue,
                          _normalize_metric, _obj, carrier_sum, carrier_value,
                          invert_carrier, metric_spray_fn, rel_residual,
-                         riemann_two_index, solve_carrier)
+                         riemann_two_index, solve_carrier, tensor_values)
 
 COND_LIMIT = 1e8
 
@@ -184,18 +184,12 @@ def chi_cartan(F: FinslerMetric, p: PointTM) -> curvature.ChiValue:
     for k in range(n):
         I[k] = carrier_sum(ginv[i][j] * C[i, j, k]
                            for i, j in itertools.product(range(n), repeat=2))
-    dI = [sfr.cov_h(I, ("down",), q) for q in range(n)]
-    Ipq = _obj((n, n))
-    for k, q in itertools.product(range(n), repeat=2):
-        Ipq[k, q] = dI[q][k]
-    ddI = [sfr.cov_h(Ipq, ("down", "down"), q) for q in range(n)]
-    comps = np.empty(n)
-    for k in range(n):
-        acc = carrier_sum(itertools.chain(
-            (ddI[qq][k, pp] * (sfr.yj[pp] * sfr.yj[qq])
-             for pp, qq in itertools.product(range(n), repeat=2)),
-            (I[m] * sfr.R2[m, k] for m in range(n))))
-        comps[k] = 0.5 * carrier_value(acc)
+    # I_{k|q} stays a jet: it is differentiated once more
+    Ipq = np.stack([sfr.cov_h(I, ("down",), q) for q in range(n)], axis=-1)
+    ddI = sfr.cov_h_values(*sfr.table(Ipq, 1), ("down", "down"))  # I_{k|p|q}
+    y = np.array(p.y)
+    comps = 0.5 * (np.einsum("kpq,p,q->k", ddI, y, y)
+                   + tensor_values(I) @ tensor_values(sfr.R2))
     return curvature.ChiValue(comps, "cartan", p)
 
 

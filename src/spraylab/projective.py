@@ -97,7 +97,7 @@ def chi_via_s(G: SprayChart, dV: VolumeForm, p: PointTM,
     n = fr.n
     S = s_jet(fr, dV)
     if ordering == "vertical-first":
-        comps = 0.5 * tensor_values(fr.rapcsak(S))
+        comps = 0.5 * fr.rapcsak(S)
     elif ordering == "horizontal-first":
         Sh = [fr.hpart(S, m) for m in range(n)]
         comps = np.empty(n)
@@ -234,12 +234,8 @@ def projective_ricci(G: SprayChart, dV: VolumeForm, p: PointTM) -> dict:
     fr = G.frame(p, 4)
     tau_v = carrier_value(tau_jet(fr, dV))
     ric_hat = carrier_value(fr.ric) + (n - 1) * tau_v
-    chi = curvature.chi_jets(fr)
-    H = np.empty((n, n))
-    for j in range(n):
-        for l in range(j, n):
-            H[j, l] = H[l, j] = 0.5 * (carrier_value(fr.dy(chi[j], l))
-                                       + carrier_value(fr.dy(chi[l], j)))
+    dchi = fr.table(curvature.chi_jets(fr), 1)[1][:, n:]   # chi_{j.l}
+    H = 0.5 * (dchi + dchi.T)
     return {
         "ric_jl": TensorValue(ric_hat_jl, ("down", "down"), ("j", "l"), p,
                               "Ric_hat"),
@@ -266,8 +262,8 @@ def weyl_hat(G: SprayChart, dV: VolumeForm, p: PointTM) -> TensorValue:
 def eta_hat(G: SprayChart, dV: VolumeForm, p: PointTM) -> TensorValue:
     """The eta-covector of the deformed spray (a projective invariant)."""
     fr = deform(G, dV).frame(p, 4)
-    comps = tensor_values(curvature.eta_jets(fr))
-    return TensorValue(comps, ("down",), ("k",), p, "eta_hat")
+    return TensorValue(fr.rapcsak(fr.r_scalar, 0.5), ("down",), ("k",), p,
+                       "eta_hat")
 
 
 # -- S-closed sprays -------------------------------------------------------------------
@@ -284,14 +280,9 @@ def s_closed_residual(G: SprayChart, points) -> dict:
     lin = curl = lin_raw = curl_raw = 0.0
     for p in points:
         fr = G.frame(p, 3)
-        Pi = fr.Pi
-        grad = [fr.dy(Pi, k) for k in range(n)]
-        gv = np.array([carrier_value(g) for g in grad])
-        hess = np.array([[carrier_value(fr.dy(grad[k], l)) for l in range(n)]
-                         for k in range(n)])
-        curlm = np.array([[carrier_value(fr.dx(grad[k], l))
-                           - carrier_value(fr.dx(grad[l], k))
-                           for l in range(n)] for k in range(n)])
+        _, grad, second = fr.table(fr.Pi, 2)
+        gv, hess = grad[n:], second[n:, n:]
+        curlm = second[n:, :n] - second[:n, n:]   # d(dPi/dy^k)/dx^l - (k<->l)
         lin = max(lin, rel_residual(hess, gv))
         curl = max(curl, rel_residual(curlm, gv))
         lin_raw = max(lin_raw, float(np.abs(hess).max()))
@@ -310,8 +301,7 @@ def rapcsak_residual(F, G: SprayChart, p: PointTM) -> TensorValue:
     Fj = field.jet(fr)
     if carrier_value(Fj) <= 0.0:
         raise JetDomainError("the metric function must be positive at the point")
-    return TensorValue(tensor_values(fr.rapcsak(Fj)), ("down",), ("k",), p,
-                       "rapcsak")
+    return TensorValue(fr.rapcsak(Fj), ("down",), ("k",), p, "rapcsak")
 
 
 def dual_residual(L, G: SprayChart, p: PointTM) -> TensorValue:
@@ -319,5 +309,5 @@ def dual_residual(L, G: SprayChart, p: PointTM) -> TensorValue:
     equivalence residual)."""
     field = L if isinstance(L, ScalarField) else ScalarField(L, G.n)
     fr = G.frame(p, 3)
-    comps = tensor_values(fr.rapcsak(field.jet(fr), 0.5))
-    return TensorValue(comps, ("down",), ("k",), p, "dual")
+    return TensorValue(fr.rapcsak(field.jet(fr), 0.5), ("down",), ("k",), p,
+                       "dual")

@@ -14,9 +14,21 @@ import os
 import tempfile
 
 
+class NonFiniteError(ValueError):
+    """A NaN or infinite value reached a JSON report; `path` locates it."""
+
+    def __init__(self, value: float):
+        super().__init__(value)
+        self.value, self.path = value, ""
+
+    def __str__(self):
+        return (f"non-finite value {self.value} at {self.path.lstrip('.')}; "
+                "the JSON report cannot hold it")
+
+
 def _fmt_float(x: float) -> str:
     if math.isnan(x) or math.isinf(x):
-        raise ValueError("reports must not contain NaN or infinite values")
+        raise NonFiniteError(x)
     if x == int(x) and abs(x) < 1e16:
         return f"{x:.1f}"
     return format(x, ".17g")
@@ -43,7 +55,7 @@ def canonical_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [canonical_json(v, indent + 1) for v in obj]
+        items = [_located(f"[{i}]", v, indent) for i, v in enumerate(obj)]
         return "[\n" + ",\n".join(inner + it for it in items) + "\n" + pad + "]"
     if isinstance(obj, dict):
         if not obj:
@@ -52,9 +64,18 @@ def canonical_json(obj, indent: int = 0) -> str:
         for k in sorted(obj):
             if not isinstance(k, str):
                 raise TypeError(f"JSON object keys must be strings, got {k!r}")
-            items.append(f'{inner}"{k}": {canonical_json(obj[k], indent + 1)}')
+            items.append(f'{inner}"{k}": {_located(f".{k}", obj[k], indent)}')
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
+
+
+def _located(part: str, value, indent: int) -> str:
+    """Render a member of a container; a NonFiniteError learns its place."""
+    try:
+        return canonical_json(value, indent + 1)
+    except NonFiniteError as e:
+        e.path = part + e.path
+        raise
 
 
 def write_atomic(path: str, text: str):

@@ -4,7 +4,8 @@ A spray is given by n coefficient functions G^i(x, y), positively
 2-homogeneous in y, evaluated over any arithmetic carrier (floats or jets).
 All tensor work happens in a :class:`Frame`: the jets of G^i at one point,
 from which connection coefficients, curvature tensors and their horizontal /
-vertical derivatives follow by exact jet arithmetic.  Index convention for
+vertical derivatives follow: jets where a later derivative is taken, float
+tables from their coefficients elsewhere.  Index convention for
 stored components: the upper index comes first, so ``R4[i, j, k, l]`` holds
 the curvature slot with upper i and lower j, k, l (antisymmetric in k, l).
 """
@@ -15,7 +16,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -35,6 +36,12 @@ class CrossCheckError(AssertionError):
 class Box:
     lo: tuple
     hi: tuple
+
+    def __post_init__(self):
+        for i, (l, h) in enumerate(zip(self.lo, self.hi)):
+            if not (math.isfinite(l) and math.isfinite(h) and l < h):
+                raise ValueError(f"domain box axis x{i + 1}: bounds [{l!r}, "
+                                 f"{h!r}] must be finite with lower < upper")
 
     @staticmethod
     def cube(n: int, half: float) -> "Box":
@@ -173,6 +180,22 @@ def tensor_values(arr) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _partial_reads(dim: int, k: int):
+    """Order-k prefix size and (positions, alpha!) of the partials of order 0..k.
+
+    Positions of degree <= 2 agree in the index tables of every order >= 2.
+    """
+    sp = jets.jet_space(dim, 2)
+    units = [tuple(int(a == b) for b in range(dim)) for a in range(dim)]
+    pos = [np.array(0),
+           np.array([sp.index[u] for u in units]),
+           np.array([[sp.index[tuple(map(sum, zip(u, w)))] for w in units]
+                     for u in units])]
+    return (jets.jet_space(dim, k).size,
+            [(q, sp._fact[q]) for q in pos[: k + 1]])
+
+
 # -- the jet workshop ------------------------------------------------------------
 
 class Frame:
@@ -180,7 +203,9 @@ class Frame:
 
     The frame's order bounds how many derivatives remain available: every
     vertical (.d on a y slot) or horizontal derivative consumes one order.
-    Tensors are cached lazily; all arithmetic is exact jet arithmetic.
+    Tensors are cached lazily.  Arithmetic is on jets where a later
+    derivative is taken, and on float tables read from their coefficients
+    (`table`, `cov_h_values`) elsewhere.
     """
 
     def __init__(self, spray: "SprayChart", point: PointTM, order: int):
@@ -234,23 +259,55 @@ class Frame:
             out[idx] = t
         return out
 
-    def rapcsak(self, L: Jet, a: float = 1.0):
-        """The covector a L_{.k|m} y^m - L_{|k} of a scalar jet L, as jets.
+    def table(self, arr, k: int):
+        """Values and all partials up to order k <= 2 of a tensor of jets.
 
-        The vertical derivative is taken first and the horizontal covariant
-        derivative of the resulting covector second.  a = 1 gives the Rapcsak
-        residual, a = 1/2 the dual-equivalence residual and eta (L = R).
+        Returns [values, first, second] cut after order k, as float arrays:
+        first[..., a] is the partial in slot a (x slots, then y slots) and
+        second[..., a, b] the mixed second partial.  They are read off the
+        normalized coefficients (partial = coefficient * alpha!) through the
+        order-k prefix that jets of every order >= k share.
+        """
+        arr = np.asarray(arr, dtype=object)
+        if not 0 <= k <= min(2, min(j.order for j in arr.flat)):
+            raise ValueError(f"cannot read order-{k} partials from these jets")
+        size, reads = _partial_reads(2 * self.n, k)
+        coeffs = np.stack([j.coeffs[:size] for j in arr.flat])
+        coeffs = coeffs.reshape(arr.shape + (size,))
+        return [coeffs[..., pos] * fact for pos, fact in reads]
+
+    def cov_h_values(self, vals, grads, roles):
+        """Horizontal covariant derivative of a float tensor in every direction.
+
+        `vals` and `grads` are the first two entries of `table`; the direction
+        m becomes a trailing axis: T_{|m} = dT/dx^m - N^s_m dT/dy^s, plus
+        Gamma^i_sm T^{..s..} for each upper index and minus Gamma^s_jm
+        T_{..s..} for each lower index.
         """
         n = self.n
-        Lv = _obj((n,))
-        for k in range(n):
-            Lv[k] = self.dy(L, k)
-        dLv = [self.cov_h(Lv, ("down",), m) for m in range(n)]
-        out = _obj((n,))
-        for k in range(n):
-            acc = carrier_sum(dLv[m][k] * self.yj[m] for m in range(n))
-            out[k] = a * acc - self.hpart(L, k)
+        # einsum, not a BLAS matmul, whose buffers cost 0.4 MB of peak RSS
+        out = grads[..., :n] - np.einsum("...s,sm->...m", grads[..., n:],
+                                         self.N_values)
+        idx = "abcdefgh"[: len(roles)]
+        for axis, role in enumerate(roles):
+            src = idx[:axis] + "s" + idx[axis + 1:]
+            gam = idx[axis] + "sm" if role == "up" else "s" + idx[axis] + "m"
+            term = np.einsum(f"{src},{gam}->{idx}m", vals, self.Gamma_values)
+            out = out + term if role == "up" else out - term
         return out
+
+    def rapcsak(self, L: Jet, a: float = 1.0) -> np.ndarray:
+        """The covector a L_{.k|m} y^m - L_{|k} of a scalar jet L, as floats.
+
+        The vertical derivative is taken first and the horizontal covariant
+        derivative of the resulting covector second, both from the order-2
+        table of L.  a = 1 gives the Rapcsak residual, a = 1/2 the
+        dual-equivalence residual and eta (L = R).
+        """
+        n = self.n
+        v, g, h = self.table(L, 2)
+        Lvh = self.cov_h_values(g[n:], h[n:], ("down",))   # [k, m] = L_{.k|m}
+        return a * (Lvh @ np.array(self.point.y)) - self.cov_h_values(v, g, ())
 
     # -- connection and curvature fields ----------------------------------------
 
@@ -274,6 +331,16 @@ class Frame:
                 out[i, j, k] = d
                 out[i, k, j] = d
         return out
+
+    @cached_property
+    def N_values(self) -> np.ndarray:
+        """N^i_j as floats (read by `cov_h_values`)."""
+        return tensor_values(self.N)
+
+    @cached_property
+    def Gamma_values(self) -> np.ndarray:
+        """Gamma^i_jk as floats (read by `cov_h_values`)."""
+        return tensor_values(self.Gamma)
 
     @cached_property
     def B(self):
@@ -360,16 +427,6 @@ class Frame:
                 out[j, l] = t
                 out[l, j] = t
         return out
-
-    def contract_y(self, arr, axis: int):
-        """Contract one lower axis of a tensor of jets with y."""
-        arr = np.asarray(arr, dtype=object)
-        moved = np.moveaxis(arr, axis, -1)
-        out = _obj(moved.shape[:-1])
-        for idx in np.ndindex(moved.shape[:-1]):
-            out[idx] = carrier_sum(moved[idx + (m,)] * self.yj[m]
-                                   for m in range(self.n))
-        return out if out.shape else out[()]
 
 
 # -- spray charts -----------------------------------------------------------------
@@ -480,7 +537,7 @@ def riemann_two_index(G: SprayChart, p: PointTM, cross_check: bool = True,
         return TensorValue(tensor_values(fr.R2), ("up", "down"), ("i", "k"), p, "R")
     fr = G.frame(p, 3)
     direct = tensor_values(fr.R2)
-    contracted = tensor_values(fr.contract_y(fr.contract_y(fr.R4, 3), 1))
+    contracted = np.einsum("ijkl,j,l->ik", tensor_values(fr.R4), p.y, p.y)
     res = rel_residual(direct - contracted, direct, contracted)
     if res > tol:
         raise CrossCheckError(
@@ -562,17 +619,7 @@ def covariant_derivative_h(field: TensorField, G: SprayChart, p: PointTM,
                            order: int = 3) -> TensorValue:
     """Horizontal covariant derivative of a rank <= 2 field; appends a lower index."""
     fr = G.frame(p, order)
-    tj = field.jets(fr)
-    n = G.n
-    if isinstance(tj, Jet):
-        comps = np.array([carrier_value(fr.hpart(tj, k)) for k in range(n)])
-        return TensorValue(comps, ("down",), ("k",), p, f"{field.label}|")
-    shape = tj.shape + (n,)
-    comps = np.empty(shape, dtype=float)
-    for k in range(n):
-        dk = fr.cov_h(tj, field.roles, k)
-        for idx in np.ndindex(tj.shape):
-            comps[idx + (k,)] = carrier_value(dk[idx])
+    comps = fr.cov_h_values(*fr.table(field.jets(fr), 1), field.roles)
     return TensorValue(comps, field.roles + ("down",),
                        tuple("abcd"[: len(field.roles)]) + ("k",), p,
                        f"{field.label}|")

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import curvature as cv
 from . import projective as pj
-from .spray_core import (SprayChart, _obj, carrier_sum, carrier_value,
-                         rel_residual, tensor_values)
+from .spray_core import (SprayChart, _obj, carrier_value, rel_residual,
+                         tensor_values)
 
 # default tolerances per row id; overridable through RunConfig
 TOLERANCES = {
@@ -198,8 +198,7 @@ class SuiteRunner:
             fr = self.spray.frame(p, 3)
             y = np.array(p.y)
             G = np.array([carrier_value(g) for g in fr.G])
-            N = tensor_values(fr.N)
-            Gm = tensor_values(fr.Gamma)
+            N, Gm = fr.N_values, fr.Gamma_values
             e1 = rel_residual(N @ y - 2 * G, G, N)
             e2 = rel_residual(np.einsum("ijm,m->ij", Gm, y) - N, N, Gm)
             r_euler.add(max(e1, e2), pi)
@@ -228,16 +227,9 @@ class SuiteRunner:
             R4 = tensor_values(fr.R4)
             cyc = R4 + R4.transpose(0, 2, 3, 1) + R4.transpose(0, 3, 1, 2)
             r_b1.add(rel_residual(cyc, R4), pi)
-            # vertical derivatives of the two-index tensor
-            d1 = _obj((n, n, n))     # d R^i_k / dy^l
-            d2 = _obj((n, n, n, n))  # d2 R^i_k / dy^l dy^j
-            for i, k in itertools.product(range(n), repeat=2):
-                for l in range(n):
-                    d1[i, k, l] = fr.dy(fr.R2[i, k], l)
-                    for j in range(n):
-                        d2[i, k, l, j] = fr.dy(d1[i, k, l], j)
-            d1v, d2v = tensor_values(d1), tensor_values(d2)
             # d1v[i,k,l] = dR^i_k/dy^l; d2v[i,k,l,j] = d2 R^i_k / dy^l dy^j
+            R2v, d1, d2 = fr.table(fr.R2, 2)
+            d1v, d2v = d1[..., n:], d2[..., n:, n:]
             rec = (np.einsum("iklj->ijkl", d2v) - np.einsum("ilkj->ijkl", d2v)) / 3.0
             r_rec.add(rel_residual(rec - R4, R4), pi)
             lhs3 = np.einsum("ijkl,l->ijk", R4, y)
@@ -246,7 +238,6 @@ class SuiteRunner:
             lhs2 = np.einsum("ijkl,j->ikl", R4, y)
             rhs2 = (d1v - np.einsum("ilk->ikl", d1v)) / 3.0
             r_c2.add(rel_residual(lhs2 - rhs2, R4, d1v), pi)
-            R2v = tensor_values(fr.R2)
             contracted = np.einsum("ijkl,j,l->ik", R4, y, y)
             r_x.add(rel_residual(R2v - contracted, R2v), pi)
         if self.deep:
@@ -270,18 +261,15 @@ class SuiteRunner:
         for pi, p in enumerate(self.points):
             fr = self.spray.frame(p, 4)
             y = np.array(p.y)
-            R4, B = fr.R4, fr.B
-            Bv = tensor_values(B)
-            R3 = _obj((n, n, n))     # R^p_{ kl} = y^j R^{ p}_{j kl}
-            for pp, k, l in itertools.product(range(n), repeat=3):
-                R3[pp, k, l] = carrier_sum(fr.yj[j] * R4[pp, j, k, l]
-                                           for j in range(n))
-            covR4 = [fr.cov_h(R4, roles4, m) for m in range(n)]
-            covB = [fr.cov_h(B, roles4, m) for m in range(n)]
-            R3v = tensor_values(R3)
-            covR4v = np.stack([tensor_values(c) for c in covR4], axis=-1)
-            covBv = np.stack([tensor_values(c) for c in covB], axis=-1)
+            R4v, R4g = fr.table(fr.R4, 1)
+            Bv, Bg = fr.table(fr.B, 1)
+            # R3[p,k,l] = R^p_{ kl} = y^j R^{ p}_{j kl}, partials by the product rule
+            R3v = np.einsum("pjkl,j->pkl", R4v, y)
+            R3g = np.einsum("pjkla,j->pkla", R4g, y)
+            R3g[..., n:] += np.einsum("pjkl->pklj", R4v)
             # covR4v[i,j,k,l,m] = R^{ i}_{j kl|m}
+            covR4v = fr.cov_h_values(R4v, R4g, roles4)
+            covBv = fr.cov_h_values(Bv, Bg, roles4)
             term = (covR4v
                     + np.einsum("ijlmk->ijklm", covR4v)
                     + np.einsum("ijmkl->ijklm", covR4v))
@@ -290,26 +278,17 @@ class SuiteRunner:
                         + np.einsum("ijkp,plm->ijklm", Bv, R3v))
             r_b2.add(rel_residual(term + coupling, covR4v, coupling), pi)
             # vertical derivative of R4 vs covariant B difference
-            dR4 = np.empty(Bv.shape + (n,))
-            for idx in np.ndindex((n, n, n, n)):
-                for m in range(n):
-                    dR4[idx + (m,)] = carrier_value(fr.dy(R4[idx], m))
+            dR4, dB = R4g[..., n:], Bg[..., n:]
             rhs = (np.einsum("ijmlk->ijklm", covBv)
                    - np.einsum("ijkml->ijklm", covBv))
             r_mx.add(rel_residual(dR4 - rhs, dR4, covBv), pi)
-            dB = np.empty(Bv.shape + (n,))
-            for idx in np.ndindex((n, n, n, n)):
-                for m in range(n):
-                    dB[idx + (m,)] = carrier_value(fr.dy(B[idx], m))
             r_bv.add(rel_residual(dB - np.einsum("ijkml->ijklm", dB), dB), pi)
             # contracted forms: covR3[p,k,l,m] = R^p_{ kl|m}
-            covR3 = np.stack([tensor_values(fr.cov_h(R3, roles4[:3], m))
-                              for m in range(n)], axis=-1)
+            covR3 = fr.cov_h_values(R3v, R3g, roles4[:3])
             cyc = (covR3 + np.einsum("plmk->pklm", covR3)
                    + np.einsum("pmkl->pklm", covR3))
             r_b4.add(rel_residual(cyc, covR3), pi)
-            covR2 = np.stack([tensor_values(fr.cov_h(fr.R2, roles4[:2], m))
-                              for m in range(n)], axis=-1)
+            covR2 = fr.cov_h_values(*fr.table(fr.R2, 1), roles4[:2])
             lhs5 = (covR2 - np.einsum("imk->ikm", covR2)
                     + np.einsum("imkl,l->ikm", covR3, y))
             r_b5.add(rel_residual(lhs5, covR2, covR3), pi)
@@ -371,11 +350,9 @@ class SuiteRunner:
             Wj = _obj((n, n))
             for i, k in itertools.product(range(n), repeat=2):
                 Wj[i, k] = T[i, k] + (3.0 / (n + 1)) * (chi[k] * fr.yj[i])
-            worst = 0.0
-            for k in range(n):
-                acc = carrier_sum(fr.dy(Wj[m, k], m) for m in range(n))
-                worst = max(worst, abs(carrier_value(acc)))
-            r_wt.add(rel_residual(worst, tensor_values(Wj)), pi)
+            Wv, dW = fr.table(Wj, 1)
+            div = np.einsum("mkm->k", dW[..., n:])       # dW^m_k/dy^m
+            r_wt.add(rel_residual(np.abs(div).max(), Wv), pi)
             Tv = tensor_values(cv.t_jets(self.spray.frame(p, 3)))
             r_tt.add(rel_residual(np.trace(Tv), Tv), pi)
 
@@ -404,13 +381,12 @@ class SuiteRunner:
             fr = self.spray.frame(p, 4)
             R4v = tensor_values(fr.R4)
             R = fr.r_scalar
-            dRR = np.array([[carrier_value(fr.dy(fr.dy(R, l), j))
-                             for j in range(n)] for l in range(n)])
+            dRR = fr.table(R, 2)[2][n:, n:]     # dRR[l, j] = d2R/dy^l dy^j
             expect = 0.5 * (np.einsum("lj,ik->ijkl", dRR, np.eye(n))
                             - np.einsum("kj,il->ijkl", dRR, np.eye(n)))
             r4.add(rel_residual(R4v - expect, R4v, dRR), pi)
             if n >= 3:
-                etav = tensor_values(cv.eta_jets(fr))
+                etav = fr.rapcsak(R, 0.5)
                 scale = tensor_values(fr.R2)
                 rg.add(rel_residual((n - 2) * 2.0 * etav, scale), pi)
                 re.add(rel_residual(etav, scale), pi)
@@ -485,10 +461,9 @@ class SuiteRunner:
         P = "0.3*y1 + 0.1*y2"
         shifted = pj.with_projective_factor(self.spray, P)
         for dV in self.volumes:
-            res_pi = pj.projective_invariance_check(self.spray, shifted, dV,
-                                                    self.points)
-            r_pi.add(res_pi)
             for pi, p in enumerate(self.points):
+                r_pi.add(pj.projective_invariance_check(self.spray, shifted,
+                                                        dV, [p]), pi)
                 base_chi = cv.chi_definition(self.spray, p).components
                 scaleR = tensor_values(self.spray.frame(p, 3).R2)
                 s_val = pj.s_curvature(self.spray, dV, p)
@@ -510,9 +485,7 @@ class SuiteRunner:
                     float(y @ pr["ric_jl"].components @ y) - pr["ric"],
                     pr["ric_jl"].components), pi)
                 fr = self.spray.frame(p, 4)
-                tau = pj.tau_jet(fr, dV)
-                tvv = np.array([[carrier_value(fr.dy(fr.dy(tau, j), l))
-                                 for l in range(n)] for j in range(n)])
+                tvv = fr.table(pj.tau_jet(fr, dV), 2)[2][n:, n:]
                 ric_base = tensor_values(fr.ric_jl)
                 expect = ric_base + (n - 1) / 2.0 * tvv - pr["h_jl"].components
                 r_pd.add(rel_residual(pr["ric_jl"].components - expect,

@@ -197,7 +197,7 @@ def test_criterion_7_sphere_family():
         scale = sc.tensor_values(fr.R2)
         worst_w = max(worst_w, sc.rel_residual(
             cv.weyl(sp, p).components, scale))
-        etav = sc.tensor_values(cv.eta_jets(fr))
+        etav = fr.rapcsak(fr.r_scalar, 0.5)
         worst_e = max(worst_e, sc.rel_residual(etav, scale))
         worst_g = max(worst_g, sc.rel_residual((3 - 2) * 2.0 * etav, scale))
     sp2 = make_family("sphere", n=2, kappa=1.0)

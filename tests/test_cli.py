@@ -150,6 +150,29 @@ def test_exit_code_2_on_input_errors(tmp_path, capsys):
             assert code == 2
             assert err.startswith("error: ") and msg in err
             assert "Traceback" not in err
+    # an inverted domain box
+    code, _, err = run_cli("verify", "--spray", "flat(n=2,box=-1)", "--points",
+                           "2", capsys=capsys)
+    assert code == 2 and "domain box axis x1: bounds [1.0, -1.0]" in err
+    # coefficients that overflow: the non-finite value is located in the
+    # report instead of ending in a traceback
+    overflow = tmp_path / "overflow.spray"
+    overflow.write_text("dim = 2\nG1 = y1^2*exp(900*x1)\nG2 = 0\n")
+    for argv, where in ((("evaluate", "--file", str(overflow)), " at points["),
+                        (("verify", "--spray", "example72(f=exp(800*x1))"),
+                         " at rows[")):
+        code, _, err = run_cli(*argv, "--points", "2", capsys=capsys)
+        assert code == 2
+        assert err.startswith("error: non-finite value") and where in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+def test_non_finite_report_value_names_its_path():
+    from spraylab import report
+    doc = {"points": [{"quantities": {"G": [float("inf"), 0.0]}}]}
+    with pytest.raises(report.NonFiniteError) as info:
+        report.canonical_json(doc)
+    assert " at points[0].quantities.G[0];" in str(info.value)
 
 
 def test_exit_code_1_on_tolerance_failure(capsys):

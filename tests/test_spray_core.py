@@ -11,6 +11,8 @@ from spraylab.spray_core import (Box, ExpressionSpray, PointTM, TensorField,
 import oracles
 
 P2 = PointTM((0.1, -0.2), (0.7, 0.4))
+A_CURVED = {(1, 1): "1+x2^2", (2, 2): "1+x1^2", (1, 2): "x1*x2/2"}
+EX72 = dict(A="x1", B="x2^2", C="x1*x2", D="1+x1", f="x1*x2")
 
 
 @pytest.fixture(scope="module")
@@ -335,6 +337,15 @@ def test_point_validation():
         PointTM((0.0, 0.0), (0.0, 0.0))
 
 
+def test_box_validation():
+    with pytest.raises(ValueError, match=r"axis x2: bounds \[1.0, -1.0\]"):
+        Box((0.0, 1.0), (1.0, -1.0))
+    with pytest.raises(ValueError, match="axis x1"):
+        Box.cube(2, float("nan"))
+    with pytest.raises(ValueError, match="axis x1"):
+        Box((0.0,), (float("inf"),))
+
+
 def test_sampling_protocol_determinism_and_bounds():
     sp = make_family("sphere", n=3, kappa=1.0)
     a = sample_points(sp, 10, seed=42)
@@ -353,3 +364,66 @@ def test_custom_family_from_source(tmp_path):
     R = sc.riemann_two_index(sp, P2).components
     y1, y2 = P2.y
     assert np.abs(R - np.array([[-y1 * y2, y1 * y1], [0.0, 0.0]])).max() < 1e-13
+
+
+@pytest.fixture(scope="module")
+def value_zoo():
+    return [make_family("sphere", n=3, kappa=1.0),
+            make_family("example72", **EX72),
+            make_family("randers", a=A_CURVED, b={1: "0.2*x2", 2: "-0.1*x1"},
+                        n=2, box=0.8)]
+
+
+def test_table_and_cov_h_values_match_jet_cov_h(value_zoo):
+    roles4 = ("up", "down", "down", "down")
+    for sp in value_zoo:
+        for p in sample_points(sp, 2, seed=31):
+            fr = sp.frame(p, 4)
+            R3 = np.empty((sp.n,) * 3, dtype=object)   # y^j R^{ p}_{j kl}
+            for q, k, l in np.ndindex(R3.shape):
+                R3[q, k, l] = sc.carrier_sum(fr.yj[j] * fr.R4[q, j, k, l]
+                                             for j in range(sp.n))
+            for arr, roles in ((fr.R4, roles4), (fr.B, roles4),
+                               (R3, roles4[:3]), (fr.R2, roles4[:2])):
+                vals, grads = fr.table(arr, 1)
+                assert np.array_equal(vals, sc.tensor_values(arr))
+                got = fr.cov_h_values(vals, grads, roles)
+                ref = np.stack([sc.tensor_values(fr.cov_h(arr, roles, m))
+                                for m in range(sp.n)], axis=-1)
+                assert got.shape == ref.shape
+                assert sc.rel_residual(got - ref, vals, ref) <= 1e-13
+            # second partials are the coefficients of the iterated .d
+            _, _, hess = fr.table(fr.R2, 2)
+            for a in range(2 * sp.n):
+                for b in range(2 * sp.n):
+                    d2 = [j.d(a).d(b) for j in fr.R2.flat]
+                    assert np.array_equal(hess[..., a, b].ravel(),
+                                          sc.tensor_values(d2))
+            with pytest.raises(ValueError, match="order-2"):
+                fr.table(fr.R4, 2)          # R4 is an order-1 jet here
+
+
+def _jet_rapcsak(fr, L, a):
+    """a L_{.k|m} y^m - L_{|k} composed from the jet cov_h and hpart."""
+    n = fr.n
+    Lv = np.empty(n, dtype=object)
+    for k in range(n):
+        Lv[k] = fr.dy(L, k)
+    dLv = [fr.cov_h(Lv, ("down",), m) for m in range(n)]
+    return np.array([sc.carrier_value(
+        a * sc.carrier_sum(dLv[m][k] * fr.yj[m] for m in range(n))
+        - fr.hpart(L, k)) for k in range(n)])
+
+
+def test_float_rapcsak_matches_jet_composition(value_zoo):
+    from spraylab import projective as pj
+    for sp in value_zoo:
+        dV = pj.VolumeForm("exp(x1)", sp.n)
+        for p in sample_points(sp, 2, seed=32):
+            fr = sp.frame(p, 4)
+            for L, a in ((fr.r_scalar, 0.5), (pj.s_jet(fr, dV), 1.0)):
+                got = fr.rapcsak(L, a)
+                ref = _jet_rapcsak(fr, L, a)
+                assert got.shape == (sp.n,)
+                assert sc.rel_residual(got - ref, ref,
+                                       fr.table(L, 1)[1]) <= 1e-13

@@ -62,11 +62,25 @@ def test_not_applicable_rows_report_null(nonquad3):
 
 
 def test_row_argmax_points_are_sample_indices(nonquad3):
+    # every residual carries the sample point it came from, so every row
+    # that measured something names the point of its worst residual
     pts = sample_points(nonquad3, 5, seed=3)
-    rows = verify.run_suite(nonquad3, pts, groups=("base", "volume"))
-    for r in rows:
-        if r.residuals and r.argmax_point is not None:
-            assert 0 <= r.argmax_point < len(pts)
+    rows = verify.run_suite(nonquad3, pts)
+    measured = [r for r in rows if r.residuals]
+    ids = {r.id for r in measured}
+    assert {"projective-invariance", "bianchi-second"} <= ids
+    for r in measured:
+        assert r.argmax_point is not None, r.id
+        assert 0 <= r.argmax_point < len(pts)
+
+
+def test_four_index_group_at_dimension_four():
+    # dim-8 jets: the covariant derivatives of the Bianchi rows at n = 4
+    sp = make_family("sphere", n=4, kappa=1.0)
+    rows = verify.run_suite(sp, sample_points(sp, 2, seed=7),
+                            groups=("four-index",))
+    assert len(rows) == 11
+    assert all(r.passed is True for r in rows), [r.id for r in rows]
 
 
 def test_tolerance_override_applies(nonquad3):
