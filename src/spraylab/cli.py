@@ -24,7 +24,7 @@ from . import verify
 from .jets import JetDomainError
 from .spray_core import CrossCheckError
 
-DEFAULT_SIGMAS = ["1", "exp(x1)", "1+0.5*x1^2"]
+DEFAULT_SIGMAS = verify.DEFAULT_SIGMAS
 
 _INT_PARAMS = {"n"}
 _FLOAT_PARAMS = {"kappa", "box"}
@@ -137,12 +137,12 @@ def _config_echo(args, command, sigmas):
 
 
 def _emit(doc: dict, args, elapsed: float) -> None:
+    # rendered for both formats: a NaN or inf fails here, with its path
+    text = report.canonical_json(doc) + "\n"
     if args.format == "text":
         doc = dict(doc)
         doc["wall_clock_text"] = f"{elapsed:.2f} s"
         text = report.rows_as_text(doc)
-    else:
-        text = report.canonical_json(doc) + "\n"
     if args.out:
         report.write_atomic(args.out, text)
     else:
@@ -234,12 +234,14 @@ class _TolAction(argparse.Action):
         if "=" not in value:
             parser.error(f"--tol expects id=value, got {value!r}")
         key, val = value.split("=", 1)
-        if key not in verify.TOLERANCES:
+        if key not in {spec.id for spec in verify.ROWS}:
             parser.error(f"unknown tolerance id {key!r}")
         try:
             d[key] = float(val)
         except ValueError:
             parser.error(f"bad tolerance value {val!r}")
+        if not 0.0 < d[key] < float("inf"):     # refuses nan too
+            parser.error(f"bad tolerance value {val!r} (need a finite number > 0)")
         setattr(ns, self.dest, d)
 
 

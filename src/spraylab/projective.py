@@ -146,8 +146,12 @@ class DeformedSpray(SprayChart):
 
 
 def deform(G: SprayChart, dV: VolumeForm) -> DeformedSpray:
-    """The spray associated with (G, dV); its own S-curvature vanishes."""
-    return DeformedSpray(G, dV)
+    """The spray associated with (G, dV); its own S-curvature vanishes.
+    One per (G, dV), so all hat quantities share its frames."""
+    hat = G._deformed.get(dV)
+    if hat is None:
+        hat = G._deformed[dV] = DeformedSpray(G, dV)
+    return hat
 
 
 def projective_invariance_check(G1: SprayChart, G2: SprayChart,

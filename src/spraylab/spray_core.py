@@ -442,6 +442,7 @@ class SprayChart:
         self.label = label
         self.metric = None      # the FinslerMetric of an induced spray
         self._frames = {}
+        self._deformed = {}     # VolumeForm -> DeformedSpray (projective.deform)
 
     # subclasses provide carrier-generic evaluation
     def eval_coefficients(self, xs, ys):

@@ -161,10 +161,13 @@ def test_exit_code_2_on_input_errors(tmp_path, capsys):
     for argv, where in ((("evaluate", "--file", str(overflow)), " at points["),
                         (("verify", "--spray", "example72(f=exp(800*x1))"),
                          " at rows[")):
-        code, _, err = run_cli(*argv, "--points", "2", capsys=capsys)
-        assert code == 2
-        assert err.startswith("error: non-finite value") and where in err
-        assert "Traceback" not in err and len(err.splitlines()) == 1
+        # the text format refuses the same value with the same message
+        for fmt in ("json", "text"):
+            code, out, err = run_cli(*argv, "--points", "2", "--format", fmt,
+                                     capsys=capsys)
+            assert code == 2 and out == ""
+            assert err.startswith("error: non-finite value") and where in err
+            assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
 def test_non_finite_report_value_names_its_path():
@@ -226,3 +229,12 @@ def test_unknown_tolerance_id_rejected(capsys):
     with pytest.raises(SystemExit):
         cli.main(["verify", "--spray", "flat", "--tol", "bogus=1"])
     capsys.readouterr()
+    # a tolerance must be a finite number > 0, in either format
+    for value in ("nan", "-1", "inf", "0", "x"):
+        for fmt in ("json", "text"):
+            with pytest.raises(SystemExit) as info:
+                cli.main(["verify", "--spray", "flat", "--points", "1",
+                          "--format", fmt, "--tol", f"homogeneity={value}"])
+            assert info.value.code == 2
+            err = capsys.readouterr().err
+            assert "bad tolerance value" in err and "config.tol" not in err

@@ -1,8 +1,11 @@
 """The suite runner itself: groups, applicability logic, hard sprays."""
 
+import math
+
 import pytest
 
-from spraylab import exprdsl, verify
+from spraylab import cli, exprdsl, verify
+from spraylab import projective as pj
 from spraylab.spray_core import Box, ExpressionSpray, make_family, sample_points
 
 
@@ -90,3 +93,55 @@ def test_tolerance_override_applies(nonquad3):
     hom = next(r for r in rows if r.id == "homogeneity")
     assert hom.tolerance == 1e-30
     assert hom.passed is False
+
+
+def test_rows_follow_the_table(nonquad3):
+    # every row is declared once: the report order, tags, statements and
+    # tolerances of a full run are those of the table
+    rows = verify.run_suite(nonquad3, sample_points(nonquad3, 2, seed=5))
+    specs = {spec.id: spec for spec in verify.ROWS}
+    assert len(specs) == len(verify.ROWS)
+    # a bare spray carries no metric, so only the mean-Cartan row is left out
+    assert [r.id for r in rows] == [s.id for s in verify.ROWS
+                                    if s.id != "chi-cartan-route"]
+    for r in rows:
+        spec = specs[r.id]
+        assert (r.eq_tag, r.statement, r.tolerance) == (
+            spec.eq_tag, spec.statement, spec.tolerance)
+
+
+def test_every_table_id_is_a_tol_key():
+    parser = cli.build_parser()
+    for spec in verify.ROWS:
+        args = parser.parse_args(["verify", "--spray", "flat", "--tol",
+                                  f"{spec.id}=0.5"])
+        assert args.tol == {spec.id: 0.5}
+
+
+def test_nan_residual_fails_its_row():
+    # a NaN after a finite residual must not be dropped by the maximum
+    row = verify.Row("r", "tag", "statement", 1e-8)
+    row.add(1e-12, 0)
+    row.add(float("nan"), 1)
+    assert math.isnan(row.max_residual)
+    assert row.passed is False
+    assert row.argmax_point == 1
+
+
+def test_deform_is_memoized_per_volume_form():
+    sp = make_family("sphere", n=3, kappa=1.0)
+    dV, other = pj.VolumeForm("exp(x1)", 3), pj.VolumeForm("exp(x1)", 3)
+    assert pj.deform(sp, dV) is pj.deform(sp, dV)
+    assert pj.deform(sp, other) is not pj.deform(sp, dV)
+
+
+def test_volume_rows_share_one_deformed_frame_per_order():
+    # sphere(n=3) has scalar curvature, so eta-hat asks for order 4 too
+    sp = make_family("sphere", n=3, kappa=1.0)
+    runner = verify.SuiteRunner(sp, sample_points(sp, 1, seed=6))
+    runner._volume_rows()
+    assert all(r.passed is True for r in runner.rows), \
+        [r.id for r in runner.rows if r.passed is not True]
+    for dV in runner.volumes:
+        frames = pj.deform(sp, dV)._frames
+        assert sorted(order for _x, _y, order in frames) == [1, 2, 3, 4]
