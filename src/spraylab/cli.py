@@ -158,8 +158,7 @@ def cmd_list(args) -> int:
     return 0
 
 
-def _document(args, command, sigmas, spray, points, rows, pt_docs) -> dict:
-    cls = cv.classify(spray, points, verify.FLAG_TOL)
+def _document(args, command, sigmas, cls, rows, pt_docs) -> dict:
     return {
         "version": __version__,
         "config": _config_echo(args, command, sigmas),
@@ -203,7 +202,8 @@ def cmd_evaluate(args) -> int:
         if order >= 4:
             q["eta"] = cv.eta(spray, p).components.tolist()
         pt_docs.append({"x": list(p.x), "y": list(p.y), "quantities": q})
-    doc = _document(args, "evaluate", sigmas, spray, points, [], pt_docs)
+    cls = cv.classify(spray, points, verify.FLAG_TOL)
+    doc = _document(args, "evaluate", sigmas, cls, [], pt_docs)
     _emit(doc, args, time.time() - t0)
     return 0
 
@@ -214,8 +214,9 @@ def cmd_verify(args) -> int:
     sigmas = args.sigma or file_sigma or DEFAULT_SIGMAS
     vols = _volumes(sigmas, spray)
     points = sc.sample_points(spray, args.points, args.seed)
-    rows = verify.run_suite(spray, points, vols, tolerances=args.tol)
-    doc = _document(args, "verify", sigmas, spray, points, rows,
+    cls = cv.classify(spray, points, verify.FLAG_TOL)    # shared with the suite
+    rows = verify.run_suite(spray, points, vols, tolerances=args.tol, cls=cls)
+    doc = _document(args, "verify", sigmas, cls, rows,
                     [{"x": list(p.x), "y": list(p.y)} for p in points])
     _emit(doc, args, time.time() - t0)
     failed = [r for r in rows if r.passed is False]

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spray_core import (Frame, PointTM, SprayChart, TensorValue, _obj,
-                         carrier_sum, carrier_value, rel_residual,
-                         tensor_values)
+                         carrier_value, rel_residual, tensor_values)
 
 
 @dataclass
@@ -72,7 +71,7 @@ def chi_definition(G: SprayChart, p: PointTM) -> ChiValue:
 
 def chi_trace(G: SprayChart, p: PointTM) -> ChiValue:
     """chi_k = -(1/2) R^{ m}_{m kl} y^l from the four-index tensor."""
-    R4v = tensor_values(G.frame(p, 3).R4)
+    R4v = G.frame(p, 3).R4[0]
     return ChiValue(-0.5 * np.einsum("mmkl,l->k", R4v, np.array(p.y)),
                     "trace", p)
 
@@ -81,14 +80,11 @@ def chi_local(G: SprayChart, p: PointTM) -> ChiValue:
     """Volume-form-free local formula built from Pi = dG^m/dy^m."""
     fr = G.frame(p, 3)
     n = fr.n
-    Pi = fr.Pi
-    comps = np.empty(n)
-    for k in range(n):
-        acc = carrier_sum(fr.dy(fr.dx(Pi, m), k) * fr.yj[m]
-                          - 2.0 * (fr.dy(fr.dy(Pi, k), m) * fr.G[m])
-                          for m in range(n))
-        comps[k] = 0.5 * carrier_value(acc - fr.dx(Pi, k))
-    return ChiValue(comps, "local-S", p)
+    _, grad, second = fr.table(fr.Pi, 2)
+    Gv = np.array([carrier_value(g) for g in fr.G])
+    acc = (np.einsum("mk,m->k", second[:n, n:], np.array(p.y))
+           - 2.0 * np.einsum("km,m->k", second[n:, n:], Gv))
+    return ChiValue(0.5 * (acc - grad[:n]), "local-S", p)
 
 
 def chi_from_t(G: SprayChart, p: PointTM) -> ChiValue:
@@ -101,8 +97,7 @@ def chi_from_t(G: SprayChart, p: PointTM) -> ChiValue:
 def ricci_tensor(G: SprayChart, p: PointTM) -> TensorValue:
     """Ric_jl = (R^{ m}_{j ml} + R^{ m}_{l mj}) / 2, symmetric by construction."""
     fr = G.frame(p, 3)
-    return TensorValue(tensor_values(fr.ric_jl), ("down", "down"), ("j", "l"),
-                       p, "Ric")
+    return TensorValue(fr.ric_jl, ("down", "down"), ("j", "l"), p, "Ric")
 
 
 def ricci_scalar(G: SprayChart, p: PointTM) -> float:

@@ -210,14 +210,12 @@ def hat_riemann(G: SprayChart, dV: VolumeForm, p: PointTM,
         comps = tensor_values(fr.R2)
     elif route == "formula":
         fr = G.frame(p, 3)
-        tau = tau_jet(fr, dV)
+        tau_v, dtau = fr.table(tau_jet(fr, dV), 1)
         chi = tensor_values(curvature.chi_jets(fr))
         comps = tensor_values(fr.R2)
-        tau_v = carrier_value(tau)
         y = np.array(p.y)
         for k in range(n):
-            comps[:, k] += (-0.5 * carrier_value(fr.dy(tau, k))
-                            + 3.0 * chi[k] / (n + 1)) * y
+            comps[:, k] += (-0.5 * dtau[n + k] + 3.0 * chi[k] / (n + 1)) * y
             comps[k, k] += tau_v
     else:
         raise ValueError(f"unknown route {route!r}")
@@ -234,14 +232,13 @@ def projective_ricci(G: SprayChart, dV: VolumeForm, p: PointTM) -> dict:
     """
     n = G.n
     hat_fr = deform(G, dV).frame(p, 3)
-    ric_hat_jl = tensor_values(hat_fr.ric_jl)
     fr = G.frame(p, 4)
     tau_v = carrier_value(tau_jet(fr, dV))
     ric_hat = carrier_value(fr.ric) + (n - 1) * tau_v
     dchi = fr.table(curvature.chi_jets(fr), 1)[1][:, n:]   # chi_{j.l}
     H = 0.5 * (dchi + dchi.T)
     return {
-        "ric_jl": TensorValue(ric_hat_jl, ("down", "down"), ("j", "l"), p,
+        "ric_jl": TensorValue(hat_fr.ric_jl, ("down", "down"), ("j", "l"), p,
                               "Ric_hat"),
         "ric": ric_hat,
         "h_jl": TensorValue(H, ("down", "down"), ("j", "l"), p, "H"),

@@ -5,9 +5,11 @@ A spray is given by n coefficient functions G^i(x, y), positively
 All tensor work happens in a :class:`Frame`: the jets of G^i at one point,
 from which connection coefficients, curvature tensors and their horizontal /
 vertical derivatives follow: jets where a later derivative is taken, float
-tables from their coefficients elsewhere.  Index convention for
-stored components: the upper index comes first, so ``R4[i, j, k, l]`` holds
-the curvature slot with upper i and lower j, k, l (antisymmetric in k, l).
+tables from their coefficients elsewhere.  The four-index curvature ``R4``
+and the Ricci tensor ``ric_jl`` are such float tables, read off the jets of
+the Berwald connection.  Index convention for stored components: the upper
+index comes first, so ``R4[0][i, j, k, l]`` holds the curvature slot with
+upper i and lower j, k, l (antisymmetric in k, l).
 """
 
 from __future__ import annotations
@@ -204,8 +206,9 @@ class Frame:
     The frame's order bounds how many derivatives remain available: every
     vertical (.d on a y slot) or horizontal derivative consumes one order.
     Tensors are cached lazily.  Arithmetic is on jets where a later
-    derivative is taken, and on float tables read from their coefficients
-    (`table`, `cov_h_values`) elsewhere.
+    derivative is taken (N, Gamma, B, R2, ...), and on float tables read
+    from their coefficients (`table`, `cov_h_values`, `R4`, `ric_jl`)
+    elsewhere.
     """
 
     def __init__(self, spray: "SprayChart", point: PointTM, order: int):
@@ -381,26 +384,31 @@ class Frame:
 
         R^{ i}_{j kl} = delta Gamma^i_jl / delta x^k - delta Gamma^i_jk / delta x^l
                         + Gamma^i_ks Gamma^s_jl - Gamma^s_jk Gamma^i_ls
+
+        as float tables read off `table(Gamma, depth + 1)` and `table(N, depth)`:
+        [values] (depth 0) on an order-3 frame, [values, first partials]
+        (depth 1; slot last, as in `table`) on deeper frames.  With A[i,j,k,l] = delta Gamma^i_jl
+        / delta x^k + Gamma^i_ks Gamma^s_jl, R4 = A - (A with k, l swapped).
         """
-        n, Gm = self.n, self.Gamma
-        hG = _obj((n, n, n, n))  # hG[i,j,l,k] = delta Gamma^i_jl / delta x^k
-        for i, j in itertools.product(range(n), repeat=2):
-            for l in range(j, n):
-                for k in range(n):
-                    d = self.hpart(Gm[i, j, l], k)
-                    hG[i, j, l, k] = d
-                    hG[i, l, j, k] = d
-        out = _obj((n, n, n, n))
-        for i, j in itertools.product(range(n), repeat=2):
-            for k in range(n):
-                out[i, j, k, k] = Gm[0, 0, 0] * 0.0
-                for l in range(k + 1, n):
-                    t = hG[i, j, l, k] - hG[i, j, k, l]
-                    for s in range(n):
-                        t = (t + Gm[i, k, s] * Gm[s, j, l]
-                             - Gm[s, j, k] * Gm[i, l, s])
-                    out[i, j, k, l] = t
-                    out[i, j, l, k] = -t
+        n, depth = self.n, min(1, self.order - 3)
+        if depth < 0:
+            raise ValueError(f"R4 needs a frame of order >= 3, not {self.order}")
+        Gt, Nt = self.table(self.Gamma, depth + 1), self.table(self.N, depth)
+        G0, G1 = Gt[0], Gt[1]
+        # hG[i,j,l,m(,a)] = delta Gamma^i_jl / delta x^m (and its partial in a)
+        hG = [d[:, :, :, :n] - np.einsum("ijls...,sm->ijlm...", d[:, :, :, n:], Nt[0])
+              for d in Gt[1:]]
+        GG = [np.einsum("iks,sjl->ijkl", G0, G0)]
+        if depth:   # the product rule on the N and Gamma factors
+            hG[1] -= np.einsum("ijls,sma->ijlma", G1[..., n:], Nt[1])
+            GG.append(np.einsum("iksa,sjl->ijkla", G1, G0)
+                      + np.einsum("iks,sjla->ijkla", G0, G1))
+        out = []
+        for h, gg in zip(hG, GG):
+            A = np.swapaxes(h, 2, 3) + gg
+            A = A - np.swapaxes(A, 2, 3)
+            A.flags.writeable = False       # cached: callers share it
+            out.append(A)
         return out
 
     @cached_property
@@ -414,19 +422,12 @@ class Frame:
         return self.ric / float(self.n - 1)
 
     @cached_property
-    def ric_jl(self):
-        """Ricci tensor Ric_jl = (R^{ m}_{j ml} + R^{ m}_{l mj}) / 2."""
-        n, R4 = self.n, self.R4
-        out = _obj((n, n))
-        for j in range(n):
-            for l in range(j, n):
-                t = R4[0, j, 0, l] + R4[0, l, 0, j]
-                for m in range(1, n):
-                    t = t + R4[m, j, m, l] + R4[m, l, m, j]
-                t = 0.5 * t
-                out[j, l] = t
-                out[l, j] = t
-        return out
+    def ric_jl(self) -> np.ndarray:
+        """Ricci tensor Ric_jl = (R^{ m}_{j ml} + R^{ m}_{l mj}) / 2, as floats."""
+        ric = np.einsum("mjml->jl", self.R4[0])
+        ric = 0.5 * (ric + ric.T)
+        ric.flags.writeable = False
+        return ric
 
 
 # -- spray charts -----------------------------------------------------------------
@@ -538,7 +539,7 @@ def riemann_two_index(G: SprayChart, p: PointTM, cross_check: bool = True,
         return TensorValue(tensor_values(fr.R2), ("up", "down"), ("i", "k"), p, "R")
     fr = G.frame(p, 3)
     direct = tensor_values(fr.R2)
-    contracted = np.einsum("ijkl,j,l->ik", tensor_values(fr.R4), p.y, p.y)
+    contracted = np.einsum("ijkl,j,l->ik", fr.R4[0], p.y, p.y)
     res = rel_residual(direct - contracted, direct, contracted)
     if res > tol:
         raise CrossCheckError(
@@ -550,7 +551,7 @@ def riemann_two_index(G: SprayChart, p: PointTM, cross_check: bool = True,
 def riemann_four_index(G: SprayChart, p: PointTM) -> TensorValue:
     """R^{ i}_{j kl} of the Berwald connection (antisymmetric in k, l)."""
     fr = G.frame(p, 3)
-    return TensorValue(tensor_values(fr.R4), ("up", "down", "down", "down"),
+    return TensorValue(fr.R4[0], ("up", "down", "down", "down"),
                        ("i", "j", "k", "l"), p, "R4")
 
 

@@ -97,14 +97,13 @@ class PointData:
     B = cached_property(lambda pt: tensor_values(pt.fr3.B))
     # order-4 tables: R^i_k to second partials, R^{ i}_{j kl} and B to first
     R2 = cached_property(lambda pt: pt.fr4.table(pt.fr4.R2, 2))
-    R4 = cached_property(lambda pt: pt.fr4.table(pt.fr4.R4, 1))
+    R4 = cached_property(lambda pt: pt.fr4.R4)
     B4 = cached_property(lambda pt: pt.fr4.table(pt.fr4.B, 1))
     # horizontal covariant derivatives, direction last: [i,j,k,l,m] = R^{ i}_{j kl|m}
     covR4 = cached_property(lambda pt: pt.fr4.cov_h_values(*pt.R4, ROLES4))
     covB = cached_property(lambda pt: pt.fr4.cov_h_values(*pt.B4, ROLES4))
     covR3 = cached_property(lambda pt: pt.fr4.cov_h_values(*pt.R3, ROLES4[:3]))
     covR2 = cached_property(lambda pt: pt.fr4.cov_h_values(*pt.R2[:2], ROLES4[:2]))
-    ric_jl = cached_property(lambda pt: tensor_values(pt.fr4.ric_jl))
     weyl = cached_property(lambda pt: cv.weyl(pt.spray, pt.p, "direct").components)
     eta = cached_property(lambda pt: pt.fr4.rapcsak(pt.fr4.r_scalar, 0.5))
     volumes = cached_property(lambda pt: [VolumeData(pt, dV) for dV in pt.run.volumes])
@@ -179,7 +178,7 @@ class PointData:
         return rel_residual(lhs, cov2, cov3)
 
     def ricci_trace(self):
-        ric, Ric = self.ric_jl, carrier_value(self.fr4.ric)
+        ric, Ric = self.fr4.ric_jl, carrier_value(self.fr4.ric)
         return max(rel_residual(ric - ric.T, ric),
                    rel_residual(float(self.y @ ric @ self.y) - Ric, ric))
 
@@ -250,7 +249,7 @@ class VolumeData:
     def hat_ricci_split(self):
         fr, n, ric = self.pt.fr4, self.pt.n, self.ricci["ric_jl"].components
         tvv = fr.table(pj.tau_jet(fr, self.dV), 2)[2][n:, n:]
-        expect = self.pt.ric_jl + (n - 1) / 2.0 * tvv - self.ricci["h_jl"].components
+        expect = fr.ric_jl + (n - 1) / 2.0 * tvv - self.ricci["h_jl"].components
         return rel_residual(ric - expect, ric, expect)
 
     def douglas_change(self):
@@ -443,7 +442,7 @@ class SuiteRunner:
               "s-closed": ("_s_closed_rows",), "volume": ("_volume_rows",)}
 
     def __init__(self, spray: SprayChart, points, volumes=None,
-                 tolerances=None):
+                 tolerances=None, cls=None):
         self.spray = spray
         self.points = list(points)
         self.volumes = volumes if volumes is not None else [
@@ -451,8 +450,10 @@ class SuiteRunner:
         self.tolerances = dict(tolerances or {})
         self.data = [PointData(self, i) for i in range(len(self.points))]
         self.rows = []
+        if cls is not None:
+            self.cls = cls
 
-    # the classification flags that the hypotheses read
+    # the classification flags that the hypotheses read (or the caller's)
     cls = cached_property(lambda run: cv.classify(run.spray, run.points, FLAG_TOL))
     # G + P y, projectively related to G, for the projective-invariance row
     shifted = cached_property(
@@ -504,6 +505,7 @@ class SuiteRunner:
         self._bianchi_second_rows()
 
 
-def run_suite(spray, points, volumes=None, tolerances=None, groups=None):
-    """Run the identity suite (or selected groups); returns the Row objects."""
-    return SuiteRunner(spray, points, volumes, tolerances).run(groups)
+def run_suite(spray, points, volumes=None, tolerances=None, groups=None, cls=None):
+    """Run the identity suite (or selected groups); returns the Row objects.
+    `cls`, the spray's `classify` over `points`, is computed when not given."""
+    return SuiteRunner(spray, points, volumes, tolerances, cls).run(groups)

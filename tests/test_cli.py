@@ -6,7 +6,9 @@ import time
 import numpy as np
 import pytest
 
-from spraylab import cli
+from spraylab import cli, verify
+from spraylab import curvature as cv
+from spraylab import spray_core as sc
 
 
 def run_cli(*argv, capsys=None):
@@ -176,6 +178,29 @@ def test_non_finite_report_value_names_its_path():
     with pytest.raises(report.NonFiniteError) as info:
         report.canonical_json(doc)
     assert " at points[0].quantities.G[0];" in str(info.value)
+
+
+def test_verify_classifies_once(monkeypatch, capsys):
+    calls = []
+    classify = cv.classify
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return classify(*args, **kwargs)
+
+    monkeypatch.setattr(cv, "classify", counted)
+    spec = "example72(A=x1,B=x2^2,C=x1*x2,D=1+x1,f=x1*x2)"
+    code, out, _ = run_cli("verify", "--spray", spec, "--points", "3",
+                           "--seed", "7", capsys=capsys)
+    assert code == 0 and len(calls) == 1
+    # the block the report had when the suite and the report each classified
+    sp = cli._build_spray(*cli._parse_family_spec(spec))
+    cls = classify(sp, sc.sample_points(sp, 3, 7), verify.FLAG_TOL)
+    assert json.loads(out)["classification"] == {
+        "isotropy_residual": cls.isotropy_residual,
+        "scalar_residual": cls.scalar_residual,
+        "chi_residual": cls.chi_residual, "isotropic": cls.isotropic,
+        "scalar_curvature": cls.scalar_curvature, "chi_zero": cls.chi_zero}
 
 
 def test_exit_code_1_on_tolerance_failure(capsys):

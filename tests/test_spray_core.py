@@ -374,16 +374,56 @@ def value_zoo():
                         n=2, box=0.8)]
 
 
+def _jet_r4(fr):
+    """R^{ i}_{j kl} as jets: delta Gamma^i_jl / delta x^k - delta Gamma^i_jk /
+    delta x^l + Gamma^i_ks Gamma^s_jl - Gamma^s_jk Gamma^i_ls from `hpart`."""
+    n, Gm = fr.n, fr.Gamma
+    hG = np.empty((n,) * 4, dtype=object)   # [i,j,l,k] = delta Gamma^i_jl / delta x^k
+    for i, j, l, k in np.ndindex(hG.shape):
+        hG[i, j, l, k] = fr.hpart(Gm[i, j, l], k)
+    out = np.empty((n,) * 4, dtype=object)
+    for i, j, k, l in np.ndindex(out.shape):
+        t = hG[i, j, l, k] - hG[i, j, k, l]
+        for s in range(n):
+            t = t + Gm[i, k, s] * Gm[s, j, l] - Gm[s, j, k] * Gm[i, l, s]
+        out[i, j, k, l] = t
+    return out
+
+
+def test_float_r4_matches_jet_r4(value_zoo):
+    for sp in value_zoo:
+        for p in sample_points(sp, 2, seed=33):
+            fr = sp.frame(p, 4)
+            R4, dR4 = fr.R4
+            ref, dref = fr.table(_jet_r4(fr), 1)
+            assert sc.rel_residual(R4 - ref, ref) <= 1e-13
+            assert sc.rel_residual(dR4 - dref, dref) <= 1e-13
+            # antisymmetric in k, l and a symmetric Ricci tensor, exactly
+            assert np.array_equal(R4, -R4.transpose(0, 1, 3, 2))
+            assert np.array_equal(dR4, -dR4.transpose(0, 1, 3, 2, 4))
+            ric = fr.ric_jl
+            assert np.array_equal(ric, ric.T)
+            ric_ref = np.einsum("mjml->jl", ref)
+            assert sc.rel_residual(ric - 0.5 * (ric_ref + ric_ref.T), ric_ref) <= 1e-13
+            assert not (R4.flags.writeable or ric.flags.writeable)   # shared caches
+            # an order-3 frame has the values only, an order-2 frame not even those
+            (R4_3,) = sp.frame(p, 3).R4
+            assert sc.rel_residual(R4_3 - R4, R4) <= 1e-13
+            with pytest.raises(ValueError, match="order >= 3"):
+                sp.frame(p, 2).R4
+
+
 def test_table_and_cov_h_values_match_jet_cov_h(value_zoo):
     roles4 = ("up", "down", "down", "down")
     for sp in value_zoo:
         for p in sample_points(sp, 2, seed=31):
             fr = sp.frame(p, 4)
+            R4 = _jet_r4(fr)
             R3 = np.empty((sp.n,) * 3, dtype=object)   # y^j R^{ p}_{j kl}
             for q, k, l in np.ndindex(R3.shape):
-                R3[q, k, l] = sc.carrier_sum(fr.yj[j] * fr.R4[q, j, k, l]
+                R3[q, k, l] = sc.carrier_sum(fr.yj[j] * R4[q, j, k, l]
                                              for j in range(sp.n))
-            for arr, roles in ((fr.R4, roles4), (fr.B, roles4),
+            for arr, roles in ((R4, roles4), (fr.B, roles4),
                                (R3, roles4[:3]), (fr.R2, roles4[:2])):
                 vals, grads = fr.table(arr, 1)
                 assert np.array_equal(vals, sc.tensor_values(arr))
@@ -400,7 +440,7 @@ def test_table_and_cov_h_values_match_jet_cov_h(value_zoo):
                     assert np.array_equal(hess[..., a, b].ravel(),
                                           sc.tensor_values(d2))
             with pytest.raises(ValueError, match="order-2"):
-                fr.table(fr.R4, 2)          # R4 is an order-1 jet here
+                fr.table(R4, 2)             # R4 is an order-1 jet here
 
 
 def _jet_rapcsak(fr, L, a):
