@@ -26,8 +26,7 @@ from .spray_core import CrossCheckError
 
 DEFAULT_SIGMAS = verify.DEFAULT_SIGMAS
 
-_INT_PARAMS = {"n"}
-_FLOAT_PARAMS = {"kappa", "box"}
+_NUMBER_PARAMS = {"n": int, "kappa": float, "box": float}
 
 
 class InputError(ValueError):
@@ -60,10 +59,12 @@ def _build_spray(name: str, params: dict) -> sc.SprayChart:
     metric = {}
     oneform = {}
     for key, val in params.items():
-        if key in _INT_PARAMS:
-            kwargs[key] = int(val)
-        elif key in _FLOAT_PARAMS:
-            kwargs[key] = float(val)
+        if key in _NUMBER_PARAMS:
+            try:
+                kwargs[key] = _NUMBER_PARAMS[key](val)
+            except ValueError:
+                raise InputError(f"parameter {key}={val!r} of family {name!r}: "
+                                 f"expected {_NUMBER_PARAMS[key].__name__}") from None
         elif key[0] in "ga" and len(key) == 3 and key[1:].isdigit():
             metric[(int(key[1]), int(key[2]))] = val
         elif key[0] == "b" and key[1:].isdigit():

@@ -8,19 +8,19 @@ chi-covector is computed by several independent routes that must agree:
 * ``local``:      chi_k = (1/2) {Pi_{x^m y^k} y^m - Pi_{x^k} - 2 Pi_{y^k y^m} G^m}
 * ``from-T``:     chi_k = -(1/3) dT^m_k/dy^m
 
+The definition and T are the float tables ``Frame.chi`` and ``Frame.T``.
 The metric route through the mean Cartan torsion lives in
 :mod:`spraylab.finsler`; volume-form routes live in :mod:`spraylab.projective`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spray_core import (Frame, PointTM, SprayChart, TensorValue, _obj,
-                         carrier_value, rel_residual, tensor_values)
+from .spray_core import (Jet, PointTM, ScalarField, SprayChart, TensorValue,
+                         carrier_value, plus_outer_y, rel_residual)
 
 
 @dataclass
@@ -33,40 +33,11 @@ class ChiValue:
         return f"ChiValue(route={self.route!r}, {self.components})"
 
 
-# -- jet-level builders (shared with projective / verify) -----------------------
-
-def chi_jets(fr: Frame):
-    """chi_k as jets from the vertical derivatives of the two-index curvature."""
-    n = fr.n
-    trace = fr.ric  # R^m_m
-    out = _obj((n,))
-    for k in range(n):
-        t = fr.dy(trace, k)
-        for m in range(n):
-            t = t + 2.0 * fr.dy(fr.R2[m, k], m)
-        out[k] = t / -6.0
-    return out
-
-
-def t_jets(fr: Frame):
-    """T^i_k = R^i_k - {R delta^i_k - (1/2) dR/dy^k y^i} as jets."""
-    n = fr.n
-    R = fr.r_scalar
-    out = _obj((n, n))
-    for i, k in itertools.product(range(n), repeat=2):
-        t = fr.R2[i, k] + 0.5 * (fr.dy(R, k) * fr.yj[i])
-        if i == k:
-            t = t - R
-        out[i, k] = t
-    return out
-
-
 # -- public operations ------------------------------------------------------------
 
 def chi_definition(G: SprayChart, p: PointTM) -> ChiValue:
     """chi from vertical derivatives of the two-index Riemann curvature."""
-    fr = G.frame(p, 3)
-    return ChiValue(tensor_values(chi_jets(fr)), "definition", p)
+    return ChiValue(G.frame(p, 3).chi[0], "definition", p)
 
 
 def chi_trace(G: SprayChart, p: PointTM) -> ChiValue:
@@ -89,8 +60,7 @@ def chi_local(G: SprayChart, p: PointTM) -> ChiValue:
 
 def chi_from_t(G: SprayChart, p: PointTM) -> ChiValue:
     """chi_k = -(1/3) dT^m_k/dy^m (needs one extra vertical order)."""
-    fr = G.frame(p, 4)
-    dT = fr.table(t_jets(fr), 1)[1][..., fr.n:]
+    dT = G.frame(p, 4).T[1][..., G.n:]
     return ChiValue(np.einsum("mkm->k", dT) / -3.0, "from-T", p)
 
 
@@ -113,9 +83,7 @@ def curvature_scalar(G: SprayChart, p: PointTM) -> float:
 
 def t_curvature(G: SprayChart, p: PointTM) -> TensorValue:
     """The trace-free tensor whose vanishing means isotropic curvature."""
-    fr = G.frame(p, 3)
-    return TensorValue(tensor_values(t_jets(fr)), ("up", "down"), ("i", "k"),
-                       p, "T")
+    return TensorValue(G.frame(p, 3).T[0], ("up", "down"), ("i", "k"), p, "T")
 
 
 def curvature_scalar_field(G: SprayChart):
@@ -125,8 +93,6 @@ def curvature_scalar_field(G: SprayChart):
     dual-equivalence residual with L = R): given jet arguments of order m it
     returns the R-jet obtained from a frame two orders deeper.
     """
-    from .spray_core import Jet, ScalarField, carrier_value
-
     def fn(xs, ys):
         p = PointTM(tuple(carrier_value(v) for v in xs),
                     tuple(carrier_value(v) for v in ys))
@@ -147,15 +113,11 @@ def weyl(G: SprayChart, p: PointTM, route: str = "direct") -> TensorValue:
     fr = G.frame(p, 3)
     n = fr.n
     if route == "via_chi":
-        T = tensor_values(t_jets(fr))
-        chi = tensor_values(chi_jets(fr))
-        comps = T + (3.0 / (n + 1)) * np.outer(np.array(p.y), chi)
+        comps = plus_outer_y(fr.T, fr.chi, 3.0 / (n + 1), np.array(p.y))[0]
     elif route == "direct":
-        R = fr.r_scalar
-        A = _obj((n, n))
-        for i, k in itertools.product(range(n), repeat=2):
-            A[i, k] = fr.R2[i, k] - R if i == k else fr.R2[i, k]
-        Av, dA = fr.table(A, 1)
+        Av, dA = (t.copy() for t in fr.R2_table)
+        for t, r in zip((Av, dA), fr.table(fr.r_scalar, 1)):
+            t[np.diag_indices(n)] -= r
         div = np.einsum("mkm->k", dA[..., n:])           # A^m_{k.m}
         comps = Av - np.outer(np.array(p.y), div / (n + 1))
     else:
@@ -202,8 +164,8 @@ def classify(G: SprayChart, points, flag_tol: float = 1e-6) -> Classification:
     t_res = w_res = c_res = 0.0
     for p in points:
         fr = G.frame(p, 3)
-        R2v = tensor_values(fr.R2)
-        t_res = max(t_res, rel_residual(tensor_values(t_jets(fr)), R2v))
+        R2v = fr.R2_table[0]
+        t_res = max(t_res, rel_residual(fr.T[0], R2v))
         w_res = max(w_res, rel_residual(weyl(G, p, "direct").components, R2v))
-        c_res = max(c_res, rel_residual(tensor_values(chi_jets(fr)), R2v))
+        c_res = max(c_res, rel_residual(fr.chi[0], R2v))
     return Classification(t_res, w_res, c_res, flag_tol, len(points))

@@ -189,7 +189,7 @@ def chi_cartan(F: FinslerMetric, p: PointTM) -> curvature.ChiValue:
     ddI = sfr.cov_h_values(*sfr.table(Ipq, 1), ("down", "down"))  # I_{k|p|q}
     y = np.array(p.y)
     comps = 0.5 * (np.einsum("kpq,p,q->k", ddI, y, y)
-                   + tensor_values(I) @ tensor_values(sfr.R2))
+                   + tensor_values(I) @ sfr.R2_table[0])
     return curvature.ChiValue(comps, "cartan", p)
 
 
@@ -213,6 +213,8 @@ class RandersData:
         else:
             items = ((i + 1, v) for i, v in enumerate(b))
         for i, src in items:
+            if i not in range(1, n + 1):
+                raise ValueError(f"1-form entry b_{i}: index outside 1..{n}")
             ast = src if not isinstance(src, str) else exprdsl.parse(src, n)
             if exprdsl.uses_y(ast):
                 raise ValueError(f"1-form entry b_{i} must depend on x only")

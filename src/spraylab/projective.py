@@ -19,8 +19,7 @@ import numpy as np
 from . import curvature, exprdsl, jets
 from .jets import Jet, JetDomainError
 from .spray_core import (Box, Frame, PointTM, ScalarField, SprayChart,
-                         TensorValue, carrier_sum, carrier_value, rel_residual,
-                         tensor_values)
+                         TensorValue, carrier_sum, carrier_value, rel_residual)
 
 
 class VolumeForm:
@@ -206,16 +205,14 @@ def hat_riemann(G: SprayChart, dV: VolumeForm, p: PointTM,
     """
     n = G.n
     if route == "direct":
-        fr = deform(G, dV).frame(p, 2)
-        comps = tensor_values(fr.R2)
+        comps = deform(G, dV).frame(p, 2).R2_table[0]
     elif route == "formula":
         fr = G.frame(p, 3)
         tau_v, dtau = fr.table(tau_jet(fr, dV), 1)
-        chi = tensor_values(curvature.chi_jets(fr))
-        comps = tensor_values(fr.R2)
+        comps = fr.R2_table[0].copy()
         y = np.array(p.y)
         for k in range(n):
-            comps[:, k] += (-0.5 * dtau[n + k] + 3.0 * chi[k] / (n + 1)) * y
+            comps[:, k] += (-0.5 * dtau[n + k] + 3.0 * fr.chi[0][k] / (n + 1)) * y
             comps[k, k] += tau_v
     else:
         raise ValueError(f"unknown route {route!r}")
@@ -235,7 +232,7 @@ def projective_ricci(G: SprayChart, dV: VolumeForm, p: PointTM) -> dict:
     fr = G.frame(p, 4)
     tau_v = carrier_value(tau_jet(fr, dV))
     ric_hat = carrier_value(fr.ric) + (n - 1) * tau_v
-    dchi = fr.table(curvature.chi_jets(fr), 1)[1][:, n:]   # chi_{j.l}
+    dchi = fr.chi[1][:, n:]      # chi_{j.l}
     H = 0.5 * (dchi + dchi.T)
     return {
         "ric_jl": TensorValue(hat_fr.ric_jl, ("down", "down"), ("j", "l"), p,
@@ -248,16 +245,14 @@ def projective_ricci(G: SprayChart, dV: VolumeForm, p: PointTM) -> dict:
 
 def douglas(G: SprayChart, dV: VolumeForm, p: PointTM) -> TensorValue:
     """Douglas curvature: the Berwald curvature of the deformed spray."""
-    fr = deform(G, dV).frame(p, 3)
-    return TensorValue(tensor_values(fr.B), ("up", "down", "down", "down"),
-                       ("i", "j", "k", "l"), p, "D")
+    return TensorValue(deform(G, dV).frame(p, 3).B[0],
+                       ("up", "down", "down", "down"), ("i", "j", "k", "l"), p, "D")
 
 
 def weyl_hat(G: SprayChart, dV: VolumeForm, p: PointTM) -> TensorValue:
     """T-curvature of the deformed spray; equals the Weyl curvature of G."""
-    fr = deform(G, dV).frame(p, 3)
-    comps = tensor_values(curvature.t_jets(fr))
-    return TensorValue(comps, ("up", "down"), ("i", "k"), p, "T_hat")
+    return TensorValue(deform(G, dV).frame(p, 3).T[0], ("up", "down"), ("i", "k"),
+                       p, "T_hat")
 
 
 def eta_hat(G: SprayChart, dV: VolumeForm, p: PointTM) -> TensorValue:

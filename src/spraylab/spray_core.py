@@ -4,12 +4,12 @@ A spray is given by n coefficient functions G^i(x, y), positively
 2-homogeneous in y, evaluated over any arithmetic carrier (floats or jets).
 All tensor work happens in a :class:`Frame`: the jets of G^i at one point,
 from which connection coefficients, curvature tensors and their horizontal /
-vertical derivatives follow: jets where a later derivative is taken, float
-tables from their coefficients elsewhere.  The four-index curvature ``R4``
-and the Ricci tensor ``ric_jl`` are such float tables, read off the jets of
-the Berwald connection.  Index convention for stored components: the upper
-index comes first, so ``R4[0][i, j, k, l]`` holds the curvature slot with
-upper i and lower j, k, l (antisymmetric in k, l).
+vertical derivatives follow.  Jets are kept where a later derivative is
+taken (N, Gamma, R2 and the scalars Pi, Ric, R); ``B``, ``R4``, ``chi``, ``T``
+and ``ric_jl`` are float tables read off their coefficients.  Index
+convention for stored components: the upper index comes first, so
+``R4[0][i, j, k, l]`` holds the curvature slot with upper i and lower j, k, l
+(antisymmetric in k, l).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from . import exprdsl, jets
 from .jets import Jet, JetDomainError
 
 EPS_Y = 1e-6
+CROSS_CHECK_TOL = 1e-8   # direct R^i_k against y^j R^{ i}_{j kl} y^l
 
 
 class CrossCheckError(AssertionError):
@@ -182,6 +183,23 @@ def tensor_values(arr) -> np.ndarray:
     return out
 
 
+def plus_outer_y(X, v, c: float, y) -> list:
+    """X^i_k + c v_k y^i on tables [values(, first partials)], by the product rule."""
+    out = [X[0] + c * np.multiply.outer(y, v[0])]
+    if len(X) > 1:
+        vy = np.multiply.outer(y, v[1])      # [i,k,a] = v_{k,a} y^i
+        vy[..., len(y):] += np.einsum("ia,k->ika", np.eye(len(y)), v[0])
+        out.append(X[1] + c * vy)
+    return out
+
+
+def _frozen(tables: list) -> list:
+    """Mark the arrays of a cached table read-only: every caller shares them."""
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
 @lru_cache(maxsize=None)
 def _partial_reads(dim: int, k: int):
     """Order-k prefix size and (positions, alpha!) of the partials of order 0..k.
@@ -205,10 +223,11 @@ class Frame:
 
     The frame's order bounds how many derivatives remain available: every
     vertical (.d on a y slot) or horizontal derivative consumes one order.
-    Tensors are cached lazily.  Arithmetic is on jets where a later
-    derivative is taken (N, Gamma, B, R2, ...), and on float tables read
-    from their coefficients (`table`, `cov_h_values`, `R4`, `ric_jl`)
-    elsewhere.
+    Tensors are cached lazily: jets where a later derivative is taken (N,
+    Gamma, R2, Pi, Ric, R), float tables read from their coefficients
+    elsewhere (`table`, `cov_h_values`, `B`, `R4`, `chi`, `T`, `ric_jl`).
+    Curvature tables are [values] at order 3 and [values, first partials]
+    deeper, the slot last as in `table`.
     """
 
     def __init__(self, spray: "SprayChart", point: PointTM, order: int):
@@ -216,11 +235,13 @@ class Frame:
         self.point = point
         self.order = order
         self.n = spray.n
-        coords = point.x + point.y
-        lifted = jets.lift_point(coords, order)
-        self.xj = lifted[: self.n]
+        lifted = jets.lift_point(point.x + point.y, order)
         self.yj = lifted[self.n:]
         self.G = spray._make_coefficient_jets(self, lifted)
+
+    # x^i as jets, lifted on first use: few frames read them, and frames stay cached
+    xj = cached_property(lambda fr: jets.lift_point(fr.point.x + fr.point.y,
+                                                    fr.order)[: fr.n])
 
     # derivative operators on scalar jets
     def dx(self, j: Jet, k: int) -> Jet:
@@ -278,6 +299,12 @@ class Frame:
         coeffs = np.stack([j.coeffs[:size] for j in arr.flat])
         coeffs = coeffs.reshape(arr.shape + (size,))
         return [coeffs[..., pos] * fact for pos, fact in reads]
+
+    def _depth(self, name: str) -> int:
+        """Partial depth of a curvature table: 0 at order 3, 1 deeper."""
+        if self.order < 3:
+            raise ValueError(f"{name} needs a frame of order >= 3, not {self.order}")
+        return min(1, self.order - 3)
 
     def cov_h_values(self, vals, grads, roles):
         """Horizontal covariant derivative of a float tensor in every direction.
@@ -348,11 +375,9 @@ class Frame:
     @cached_property
     def B(self):
         """Berwald curvature B^{ i}_{j kl} = dGamma^i_kl/dy^j, stored [i,j,k,l]."""
-        n = self.n
-        out = _obj((n, n, n, n))
-        for i, j, k, l in itertools.product(range(n), repeat=4):
-            out[i, j, k, l] = self.dy(self.Gamma[i, k, l], j)
-        return out
+        n, depth = self.n, self._depth("B")    # the y slot j moves to axis 1
+        return _frozen([np.moveaxis(t[:, :, :, n:], 3, 1).copy()
+                        for t in self.table(self.Gamma, depth + 1)[1:]])
 
     @cached_property
     def Pi(self):
@@ -379,20 +404,22 @@ class Frame:
         return out
 
     @cached_property
+    def R2_table(self):
+        """`table(R2, k)` to the deepest k <= 2 that the frame holds."""
+        return _frozen(self.table(self.R2, min(2, self.order - 2)))
+
+    @cached_property
     def R4(self):
         """Four-index curvature of the Berwald connection, stored [i,j,k,l]:
 
         R^{ i}_{j kl} = delta Gamma^i_jl / delta x^k - delta Gamma^i_jk / delta x^l
                         + Gamma^i_ks Gamma^s_jl - Gamma^s_jk Gamma^i_ls
 
-        as float tables read off `table(Gamma, depth + 1)` and `table(N, depth)`:
-        [values] (depth 0) on an order-3 frame, [values, first partials]
-        (depth 1; slot last, as in `table`) on deeper frames.  With A[i,j,k,l] = delta Gamma^i_jl
-        / delta x^k + Gamma^i_ks Gamma^s_jl, R4 = A - (A with k, l swapped).
+        read off `table(Gamma, depth + 1)` and `table(N, depth)`.  With
+        A[i,j,k,l] = delta Gamma^i_jl / delta x^k + Gamma^i_ks Gamma^s_jl,
+        R4 = A - (A with k, l swapped).
         """
-        n, depth = self.n, min(1, self.order - 3)
-        if depth < 0:
-            raise ValueError(f"R4 needs a frame of order >= 3, not {self.order}")
+        n, depth = self.n, self._depth("R4")
         Gt, Nt = self.table(self.Gamma, depth + 1), self.table(self.N, depth)
         G0, G1 = Gt[0], Gt[1]
         # hG[i,j,l,m(,a)] = delta Gamma^i_jl / delta x^m (and its partial in a)
@@ -406,10 +433,8 @@ class Frame:
         out = []
         for h, gg in zip(hG, GG):
             A = np.swapaxes(h, 2, 3) + gg
-            A = A - np.swapaxes(A, 2, 3)
-            A.flags.writeable = False       # cached: callers share it
-            out.append(A)
-        return out
+            out.append(A - np.swapaxes(A, 2, 3))
+        return _frozen(out)
 
     @cached_property
     def ric(self):
@@ -422,12 +447,32 @@ class Frame:
         return self.ric / float(self.n - 1)
 
     @cached_property
+    def chi(self):
+        """chi_k = -(1/6) {dRic/dy^k + 2 dR^m_k/dy^m}, from `R2_table`."""
+        n, depth = self.n, self._depth("chi")
+        out = []
+        for d, ric in zip(self.R2_table[1:], self.table(self.ric, depth + 1)[1:]):
+            # the operands and their order of the jet sum: equal bit for bit
+            t = carrier_sum([ric[n:]] + [2.0 * d[m, :, n + m] for m in range(n)])
+            out.append(t / -6.0)
+        return _frozen(out)
+
+    @cached_property
+    def T(self):
+        """T^i_k = R^i_k - {R delta^i_k - (1/2) dR/dy^k y^i}, from `R2_table`."""
+        n, depth = self.n, self._depth("T")
+        R = self.table(self.r_scalar, depth + 1)
+        out = plus_outer_y(self.R2_table[:depth + 1], [d[n:] for d in R[1:]],
+                           0.5, np.array(self.point.y))
+        for t, r in zip(out, R):
+            t[np.diag_indices(n)] -= r
+        return _frozen(out)
+
+    @cached_property
     def ric_jl(self) -> np.ndarray:
         """Ricci tensor Ric_jl = (R^{ m}_{j ml} + R^{ m}_{l mj}) / 2, as floats."""
         ric = np.einsum("mjml->jl", self.R4[0])
-        ric = 0.5 * (ric + ric.T)
-        ric.flags.writeable = False
-        return ric
+        return _frozen([0.5 * (ric + ric.T)])[0]
 
 
 # -- spray charts -----------------------------------------------------------------
@@ -526,32 +571,26 @@ def berwald_connection(G: SprayChart, p: PointTM) -> TensorValue:
 
 def berwald_curvature(G: SprayChart, p: PointTM) -> TensorValue:
     """B^{ i}_{j kl}, totally symmetric in j, k, l with y^j B^{ i}_{j kl} = 0."""
-    fr = G.frame(p, 3)
-    return TensorValue(tensor_values(fr.B), ("up", "down", "down", "down"),
+    return TensorValue(G.frame(p, 3).B[0], ("up", "down", "down", "down"),
                        ("i", "j", "k", "l"), p, "B")
 
 
-def riemann_two_index(G: SprayChart, p: PointTM, cross_check: bool = True,
-                      tol: float = 1e-8) -> TensorValue:
+def riemann_two_index(G: SprayChart, p: PointTM) -> TensorValue:
     """R^i_k by the direct spray formula, cross-asserted against y^j R4 y^l."""
-    if not cross_check:
-        fr = G.frame(p, 2)
-        return TensorValue(tensor_values(fr.R2), ("up", "down"), ("i", "k"), p, "R")
     fr = G.frame(p, 3)
-    direct = tensor_values(fr.R2)
+    direct = fr.R2_table[0]
     contracted = np.einsum("ijkl,j,l->ik", fr.R4[0], p.y, p.y)
     res = rel_residual(direct - contracted, direct, contracted)
-    if res > tol:
+    if res > CROSS_CHECK_TOL:
         raise CrossCheckError(
             f"{G.label}: direct two-index curvature disagrees with the "
-            f"four-index contraction (residual {res:.2e} > {tol:.0e})")
+            f"four-index contraction (residual {res:.2e} > {CROSS_CHECK_TOL:.0e})")
     return TensorValue(direct, ("up", "down"), ("i", "k"), p, "R")
 
 
 def riemann_four_index(G: SprayChart, p: PointTM) -> TensorValue:
     """R^{ i}_{j kl} of the Berwald connection (antisymmetric in k, l)."""
-    fr = G.frame(p, 3)
-    return TensorValue(fr.R4[0], ("up", "down", "down", "down"),
+    return TensorValue(G.frame(p, 3).R4[0], ("up", "down", "down", "down"),
                        ("i", "j", "k", "l"), p, "R4")
 
 
@@ -663,6 +702,8 @@ def _normalize_metric(g, n):
     else:
         items = (((i + 1, j + 1), g[i][j]) for i in range(n) for j in range(n))
     for (i, j), src in items:
+        if not (i in range(1, n + 1) and j in range(1, n + 1)):
+            raise ValueError(f"metric entry a_{i}{j}: index outside 1..{n}")
         ast = _parse_x_expr(src, n, f"metric entry a_{i}{j}")
         key = (min(i, j), max(i, j))
         if key in out and not exprdsl.ast_equal(out[key], ast):

@@ -11,7 +11,6 @@ passing vacuously.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -21,8 +20,7 @@ import numpy as np
 from . import curvature as cv
 from . import finsler as fl
 from . import projective as pj
-from .spray_core import (SprayChart, _obj, carrier_value, rel_residual,
-                         tensor_values)
+from .spray_core import SprayChart, carrier_value, plus_outer_y, rel_residual
 
 DEFAULT_SIGMAS = ("1", "exp(x1)", "1+0.5*x1^2")    # when no volume form is given
 FLAG_TOL = 1e-6          # classification flags (looser than identity rows)
@@ -93,15 +91,14 @@ class PointData:
     # chi by its definition, the reference of every other chi route
     chi = cached_property(lambda pt: cv.chi_definition(pt.spray, pt.p).components)
     # R^i_k, the scale of the rows that state a vanishing
-    scale = cached_property(lambda pt: tensor_values(pt.fr3.R2))
-    B = cached_property(lambda pt: tensor_values(pt.fr3.B))
-    # order-4 tables: R^i_k to second partials, R^{ i}_{j kl} and B to first
-    R2 = cached_property(lambda pt: pt.fr4.table(pt.fr4.R2, 2))
+    scale = cached_property(lambda pt: pt.fr3.R2_table[0])
+    B = cached_property(lambda pt: pt.fr3.B[0])
+    # order-4 tables: R^i_k to second partials, R^{ i}_{j kl} to first
+    R2 = cached_property(lambda pt: pt.fr4.R2_table)
     R4 = cached_property(lambda pt: pt.fr4.R4)
-    B4 = cached_property(lambda pt: pt.fr4.table(pt.fr4.B, 1))
     # horizontal covariant derivatives, direction last: [i,j,k,l,m] = R^{ i}_{j kl|m}
     covR4 = cached_property(lambda pt: pt.fr4.cov_h_values(*pt.R4, ROLES4))
-    covB = cached_property(lambda pt: pt.fr4.cov_h_values(*pt.B4, ROLES4))
+    covB = cached_property(lambda pt: pt.fr4.cov_h_values(*pt.fr4.B, ROLES4))
     covR3 = cached_property(lambda pt: pt.fr4.cov_h_values(*pt.R3, ROLES4[:3]))
     covR2 = cached_property(lambda pt: pt.fr4.cov_h_values(*pt.R2[:2], ROLES4[:2]))
     weyl = cached_property(lambda pt: cv.weyl(pt.spray, pt.p, "direct").components)
@@ -150,7 +147,7 @@ class PointData:
         return rel_residual(np.einsum("ijkl,j->ikl", R4, self.y) - rhs, R4, d1)
 
     def bianchi_second(self):
-        cov, Bv, R3v = self.covR4, self.B4[0], self.R3[0]
+        cov, Bv, R3v = self.covR4, self.fr4.B[0], self.R3[0]
         term = cov + np.einsum("ijlmk->ijklm", cov) + np.einsum("ijmkl->ijklm", cov)
         coupling = (np.einsum("ijmp,pkl->ijklm", Bv, R3v)
                     + np.einsum("ijlp,pmk->ijklm", Bv, R3v)
@@ -163,7 +160,7 @@ class PointData:
         return rel_residual(dR4 - rhs, dR4, cov)
 
     def berwald_vertical(self):
-        dB = self.B4[1][..., self.n:]
+        dB = self.fr4.B[1][..., self.n:]
         return rel_residual(dB - np.einsum("ijkml->ijklm", dB), dB)
 
     def bianchi_contracted(self):
@@ -195,19 +192,11 @@ class PointData:
         return rel_residual(self.weyl - w2, self.weyl, w2)
 
     def weyl_vertical_trace(self):
-        # the vertical trace of W needs W as jets: assemble from jets directly
+        # W^i_k = T^i_k + 3 chi_k y^i/(n+1) with its first partials
         fr, n = self.fr4, self.n
-        T, chi = cv.t_jets(fr), cv.chi_jets(fr)
-        Wj = _obj((n, n))
-        for i, k in itertools.product(range(n), repeat=2):
-            Wj[i, k] = T[i, k] + (3.0 / (n + 1)) * (chi[k] * fr.yj[i])
-        Wv, dW = fr.table(Wj, 1)
+        Wv, dW = plus_outer_y(fr.T, fr.chi, 3.0 / (n + 1), self.y)
         div = np.einsum("mkm->k", dW[..., n:])       # dW^m_k/dy^m
         return rel_residual(np.abs(div).max(), Wv)
-
-    def t_trace(self):
-        Tv = tensor_values(cv.t_jets(self.fr3))
-        return rel_residual(np.trace(Tv), Tv)
 
     def isotropic_four_index(self):
         fr, n, R4 = self.fr4, self.n, self.R4[0]
@@ -215,7 +204,6 @@ class PointData:
         expect = 0.5 * (np.einsum("lj,ik->ijkl", dRR, np.eye(n))
                         - np.einsum("kj,il->ijkl", dRR, np.eye(n)))
         return rel_residual(R4 - expect, R4, dRR)
-
 
 
 class VolumeData:
@@ -361,7 +349,8 @@ ROWS = (
             "W^i_k = T^i_k + 3 chi_k y^i/(n+1) equals the direct Weyl"),
     RowSpec("weyl-vertical-trace", "weyl", "weyl-trace", 1e-8, P.weyl_vertical_trace,
             "dW^m_k/dy^m = 0"),
-    RowSpec("t-trace", "weyl", "t-traceless", 1e-9, P.t_trace, "T^m_m = 0"),
+    RowSpec("t-trace", "weyl", "t-traceless", 1e-9,
+            lambda pt: rel_residual(np.trace(pt.fr3.T[0]), pt.fr3.T[0]), "T^m_m = 0"),
     RowSpec("isotropic-4idx", "isotropic", "isotropic-four-index", 1e-7,
             P.isotropic_four_index, "isotropic curvature forces R^{ i}_{j kl} = "
             "(1/2){R_{.l.j} d^i_k - R_{.k.j} d^i_l}", _requires(_ISOTROPIC)),

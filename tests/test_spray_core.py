@@ -288,6 +288,15 @@ def test_make_family_registry_and_errors():
                                 "randers", "custom"}
     with pytest.raises(ValueError, match="unknown spray family"):
         make_family("nope")
+    # metric and 1-form keys outside 1..n are refused, not dropped
+    with pytest.raises(ValueError, match="a_30: index outside 1..3"):
+        make_family("riemannian", g={(1, 1): "1", (2, 2): "1", (3, 0): "1"}, n=3)
+    with pytest.raises(ValueError, match="a_1.52: index outside 1..2"):
+        make_family("riemannian", g={(1, 1): "1", (2, 2): "1", (1.5, 2): "5"}, n=2)
+    for b in ({3: "0.5*x1"}, {0: "0.5"}, {1.5: "0.1"}, ["0.1", "0.1", "0.1"]):
+        with pytest.raises(ValueError,
+                           match=r"1-form entry b_[0-9.]+: index outside 1..2"):
+            make_family("randers", a={(1, 1): "1", (2, 2): "1"}, b=b, n=2)
     # polynomial family with zero parameters is the flat spray
     sp = make_family("example72")
     assert np.all(sp.coefficients(P2) == 0.0)
@@ -390,6 +399,55 @@ def _jet_r4(fr):
     return out
 
 
+def _jet_b(fr):
+    """B^{ i}_{j kl} = dGamma^i_kl/dy^j as jets, stored [i,j,k,l]."""
+    n = fr.n
+    out = np.empty((n,) * 4, dtype=object)
+    for i, j, k, l in np.ndindex(out.shape):
+        out[i, j, k, l] = fr.dy(fr.Gamma[i, k, l], j)
+    return out
+
+
+def _jet_chi(fr):
+    """chi_k = -(1/6){dRic/dy^k + 2 dR^m_k/dy^m} as jets."""
+    n = fr.n
+    out = np.empty(n, dtype=object)
+    for k in range(n):
+        t = fr.dy(fr.ric, k)
+        for m in range(n):
+            t = t + 2.0 * fr.dy(fr.R2[m, k], m)
+        out[k] = t / -6.0
+    return out
+
+
+def _jet_t(fr):
+    """T^i_k = R^i_k - {R delta^i_k - (1/2) dR/dy^k y^i} as jets."""
+    n, R = fr.n, fr.r_scalar
+    out = np.empty((n, n), dtype=object)
+    for i, k in np.ndindex(out.shape):
+        t = fr.R2[i, k] + 0.5 * (fr.dy(R, k) * fr.yj[i])
+        out[i, k] = t - R if i == k else t
+    return out
+
+
+def test_float_b_chi_t_match_jet_references(value_zoo):
+    # same operations in the same order as the jets: equal bit for bit
+    for sp in value_zoo:
+        for p in sample_points(sp, 2, seed=35):
+            for order, depth in ((3, 0), (4, 1)):
+                fr = sp.frame(p, order)
+                for got, ref in ((fr.B, _jet_b), (fr.chi, _jet_chi),
+                                 (fr.T, _jet_t)):
+                    want = fr.table(ref(fr), depth)
+                    assert len(got) == len(want) == depth + 1
+                    for g, w in zip(got, want):
+                        assert np.array_equal(g, w)
+                        assert not g.flags.writeable      # shared caches
+            for name in ("B", "chi", "T"):
+                with pytest.raises(ValueError, match="order >= 3"):
+                    getattr(sp.frame(p, 2), name)
+
+
 def test_float_r4_matches_jet_r4(value_zoo):
     for sp in value_zoo:
         for p in sample_points(sp, 2, seed=33):
@@ -423,7 +481,7 @@ def test_table_and_cov_h_values_match_jet_cov_h(value_zoo):
             for q, k, l in np.ndindex(R3.shape):
                 R3[q, k, l] = sc.carrier_sum(fr.yj[j] * R4[q, j, k, l]
                                              for j in range(sp.n))
-            for arr, roles in ((R4, roles4), (fr.B, roles4),
+            for arr, roles in ((R4, roles4), (_jet_b(fr), roles4),
                                (R3, roles4[:3]), (fr.R2, roles4[:2])):
                 vals, grads = fr.table(arr, 1)
                 assert np.array_equal(vals, sc.tensor_values(arr))
