@@ -256,8 +256,8 @@ def _add_run_flags(p: argparse.ArgumentParser):
                    help="sample point count (default 50)")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
     p.add_argument("--order", type=int, default=None,
-                   help="jet order for evaluate tables (default 4; verify "
-                        "chooses per-identity orders itself)")
+                   help="evaluate: 3 omits eta, 4 or more (the default 4) "
+                        "adds it, below 3 exits 2; verify ignores it")
     p.add_argument("--tol", action=_TolAction, default=None, metavar="ID=VAL",
                    help="override one identity tolerance (repeatable)")
     p.add_argument("--format", choices=("json", "text"), default="json")

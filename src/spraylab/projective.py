@@ -7,9 +7,11 @@ Given a volume form sigma(x) dx^1...dx^n, the S-curvature of a spray is
 and the deformed spray is G_hat^i = G^i - S y^i/(n+1).  The deformed spray
 always has vanishing S-curvature (hence vanishing chi), and its Berwald and
 trace-free curvatures reproduce the classical projective invariants (Douglas
-and Weyl).  All hat-quantities are available both directly (jets of the
-composed coefficients) and through closed formulas in base-spray data; the
-two routes cross-check each other.
+and Weyl).  Hat-quantities come directly (jets of the composed coefficients)
+or through closed formulas in base-spray data; R_hat has both routes, which
+the suite cross-checks.  eta of the deformed spray is read off the base
+order-4 frame only (`eta_hat`); its direct route, which needs order-5 base
+jets, is kept as the reference in the tests.
 """
 
 from __future__ import annotations
@@ -123,6 +125,15 @@ class DeformedSpray(SprayChart):
                          f"hat({base.label}; dV={dV.label})")
         self.base = base
         self.volume = dV
+        self._tau = {}          # (x, y) -> tau on the order-4 base frame
+
+    def tau(self, p: PointTM) -> Jet:
+        """`tau_jet` on the base frame of order 4 at p, built once per point:
+        `projective_ricci`, `eta_hat` and the suite's Ricci split share it."""
+        t = self._tau.get((p.x, p.y))
+        if t is None:
+            t = self._tau[p.x, p.y] = tau_jet(self.base.frame(p, 4), self.volume)
+        return t
 
     def _make_coefficient_jets(self, frame, lifted):
         fr = self.base.frame(frame.point, frame.order + 1)
@@ -227,10 +238,10 @@ def projective_ricci(G: SprayChart, dV: VolumeForm, p: PointTM) -> dict:
     hessian of chi, H_jl = (chi_{j.l} + chi_{l.j})/2.  The contraction
     Ric_hat_jl y^j y^l equals the scalar.
     """
-    n = G.n
-    hat_fr = deform(G, dV).frame(p, 3)
+    n, hat = G.n, deform(G, dV)
+    hat_fr = hat.frame(p, 3)
     fr = G.frame(p, 4)
-    tau_v = carrier_value(tau_jet(fr, dV))
+    tau_v = carrier_value(hat.tau(p))
     ric_hat = carrier_value(fr.ric) + (n - 1) * tau_v
     dchi = fr.chi[1][:, n:]      # chi_{j.l}
     H = 0.5 * (dchi + dchi.T)
@@ -256,9 +267,23 @@ def weyl_hat(G: SprayChart, dV: VolumeForm, p: PointTM) -> TensorValue:
 
 
 def eta_hat(G: SprayChart, dV: VolumeForm, p: PointTM) -> TensorValue:
-    """The eta-covector of the deformed spray (a projective invariant)."""
-    fr = deform(G, dV).frame(p, 4)
-    return TensorValue(fr.rapcsak(fr.r_scalar, 0.5), ("down",), ("k",), p,
+    """The eta-covector of the deformed spray (a projective invariant), read
+    off the order-4 base frame.  With P = S/(n+1) the deformed spray has
+
+        R_hat = R + tau,     N_hat^i_j = N^i_j - P_{.j} y^i - P delta^i_j,
+        Gamma_hat^i_jk = Gamma^i_jk - P_{.j.k} y^i - P_{.j} delta^i_k
+                         - P_{.k} delta^i_j,
+
+    and eta_hat = (1/2) R_hat_{.k|m} y^m - R_hat_{|k} under (N_hat, Gamma_hat).
+    """
+    n, fr = G.n, G.frame(p, 4)
+    P, dP, ddP = (t / (n + 1.0) for t in fr.table(s_jet(fr, dV), 2))
+    y, eye, Py = np.array(p.y), np.eye(n), dP[n:]
+    N = fr.N_values - np.multiply.outer(y, Py) - P * eye
+    Gamma = (fr.Gamma_values - np.einsum("i,jk->ijk", y, ddP[n:, n:])
+             - np.einsum("ik,j->ijk", eye, Py) - np.einsum("ij,k->ijk", eye, Py))
+    R = fr.r_scalar + deform(G, dV).tau(p)
+    return TensorValue(fr.rapcsak(R, 0.5, (N, Gamma)), ("down",), ("k",), p,
                        "eta_hat")
 
 

@@ -306,38 +306,41 @@ class Frame:
             raise ValueError(f"{name} needs a frame of order >= 3, not {self.order}")
         return min(1, self.order - 3)
 
-    def cov_h_values(self, vals, grads, roles):
+    def cov_h_values(self, vals, grads, roles, conn=None):
         """Horizontal covariant derivative of a float tensor in every direction.
 
         `vals` and `grads` are the first two entries of `table`; the direction
         m becomes a trailing axis: T_{|m} = dT/dx^m - N^s_m dT/dy^s, plus
         Gamma^i_sm T^{..s..} for each upper index and minus Gamma^s_jm
-        T_{..s..} for each lower index.
+        T_{..s..} for each lower index.  `conn`, a float pair (N, Gamma),
+        replaces the frame's own connection (that of another spray at the
+        same point).
         """
         n = self.n
+        N, Gamma = conn or (self.N_values, self.Gamma_values)
         # einsum, not a BLAS matmul, whose buffers cost 0.4 MB of peak RSS
-        out = grads[..., :n] - np.einsum("...s,sm->...m", grads[..., n:],
-                                         self.N_values)
+        out = grads[..., :n] - np.einsum("...s,sm->...m", grads[..., n:], N)
         idx = "abcdefgh"[: len(roles)]
         for axis, role in enumerate(roles):
             src = idx[:axis] + "s" + idx[axis + 1:]
             gam = idx[axis] + "sm" if role == "up" else "s" + idx[axis] + "m"
-            term = np.einsum(f"{src},{gam}->{idx}m", vals, self.Gamma_values)
+            term = np.einsum(f"{src},{gam}->{idx}m", vals, Gamma)
             out = out + term if role == "up" else out - term
         return out
 
-    def rapcsak(self, L: Jet, a: float = 1.0) -> np.ndarray:
+    def rapcsak(self, L: Jet, a: float = 1.0, conn=None) -> np.ndarray:
         """The covector a L_{.k|m} y^m - L_{|k} of a scalar jet L, as floats.
 
         The vertical derivative is taken first and the horizontal covariant
         derivative of the resulting covector second, both from the order-2
-        table of L.  a = 1 gives the Rapcsak residual, a = 1/2 the
+        table of L, under the frame's connection or `conn` (see
+        `cov_h_values`).  a = 1 gives the Rapcsak residual, a = 1/2 the
         dual-equivalence residual and eta (L = R).
         """
         n = self.n
         v, g, h = self.table(L, 2)
-        Lvh = self.cov_h_values(g[n:], h[n:], ("down",))   # [k, m] = L_{.k|m}
-        return a * (Lvh @ np.array(self.point.y)) - self.cov_h_values(v, g, ())
+        Lvh = self.cov_h_values(g[n:], h[n:], ("down",), conn)   # [k, m] = L_{.k|m}
+        return a * (Lvh @ np.array(self.point.y)) - self.cov_h_values(v, g, (), conn)
 
     # -- connection and curvature fields ----------------------------------------
 

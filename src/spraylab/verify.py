@@ -236,7 +236,7 @@ class VolumeData:
 
     def hat_ricci_split(self):
         fr, n, ric = self.pt.fr4, self.pt.n, self.ricci["ric_jl"].components
-        tvv = fr.table(pj.tau_jet(fr, self.dV), 2)[2][n:, n:]
+        tvv = fr.table(self.hat.tau(self.p), 2)[2][n:, n:]
         expect = fr.ric_jl + (n - 1) / 2.0 * tvv - self.ricci["h_jl"].components
         return rel_residual(ric - expect, ric, expect)
 

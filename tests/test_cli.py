@@ -259,6 +259,13 @@ def test_order_flag(capsys):
     assert "eta" not in doc["points"][0]["quantities"]
     assert run_cli("evaluate", "--spray", "flat", "--order", "2",
                    capsys=capsys)[0] == 2
+    # beyond deciding on eta, the order changes nothing in the report
+    spec = ("evaluate", "--spray", "sphere(n=3,kappa=1)", "--points", "2",
+            "--seed", "1")
+    docs = [json.loads(run_cli(*spec, "--order", o, capsys=capsys)[1])
+            for o in ("4", "7")]
+    assert "eta" in docs[0]["points"][0]["quantities"]
+    assert docs[0]["points"] == docs[1]["points"]
 
 
 def test_unknown_tolerance_id_rejected(capsys):

@@ -248,6 +248,30 @@ def test_eta_hat_against_fd_assembly(hand_fixture):
     assert np.abs(eta_jet - np.array([0.112 / 3, -0.196 / 3])).max() < 1e-12
 
 
+def _direct_eta_hat(G, dV, p):
+    """eta of the deformed spray from the jets of its own order-4 frame, which
+    pulls an order-5 base frame (the reference route of `eta_hat`)."""
+    fr = pj.deform(G, dV).frame(p, 4)
+    return fr.rapcsak(fr.r_scalar, 0.5)
+
+
+def test_eta_hat_matches_direct_route(hand_fixture, sphere3):
+    ex = make_family("example72", A="x1", B="x2^2", C="x1*x2", D="1+x1",
+                     f="x1*x2")
+    sphere4 = make_family("sphere", n=4, kappa=1.0)
+    largest = {}
+    for sp in (sphere3, sphere4, ex, hand_fixture):
+        for sig in ("exp(x1)", "1+0.5*x1^2"):
+            dV = pj.VolumeForm(sig, sp.n)
+            for p in sample_points(sp, 2, seed=53):
+                e = pj.eta_hat(sp, dV, p).components
+                ref = _direct_eta_hat(sp, dV, p)
+                assert sc.rel_residual(e - ref, e, ref) <= 1e-13, (sp.label, sig)
+                largest[sp.label] = max(largest.get(sp.label, 0.0), np.abs(ref).max())
+    # eta_hat is far from 0 off the sphere, so the agreement is not vacuous
+    assert largest["example72"] > 1.0 and largest["hand-fixture"] > 0.01, largest
+
+
 def test_s_closed_residuals(hand_fixture, sphere3):
     ex = make_family("example72", f="x1*x2")
     res = pj.s_closed_residual(ex, sample_points(ex, 10, seed=46))

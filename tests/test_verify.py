@@ -136,7 +136,8 @@ def test_deform_is_memoized_per_volume_form():
 
 
 def test_volume_rows_share_one_deformed_frame_per_order():
-    # sphere(n=3) has scalar curvature, so eta-hat asks for order 4 too
+    # sphere(n=3) has scalar curvature, so eta-hat runs too; it reads the
+    # deformed spray off the base order-4 frame and asks for no deformed frame
     sp = make_family("sphere", n=3, kappa=1.0)
     runner = verify.SuiteRunner(sp, sample_points(sp, 1, seed=6))
     runner._volume_rows()
@@ -144,7 +145,21 @@ def test_volume_rows_share_one_deformed_frame_per_order():
         [r.id for r in runner.rows if r.passed is not True]
     for dV in runner.volumes:
         frames = pj.deform(sp, dV)._frames
-        assert sorted(order for _x, _y, order in frames) == [1, 2, 3, 4]
+        assert sorted(order for _x, _y, order in frames) == [1, 2, 3]
+
+
+def test_one_point_suite_builds_no_frame_above_order_4():
+    # a deformed frame of order k pulls a base frame of order k + 1, so an
+    # order-4 deformed frame would bring dim-2n order-5 jets into the run
+    sp = make_family("sphere", n=3, kappa=1.0)
+    runner = verify.SuiteRunner(sp, sample_points(sp, 1, seed=1))
+    runner.run()
+    assert not [r.id for r in runner.rows if r.passed is False]
+    sprays = [sp, runner.shifted]
+    sprays += [hat for s in sprays for hat in s._deformed.values()]
+    orders = {s.label: sorted({o for _x, _y, o in s._frames}) for s in sprays}
+    assert len(sprays) == 2 + 2 * len(runner.volumes), orders
+    assert all(o <= 4 for os in orders.values() for o in os), orders
 
 
 def test_jet_work_of_one_point_suite(monkeypatch):
@@ -152,7 +167,8 @@ def test_jet_work_of_one_point_suite(monkeypatch):
     # here.  Before R4 and ric_jl were read off the Berwald connection as
     # floats the counts were 6473 products and 306 hpart calls; before B, chi
     # and T became float tables, 4667 products, 1989 .d calls and 36 hpart
-    # calls (now 4370, 1332, 36).
+    # calls; before eta_hat was read off the base order-4 frame with one tau
+    # per (volume form, point), 4370, 1332 and 36 (now 3656, 1017, 27).
     from spraylab import jets
     from spraylab.spray_core import Frame
     counts = {"mul": 0, "d": 0, "hpart": 0}
@@ -171,5 +187,5 @@ def test_jet_work_of_one_point_suite(monkeypatch):
     sp = make_family("sphere", n=3, kappa=1.0)
     rows = verify.run_suite(sp, sample_points(sp, 1, seed=1))
     assert not [r.id for r in rows if r.passed is False]
-    assert (counts["mul"] <= 4810 and counts["d"] <= 1470
-            and counts["hpart"] <= 40), counts
+    assert (counts["mul"] <= 4020 and counts["d"] <= 1120
+            and counts["hpart"] <= 30), counts
