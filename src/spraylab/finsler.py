@@ -103,19 +103,23 @@ def fundamental_tensor(F: FinslerMetric, p: PointTM) -> TensorValue:
     return TensorValue(g, ("down", "down"), ("i", "j"), p, "g")
 
 
-def cartan_torsion(F: FinslerMetric, p: PointTM) -> TensorValue:
-    """C_ijk = (1/4) d^3(F^2)/dy^i dy^j dy^k (totally symmetric)."""
-    n = F.n
-    lj = F.l_jets(p, 3)
-    C = np.empty((n, n, n))
+def _cartan_jets(lj: Jet, n: int) -> np.ndarray:
+    """C_ijk = (1/4) d^3 L / dy^i dy^j dy^k as jets, from the jet of L = F^2."""
+    C = _obj((n, n, n))
     for i in range(n):
         di = lj.d(n + i)
         for j in range(i, n):
             dij = di.d(n + j)
             for k in range(j, n):
-                v = 0.25 * carrier_value(dij.d(n + k))
+                v = 0.25 * dij.d(n + k)
                 for perm in itertools.permutations((i, j, k)):
                     C[perm] = v
+    return C
+
+
+def cartan_torsion(F: FinslerMetric, p: PointTM) -> TensorValue:
+    """C_ijk = (1/4) d^3(F^2)/dy^i dy^j dy^k (totally symmetric)."""
+    C = tensor_values(_cartan_jets(F.l_jets(p, 3), F.n))
     return TensorValue(C, ("down",) * 3, ("i", "j", "k"), p, "C")
 
 
@@ -172,14 +176,7 @@ def chi_cartan(F: FinslerMetric, p: PointTM) -> curvature.ChiValue:
     g = [[0.5 * lj.d(n + i).d(n + j) for j in range(n)] for i in range(n)]
     _check_cond(np.array([[carrier_value(v) for v in row] for row in g]))
     ginv = invert_carrier(g)
-    C = _obj((n, n, n))
-    for i in range(n):
-        for j in range(i, n):
-            dij = lj.d(n + i).d(n + j)
-            for k in range(j, n):
-                v = 0.25 * dij.d(n + k)
-                for perm in itertools.permutations((i, j, k)):
-                    C[perm] = v
+    C = _cartan_jets(lj, n)
     I = _obj((n,))
     for k in range(n):
         I[k] = carrier_sum(ginv[i][j] * C[i, j, k]

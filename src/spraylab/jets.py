@@ -351,12 +351,7 @@ def absolute(v):
 
 
 def divide(a, b):
-    if isinstance(a, Jet) or isinstance(b, Jet):
-        if not isinstance(b, Jet):
-            if b == 0.0:
-                raise JetDomainError("division by zero")
-        return a / b
-    if b == 0.0:
+    if not isinstance(b, Jet) and b == 0.0:
         raise JetDomainError("division by zero")
     return a / b
 

@@ -9,9 +9,11 @@ always has vanishing S-curvature (hence vanishing chi), and its Berwald and
 trace-free curvatures reproduce the classical projective invariants (Douglas
 and Weyl).  Hat-quantities come directly (jets of the composed coefficients)
 or through closed formulas in base-spray data; R_hat has both routes, which
-the suite cross-checks.  eta of the deformed spray is read off the base
-order-4 frame only (`eta_hat`); its direct route, which needs order-5 base
-jets, is kept as the reference in the tests.
+the suite cross-checks.  Hat-quantities read S and tau = P^2 + P_{|m} y^m,
+P = S/(n+1), off the deformed spray, which builds each once per point.  eta
+of the deformed spray is read off the base order-4 frame only (`eta_hat`);
+its direct route, which needs order-5 base jets, is kept as the reference in
+the tests.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import numpy as np
 from . import curvature, exprdsl, jets
 from .jets import Jet, JetDomainError
 from .spray_core import (Box, Frame, PointTM, ScalarField, SprayChart,
-                         TensorValue, carrier_sum, carrier_value, rel_residual)
+                         TensorValue, carrier_sum, carrier_value, plus_outer_y,
+                         rel_residual)
 
 
 class VolumeForm:
@@ -96,7 +99,7 @@ def chi_via_s(G: SprayChart, dV: VolumeForm, p: PointTM,
     """
     fr = G.frame(p, 3)
     n = fr.n
-    S = s_jet(fr, dV)
+    S = deform(G, dV).S(p, 3)
     if ordering == "vertical-first":
         comps = 0.5 * fr.rapcsak(S)
     elif ordering == "horizontal-first":
@@ -117,7 +120,8 @@ class DeformedSpray(SprayChart):
 
     The coefficients compose functionally: jet evaluation pulls one extra
     derivative order from the base spray (for Pi inside S) rather than
-    expanding anything symbolically.
+    expanding anything symbolically.  It owns S (`S`) and tau (`tau`), the
+    scalars of (G, dV) that every hat-quantity reads.
     """
 
     def __init__(self, base: SprayChart, dV: VolumeForm):
@@ -125,19 +129,33 @@ class DeformedSpray(SprayChart):
                          f"hat({base.label}; dV={dV.label})")
         self.base = base
         self.volume = dV
+        self._S = {}            # (x, y, order) -> S on the base frame
         self._tau = {}          # (x, y) -> tau on the order-4 base frame
 
+    def S(self, p: PointTM, order: int) -> Jet:
+        """`s_jet` on the base frame of this order at p, built once per
+        (point, order): deformed frames, `chi_via_s`, `eta_hat`, `tau`."""
+        key = (p.x, p.y, order)
+        if key not in self._S:
+            self._S[key] = s_jet(self.base.frame(p, order), self.volume)
+        return self._S[key]
+
     def tau(self, p: PointTM) -> Jet:
-        """`tau_jet` on the base frame of order 4 at p, built once per point:
-        `projective_ricci`, `eta_hat` and the suite's Ricci split share it."""
-        t = self._tau.get((p.x, p.y))
-        if t is None:
-            t = self._tau[p.x, p.y] = tau_jet(self.base.frame(p, 4), self.volume)
-        return t
+        """tau = (S/(n+1))^2 + S_{|m} y^m/(n+1) on the base frame of order 4
+        at p, built once per point for `hat_riemann`, `projective_ricci`,
+        `eta_hat` and the suite's Ricci split."""
+        key = (p.x, p.y)
+        if key not in self._tau:
+            n, fr, S = self.n, self.base.frame(p, 4), self.S(p, 4)
+            t = (S / (n + 1.0)) * (S / (n + 1.0))
+            for m in range(n):
+                t = t + (fr.hpart(S, m) * fr.yj[m]) / (n + 1.0)
+            self._tau[key] = t
+        return self._tau[key]
 
     def _make_coefficient_jets(self, frame, lifted):
         fr = self.base.frame(frame.point, frame.order + 1)
-        S = s_jet(fr, self.volume)
+        S = self.S(frame.point, frame.order + 1)
         scale = 1.0 / (self.n + 1)
         return [fr.G[i].truncated(frame.order)
                 - (S * fr.yj[i].truncated(frame.order)) * scale
@@ -196,16 +214,6 @@ def with_projective_factor(G: SprayChart, P, label: str = "") -> SprayChart:
 
 # -- hat-quantities ------------------------------------------------------------------
 
-def tau_jet(fr: Frame, dV: VolumeForm) -> Jet:
-    """tau = (S/(n+1))^2 + S_{|m} y^m/(n+1), the scalar entering R_hat."""
-    n = fr.n
-    S = s_jet(fr, dV)
-    t = (S / (n + 1.0)) * (S / (n + 1.0))
-    for m in range(n):
-        t = t + (fr.hpart(S, m) * fr.yj[m]) / (n + 1.0)
-    return t
-
-
 def hat_riemann(G: SprayChart, dV: VolumeForm, p: PointTM,
                 route: str = "direct") -> TensorValue:
     """Riemann curvature of the deformed spray, by two routes.
@@ -219,12 +227,10 @@ def hat_riemann(G: SprayChart, dV: VolumeForm, p: PointTM,
         comps = deform(G, dV).frame(p, 2).R2_table[0]
     elif route == "formula":
         fr = G.frame(p, 3)
-        tau_v, dtau = fr.table(tau_jet(fr, dV), 1)
-        comps = fr.R2_table[0].copy()
-        y = np.array(p.y)
-        for k in range(n):
-            comps[:, k] += (-0.5 * dtau[n + k] + 3.0 * fr.chi[0][k] / (n + 1)) * y
-            comps[k, k] += tau_v
+        tau_v, dtau = fr.table(deform(G, dV).tau(p), 1)
+        v = -0.5 * dtau[n:] + 3.0 * fr.chi[0] / (n + 1)
+        comps = plus_outer_y(fr.R2_table[:1], [v], 1.0, np.array(p.y))[0]
+        comps[np.diag_indices(n)] += tau_v
     else:
         raise ValueError(f"unknown route {route!r}")
     return TensorValue(comps, ("up", "down"), ("i", "k"), p, f"R_hat[{route}]")
@@ -277,7 +283,7 @@ def eta_hat(G: SprayChart, dV: VolumeForm, p: PointTM) -> TensorValue:
     and eta_hat = (1/2) R_hat_{.k|m} y^m - R_hat_{|k} under (N_hat, Gamma_hat).
     """
     n, fr = G.n, G.frame(p, 4)
-    P, dP, ddP = (t / (n + 1.0) for t in fr.table(s_jet(fr, dV), 2))
+    P, dP, ddP = (t / (n + 1.0) for t in fr.table(deform(G, dV).S(p, 4), 2))
     y, eye, Py = np.array(p.y), np.eye(n), dP[n:]
     N = fr.N_values - np.multiply.outer(y, Py) - P * eye
     Gamma = (fr.Gamma_values - np.einsum("i,jk->ijk", y, ddP[n:, n:])

@@ -758,7 +758,7 @@ def make_sphere(n: int = 3, kappa: float = 1.0) -> SprayChart:
     r2 = " + ".join(f"x{i}^2" for i in range(1, n + 1))
     entry = f"4 / (1 + {kappa!r}*({r2}))^2"
     g = {(i, i): entry for i in range(1, n + 1)}
-    half = 0.999 / math.sqrt(max(kappa, 1.0)) / math.sqrt(n)
+    half = 0.999 / math.sqrt(max(abs(kappa), 1.0)) / math.sqrt(n)
     return make_riemannian(g, n, box=half, label=f"sphere(n={n},kappa={kappa:g})")
 
 

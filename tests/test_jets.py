@@ -188,6 +188,17 @@ def test_domain_errors():
         x.powi(-1)
 
 
+def test_divide_raises_on_float_zero_divisor_only():
+    x = lift_variable(0, 2.0, dim=2, order=3)
+    z = lift_variable(1, 0.5, dim=2, order=3)
+    for a, b in ((1.5, 0.0), (x, 0.0), (x, 0)):
+        with pytest.raises(JetDomainError):
+            jets.divide(a, b)
+    for a, b in ((x, z), (1.5, z)):
+        assert np.array_equal(jets.divide(a, b).coeffs, (a / b).coeffs)
+    assert jets.divide(1.5, 0.5) == 3.0
+
+
 def test_truncation_is_prefix():
     rng = np.random.default_rng(3)
     sp5 = jets.jet_space(3, 5)

@@ -175,7 +175,7 @@ def test_projective_ricci_decomposition_nonquadratic():
     out = pj.projective_ricci(sp, dV, P3)
     assert np.abs(out["h_jl"].components).max() > 1e-2
     fr = sp.frame(P3, 4)
-    tau = pj.tau_jet(fr, dV)
+    tau = pj.deform(sp, dV).tau(P3)
     tvv = np.array([[sc.carrier_value(fr.dy(fr.dy(tau, j), l))
                      for l in range(n)] for j in range(n)])
     expect = (sc.tensor_values(fr.ric_jl) + (n - 1) / 2.0 * tvv

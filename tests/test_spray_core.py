@@ -1,5 +1,8 @@
 """Connection and curvature tensors against independent oracles."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -242,6 +245,18 @@ def test_riemann_two_index_sphere_constant_curvature():
         y = np.array(p.y)
         expect = gv * float(y @ y) * np.eye(3) - np.outer(y, gv * y)
         assert sc.rel_residual(R - expect, R, expect) < 1e-12
+
+
+def test_sphere_box_keeps_off_the_singular_sphere():
+    # 4 delta_ij / (1 + kappa |x|^2)^2 blows up on |x|^2 = -1/kappa when
+    # kappa < 0; boxes for kappa >= -1 are as they were
+    for kappa in (-5.0, -1.5, -1.0, 0.5, 4.0):
+        for n in (2, 3, 4):
+            box = make_family("sphere", n=n, kappa=kappa).domain
+            for corner in itertools.product(*zip(box.lo, box.hi)):
+                assert 1.0 + kappa * sum(c * c for c in corner) > 0.0, (kappa, n)
+            if kappa >= -1.0:
+                assert box.hi[0] == 0.999 / math.sqrt(max(kappa, 1.0)) / math.sqrt(n)
 
 
 def test_riemann_two_index_against_fd_oracle(fixture_spray):

@@ -1,6 +1,7 @@
 """The suite runner itself: groups, applicability logic, hard sprays."""
 
 import math
+from collections import Counter
 
 import pytest
 
@@ -162,13 +163,34 @@ def test_one_point_suite_builds_no_frame_above_order_4():
     assert all(o <= 4 for os in orders.values() for o in os), orders
 
 
+def test_one_point_suite_builds_s_once_per_order(monkeypatch):
+    # S of (G, dV) belongs to the deformed spray: each base frame of order
+    # >= 2 gets one S per volume form, shared by the deformed frames,
+    # chi_via_s, eta_hat and tau (order-1 S, the row values, is not memoized)
+    calls = Counter()
+    s_jet = pj.s_jet
+
+    def counted(fr, dV):
+        calls[fr.spray, dV, fr.point.x, fr.point.y, fr.order] += 1
+        return s_jet(fr, dV)
+
+    monkeypatch.setattr(pj, "s_jet", counted)
+    sp = make_family("sphere", n=3, kappa=1.0)
+    rows = verify.run_suite(sp, sample_points(sp, 1, seed=1))
+    assert not [r.id for r in rows if r.passed is False]
+    assert sorted({key[-1] for key in calls if key[-1] >= 2}) == [2, 3, 4], calls
+    assert all(c == 1 for key, c in calls.items() if key[-1] >= 2), calls
+
+
 def test_jet_work_of_one_point_suite(monkeypatch):
     # value-only tensors are float tables; a jet path put back for one shows
     # here.  Before R4 and ric_jl were read off the Berwald connection as
     # floats the counts were 6473 products and 306 hpart calls; before B, chi
     # and T became float tables, 4667 products, 1989 .d calls and 36 hpart
     # calls; before eta_hat was read off the base order-4 frame with one tau
-    # per (volume form, point), 4370, 1332 and 36 (now 3656, 1017, 27).
+    # per (volume form, point), 4370, 1332 and 36; before the deformed spray
+    # built S once per (point, order) and hat_riemann read its tau, 3656,
+    # 1017 and 27 (now 3398, 981, 18).
     from spraylab import jets
     from spraylab.spray_core import Frame
     counts = {"mul": 0, "d": 0, "hpart": 0}
@@ -187,5 +209,5 @@ def test_jet_work_of_one_point_suite(monkeypatch):
     sp = make_family("sphere", n=3, kappa=1.0)
     rows = verify.run_suite(sp, sample_points(sp, 1, seed=1))
     assert not [r.id for r in rows if r.passed is False]
-    assert (counts["mul"] <= 4020 and counts["d"] <= 1120
-            and counts["hpart"] <= 30), counts
+    assert (counts["mul"] <= 3740 and counts["d"] <= 1080
+            and counts["hpart"] <= 20), counts
