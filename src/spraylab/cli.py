@@ -92,7 +92,7 @@ def _build_spray(name: str, params: dict) -> sc.SprayChart:
 def _make_family(name: str, **kwargs) -> sc.SprayChart:
     try:
         return sc.make_family(name, **kwargs)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OSError) as e:    # OSError: custom(file=...)
         raise InputError(str(e)) from None
 
 
@@ -102,7 +102,11 @@ def _resolve_spray(args) -> tuple:
         raise InputError("give exactly one of --spray or --file")
     sigma = None
     if args.file:
-        doc = exprdsl.load_spray_file(args.file)
+        try:
+            doc = exprdsl.load_spray_file(args.file)
+        except (OSError, UnicodeDecodeError) as e:
+            why = e.strerror if isinstance(e, OSError) else f"not UTF-8 (byte {e.start})"
+            raise InputError(f"--file {args.file}: {why or e}") from None
         if doc.sigma is not None:
             sigma = [exprdsl.pretty(doc.sigma)]
         spray = _make_family("custom", doc=doc)
@@ -145,7 +149,10 @@ def _emit(doc: dict, args, elapsed: float) -> None:
         doc["wall_clock_text"] = f"{elapsed:.2f} s"
         text = report.rows_as_text(doc)
     if args.out:
-        report.write_atomic(args.out, text)
+        try:
+            report.write_atomic(args.out, text)
+        except OSError as e:
+            raise InputError(f"--out {args.out}: {e.strerror or e}") from None
     else:
         sys.stdout.write(text)
 
@@ -284,15 +291,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command in ("evaluate", "verify") and args.points < 1:
-        sys.stderr.write("error: --points must be at least 1\n")
+    if args.command in ("evaluate", "verify") and (args.points < 1 or args.seed < 0):
+        bad = "--points must be at least 1" if args.points < 1 else "--seed must be >= 0"
+        sys.stderr.write(f"error: {bad}\n")
         return 2
     try:
         # overflow shows up as a located non-finite value, not as warnings
         with np.errstate(all="ignore"):
             return args.fn(args)
-    except (InputError, exprdsl.ExprSyntaxError, FileNotFoundError,
-            report.NonFiniteError) as e:
+    except (InputError, exprdsl.ExprSyntaxError, report.NonFiniteError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
     except CrossCheckError as e:

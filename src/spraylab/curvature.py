@@ -8,7 +8,9 @@ chi-covector is computed by several independent routes that must agree:
 * ``local``:      chi_k = (1/2) {Pi_{x^m y^k} y^m - Pi_{x^k} - 2 Pi_{y^k y^m} G^m}
 * ``from-T``:     chi_k = -(1/3) dT^m_k/dy^m
 
-The definition and T are the float tables ``Frame.chi`` and ``Frame.T``.
+The definition and T are the float tables ``Frame.chi`` and ``Frame.T``, and
+Ric and R are the traces of R^i_k (``Frame.ric``, ``Frame.r_scalar``), all
+computed from the partials of G.
 The metric route through the mean Cartan torsion lives in
 :mod:`spraylab.finsler`; volume-form routes live in :mod:`spraylab.projective`.
 """
@@ -19,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spray_core import (Jet, PointTM, ScalarField, SprayChart, TensorValue,
-                         carrier_value, plus_outer_y, rel_residual)
+from .spray_core import (PointTM, SprayChart, TensorValue, carrier_value,
+                         plus_outer_y, rel_residual)
 
 
 @dataclass
@@ -72,8 +74,7 @@ def ricci_tensor(G: SprayChart, p: PointTM) -> TensorValue:
 
 def ricci_scalar(G: SprayChart, p: PointTM) -> float:
     """Ric = R^m_m, the trace of the two-index curvature."""
-    fr = G.frame(p, 2)
-    return carrier_value(fr.ric)
+    return float(G.frame(p, 2).ric[0])
 
 
 def curvature_scalar(G: SprayChart, p: PointTM) -> float:
@@ -84,24 +85,6 @@ def curvature_scalar(G: SprayChart, p: PointTM) -> float:
 def t_curvature(G: SprayChart, p: PointTM) -> TensorValue:
     """The trace-free tensor whose vanishing means isotropic curvature."""
     return TensorValue(G.frame(p, 3).T[0], ("up", "down"), ("i", "k"), p, "T")
-
-
-def curvature_scalar_field(G: SprayChart):
-    """The scalar R = Ric/(n-1) of a spray as a ScalarField.
-
-    Usable wherever a scalar function of (x, y) is expected (for instance the
-    dual-equivalence residual with L = R): given jet arguments of order m it
-    returns the R-jet obtained from a frame two orders deeper.
-    """
-    def fn(xs, ys):
-        p = PointTM(tuple(carrier_value(v) for v in xs),
-                    tuple(carrier_value(v) for v in ys))
-        orders = [v.order for v in list(xs) + list(ys) if isinstance(v, Jet)]
-        if not orders:
-            return carrier_value(G.frame(p, 2).r_scalar)
-        return G.frame(p, min(orders) + 2).r_scalar
-
-    return ScalarField(fn, G.n, label="R")
 
 
 def weyl(G: SprayChart, p: PointTM, route: str = "direct") -> TensorValue:
@@ -116,7 +99,7 @@ def weyl(G: SprayChart, p: PointTM, route: str = "direct") -> TensorValue:
         comps = plus_outer_y(fr.T, fr.chi, 3.0 / (n + 1), np.array(p.y))[0]
     elif route == "direct":
         Av, dA = (t.copy() for t in fr.R2_table)
-        for t, r in zip((Av, dA), fr.table(fr.r_scalar, 1)):
+        for t, r in zip((Av, dA), fr.r_scalar):
             t[np.diag_indices(n)] -= r
         div = np.einsum("mkm->k", dA[..., n:])           # A^m_{k.m}
         comps = Av - np.outer(np.array(p.y), div / (n + 1))

@@ -82,8 +82,9 @@ def s_jet(fr: Frame, dV: VolumeForm) -> Jet:
 
 
 def s_curvature(G: SprayChart, dV: VolumeForm, p: PointTM) -> float:
-    """S-curvature of (G, dV) at a point (a 1-homogeneous scalar)."""
-    return carrier_value(s_jet(G.frame(p, 1), dV))
+    """S-curvature of (G, dV) at a point (a 1-homogeneous scalar), read off
+    the order-1 S of the deformed spray."""
+    return carrier_value(deform(G, dV).S(p, 1))
 
 
 def chi_via_s(G: SprayChart, dV: VolumeForm, p: PointTM,
@@ -101,7 +102,7 @@ def chi_via_s(G: SprayChart, dV: VolumeForm, p: PointTM,
     n = fr.n
     S = deform(G, dV).S(p, 3)
     if ordering == "vertical-first":
-        comps = 0.5 * fr.rapcsak(S)
+        comps = 0.5 * fr.rapcsak(fr.table(S, 2))
     elif ordering == "horizontal-first":
         Sh = [fr.hpart(S, m) for m in range(n)]
         comps = np.empty(n)
@@ -134,7 +135,8 @@ class DeformedSpray(SprayChart):
 
     def S(self, p: PointTM, order: int) -> Jet:
         """`s_jet` on the base frame of this order at p, built once per
-        (point, order): deformed frames, `chi_via_s`, `eta_hat`, `tau`."""
+        (point, order): deformed frames, `chi_via_s`, `eta_hat`, `tau`, and
+        at order 1 `s_curvature` and `eval_coefficients`."""
         key = (p.x, p.y, order)
         if key not in self._S:
             self._S[key] = s_jet(self.base.frame(p, order), self.volume)
@@ -168,7 +170,7 @@ class DeformedSpray(SprayChart):
         which reads the S-jet off a base frame one order deeper.
         """
         p = PointTM(tuple(xs), tuple(ys))
-        S = s_curvature(self.base, self.volume, p)
+        S = carrier_value(self.S(p, 1))
         base_vals = self.base.coefficients(p)
         return [base_vals[i] - S * ys[i] / (self.n + 1) for i in range(self.n)]
 
@@ -248,7 +250,7 @@ def projective_ricci(G: SprayChart, dV: VolumeForm, p: PointTM) -> dict:
     hat_fr = hat.frame(p, 3)
     fr = G.frame(p, 4)
     tau_v = carrier_value(hat.tau(p))
-    ric_hat = carrier_value(fr.ric) + (n - 1) * tau_v
+    ric_hat = float(fr.ric[0]) + (n - 1) * tau_v
     dchi = fr.chi[1][:, n:]      # chi_{j.l}
     H = 0.5 * (dchi + dchi.T)
     return {
@@ -288,7 +290,7 @@ def eta_hat(G: SprayChart, dV: VolumeForm, p: PointTM) -> TensorValue:
     N = fr.N_values - np.multiply.outer(y, Py) - P * eye
     Gamma = (fr.Gamma_values - np.einsum("i,jk->ijk", y, ddP[n:, n:])
              - np.einsum("ik,j->ijk", eye, Py) - np.einsum("ij,k->ijk", eye, Py))
-    R = fr.r_scalar + deform(G, dV).tau(p)
+    R = [r + t for r, t in zip(fr.r_scalar, fr.table(deform(G, dV).tau(p), 2))]
     return TensorValue(fr.rapcsak(R, 0.5, (N, Gamma)), ("down",), ("k",), p,
                        "eta_hat")
 
@@ -328,7 +330,7 @@ def rapcsak_residual(F, G: SprayChart, p: PointTM) -> TensorValue:
     Fj = field.jet(fr)
     if carrier_value(Fj) <= 0.0:
         raise JetDomainError("the metric function must be positive at the point")
-    return TensorValue(fr.rapcsak(Fj), ("down",), ("k",), p, "rapcsak")
+    return TensorValue(fr.rapcsak(fr.table(Fj, 2)), ("down",), ("k",), p, "rapcsak")
 
 
 def dual_residual(L, G: SprayChart, p: PointTM) -> TensorValue:
@@ -336,5 +338,5 @@ def dual_residual(L, G: SprayChart, p: PointTM) -> TensorValue:
     equivalence residual)."""
     field = L if isinstance(L, ScalarField) else ScalarField(L, G.n)
     fr = G.frame(p, 3)
-    return TensorValue(fr.rapcsak(field.jet(fr), 0.5), ("down",), ("k",), p,
-                       "dual")
+    L = fr.table(field.jet(fr), 2)
+    return TensorValue(fr.rapcsak(L, 0.5), ("down",), ("k",), p, "dual")

@@ -4,9 +4,9 @@ A spray is given by n coefficient functions G^i(x, y), positively
 2-homogeneous in y, evaluated over any arithmetic carrier (floats or jets).
 All tensor work happens in a :class:`Frame`: the jets of G^i at one point,
 from which connection coefficients, curvature tensors and their horizontal /
-vertical derivatives follow.  Jets are kept where a later derivative is
-taken (N, Gamma, R2 and the scalars Pi, Ric, R); ``B``, ``R4``, ``chi``, ``T``
-and ``ric_jl`` are float tables read off their coefficients.  Index
+vertical derivatives follow.  The curvature tensors are float tables computed
+from the partials of G (`Frame.table`); jets are kept where a horizontal
+derivative is taken on them (N, Gamma, the scalars Pi, S and tau).  Index
 convention for stored components: the upper index comes first, so
 ``R4[0][i, j, k, l]`` holds the curvature slot with upper i and lower j, k, l
 (antisymmetric in k, l).
@@ -204,16 +204,29 @@ def _frozen(tables: list) -> list:
 def _partial_reads(dim: int, k: int):
     """Order-k prefix size and (positions, alpha!) of the partials of order 0..k.
 
-    Positions of degree <= 2 agree in the index tables of every order >= 2.
+    One more slot a moves a position to where `Jet.d(a)` reads from; positions
+    of degree <= k agree in the index tables of every order >= k.
     """
-    sp = jets.jet_space(dim, 2)
-    units = [tuple(int(a == b) for b in range(dim)) for a in range(dim)]
-    pos = [np.array(0),
-           np.array([sp.index[u] for u in units]),
-           np.array([[sp.index[tuple(map(sum, zip(u, w)))] for w in units]
-                     for u in units])]
-    return (jets.jet_space(dim, k).size,
-            [(q, sp._fact[q]) for q in pos[: k + 1]])
+    sp = jets.jet_space(dim, k)
+    pos = [np.array(0)]
+    for _ in range(k):
+        pos.append(np.stack([sp._deriv_table(a)[0][pos[-1]] for a in range(dim)], -1))
+    return sp.size, [(q, sp._fact[q]) for q in pos]
+
+
+def _product(spec: str, A: list, B: list) -> list:
+    """Table of the einsum `spec` of two tables [values, first, ...], by the
+    product rule: each slot of a partial falls on A or on B."""
+    a, b, c = spec.replace("->", ",").split(",")
+    out = []
+    for q in range(min(len(A), len(B))):
+        s, terms = "zw"[:q], []
+        for on_a in itertools.product((True, False), repeat=q):
+            p = "".join(x for x, t in zip(s, on_a) if t)
+            r = "".join(x for x, t in zip(s, on_a) if not t)
+            terms.append(np.einsum(f"{a}{p},{b}{r}->{c}{s}", A[len(p)], B[len(r)]))
+        out.append(carrier_sum(terms))
+    return out
 
 
 # -- the jet workshop ------------------------------------------------------------
@@ -223,11 +236,12 @@ class Frame:
 
     The frame's order bounds how many derivatives remain available: every
     vertical (.d on a y slot) or horizontal derivative consumes one order.
-    Tensors are cached lazily: jets where a later derivative is taken (N,
-    Gamma, R2, Pi, Ric, R), float tables read from their coefficients
-    elsewhere (`table`, `cov_h_values`, `B`, `R4`, `chi`, `T`, `ric_jl`).
-    Curvature tables are [values] at order 3 and [values, first partials]
-    deeper, the slot last as in `table`.
+    Tensors are cached lazily: jets where `hpart` is taken on them (N,
+    Gamma, Pi), float tables elsewhere, read off `table(G, k)` per quantity
+    (at order 4 it outweighs what is kept) or computed from those.  R2, Ric
+    and R are [values] at order 2 and gain a partial per order up to 4; the
+    other curvature tables are [values] at order 3 and [values, first
+    partials] deeper, the slot last as in `table`.
     """
 
     def __init__(self, spray: "SprayChart", point: PointTM, order: int):
@@ -244,16 +258,13 @@ class Frame:
                                                     fr.order)[: fr.n])
 
     # derivative operators on scalar jets
-    def dx(self, j: Jet, k: int) -> Jet:
-        return j.d(k)
-
     def dy(self, j: Jet, k: int) -> Jet:
         return j.d(self.n + k)
 
     def hpart(self, j: Jet, k: int) -> Jet:
         """Horizontal derivative delta/delta x^k = d/dx^k - N^m_k d/dy^m."""
         N = self.N
-        out = self.dx(j, k)
+        out = j.d(k)
         for m in range(self.n):
             out = out - N[m, k] * self.dy(j, m)
         return out
@@ -284,27 +295,27 @@ class Frame:
         return out
 
     def table(self, arr, k: int):
-        """Values and all partials up to order k <= 2 of a tensor of jets.
+        """Values and all partials up to order k of a tensor of jets.
 
-        Returns [values, first, second] cut after order k, as float arrays:
-        first[..., a] is the partial in slot a (x slots, then y slots) and
-        second[..., a, b] the mixed second partial.  They are read off the
-        normalized coefficients (partial = coefficient * alpha!) through the
-        order-k prefix that jets of every order >= k share.
+        Returns [values, first, second, ...] to order k, as float arrays with
+        one trailing slot axis per order (x slots, then y slots): first[..., a]
+        is the partial in slot a, second[..., a, b] the mixed one.  They are
+        read off the normalized coefficients (partial = coefficient * alpha!)
+        through the order-k prefix that jets of every order >= k share.
         """
         arr = np.asarray(arr, dtype=object)
-        if not 0 <= k <= min(2, min(j.order for j in arr.flat)):
+        if not 0 <= k <= min(j.order for j in arr.flat):
             raise ValueError(f"cannot read order-{k} partials from these jets")
         size, reads = _partial_reads(2 * self.n, k)
         coeffs = np.stack([j.coeffs[:size] for j in arr.flat])
         coeffs = coeffs.reshape(arr.shape + (size,))
         return [coeffs[..., pos] * fact for pos, fact in reads]
 
-    def _depth(self, name: str) -> int:
-        """Partial depth of a curvature table: 0 at order 3, 1 deeper."""
-        if self.order < 3:
-            raise ValueError(f"{name} needs a frame of order >= 3, not {self.order}")
-        return min(1, self.order - 3)
+    def _depth(self, name: str, low: int = 3, deepest: int = 1) -> int:
+        """Partial depth of a curvature table: 0 at order `low`, <= `deepest`."""
+        if self.order < low:
+            raise ValueError(f"{name} needs a frame of order >= {low}, not {self.order}")
+        return min(deepest, self.order - low)
 
     def cov_h_values(self, vals, grads, roles, conn=None):
         """Horizontal covariant derivative of a float tensor in every direction.
@@ -328,17 +339,18 @@ class Frame:
             out = out + term if role == "up" else out - term
         return out
 
-    def rapcsak(self, L: Jet, a: float = 1.0, conn=None) -> np.ndarray:
-        """The covector a L_{.k|m} y^m - L_{|k} of a scalar jet L, as floats.
+    def rapcsak(self, L, a: float = 1.0, conn=None) -> np.ndarray:
+        """The covector a L_{.k|m} y^m - L_{|k} of a scalar L, as floats.
 
-        The vertical derivative is taken first and the horizontal covariant
-        derivative of the resulting covector second, both from the order-2
-        table of L, under the frame's connection or `conn` (see
-        `cov_h_values`).  a = 1 gives the Rapcsak residual, a = 1/2 the
-        dual-equivalence residual and eta (L = R).
+        `L` is the table [value, first, second] of L (`table(jet, 2)`, or
+        `r_scalar` at order 4).  The vertical derivative is taken first and
+        the horizontal covariant derivative of the resulting covector second,
+        under the frame's connection or `conn` (see `cov_h_values`).  a = 1
+        gives the Rapcsak residual, a = 1/2 the dual-equivalence residual and
+        eta (L = R).
         """
         n = self.n
-        v, g, h = self.table(L, 2)
+        v, g, h = L
         Lvh = self.cov_h_values(g[n:], h[n:], ("down",), conn)   # [k, m] = L_{.k|m}
         return a * (Lvh @ np.array(self.point.y)) - self.cov_h_values(v, g, (), conn)
 
@@ -367,20 +379,20 @@ class Frame:
 
     @cached_property
     def N_values(self) -> np.ndarray:
-        """N^i_j as floats (read by `cov_h_values`)."""
-        return tensor_values(self.N)
+        """N^i_j = dG^i/dy^j as floats (read by `cov_h_values`)."""
+        return _frozen([self.table(self.G, 1)[1][:, self.n:].copy()])[0]
 
     @cached_property
     def Gamma_values(self) -> np.ndarray:
-        """Gamma^i_jk as floats (read by `cov_h_values`)."""
-        return tensor_values(self.Gamma)
+        """Gamma^i_jk = d^2G^i/dy^j dy^k as floats (read by `cov_h_values`)."""
+        return _frozen([self.table(self.G, 2)[2][:, self.n:, self.n:].copy()])[0]
 
     @cached_property
     def B(self):
-        """Berwald curvature B^{ i}_{j kl} = dGamma^i_kl/dy^j, stored [i,j,k,l]."""
-        n, depth = self.n, self._depth("B")    # the y slot j moves to axis 1
-        return _frozen([np.moveaxis(t[:, :, :, n:], 3, 1).copy()
-                        for t in self.table(self.Gamma, depth + 1)[1:]])
+        """Berwald curvature B^{ i}_{j kl} = d^3G^i/dy^j dy^k dy^l, stored [i,j,k,l]."""
+        n, depth = self.n, self._depth("B")
+        return _frozen([t[:, n:, n:, n:].copy()
+                        for t in self.table(self.G, depth + 3)[3:]])
 
     @cached_property
     def Pi(self):
@@ -388,28 +400,27 @@ class Frame:
         return carrier_sum(self.N[m, m] for m in range(self.n))
 
     @cached_property
-    def R2(self):
-        """Two-index Riemann curvature by the standard spray formula:
+    def R2_table(self):
+        """Two-index Riemann curvature by the standard spray formula,
 
         R^i_k = 2 dG^i/dx^k - y^j d^2G^i/dx^j dy^k
-                + 2 G^j d^2G^i/dy^j dy^k - dG^i/dy^j dG^j/dy^k
-        """
-        n, G, yj = self.n, self.G, self.yj
-        dxG = [[self.dx(G[i], j) for j in range(n)] for i in range(n)]
-        out = _obj((n, n))
-        for i, k in itertools.product(range(n), repeat=2):
-            t = 2.0 * dxG[i][k]
-            for j in range(n):
-                t = t - yj[j] * self.dy(dxG[i][j], k)
-                t = t + 2.0 * (G[j] * self.N[i, j].d(self.n + k))
-                t = t - self.N[i, j] * self.N[j, k]
-            out[i, k] = t
-        return out
+                + 2 G^j d^2G^i/dy^j dy^k - dG^i/dy^j dG^j/dy^k,
 
-    @cached_property
-    def R2_table(self):
-        """`table(R2, k)` to the deepest k <= 2 that the frame holds."""
-        return _frozen(self.table(self.R2, min(2, self.order - 2)))
+        with its partials to order <= 2, from `table(G, depth + 2)` by the
+        product rule; the partial of the factor y^j is delta in its y slot.
+        """
+        n, depth = self.n, self._depth("R2", 2, 2)
+        Gt = self.table(self.G, depth + 2)
+        x, y = slice(None, n), slice(n, None)
+
+        def part(q, *slots):    # table of the order-q partials of G in `slots`
+            return [Gt[q + e][(slice(None),) + slots] for e in range(depth + 1)]
+
+        Y = [np.array(self.point.y), np.eye(n, 2 * n, n), np.zeros((n, 2 * n, 2 * n))]
+        terms = zip(part(1, x), _product("j,ijk->ik", Y, part(2, x, y)),
+                    _product("j,ijk->ik", part(0), part(2, y, y)),
+                    _product("ij,jk->ik", part(1, y), part(1, y)))
+        return _frozen([2.0 * dx - yH + 2.0 * GG - NN for dx, yH, GG, NN in terms])
 
     @cached_property
     def R4(self):
@@ -418,16 +429,18 @@ class Frame:
         R^{ i}_{j kl} = delta Gamma^i_jl / delta x^k - delta Gamma^i_jk / delta x^l
                         + Gamma^i_ks Gamma^s_jl - Gamma^s_jk Gamma^i_ls
 
-        read off `table(Gamma, depth + 1)` and `table(N, depth)`.  With
+        read off the tables of Gamma and N in `table(G, depth + 3)`.  With
         A[i,j,k,l] = delta Gamma^i_jl / delta x^k + Gamma^i_ks Gamma^s_jl,
         R4 = A - (A with k, l swapped).
         """
         n, depth = self.n, self._depth("R4")
-        Gt, Nt = self.table(self.Gamma, depth + 1), self.table(self.N, depth)
-        G0, G1 = Gt[0], Gt[1]
+        Gt = self.table(self.G, depth + 3)
+        Gm = [t[:, n:, n:] for t in Gt[2:]]             # Gamma and its partials
+        Nt = [t[:, n:] for t in Gt[1: depth + 2]]       # N and its partials
+        G0, G1 = Gm[0], Gm[1]
         # hG[i,j,l,m(,a)] = delta Gamma^i_jl / delta x^m (and its partial in a)
         hG = [d[:, :, :, :n] - np.einsum("ijls...,sm->ijlm...", d[:, :, :, n:], Nt[0])
-              for d in Gt[1:]]
+              for d in Gm[1:]]
         GG = [np.einsum("iks,sjl->ijkl", G0, G0)]
         if depth:   # the product rule on the N and Gamma factors
             hG[1] -= np.einsum("ijls,sma->ijlma", G1[..., n:], Nt[1])
@@ -441,21 +454,21 @@ class Frame:
 
     @cached_property
     def ric(self):
-        """Ricci scalar Ric = R^m_m (contracting the two-index curvature)."""
-        return carrier_sum(self.R2[m, m] for m in range(self.n))
+        """Ricci scalar Ric = R^m_m with its partials: the trace of `R2_table`."""
+        return _frozen([np.asarray(carrier_sum(t[m, m] for m in range(self.n)))
+                        for t in self.R2_table])
 
     @cached_property
     def r_scalar(self):
-        """The scalar R = Ric/(n-1)."""
-        return self.ric / float(self.n - 1)
+        """The scalar R = Ric/(n-1) with its partials."""
+        return _frozen([np.asarray(t / float(self.n - 1)) for t in self.ric])
 
     @cached_property
     def chi(self):
         """chi_k = -(1/6) {dRic/dy^k + 2 dR^m_k/dy^m}, from `R2_table`."""
-        n, depth = self.n, self._depth("chi")
+        n, _ = self.n, self._depth("chi")
         out = []
-        for d, ric in zip(self.R2_table[1:], self.table(self.ric, depth + 1)[1:]):
-            # the operands and their order of the jet sum: equal bit for bit
+        for d, ric in zip(self.R2_table[1:], self.ric[1:]):
             t = carrier_sum([ric[n:]] + [2.0 * d[m, :, n + m] for m in range(n)])
             out.append(t / -6.0)
         return _frozen(out)
@@ -464,7 +477,7 @@ class Frame:
     def T(self):
         """T^i_k = R^i_k - {R delta^i_k - (1/2) dR/dy^k y^i}, from `R2_table`."""
         n, depth = self.n, self._depth("T")
-        R = self.table(self.r_scalar, depth + 1)
+        R = self.r_scalar
         out = plus_outer_y(self.R2_table[:depth + 1], [d[n:] for d in R[1:]],
                            0.5, np.array(self.point.y))
         for t, r in zip(out, R):
@@ -561,14 +574,12 @@ class ExpressionSpray(SprayChart):
 
 def nonlinear_connection(G: SprayChart, p: PointTM) -> TensorValue:
     """N^i_j = dG^i/dy^j."""
-    fr = G.frame(p, 1)
-    return TensorValue(tensor_values(fr.N), ("up", "down"), ("i", "j"), p, "N")
+    return TensorValue(G.frame(p, 1).N_values, ("up", "down"), ("i", "j"), p, "N")
 
 
 def berwald_connection(G: SprayChart, p: PointTM) -> TensorValue:
     """Gamma^i_jk = d^2 G^i/dy^j dy^k (symmetric in j, k)."""
-    fr = G.frame(p, 2)
-    return TensorValue(tensor_values(fr.Gamma), ("up", "down", "down"),
+    return TensorValue(G.frame(p, 2).Gamma_values, ("up", "down", "down"),
                        ("i", "j", "k"), p, "Gamma")
 
 
@@ -638,10 +649,6 @@ class TensorField:
         self.label = label
 
     def jets(self, frame: Frame):
-        if self.components.ndim == 0:
-            f = self.components[()]
-            f = f if isinstance(f, ScalarField) else ScalarField(f, self.n)
-            return f.jet(frame)
         out = _obj(self.components.shape)
         for idx in np.ndindex(self.components.shape):
             f = self.components[idx]

@@ -175,7 +175,7 @@ class PointData:
         return rel_residual(lhs, cov2, cov3)
 
     def ricci_trace(self):
-        ric, Ric = self.fr4.ric_jl, carrier_value(self.fr4.ric)
+        ric, Ric = self.fr4.ric_jl, float(self.fr4.ric[0])
         return max(rel_residual(ric - ric.T, ric),
                    rel_residual(float(self.y @ ric @ self.y) - Ric, ric))
 
@@ -200,7 +200,7 @@ class PointData:
 
     def isotropic_four_index(self):
         fr, n, R4 = self.fr4, self.n, self.R4[0]
-        dRR = fr.table(fr.r_scalar, 2)[2][n:, n:]     # d2R/dy^l dy^j
+        dRR = fr.r_scalar[2][n:, n:]                 # d2R/dy^l dy^j
         expect = 0.5 * (np.einsum("lj,ik->ijkl", dRR, np.eye(n))
                         - np.einsum("kj,il->ijkl", dRR, np.eye(n)))
         return rel_residual(R4 - expect, R4, dRR)

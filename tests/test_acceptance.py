@@ -63,7 +63,7 @@ def test_criterion_1_deformed_chi_vanishes(zoo):
             hat = pj.deform(sp, pj.VolumeForm(sig, sp.n))
             for p in pts:
                 chi = cv.chi_definition(hat, p).components
-                scale = sc.tensor_values(sp.frame(p, 3).R2)
+                scale = sp.frame(p, 3).R2_table[0]
                 worst = max(worst, sc.rel_residual(chi, scale))
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-7 and elapsed <= 10.0
@@ -79,7 +79,7 @@ def test_criterion_2_chi_route_agreement(zoo, randers_data):
     for sp, pts in zoo:
         for p in pts:
             vals = [r(sp, p).components for r in routes]
-            scale = sc.tensor_values(sp.frame(p, 3).R2)
+            scale = sp.frame(p, 3).R2_table[0]
             for i in range(len(vals)):
                 for j in range(i + 1, len(vals)):
                     worst = max(worst, sc.rel_residual(vals[i] - vals[j],
@@ -94,7 +94,7 @@ def test_criterion_2_chi_route_agreement(zoo, randers_data):
         for p in sample_points(sp, POINTS, seed=SEED):
             a = fl.chi_cartan(F, p).components
             b = cv.chi_definition(sp, p).components
-            scale = sc.tensor_values(sp.frame(p, 3).R2)
+            scale = sp.frame(p, 3).R2_table[0]
             worst_cartan = max(worst_cartan, sc.rel_residual(a - b, b, scale))
     ok = worst <= 1e-8 and worst_cartan <= 1e-6
     report("criterion 2 (chi route agreement)", ok,
@@ -175,7 +175,7 @@ def test_criterion_6_polynomial_family_isotropic():
     for kw in params:
         sp = make_family("example72", **kw)
         for p in sample_points(sp, POINTS, seed=SEED):
-            scale = sc.tensor_values(sp.frame(p, 3).R2)
+            scale = sp.frame(p, 3).R2_table[0]
             chi = cv.chi_definition(sp, p).components
             worst_chi = max(worst_chi, sc.rel_residual(chi, scale))
             T = cv.t_curvature(sp, p).components
@@ -194,7 +194,7 @@ def test_criterion_7_sphere_family():
     worst_w = worst_e = worst_g = 0.0
     for p in pts:
         fr = sp.frame(p, 4)
-        scale = sc.tensor_values(fr.R2)
+        scale = fr.R2_table[0]
         worst_w = max(worst_w, sc.rel_residual(
             cv.weyl(sp, p).components, scale))
         etav = fr.rapcsak(fr.r_scalar, 0.5)
@@ -245,7 +245,7 @@ def test_criterion_9_s_closed_implies_chi(zoo):
         for p in pts:
             chi = cv.chi_definition(sp, p).components
             worst = max(worst, sc.rel_residual(
-                chi, sc.tensor_values(sp.frame(p, 3).R2)))
+                chi, sp.frame(p, 3).R2_table[0]))
     fixture = ExpressionSpray(2, [exprdsl.parse("x2*y1^2/2", 2),
                                   exprdsl.parse("0", 2)], Box.cube(2, 1.0),
                               "non-closed")
@@ -254,7 +254,7 @@ def test_criterion_9_s_closed_implies_chi(zoo):
     excluded = max(fres["vertical_hessian"], fres["curl"]) > 1e-8
     chi_fix = max(sc.rel_residual(
         cv.chi_definition(fixture, p).components,
-        sc.tensor_values(fixture.frame(p, 3).R2)) for p in fpts)
+        fixture.frame(p, 3).R2_table[0]) for p in fpts)
     ok = worst <= 1e-7 and excluded and n_closed >= 3 and chi_fix > 1e-3
     report("criterion 9 (closedness forces chi = 0)", ok,
            f"{n_closed} closed sprays with chi {worst:.2e} (tol 1e-7); "

@@ -135,7 +135,27 @@ def test_exit_code_2_on_input_errors(tmp_path, capsys):
                    capsys=capsys)[0] == 2  # both
     code, _, err = run_cli("evaluate", "--file", "/does/not/exist.spray",
                            capsys=capsys)
-    assert code == 2
+    assert code == 2 and "--file /does/not/exist.spray: " in err
+    # unreadable --file input, unwritable --out paths and negative seeds: one
+    # line that names the flag and the path
+    binary = tmp_path / "binary.spray"
+    binary.write_bytes(b"dim = 2\nG1 = \xff\nG2 = 0\n")
+    missing = tmp_path / "nosuchdir" / "report.json"
+    for argv, where in ((("--file", str(tmp_path)), f"--file {tmp_path}: "),
+                        (("--file", str(binary)), f"--file {binary}: not UTF-8"),
+                        (("--spray", f"custom(file={tmp_path})"),
+                         f"{tmp_path}"),
+                        (("--spray", "flat", "--out", str(tmp_path)),
+                         f"--out {tmp_path}: "),
+                        (("--spray", "flat", "--out", str(missing)),
+                         f"--out {missing}: "),
+                        (("--spray", "flat", "--seed", "-1"), "--seed")):
+        for command in ("evaluate", "verify"):
+            code, out, err = run_cli(command, *argv, "--points", "1",
+                                     capsys=capsys)
+            assert code == 2 and out == "" and err.startswith("error: "), err
+            assert where in err and len(err.splitlines()) == 1, err
+    assert not list(tmp_path.glob(".report-*"))
     # malformed family parameters
     assert run_cli("evaluate", "--spray", "sphere(n=3", capsys=capsys)[0] == 2
     assert run_cli("evaluate", "--spray", "sphere(3)", capsys=capsys)[0] == 2

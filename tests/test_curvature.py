@@ -65,7 +65,7 @@ def test_chi_zero_polynomial_family(ex72):
 def test_chi_route_agreement_on_custom_spray(custom3):
     for p in sample_points(custom3, 20, seed=13):
         base = cv.chi_definition(custom3, p).components
-        scale = sc.tensor_values(custom3.frame(p, 3).R2)
+        scale = custom3.frame(p, 3).R2_table[0]
         for route in ALL_ROUTES[1:]:
             got = route(custom3, p).components
             assert sc.rel_residual(got - base, base, scale) < 1e-8
@@ -86,7 +86,7 @@ def test_t_curvature_flat_sphere_and_trace(custom3):
     sph = make_family("sphere", n=3, kappa=1.0)
     for p in sample_points(sph, 10, seed=3):
         T = cv.t_curvature(sph, p).components
-        assert sc.rel_residual(T, sc.tensor_values(sph.frame(p, 3).R2)) < 1e-8
+        assert sc.rel_residual(T, sph.frame(p, 3).R2_table[0]) < 1e-8
     T3 = cv.t_curvature(custom3, P3).components
     assert abs(np.trace(T3)) < 1e-9 * (1 + np.abs(T3).max())
     assert np.abs(T3).max() > 1e-3  # genuinely non-isotropic
@@ -114,11 +114,11 @@ def test_weyl_zero_cases(ex72):
     sph = make_family("sphere", n=3, kappa=1.0)
     for p in sample_points(sph, 10, seed=8):
         W = cv.weyl(sph, p).components
-        assert sc.rel_residual(W, sc.tensor_values(sph.frame(p, 3).R2)) < 1e-8
+        assert sc.rel_residual(W, sph.frame(p, 3).R2_table[0]) < 1e-8
     # the polynomial family is of isotropic (hence scalar) curvature
     for p in sample_points(ex72, 10, seed=9):
         W = cv.weyl(ex72, p).components
-        assert sc.rel_residual(W, sc.tensor_values(ex72.frame(p, 3).R2)) < 1e-8
+        assert sc.rel_residual(W, ex72.frame(p, 3).R2_table[0]) < 1e-8
 
 
 def test_ricci_symmetry_and_contraction(custom3):
@@ -135,7 +135,7 @@ def test_eta_flat_sphere_and_nonzero_fixture(custom3):
     sph = make_family("sphere", n=3, kappa=1.0)
     for p in sample_points(sph, 10, seed=14):
         e = cv.eta(sph, p).components
-        assert sc.rel_residual(e, sc.tensor_values(sph.frame(p, 3).R2)) < 1e-7
+        assert sc.rel_residual(e, sph.frame(p, 3).R2_table[0]) < 1e-7
     # frozen regression fixture for a non-isotropic spray
     e3 = cv.eta(custom3, P3).components
     assert np.abs(e3 - np.array([0.003, 0.0105, 0.012])).max() < 1e-12
@@ -166,14 +166,3 @@ def test_scalar_plus_chi_implies_isotropic():
         cl = cv.classify(sp, sample_points(sp, 15, seed=51))
         if cl.scalar_curvature and cl.chi_zero:
             assert cl.isotropic, sp.label
-
-
-def test_curvature_scalar_field_adapter(custom3):
-    field = cv.curvature_scalar_field(custom3)
-    # float carrier agrees with the direct scalar
-    val = field.carrier(list(P3.x), list(P3.y))
-    assert val == pytest.approx(cv.curvature_scalar(custom3, P3))
-    # jet carrier produces the jet of R usable inside frames
-    fr = custom3.frame(P3, 3)
-    j = field.jet(fr)
-    assert j.value == pytest.approx(val)

@@ -398,6 +398,30 @@ def value_zoo():
                         n=2, box=0.8)]
 
 
+def _jet_r2(fr):
+    """R^i_k as jets by the standard spray formula:
+
+    R^i_k = 2 dG^i/dx^k - y^j d^2G^i/dx^j dy^k
+            + 2 G^j d^2G^i/dy^j dy^k - dG^i/dy^j dG^j/dy^k
+    """
+    n, G, yj = fr.n, fr.G, fr.yj
+    dxG = [[G[i].d(j) for j in range(n)] for i in range(n)]
+    out = np.empty((n, n), dtype=object)
+    for i, k in itertools.product(range(n), repeat=2):
+        t = 2.0 * dxG[i][k]
+        for j in range(n):
+            t = t - yj[j] * fr.dy(dxG[i][j], k)
+            t = t + 2.0 * (G[j] * fr.N[i, j].d(fr.n + k))
+            t = t - fr.N[i, j] * fr.N[j, k]
+        out[i, k] = t
+    return out
+
+
+def _jet_ric(R2):
+    """Ric = R^m_m as a jet, from the jets of R^i_k."""
+    return sc.carrier_sum(R2[m, m] for m in range(R2.shape[0]))
+
+
 def _jet_r4(fr):
     """R^{ i}_{j kl} as jets: delta Gamma^i_jl / delta x^k - delta Gamma^i_jk /
     delta x^l + Gamma^i_ks Gamma^s_jl - Gamma^s_jk Gamma^i_ls from `hpart`."""
@@ -425,28 +449,29 @@ def _jet_b(fr):
 
 def _jet_chi(fr):
     """chi_k = -(1/6){dRic/dy^k + 2 dR^m_k/dy^m} as jets."""
-    n = fr.n
+    n, R2 = fr.n, _jet_r2(fr)
+    ric = _jet_ric(R2)
     out = np.empty(n, dtype=object)
     for k in range(n):
-        t = fr.dy(fr.ric, k)
+        t = fr.dy(ric, k)
         for m in range(n):
-            t = t + 2.0 * fr.dy(fr.R2[m, k], m)
+            t = t + 2.0 * fr.dy(R2[m, k], m)
         out[k] = t / -6.0
     return out
 
 
 def _jet_t(fr):
     """T^i_k = R^i_k - {R delta^i_k - (1/2) dR/dy^k y^i} as jets."""
-    n, R = fr.n, fr.r_scalar
+    n, R2 = fr.n, _jet_r2(fr)
+    R = _jet_ric(R2) / float(n - 1)
     out = np.empty((n, n), dtype=object)
     for i, k in np.ndindex(out.shape):
-        t = fr.R2[i, k] + 0.5 * (fr.dy(R, k) * fr.yj[i])
+        t = R2[i, k] + 0.5 * (fr.dy(R, k) * fr.yj[i])
         out[i, k] = t - R if i == k else t
     return out
 
 
 def test_float_b_chi_t_match_jet_references(value_zoo):
-    # same operations in the same order as the jets: equal bit for bit
     for sp in value_zoo:
         for p in sample_points(sp, 2, seed=35):
             for order, depth in ((3, 0), (4, 1)):
@@ -456,11 +481,33 @@ def test_float_b_chi_t_match_jet_references(value_zoo):
                     want = fr.table(ref(fr), depth)
                     assert len(got) == len(want) == depth + 1
                     for g, w in zip(got, want):
-                        assert np.array_equal(g, w)
+                        assert sc.rel_residual(g - w, w) <= 1e-13
                         assert not g.flags.writeable      # shared caches
             for name in ("B", "chi", "T"):
                 with pytest.raises(ValueError, match="order >= 3"):
                     getattr(sp.frame(p, 2), name)
+
+
+def test_float_r2_matches_jet_r2(value_zoo):
+    for sp in value_zoo:
+        for p in sample_points(sp, 2, seed=36):
+            for order in (2, 3, 4):
+                fr = sp.frame(p, order)
+                got, want = fr.R2_table, fr.table(_jet_r2(fr), order - 2)
+                assert len(got) == len(want) == len(fr.ric) == order - 1
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape
+                    assert sc.rel_residual(g - w, w) <= 1e-13
+                # Ric and R are the traces of R^i_k, exactly
+                for t, ric, r in zip(got, fr.ric, fr.r_scalar):
+                    trace = sc.carrier_sum(t[m, m] for m in range(sp.n))
+                    assert np.array_equal(ric, trace)
+                    assert np.array_equal(r, trace / float(sp.n - 1))
+                    assert not (t.flags.writeable or ric.flags.writeable
+                                or r.flags.writeable)     # shared caches
+            assert np.abs(sp.frame(p, 2).R2_table[0]).max() > 0.1
+            with pytest.raises(ValueError, match="order >= 2"):
+                sp.frame(p, 1).R2_table
 
 
 def test_float_r4_matches_jet_r4(value_zoo):
@@ -496,8 +543,9 @@ def test_table_and_cov_h_values_match_jet_cov_h(value_zoo):
             for q, k, l in np.ndindex(R3.shape):
                 R3[q, k, l] = sc.carrier_sum(fr.yj[j] * R4[q, j, k, l]
                                              for j in range(sp.n))
+            R2 = _jet_r2(fr)
             for arr, roles in ((R4, roles4), (_jet_b(fr), roles4),
-                               (R3, roles4[:3]), (fr.R2, roles4[:2])):
+                               (R3, roles4[:3]), (R2, roles4[:2])):
                 vals, grads = fr.table(arr, 1)
                 assert np.array_equal(vals, sc.tensor_values(arr))
                 got = fr.cov_h_values(vals, grads, roles)
@@ -506,10 +554,10 @@ def test_table_and_cov_h_values_match_jet_cov_h(value_zoo):
                 assert got.shape == ref.shape
                 assert sc.rel_residual(got - ref, vals, ref) <= 1e-13
             # second partials are the coefficients of the iterated .d
-            _, _, hess = fr.table(fr.R2, 2)
+            _, _, hess = fr.table(R2, 2)
             for a in range(2 * sp.n):
                 for b in range(2 * sp.n):
-                    d2 = [j.d(a).d(b) for j in fr.R2.flat]
+                    d2 = [j.d(a).d(b) for j in R2.flat]
                     assert np.array_equal(hess[..., a, b].ravel(),
                                           sc.tensor_values(d2))
             with pytest.raises(ValueError, match="order-2"):
@@ -534,9 +582,13 @@ def test_float_rapcsak_matches_jet_composition(value_zoo):
         dV = pj.VolumeForm("exp(x1)", sp.n)
         for p in sample_points(sp, 2, seed=32):
             fr = sp.frame(p, 4)
-            for L, a in ((fr.r_scalar, 0.5), (pj.s_jet(fr, dV), 1.0)):
-                got = fr.rapcsak(L, a)
+            R = _jet_ric(_jet_r2(fr)) / float(sp.n - 1)
+            for L, a in ((R, 0.5), (pj.s_jet(fr, dV), 1.0)):
+                got = fr.rapcsak(fr.table(L, 2), a)
                 ref = _jet_rapcsak(fr, L, a)
                 assert got.shape == (sp.n,)
                 assert sc.rel_residual(got - ref, ref,
                                        fr.table(L, 1)[1]) <= 1e-13
+            # eta reads R's float table
+            got, ref = fr.rapcsak(fr.r_scalar, 0.5), _jet_rapcsak(fr, R, 0.5)
+            assert sc.rel_residual(got - ref, ref, fr.r_scalar[1]) <= 1e-13
