@@ -89,10 +89,18 @@ def _build_spray(name: str, params: dict) -> sc.SprayChart:
     return _make_family(name, **kwargs)
 
 
+def _unreadable(what: str, e: Exception) -> InputError:
+    """One line naming the spray file that could not be read, and why."""
+    why = e.strerror if isinstance(e, OSError) else f"not UTF-8 (byte {e.start})"
+    return InputError(f"{what}: {why or e}")
+
+
 def _make_family(name: str, **kwargs) -> sc.SprayChart:
     try:
         return sc.make_family(name, **kwargs)
-    except (TypeError, ValueError, OSError) as e:    # OSError: custom(file=...)
+    except (OSError, UnicodeDecodeError) as e:       # custom(file=...)
+        raise _unreadable(f"custom(file={kwargs.get('file')})", e) from None
+    except (TypeError, ValueError) as e:
         raise InputError(str(e)) from None
 
 
@@ -105,8 +113,7 @@ def _resolve_spray(args) -> tuple:
         try:
             doc = exprdsl.load_spray_file(args.file)
         except (OSError, UnicodeDecodeError) as e:
-            why = e.strerror if isinstance(e, OSError) else f"not UTF-8 (byte {e.start})"
-            raise InputError(f"--file {args.file}: {why or e}") from None
+            raise _unreadable(f"--file {args.file}", e) from None
         if doc.sigma is not None:
             sigma = [exprdsl.pretty(doc.sigma)]
         spray = _make_family("custom", doc=doc)
@@ -195,8 +202,10 @@ def cmd_evaluate(args) -> int:
         raise InputError("--order below 3 cannot produce the curvature tables")
     pt_docs = []
     for p in points:
+        # the top order first: every lower-order frame truncates its jets
+        top = spray.frame(p, min(order, 4))
         q = {
-            "G": spray.coefficients(p).tolist(),
+            "G": [g.value for g in top.G],
             "N": sc.nonlinear_connection(spray, p).components.tolist(),
             "R": sc.riemann_two_index(spray, p).components.tolist(),
             "Ric_jl": cv.ricci_tensor(spray, p).components.tolist(),
@@ -222,9 +231,9 @@ def cmd_verify(args) -> int:
     sigmas = args.sigma or file_sigma or DEFAULT_SIGMAS
     vols = _volumes(sigmas, spray)
     points = sc.sample_points(spray, args.points, args.seed)
-    cls = cv.classify(spray, points, verify.FLAG_TOL)    # shared with the suite
-    rows = verify.run_suite(spray, points, vols, tolerances=args.tol, cls=cls)
-    doc = _document(args, "verify", sigmas, cls, rows,
+    runner = verify.SuiteRunner(spray, points, vols, args.tol)
+    rows = runner.run()
+    doc = _document(args, "verify", sigmas, runner.cls, rows,
                     [{"x": list(p.x), "y": list(p.y)} for p in points])
     _emit(doc, args, time.time() - t0)
     failed = [r for r in rows if r.passed is False]

@@ -236,6 +236,9 @@ class Frame:
 
     The frame's order bounds how many derivatives remain available: every
     vertical (.d on a y slot) or horizontal derivative consumes one order.
+    Its jets come from one evaluation of the spray's coefficients, or are
+    prefix slices (`Jet.truncated`) of the jets of a frame `top` of higher
+    order at the same point: the same numbers, bit for bit.
     Tensors are cached lazily: jets where `hpart` is taken on them (N,
     Gamma, Pi), float tables elsewhere, read off `table(G, k)` per quantity
     (at order 4 it outweighs what is kept) or computed from those.  R2, Ric
@@ -244,11 +247,18 @@ class Frame:
     partials] deeper, the slot last as in `table`.
     """
 
-    def __init__(self, spray: "SprayChart", point: PointTM, order: int):
+    def __init__(self, spray: "SprayChart", point: PointTM, order: int,
+                 top: "Frame | None" = None):
         self.spray = spray
         self.point = point
         self.order = order
         self.n = spray.n
+        if top is not None:
+            self.yj = [j.truncated(order) for j in top.yj]
+            self.G = [g.truncated(order) for g in top.G]
+            if "xj" in vars(top):       # lifted there; a slice here
+                self.xj = [j.truncated(order) for j in top.xj]
+            return
         lifted = jets.lift_point(point.x + point.y, order)
         self.yj = lifted[self.n:]
         self.G = spray._make_coefficient_jets(self, lifted)
@@ -504,6 +514,7 @@ class SprayChart:
         self.label = label
         self.metric = None      # the FinslerMetric of an induced spray
         self._frames = {}
+        self._top = {}          # (x, y) -> the highest-order frame built there
         self._deformed = {}     # VolumeForm -> DeformedSpray (projective.deform)
 
     # subclasses provide carrier-generic evaluation
@@ -519,13 +530,20 @@ class SprayChart:
                          for v in self.eval_coefficients(list(p.x), list(p.y))])
 
     def frame(self, p: PointTM, order: int) -> Frame:
+        """The frame of this order at p, cached.  Below the highest order
+        built at p it truncates that frame's jets instead of evaluating the
+        coefficients: asking for the top order first costs one evaluation."""
         key = (p.x, p.y, order)
         fr = self._frames.get(key)
         if fr is None:
             if not self.domain.contains(p.x):
                 raise ValueError(f"{self.label}: point x = {p.x} lies outside "
                                  f"the declared domain box")
-            fr = Frame(self, p, order)
+            top = self._top.get(key[:2])
+            if top is not None and top.order > order:
+                fr = Frame(self, p, order, top)
+            else:
+                fr = self._top[key[:2]] = Frame(self, p, order)
             self._frames[key] = fr
         return fr
 

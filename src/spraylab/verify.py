@@ -431,7 +431,7 @@ class SuiteRunner:
               "s-closed": ("_s_closed_rows",), "volume": ("_volume_rows",)}
 
     def __init__(self, spray: SprayChart, points, volumes=None,
-                 tolerances=None, cls=None):
+                 tolerances=None):
         self.spray = spray
         self.points = list(points)
         self.volumes = volumes if volumes is not None else [
@@ -439,10 +439,8 @@ class SuiteRunner:
         self.tolerances = dict(tolerances or {})
         self.data = [PointData(self, i) for i in range(len(self.points))]
         self.rows = []
-        if cls is not None:
-            self.cls = cls
 
-    # the classification flags that the hypotheses read (or the caller's)
+    # the classification flags that the hypotheses read and the report echoes
     cls = cached_property(lambda run: cv.classify(run.spray, run.points, FLAG_TOL))
     # G + P y, projectively related to G, for the projective-invariance row
     shifted = cached_property(
@@ -453,6 +451,8 @@ class SuiteRunner:
         unknown = groups - set(self.GROUPS)
         if unknown:
             raise ValueError(f"unknown suite groups {sorted(unknown)}")
+        for pt in self.data:    # the top order first: the lower ones truncate it
+            pt.fr4
         for group, methods in self.GROUPS.items():
             for name in methods if group in groups else ():
                 getattr(self, name)()
@@ -494,7 +494,6 @@ class SuiteRunner:
         self._bianchi_second_rows()
 
 
-def run_suite(spray, points, volumes=None, tolerances=None, groups=None, cls=None):
-    """Run the identity suite (or selected groups); returns the Row objects.
-    `cls`, the spray's `classify` over `points`, is computed when not given."""
-    return SuiteRunner(spray, points, volumes, tolerances, cls).run(groups)
+def run_suite(spray, points, volumes=None, tolerances=None, groups=None):
+    """Run the identity suite (or selected groups); returns the Row objects."""
+    return SuiteRunner(spray, points, volumes, tolerances).run(groups)

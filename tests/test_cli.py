@@ -144,7 +144,9 @@ def test_exit_code_2_on_input_errors(tmp_path, capsys):
     for argv, where in ((("--file", str(tmp_path)), f"--file {tmp_path}: "),
                         (("--file", str(binary)), f"--file {binary}: not UTF-8"),
                         (("--spray", f"custom(file={tmp_path})"),
-                         f"{tmp_path}"),
+                         f"custom(file={tmp_path}): "),
+                        (("--spray", f"custom(file={binary})"),
+                         f"custom(file={binary}): not UTF-8 (byte 13)"),
                         (("--spray", "flat", "--out", str(tmp_path)),
                          f"--out {tmp_path}: "),
                         (("--spray", "flat", "--out", str(missing)),
@@ -286,6 +288,38 @@ def test_order_flag(capsys):
             for o in ("4", "7")]
     assert "eta" in docs[0]["points"][0]["quantities"]
     assert docs[0]["points"] == docs[1]["points"]
+
+
+def test_evaluate_evaluates_the_coefficients_once_per_point(monkeypatch, capsys):
+    # the top-order frame comes first and the lower orders truncate its jets;
+    # before, each of the orders 1-4 evaluated the coefficients (12 on 3
+    # points).  An --order above 4 builds no deeper frame than --order 4.
+    evaluations, orders = [], []
+    make, init = sc.SprayChart._make_coefficient_jets, sc.Frame.__init__
+
+    def counted(self, frame, lifted):
+        evaluations.append(frame.order)
+        return make(self, frame, lifted)
+
+    def recorded(self, spray, point, order, *args):
+        orders.append(order)
+        init(self, spray, point, order, *args)
+
+    monkeypatch.setattr(sc.SprayChart, "_make_coefficient_jets", counted)
+    monkeypatch.setattr(sc.Frame, "__init__", recorded)
+    spec = ("evaluate", "--spray", "sphere(n=3,kappa=1)", "--points", "3",
+            "--seed", "1")
+    docs = []
+    for order in ("4", "9"):
+        evaluations.clear()
+        orders.clear()
+        code, out, _ = run_cli(*spec, "--order", order, capsys=capsys)
+        assert code == 0
+        assert evaluations == [4, 4, 4] and max(orders) == 4, (evaluations, orders)
+        docs.append(json.loads(out))
+    assert docs[1]["config"].pop("order") == 9
+    assert docs[0]["config"].pop("order") == 4
+    assert docs[0] == docs[1]
 
 
 def test_unknown_tolerance_id_rejected(capsys):

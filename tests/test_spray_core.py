@@ -592,3 +592,37 @@ def test_float_rapcsak_matches_jet_composition(value_zoo):
             # eta reads R's float table
             got, ref = fr.rapcsak(fr.r_scalar, 0.5), _jet_rapcsak(fr, R, 0.5)
             assert sc.rel_residual(got - ref, ref, fr.r_scalar[1]) <= 1e-13
+
+
+# the float quantities of a frame, with the lowest order that defines each
+FRAME_TABLES = (("N_values", 1), ("Gamma_values", 2), ("R2_table", 2),
+                ("ric", 2), ("r_scalar", 2), ("B", 3), ("R4", 3), ("chi", 3),
+                ("T", 3))
+
+
+def test_truncated_frame_equals_built_frame(value_zoo):
+    # below a cached frame of order K, a frame slices K's jets instead of
+    # evaluating the coefficients again; it must read the same bits
+    from spraylab import projective as pj
+    for sp in value_zoo:
+        for spray in (sp, pj.deform(sp, pj.VolumeForm("exp(x1)", sp.n))):
+            for top_order in (3, 4):
+                (p,) = sample_points(sp, 1, seed=40 + top_order)
+                top = spray.frame(p, top_order)
+                for order in range(1, top_order):
+                    served, built = spray.frame(p, order), sc.Frame(spray, p, order)
+                    assert np.shares_memory(served.G[0].coeffs, top.G[0].coeffs)
+                    assert not np.shares_memory(built.G[0].coeffs, top.G[0].coeffs)
+                    for g, h in zip(served.G, built.G, strict=True):
+                        assert g.order == h.order == order
+                        assert np.array_equal(g.coeffs, h.coeffs)
+                    for name, low in FRAME_TABLES:
+                        if order < low:
+                            continue
+                        got, want = getattr(served, name), getattr(built, name)
+                        if isinstance(got, np.ndarray):
+                            got, want = [got], [want]
+                        assert len(got) == len(want), name
+                        for a, b in zip(got, want):
+                            assert np.array_equal(a, b), (spray.label, order, name)
+                            assert not a.flags.writeable, name    # shared caches
