@@ -11,11 +11,15 @@ Identifiers are the chart variables ``x1..xn``, ``y1..yn`` for a declared
 dimension n, and the function names sqrt, sin, cos, exp, log, abs.  Exponents
 are unsigned integer literals ("**" is rejected); general powers go through
 exp/log.  Evaluation is generic over any carrier supporting the arithmetic,
-which in practice means floats and :class:`spraylab.jets.Jet`.
+which in practice means floats and :class:`spraylab.jets.Jet`.  Nodes are
+built through `interned`: structurally equal subtrees at equal source spans
+are one object, which `evaluate` visits once per memo table.
 """
 
 from __future__ import annotations
 
+import struct
+import weakref
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -101,6 +105,29 @@ class Call:
 ExprAst = Union[Num, Var, Neg, Bin, Pow, Call]
 
 _NOSPAN = SourceSpan(0, 0, 0, 0)
+
+# node key -> node; an entry lives as long as some expression holds its node
+_INTERNED = weakref.WeakValueDictionary()
+_BY_VALUE = (str, int, SourceSpan)
+
+
+def interned(cls, *fields) -> ExprAst:
+    """The one node `cls(*fields)`: nodes of equal type, op, value, child
+    nodes and span are one object, so `evaluate`'s memo shares them.
+
+    Children are keyed by identity (they are interned already) and a `Num`
+    by the bits of its value, so 0.0 and -0.0 stay apart.  The span is part
+    of the key, so a domain error still cites its own line; identical text
+    parsed at the same offsets, and derived nodes (`_NOSPAN`), are merged.
+    """
+    if cls is Num:
+        key = (Num, struct.pack("<d", fields[0]), fields[1])
+    else:
+        key = (cls, *[f if type(f) in _BY_VALUE else id(f) for f in fields])
+    node = _INTERNED.get(key)
+    if node is None:
+        node = _INTERNED[key] = cls(*fields)
+    return node
 
 
 # -- tokenizer ----------------------------------------------------------------
@@ -207,7 +234,7 @@ class _Parser:
         while self.peek().kind in "+-":
             op = self.advance()
             rhs = self.term()
-            node = Bin(op.kind, node, rhs, op.span)
+            node = interned(Bin, op.kind, node, rhs, op.span)
         return node
 
     def term(self) -> ExprAst:
@@ -215,14 +242,14 @@ class _Parser:
         while self.peek().kind in "*/":
             op = self.advance()
             rhs = self.factor()
-            node = Bin(op.kind, node, rhs, op.span)
+            node = interned(Bin, op.kind, node, rhs, op.span)
         return node
 
     def factor(self) -> ExprAst:
         t = self.peek()
         if t.kind == "-":
             self.advance()
-            return Neg(self.factor(), t.span)
+            return interned(Neg, self.factor(), t.span)
         node = self.atom()
         if self.peek().kind == "^":
             caret = self.advance()
@@ -231,13 +258,13 @@ class _Parser:
                 raise ExprSyntaxError("exponent must be an unsigned integer literal",
                                       e.span if e.kind != "eof" else caret.span)
             self.advance()
-            node = Pow(node, int(e.text), caret.span)
+            node = interned(Pow, node, int(e.text), caret.span)
         return node
 
     def atom(self) -> ExprAst:
         t = self.advance()
         if t.kind == "num":
-            return Num(float(t.text), t.span)
+            return interned(Num, float(t.text), t.span)
         if t.kind == "(":
             node = self.expr()
             self.expect(")")
@@ -248,7 +275,7 @@ class _Parser:
                 self.expect("(")
                 arg = self.expr()
                 self.expect(")")
-                return Call(name, arg, t.span)
+                return interned(Call, name, arg, t.span)
             if name[0] in "xy" and name[1:].isdigit():
                 idx = int(name[1:])
                 if not 1 <= idx <= self.n:
@@ -256,7 +283,7 @@ class _Parser:
                         f"variable index exceeds dimension: {name} with n={self.n}",
                         t.span)
                 slot = (idx - 1) if name[0] == "x" else (self.n + idx - 1)
-                return Var(name, slot, t.span)
+                return interned(Var, name, slot, t.span)
             raise ExprSyntaxError(f"unknown identifier {name!r}", t.span)
         raise ExprSyntaxError(f"unexpected {t.text or 'end of input'!r}", t.span)
 
@@ -418,7 +445,7 @@ def pretty(ast: ExprAst) -> str:
 # -- symbolic differentiation ----------------------------------------------------
 
 def _num(v: float) -> Num:
-    return Num(float(v), _NOSPAN)
+    return interned(Num, float(v), _NOSPAN)
 
 
 def _is_const(ast, v=None):
@@ -432,7 +459,7 @@ def _add(a, b):
         return b
     if _is_const(b, 0.0):
         return a
-    return Bin("+", a, b, _NOSPAN)
+    return interned(Bin, "+", a, b, _NOSPAN)
 
 
 def _sub(a, b):
@@ -441,8 +468,8 @@ def _sub(a, b):
     if _is_const(b, 0.0):
         return a
     if _is_const(a, 0.0):
-        return Neg(b, _NOSPAN)
-    return Bin("-", a, b, _NOSPAN)
+        return interned(Neg, b, _NOSPAN)
+    return interned(Bin, "-", a, b, _NOSPAN)
 
 
 def _mul(a, b):
@@ -454,7 +481,7 @@ def _mul(a, b):
         return b
     if _is_const(b, 1.0):
         return a
-    return Bin("*", a, b, _NOSPAN)
+    return interned(Bin, "*", a, b, _NOSPAN)
 
 
 def _div(a, b):
@@ -462,7 +489,7 @@ def _div(a, b):
         return _num(0.0)
     if _is_const(b, 1.0):
         return a
-    return Bin("/", a, b, _NOSPAN)
+    return interned(Bin, "/", a, b, _NOSPAN)
 
 
 def _pow(a, k: int):
@@ -472,25 +499,37 @@ def _pow(a, k: int):
         return a
     if _is_const(a):
         return _num(a.value ** k)
-    return Pow(a, k, _NOSPAN)
+    return interned(Pow, a, k, _NOSPAN)
 
 
-def differentiate(ast: ExprAst, slot: int) -> ExprAst:
+def differentiate(ast: ExprAst, slot: int, memo: Optional[dict] = None) -> ExprAst:
     """Symbolic partial derivative with respect to variable `slot`.
 
     The result aliases subtrees of the input, so evaluating an expression
-    together with its derivatives through one memo table shares work.
+    together with its derivatives through one memo table shares work.  Each
+    distinct node is differentiated once per call.
     """
+    if memo is None:
+        memo = {}
+    out = memo.get(id(ast))
+    if out is None:
+        out = memo[id(ast)] = _derivative(
+            ast, slot, lambda a: differentiate(a, slot, memo))
+    return out
+
+
+def _derivative(ast: ExprAst, slot: int, d) -> ExprAst:
+    """The derivative of `ast`, with `d` giving those of its children."""
     if isinstance(ast, Num):
         return _num(0.0)
     if isinstance(ast, Var):
         return _num(1.0 if ast.slot == slot else 0.0)
     if isinstance(ast, Neg):
-        d = differentiate(ast.child, slot)
-        return _num(0.0) if _is_const(d, 0.0) else _sub(_num(0.0), d)
+        dc = d(ast.child)
+        return _num(0.0) if _is_const(dc, 0.0) else _sub(_num(0.0), dc)
     if isinstance(ast, Bin):
-        da = differentiate(ast.left, slot)
-        db = differentiate(ast.right, slot)
+        da = d(ast.left)
+        db = d(ast.right)
         if ast.op == "+":
             return _add(da, db)
         if ast.op == "-":
@@ -502,10 +541,10 @@ def differentiate(ast: ExprAst, slot: int) -> ExprAst:
         return _div(_sub(_mul(da, ast.right), _mul(ast.left, db)),
                     _pow(ast.right, 2))
     if isinstance(ast, Pow):
-        db = differentiate(ast.base, slot)
+        db = d(ast.base)
         return _mul(_mul(_num(ast.exponent), _pow(ast.base, ast.exponent - 1)), db)
     if isinstance(ast, Call):
-        da = differentiate(ast.arg, slot)
+        da = d(ast.arg)
         if _is_const(da, 0.0):
             return _num(0.0)
         u = ast.arg
@@ -516,9 +555,10 @@ def differentiate(ast: ExprAst, slot: int) -> ExprAst:
         if ast.fn == "log":
             return _div(da, u)
         if ast.fn == "sin":
-            return _mul(Call("cos", u, _NOSPAN), da)
+            return _mul(interned(Call, "cos", u, _NOSPAN), da)
         if ast.fn == "cos":
-            return _sub(_num(0.0), _mul(Call("sin", u, _NOSPAN), da))
+            sin_u = interned(Call, "sin", u, _NOSPAN)
+            return _sub(_num(0.0), _mul(sin_u, da))
         if ast.fn == "abs":
             return _mul(_div(u, ast), da)
     raise TypeError(f"not an expression node: {ast!r}")

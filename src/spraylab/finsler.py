@@ -48,7 +48,7 @@ class FinslerMetric:
         self.domain = domain if domain is not None else Box.cube(n, 1.0)
         self.label = label or "finsler"
         # L = F^2 shares the F subtree, so evaluation through a memo is cheap
-        self.L_ast = exprdsl.Pow(F, 2, exprdsl._NOSPAN)
+        self.L_ast = exprdsl.interned(exprdsl.Pow, F, 2, exprdsl._NOSPAN)
         self._dLy = [exprdsl.differentiate(self.L_ast, n + l) for l in range(n)]
         self._dLyy = [[exprdsl.differentiate(self._dLy[l], n + i)
                        for i in range(n)] for l in range(n)]
@@ -277,9 +277,9 @@ class RandersData:
         det = " + ".join(terms).replace("+ -", "- ")
         return VolumeForm(f"sqrt({det})", n, label="dV_alpha")
 
-    def _carrier_tensors(self, xs, memo):
-        """Christoffels of a and the derived s-tensors over a carrier point."""
-        n = self.n
+    def _carrier_tensors(self, xs):
+        """Christoffels of a and the derived s-tensors over a carrier point x."""
+        n, memo = self.n, {}
         av = [[exprdsl.evaluate(self.a_asts[i][j], xs, memo) for j in range(n)]
               for i in range(n)]
         dav = [[[exprdsl.evaluate(self.da[i][j][k], xs, memo) for k in range(n)]
@@ -315,10 +315,13 @@ class RandersData:
         n = self.n
         alpha_fn = metric_spray_fn(self.a_asts, n)
 
+        def a_and_s_up(xs):     # the tensors of `_carrier_tensors` read here
+            av, _, _, _, _, _, s_up, _ = self._carrier_tensors(xs)
+            return av, s_up
+
         def fn(xs, ys):
-            memo = {}
             base = alpha_fn(xs, ys)
-            av, _, _, _, _, _, s_up, _ = self._carrier_tensors(list(xs), memo)
+            av, s_up = jets.x_only(a_and_s_up, xs)
             alpha = jets.sqrt(carrier_sum(
                 av[i][j] * (ys[i] * ys[j])
                 for i, j in itertools.product(range(n), repeat=2)))
@@ -334,8 +337,7 @@ class RandersData:
         """All derived Randers tensors at a point (numeric)."""
         n = self.n
         xl = jets.lift_point(p.x, 2)
-        memo = {}
-        av, dav, bv, bcov, r, s, s_up, Gm = self._carrier_tensors(xl, memo)
+        av, dav, bv, bcov, r, s, s_up, Gm = self._carrier_tensors(xl)
         val = carrier_value
         y = np.array(p.y)
         a_v = np.array([[val(av[i][j]) for j in range(n)] for i in range(n)])

@@ -269,7 +269,7 @@ class Jet:
         return self._compose(series)
 
     def exp(self) -> "Jet":
-        e = math.exp(self.value)
+        e = exp(self.value)
         series = [e / math.factorial(m) for m in range(self.order + 1)]
         return self._compose(series)
 
@@ -323,7 +323,12 @@ def sqrt(v):
 
 
 def exp(v):
-    return v.exp() if isinstance(v, Jet) else math.exp(v)
+    if isinstance(v, Jet):
+        return v.exp()
+    try:
+        return math.exp(v)
+    except OverflowError:
+        raise JetDomainError(f"exp of {v} overflows") from None
 
 
 def log(v):
@@ -389,6 +394,61 @@ def lift_point(coords, order: int):
     """Lift a full coordinate tuple, returning one jet per variable."""
     dim = len(coords)
     return [Jet.variable(i, float(v), dim, order) for i, v in enumerate(coords)]
+
+
+@lru_cache(maxsize=None)
+def _embed_map(n: int, dim: int, order: int) -> np.ndarray:
+    """Position in jet_space(dim, order) of (e, 0...0) for each exponent e of
+    jet_space(n, order), in the order of the smaller space."""
+    pad, big = (0,) * (dim - n), jet_space(dim, order)
+    return np.array([big.index[e + pad] for e in jet_space(n, order).exponents])
+
+
+def _is_coordinate(j, slot: int, space: JetSpace) -> bool:
+    """True when `j` is `Jet.variable(slot, ...)` in `space`."""
+    if not isinstance(j, Jet) or j.space is not space:
+        return False
+    if space.order == 0:
+        return True
+    c = j.coeffs    # (degree, lex) order puts x^slot's unit exponent at dim - slot
+    return c[space.dim - slot] == 1.0 and np.count_nonzero(c) == 1 + (c[0] != 0.0)
+
+
+def x_only(f, xs):
+    """f(xs) for a map f of the leading coordinates alone, on small jets.
+
+    When `xs` are the coordinate jets x^1..x^n of one lift in dim > n
+    variables (`lift_point(x + y, K)[:n]`), f runs on `lift_point(x, K)`, and
+    every jet in its result (nested in lists or tuples) is embedded into
+    jet_space(dim, order) through `_embed_map`, zeros elsewhere.  The
+    numbers are those of f(xs) bit for bit: both spaces sort exponents by
+    (degree, lex), so the x-only exponents keep their relative order, and a
+    product's x-only coefficient receives the same terms in the same order.
+    Only a zero off the x-only positions may differ in sign (f(xs) leaves
+    -0.0 there after a negative scalar factor), which no product result
+    depends on.  Any other `xs` go to f unchanged.
+    """
+    xs = list(xs)
+    n, space = len(xs), getattr(xs[0], "space", None)
+    if space is None or space.dim <= n or not all(
+            _is_coordinate(j, i, space) for i, j in enumerate(xs)):
+        return f(xs)
+    memo = {}
+
+    def embed(v):
+        if isinstance(v, (list, tuple)):
+            return type(v)(embed(u) for u in v)
+        if not isinstance(v, Jet):
+            return v
+        out = memo.get(id(v))
+        if out is None:
+            sp = jet_space(space.dim, v.order)
+            c = np.zeros(sp.size)
+            c[_embed_map(n, space.dim, v.order)] = v.coeffs
+            out = memo[id(v)] = Jet(sp, c)
+        return out
+
+    return embed(f(lift_point([j.value for j in xs], space.order)))
 
 
 def partial(j: Jet, alpha) -> float:

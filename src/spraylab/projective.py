@@ -51,13 +51,13 @@ class VolumeForm:
             raise JetDomainError(f"volume density {self.label!r} is not positive")
         return v
 
-    def dlog(self, env, memo=None):
-        """d(log sigma)/dx^k for all k, computed as (d sigma/dx^k) / sigma."""
-        memo = {} if memo is None else memo
-        s = exprdsl.evaluate(self.ast, env, memo)
+    def dlog(self, xs):
+        """d(log sigma)/dx^k for all k at x, computed as (d sigma/dx^k) / sigma."""
+        memo = {}
+        s = exprdsl.evaluate(self.ast, xs, memo)
         if carrier_value(s) <= 0.0:
             raise JetDomainError(f"volume density {self.label!r} is not positive")
-        return [jets.divide(exprdsl.evaluate(d, env, memo), s) for d in self.dast]
+        return [jets.divide(exprdsl.evaluate(d, xs, memo), s) for d in self.dast]
 
     def check_positive(self, box: Box, seed: int = 0, count: int = 20):
         rng = np.random.default_rng(seed)
@@ -73,8 +73,7 @@ class VolumeForm:
 
 def s_jet(fr: Frame, dV: VolumeForm) -> Jet:
     """Jet of S = Pi - y^m dlog(sigma)/dx^m at the frame's point."""
-    env = list(fr.xj) + list(fr.yj)
-    dlog = dV.dlog(env)
+    dlog = jets.x_only(dV.dlog, fr.xj)
     out = fr.Pi
     for m in range(fr.n):
         out = out - fr.yj[m] * dlog[m]
@@ -130,17 +129,20 @@ class DeformedSpray(SprayChart):
                          f"hat({base.label}; dV={dV.label})")
         self.base = base
         self.volume = dV
-        self._S = {}            # (x, y, order) -> S on the base frame
+        self._S = {}            # (x, y) -> S on the highest base frame asked for
         self._tau = {}          # (x, y) -> tau on the order-4 base frame
 
     def S(self, p: PointTM, order: int) -> Jet:
-        """`s_jet` on the base frame of this order at p, built once per
-        (point, order): deformed frames, `chi_via_s`, `eta_hat`, `tau`, and
-        at order 1 `s_curvature` and `eval_coefficients`."""
-        key = (p.x, p.y, order)
-        if key not in self._S:
-            self._S[key] = s_jet(self.base.frame(p, order), self.volume)
-        return self._S[key]
+        """S at p to this order for deformed frames, `chi_via_s`, `eta_hat`,
+        `tau`, and at order 1 `s_curvature` and `eval_coefficients`.  Below
+        the highest order built at p it is a prefix slice of that S, the same
+        numbers bit for bit (as for frames): asking for the top order first
+        costs one `s_jet` per point."""
+        key = (p.x, p.y)
+        top = self._S.get(key)
+        if top is None or top.order < order - 1:    # Pi costs S an order
+            top = self._S[key] = s_jet(self.base.frame(p, order), self.volume)
+        return top.truncated(order - 1)
 
     def tau(self, p: PointTM) -> Jet:
         """tau = (S/(n+1))^2 + S_{|m} y^m/(n+1) on the base frame of order 4

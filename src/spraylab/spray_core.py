@@ -748,17 +748,22 @@ def metric_spray_fn(g_asts, n):
 
     G^i = (1/4) g^{il} (2 dg_lk/dx^m - dg_mk/dx^l) y^k y^m, evaluated through
     symbolic x-derivatives of the metric entries and a generic linear solve.
+    g and its x-derivatives run on x-only jets (`jets.x_only`).
     """
     dg = [[[exprdsl.differentiate(g_asts[i][j], k) for k in range(n)]
            for j in range(n)] for i in range(n)]
 
-    def fn(xs, ys):
-        env = list(xs) + list(ys)
+    def metric(xs):
+        """g_ij and dg_ij/dx^k at x."""
         memo = {}
-        g = [[exprdsl.evaluate(g_asts[i][j], env, memo) for j in range(n)]
+        g = [[exprdsl.evaluate(g_asts[i][j], xs, memo) for j in range(n)]
              for i in range(n)]
-        dgv = [[[exprdsl.evaluate(dg[i][j][k], env, memo) for k in range(n)]
+        dgv = [[[exprdsl.evaluate(dg[i][j][k], xs, memo) for k in range(n)]
                 for j in range(n)] for i in range(n)]
+        return g, dgv
+
+    def fn(xs, ys):
+        g, dgv = jets.x_only(metric, xs)
         yy = [[ys[k] * ys[m] for m in range(n)] for k in range(n)]
         q = [carrier_sum((2.0 * dgv[l][k][m] - dgv[m][k][l]) * yy[k][m]
                          for k in range(n) for m in range(n))

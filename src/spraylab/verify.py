@@ -453,6 +453,8 @@ class SuiteRunner:
             raise ValueError(f"unknown suite groups {sorted(unknown)}")
         for pt in self.data:    # the top order first: the lower ones truncate it
             pt.fr4
+            for dV in self.volumes:
+                pj.deform(self.spray, dV).S(pt.p, 4)
         for group, methods in self.GROUPS.items():
             for name in methods if group in groups else ():
                 getattr(self, name)()

@@ -205,6 +205,20 @@ def test_exit_code_2_on_input_errors(tmp_path, capsys):
             assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
+def test_exp_overflow_is_a_located_domain_error(tmp_path, capsys):
+    # at seed 4 a sample point has 900*x1 > 709.78, where math.exp overflows
+    # before any jet is formed: one located line and exit 2, no traceback
+    path = tmp_path / "overflow.spray"
+    path.write_text("dim = 2\nG1 = y1^2*exp(900*x1)\nG2 = 0\n")
+    for command in ("evaluate", "verify"):
+        code, out, err = run_cli(command, "--file", str(path), "--points", "2",
+                                 "--seed", "4", capsys=capsys)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "error: exp: " in err
+        assert "overflows at line 2, column 11" in err
+        assert "Traceback" not in err
+
+
 def test_non_finite_report_value_names_its_path():
     from spraylab import report
     doc = {"points": [{"quantities": {"G": [float("inf"), 0.0]}}]}

@@ -209,3 +209,46 @@ def test_spray_file_error_cites_location():
         assert e.span.line == 3
     else:
         pytest.fail("expected a syntax error with a file location")
+
+
+def test_interning_merges_equal_nodes_at_equal_spans():
+    # the same text at the same offsets is one node, child by child
+    src = "4 / (1 + 1.0*(x1^2 + x2^2))^2"
+    a, b = parse(src, 2), parse(src, 2)
+    assert a is b
+    # derived nodes carry no span, so equal derivatives merge too
+    assert differentiate(a, 0) is differentiate(b, 0)
+    assert exprdsl.interned(exprdsl.Num, 1.0, exprdsl._NOSPAN) is exprdsl._num(1)
+
+
+def test_interning_keeps_spans_signed_zeros_and_no_dead_nodes():
+    import gc
+    import weakref
+    src = "log(x1 + 0.5)"
+    here, there = parse(src, 2), parse(src, 2, line_offset=3)
+    assert here is not there and exprdsl.ast_equal(here, there)
+    with pytest.raises(ExprDomainError, match="line 4, column 1"):
+        evaluate(there, [-1.0, 0.0, 0.0, 0.0])
+    zero = exprdsl.interned(exprdsl.Num, 0.0, exprdsl._NOSPAN)
+    assert zero is not exprdsl.interned(exprdsl.Num, -0.0, exprdsl._NOSPAN)
+    assert zero is not parse("0", 2)    # a parsed zero has a span
+    # the table does not keep a node alive once no expression holds it
+    probe = weakref.ref(parse("x1*x2 + 12345.678", 2))
+    gc.collect()
+    assert probe() is None
+    assert not any(getattr(n, "value", None) == 12345.678
+                   for n in exprdsl._INTERNED.values())
+
+
+def test_custom_file_domain_error_cites_its_own_line(tmp_path, capsys):
+    # sigma (line 2) and G1 (line 3) hold `log(x1 + 0.5)` at the same
+    # offsets; G1 fails first, in the homogeneity check, and must cite line 3
+    from spraylab import cli
+    path = tmp_path / "twin.spray"
+    path.write_text("dim = 2\nsigma = log(x1 + 0.5)\n"
+                    "G1    = log(x1 + 0.5)*y1^2\nG2 = 0\n")
+    doc = exprdsl.load_spray_file(path)
+    assert doc.sigma is not doc.coeffs[0].left
+    assert cli.main(["verify", "--file", str(path), "--points", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: log: ") and "at line 3, column 9" in err

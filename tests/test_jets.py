@@ -215,3 +215,37 @@ def test_mixed_order_arithmetic_truncates():
     assert c.order == 2
     assert c.value == pytest.approx(-0.75)
 
+
+
+def test_x_only_embeds_small_jets_and_passes_other_carriers_through():
+    x = lift_point((0.3, -0.4), 3)
+    full = lift_point((0.3, -0.4, 0.2, 0.5), 3)
+
+    def f(xs):
+        return [xs[0] * xs[1] - 3.0, (xs[0].exp() / (2.0 + xs[1]),)]
+
+    out = jets.x_only(f, full[:2])
+    ref = f(full[:2])
+    assert out[0].dim == 4 and out[1][0].order == 3
+    for a, b in ((out[0], ref[0]), (out[1][0], ref[1][0])):
+        assert a.coeffs.tobytes() == b.coeffs.tobytes()
+    # x-only exponents sit at the positions of (e, 0, 0) in the larger space
+    small = f(x)[0]
+    emb = jets._embed_map(2, 4, 3)
+    assert np.array_equal(out[0].coeffs[emb], small.coeffs)
+    assert np.count_nonzero(np.delete(out[0].coeffs, emb)) == 0
+    # floats, jets already in n variables and jets that are not the
+    # coordinates of a lift go to f unchanged
+    assert jets.x_only(lambda xs: xs, [0.3, -0.4]) == [0.3, -0.4]
+    assert jets.x_only(lambda xs: xs, x)[0] is x[0]
+    scaled = [full[0] * 2.0, full[1]]
+    assert jets.x_only(lambda xs: xs, scaled)[0] is scaled[0]
+    assert jets.x_only(lambda xs: xs, [full[1], full[0]])[0] is full[1]
+
+
+def test_exp_overflow_is_a_domain_error():
+    with pytest.raises(JetDomainError, match="exp of 800.0 overflows"):
+        jets.exp(800.0)
+    with pytest.raises(JetDomainError, match="overflows"):
+        lift_variable(0, 800.0, dim=2, order=2).exp()
+    assert jets.exp(700.0) == math.exp(700.0)

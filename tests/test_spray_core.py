@@ -626,3 +626,60 @@ def test_truncated_frame_equals_built_frame(value_zoo):
                         for a, b in zip(got, want):
                             assert np.array_equal(a, b), (spray.label, order, name)
                             assert not a.flags.writeable, name    # shared caches
+
+
+def _leaves(v):
+    if isinstance(v, (list, tuple)):
+        for u in v:
+            yield from _leaves(u)
+    else:
+        yield v
+
+
+def test_x_only_jets_equal_the_full_lift_bit_for_bit(value_zoo, monkeypatch):
+    # g and dg of the metric sprays, dlog in S, and the Randers s-tensors run
+    # on n-variable jets and are embedded into the 2n-variable space; each
+    # jet handed out must be the one the 2n lift gives, signed zeros included
+    from collections import Counter
+    from spraylab import finsler as fl
+    from spraylab import jets
+    from spraylab import projective as pj
+    x_only, seen = jets.x_only, Counter()
+
+    def checked(f, xs):
+        out, ref = x_only(f, xs), f(list(xs))
+        for a, b in zip(_leaves(out), _leaves(ref), strict=True):
+            assert type(a) is type(b)
+            if isinstance(a, jets.Jet):
+                assert a.space is b.space and a.dim == 2 * len(xs)
+                assert a.coeffs.tobytes() == b.coeffs.tobytes(), f.__qualname__
+                seen[f.__qualname__.rsplit(".", 1)[-1]] += 1
+            else:
+                assert repr(a) == repr(b)
+        return out
+
+    monkeypatch.setattr(jets, "x_only", checked)
+    rd = fl.RandersData(A_CURVED, {1: "0.2*x2", 2: "-0.1*x1"}, 2, box=0.8)
+    for sp in value_zoo + [rd.deformed_spray()]:
+        hat = pj.deform(sp, pj.VolumeForm("exp(x1)", sp.n))
+        for spray, seed in ((sp, 61), (hat, 62)):
+            # a fresh point per order, so every order evaluates
+            for order, p in enumerate(sample_points(sp, 4, seed=seed), start=1):
+                spray.frame(p, order)
+    assert set(seen) == {"metric", "dlog", "a_and_s_up"}, seen
+
+
+def test_s_of_lower_order_is_a_slice_of_the_top_s(value_zoo):
+    # the deformed spray builds S once per point, at the highest order asked
+    # for first; lower orders must read the bits `s_jet` builds at that order
+    from spraylab import projective as pj
+    for sp in value_zoo:
+        dV = pj.VolumeForm("exp(x1)", sp.n)
+        hat = pj.DeformedSpray(sp, dV)
+        (p,) = sample_points(sp, 1, seed=63)
+        top = hat.S(p, 4)
+        for order in (1, 2, 3):
+            served, built = hat.S(p, order), pj.s_jet(sp.frame(p, order), dV)
+            assert np.shares_memory(served.coeffs, top.coeffs)
+            assert served.space is built.space
+            assert served.coeffs.tobytes() == built.coeffs.tobytes()

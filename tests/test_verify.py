@@ -1,7 +1,7 @@
 """The suite runner itself: groups, applicability logic, hard sprays."""
 
 import math
-from collections import Counter
+from collections import defaultdict
 
 import pytest
 
@@ -163,24 +163,30 @@ def test_one_point_suite_builds_no_frame_above_order_4():
     assert all(o <= 4 for os in orders.values() for o in os), orders
 
 
-def test_one_point_suite_builds_s_once_per_order(monkeypatch):
-    # S of (G, dV) belongs to the deformed spray: each base frame gets one S
-    # per volume form, shared by the deformed frames, chi_via_s, eta_hat and
-    # tau, and at order 1 by the row values and the float coefficients of
-    # the deformed spray (projective-invariance)
-    calls = Counter()
+def test_one_point_suite_builds_s_once_per_point(monkeypatch):
+    # S of (G, dV) belongs to the deformed spray, which builds it once per
+    # point: the suite asks for order 4 at each sample point, and the
+    # deformed frames, chi_via_s, eta_hat, tau and the order-1 row values
+    # read prefix slices of it.  Scaled points (chi-homogeneity) and the
+    # sprays whose own S a row reads (deformed, shifted) build order 1 once.
+    builds = defaultdict(list)
     s_jet = pj.s_jet
 
     def counted(fr, dV):
-        calls[fr.spray, dV, fr.point.x, fr.point.y, fr.order] += 1
+        builds[fr.spray, dV, fr.point.x, fr.point.y].append(fr.order)
         return s_jet(fr, dV)
 
     monkeypatch.setattr(pj, "s_jet", counted)
     sp = make_family("sphere", n=3, kappa=1.0)
-    rows = verify.run_suite(sp, sample_points(sp, 1, seed=1))
+    (p,) = points = sample_points(sp, 1, seed=1)
+    runner = verify.SuiteRunner(sp, points)
+    rows = runner.run()
     assert not [r.id for r in rows if r.passed is False]
-    assert sorted({key[-1] for key in calls}) == [1, 2, 3, 4], calls
-    assert all(c == 1 for c in calls.values()), calls
+    top = {(sp, dV, p.x, p.y): [4] for dV in runner.volumes}
+    assert {key: builds[key] for key in top} == top, builds
+    others = {key: orders for key, orders in builds.items() if key not in top}
+    assert others and all(orders == [1] for orders in others.values()), builds
+    assert {y for _sp, _dV, _x, y in others} > {p.y}    # scaled points too
 
 
 def test_jet_work_of_one_point_suite(monkeypatch):
@@ -193,8 +199,9 @@ def test_jet_work_of_one_point_suite(monkeypatch):
     # built S once per (point, order) and hat_riemann read its tau, 3656,
     # 1017 and 27; before R^i_k, Ric and R became float tables read off the
     # partials of G, 3398, 981 and 18; before the suite asked for the order-4
-    # frame first and the lower orders truncated its jets, 2201, 189 and 18
-    # (now 1234, 189, 18).
+    # frame first and the lower orders truncated its jets, 2201, 189 and 18;
+    # before g, dg and dlog ran on x-only jets and S was built once per point
+    # at order 4, 1234, 189 and 18 (now 772, 171, 18).
     from spraylab import jets
     from spraylab.spray_core import Frame
     counts = {"mul": 0, "d": 0, "hpart": 0}
@@ -213,5 +220,30 @@ def test_jet_work_of_one_point_suite(monkeypatch):
     sp = make_family("sphere", n=3, kappa=1.0)
     rows = verify.run_suite(sp, sample_points(sp, 1, seed=1))
     assert not [r.id for r in rows if r.passed is False]
-    assert (counts["mul"] <= 1360 and counts["d"] <= 210
+    assert (counts["mul"] <= 850 and counts["d"] <= 190
             and counts["hpart"] <= 20), counts
+
+
+def test_dsl_node_visits_per_order_4_frame(monkeypatch):
+    # interned nodes: structurally equal subtrees at equal spans are one
+    # node, so `evaluate`'s memo visits each once.  Before interning an
+    # order-4 frame took 186 (sphere n=3), 340 (n=4) and 736 (Randers)
+    # visits; now 80, 136 and 317.
+    visits = [0]
+    evaluate = exprdsl.evaluate
+
+    def counted(*args):
+        visits[0] += 1
+        return evaluate(*args)
+
+    randers = make_family("randers", a={(1, 1): "1+x2^2", (2, 2): "1+x1^2",
+                                        (1, 2): "x1*x2/2"},
+                          b={1: "0.2*x2", 2: "-0.1*x1"}, n=2, box=0.8)
+    sprays = [(make_family("sphere", n=3, kappa=1.0), 88),
+              (make_family("sphere", n=4, kappa=1.0), 150), (randers, 350)]
+    monkeypatch.setattr(exprdsl, "evaluate", counted)
+    for spray, bound in sprays:
+        for p in sample_points(spray, 2, seed=3):
+            visits[0] = 0
+            spray.frame(p, 4)
+            assert visits[0] <= bound, (spray.label, visits[0])
