@@ -25,8 +25,9 @@ from . import curvature, exprdsl, jets
 from .jets import Jet, JetDomainError
 from .spray_core import (Box, FunctionSpray, PointTM, SprayChart, TensorValue,
                          _normalize_metric, _obj, carrier_sum, carrier_value,
-                         invert_carrier, metric_spray_fn, rel_residual,
-                         riemann_two_index, solve_carrier, tensor_values)
+                         factor_carrier, invert_carrier, metric_spray_fn,
+                         rel_residual, riemann_two_index, solve_carrier,
+                         solve_factored, tensor_values)
 
 COND_LIMIT = 1e8
 
@@ -293,7 +294,8 @@ class RandersData:
             col = [0.5 * (dav[l][j][k] + dav[l][k][j] - dav[j][k][l])
                    for l in range(n)]
             rhs.append(col)
-        sols = solve_carrier(av, rhs)
+        steps = factor_carrier(av)      # one factorization for both solves
+        sols = solve_factored(steps, rhs)
         Gm = [[[sols[j * n + k][i] for k in range(n)] for j in range(n)]
               for i in range(n)]
         # covariant derivative of the 1-form
@@ -305,8 +307,8 @@ class RandersData:
              for i in range(n)]
         r = [[0.5 * (bcov[i][j] + bcov[j][i]) for j in range(n)]
              for i in range(n)]
-        s_up = solve_carrier(av, [[s[i][j] for i in range(n)]
-                                  for j in range(n)])
+        s_up = solve_factored(steps, [[s[i][j] for i in range(n)]
+                                      for j in range(n)])
         # s_up[j][i] = s^i_j
         return av, dav, bv, bcov, r, s, s_up, Gm
 

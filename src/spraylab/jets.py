@@ -167,6 +167,8 @@ class Jet:
     # -- arithmetic ---------------------------------------------------------
 
     def _align(self, other):
+        if self.space is other.space:   # one JetSpace per (dim, order)
+            return self, other
         if self.dim != other.dim:
             raise ValueError("jets of different dimension cannot be combined")
         k = min(self.order, other.order)
@@ -211,19 +213,13 @@ class Jet:
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
-            out = self * other.reciprocal()
-            # pin the value to the directly rounded quotient so that float
-            # and jet evaluations of the same expression agree exactly
-            out.coeffs[0] = self.value / other.value
-            return out
+            return quotient(self, other, other.reciprocal())
         if other == 0:
             raise JetDomainError("division by zero")
         return Jet(self.space, self.coeffs / other)
 
     def __rtruediv__(self, other):
-        out = self.reciprocal() * other
-        out.coeffs[0] = other / self.value
-        return out
+        return quotient(other, self, self.reciprocal())
 
     def __pow__(self, k):
         if not isinstance(k, (int, np.integer)):
@@ -359,6 +355,26 @@ def divide(a, b):
     if not isinstance(b, Jet) and b == 0.0:
         raise JetDomainError("division by zero")
     return a / b
+
+
+def quotient(a, b, inv):
+    """a / b on any carriers, given inv, the reciprocal of b.
+
+    For a jet b this is the product a * inv with its value pinned to the
+    directly rounded quotient a / b, so that float and jet evaluations of the
+    same expression agree exactly.  The division operators pass b's
+    reciprocal; a linear solve passes the one it kept for its pivot b
+    (`spray_core.factor_carrier`), which has the same bits.
+    """
+    if not isinstance(b, Jet):
+        return divide(a, b)
+    if isinstance(a, Jet):
+        out = a * inv
+        out.coeffs[0] = a.value / b.value
+    else:
+        out = inv * a
+        out.coeffs[0] = a / b.value
+    return out
 
 
 def powi(v, k: int):

@@ -125,41 +125,65 @@ def carrier_sum(terms):
     return reduce(operator.add, terms)
 
 
-def solve_carrier(A, B):
-    """Solve A X = B by Gaussian elimination with partial pivoting.
+def factor_carrier(A):
+    """Gaussian elimination with partial pivoting of an n*n carrier matrix.
 
-    A is an n*n nested list of carriers, B a list of right-hand sides (each a
-    list of n carriers).  Pivots are chosen by the magnitude of the carrier
-    value.  Returns the list of solution vectors.
+    A is a nested list of carriers; pivots are chosen by the magnitude of the
+    carrier value.  Returns one step per pivot k: (the row swapped into
+    place k, the multipliers of rows k+1.., row k of U from the diagonal on,
+    the reciprocal of the pivot), for `solve_factored`.
     """
     n = len(A)
     a = [row[:] for row in A]
-    bs = [col[:] for col in B]
+    steps = []
     for k in range(n):
         piv = max(range(k, n), key=lambda r: abs(carrier_value(a[r][k])))
         if abs(carrier_value(a[piv][k])) == 0.0:
             raise JetDomainError("degenerate linear system (zero pivot)")
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            for col in bs:
-                col[k], col[piv] = col[piv], col[k]
+        a[k], a[piv] = a[piv], a[k]
         inv = jets.divide(1.0, a[k][k])
+        fs = []
         for r in range(k + 1, n):
             f = a[r][k] * inv
             for c in range(k + 1, n):
                 a[r][c] = a[r][c] - f * a[k][c]
-            for col in bs:
+            fs.append(f)
+        steps.append((piv, fs, a[k][k:], inv))
+    return steps
+
+
+def solve_factored(steps, B):
+    """Solve A X = B from the steps of `factor_carrier(A)`.
+
+    B is a list of right-hand sides (each a list of n carriers); they take
+    the row swaps and updates of the elimination, then back-substitution
+    divides by each pivot through its kept reciprocal (`jets.quotient`).
+    Returns the list of solution vectors.
+    """
+    n = len(steps)
+    bs = [col[:] for col in B]
+    for k, (piv, fs, _, _) in enumerate(steps):
+        for col in bs:
+            col[k], col[piv] = col[piv], col[k]
+            for r, f in enumerate(fs, start=k + 1):
                 col[r] = col[r] - f * col[k]
     out = []
     for col in bs:
         x = [None] * n
         for k in range(n - 1, -1, -1):
+            _, _, u, inv = steps[k]
             acc = col[k]
             for c in range(k + 1, n):
-                acc = acc - a[k][c] * x[c]
-            x[k] = jets.divide(acc, a[k][k])
+                acc = acc - u[c - k] * x[c]
+            x[k] = jets.quotient(acc, u[0], inv)
         out.append(x)
     return out
+
+
+def solve_carrier(A, B):
+    """Solve A X = B by Gaussian elimination with partial pivoting (see
+    `factor_carrier`); returns the list of solution vectors."""
+    return solve_factored(factor_carrier(A), B)
 
 
 def invert_carrier(A):
@@ -238,7 +262,8 @@ class Frame:
     vertical (.d on a y slot) or horizontal derivative consumes one order.
     Its jets come from one evaluation of the spray's coefficients, or are
     prefix slices (`Jet.truncated`) of the jets of a frame `top` of higher
-    order at the same point: the same numbers, bit for bit.
+    order at the same point: the same numbers, bit for bit.  Such a frame
+    reads R^i_k off the top frame's `R2_table` too.
     Tensors are cached lazily: jets where `hpart` is taken on them (N,
     Gamma, Pi), float tables elsewhere, read off `table(G, k)` per quantity
     (at order 4 it outweighs what is kept) or computed from those.  R2, Ric
@@ -253,6 +278,7 @@ class Frame:
         self.point = point
         self.order = order
         self.n = spray.n
+        self.top = top
         if top is not None:
             self.yj = [j.truncated(order) for j in top.yj]
             self.G = [g.truncated(order) for g in top.G]
@@ -418,8 +444,11 @@ class Frame:
 
         with its partials to order <= 2, from `table(G, depth + 2)` by the
         product rule; the partial of the factor y^j is delta in its y slot.
+        A frame with a top frame returns the leading tables of the top's.
         """
         n, depth = self.n, self._depth("R2", 2, 2)
+        if self.top is not None:
+            return self.top.R2_table[:depth + 1]
         Gt = self.table(self.G, depth + 2)
         x, y = slice(None, n), slice(n, None)
 
@@ -748,27 +777,28 @@ def metric_spray_fn(g_asts, n):
 
     G^i = (1/4) g^{il} (2 dg_lk/dx^m - dg_mk/dx^l) y^k y^m, evaluated through
     symbolic x-derivatives of the metric entries and a generic linear solve.
-    g and its x-derivatives run on x-only jets (`jets.x_only`).
+    g, its factors and its x-derivatives run on x-only jets (`jets.x_only`);
+    only the right-hand side and its solve take the y variables.
     """
     dg = [[[exprdsl.differentiate(g_asts[i][j], k) for k in range(n)]
            for j in range(n)] for i in range(n)]
 
     def metric(xs):
-        """g_ij and dg_ij/dx^k at x."""
+        """The factors of g_ij (`factor_carrier`) and dg_ij/dx^k at x."""
         memo = {}
         g = [[exprdsl.evaluate(g_asts[i][j], xs, memo) for j in range(n)]
              for i in range(n)]
         dgv = [[[exprdsl.evaluate(dg[i][j][k], xs, memo) for k in range(n)]
                 for j in range(n)] for i in range(n)]
-        return g, dgv
+        return factor_carrier(g), dgv
 
     def fn(xs, ys):
-        g, dgv = jets.x_only(metric, xs)
+        steps, dgv = jets.x_only(metric, xs)
         yy = [[ys[k] * ys[m] for m in range(n)] for k in range(n)]
         q = [carrier_sum((2.0 * dgv[l][k][m] - dgv[m][k][l]) * yy[k][m]
                          for k in range(n) for m in range(n))
              for l in range(n)]
-        (sol,) = solve_carrier(g, [q])
+        (sol,) = solve_factored(steps, [q])
         return [0.25 * v for v in sol]
 
     return fn

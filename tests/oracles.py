@@ -1,10 +1,14 @@
 """Independent numerical oracles for the test suite.
 
-Everything here is deliberately jet-free: Richardson-extrapolated central
-finite differences and the classical index-gymnastics formulas, so the jet
-engine and the tensor code are checked against arithmetic that shares no
-code path with them.
+Everything here but `randers_spray` is deliberately jet-free:
+Richardson-extrapolated central finite differences and the classical
+index-gymnastics formulas, so the jet engine and the tensor code are checked
+against arithmetic that shares no code path with them.  `randers_spray`
+evaluates a closed form on jets: it shares the jet kernel with the library,
+and none of its expression, linear-solve or spray code.
 """
+
+import itertools
 
 import numpy as np
 
@@ -121,3 +125,69 @@ def leibniz_partial(f_jet, g_jet, alpha):
         rest = tuple(a - b for a, b in zip(alpha, beta))
         total += coeff * f_jet.partial(beta) * g_jet.partial(rest)
     return total
+
+
+def _det(m):
+    """Determinant by cofactor expansion along the first row (any carrier)."""
+    if len(m) == 1:
+        return m[0][0]
+    out = 0.0
+    for j in range(len(m)):
+        minor = [row[:j] + row[j + 1:] for row in m[1:]]
+        term = m[0][j] * _det(minor)
+        out = out + term if j % 2 == 0 else out - term
+    return out
+
+
+def _inverse(m):
+    """Inverse by the adjugate: (m^-1)_ij = (-1)^(i+j) det(m without row j,
+    column i) / det(m)."""
+    n, det = len(m), _det(m)
+    return [[(-1.0) ** (i + j)
+             * _det([row[:i] + row[i + 1:] for r, row in enumerate(m) if r != j])
+             / det for j in range(n)] for i in range(n)]
+
+
+def randers_spray(a, b, xs, ys):
+    """Geodesic coefficients of the Randers norm F = alpha + beta in closed form,
+
+        G^i = G^i_alpha + (e_00 / (2F) - s_0) y^i + alpha s^i_0,
+
+    with alpha = sqrt(a_ij y^i y^j), beta = b_i y^i, the Levi-Civita
+    connection Gamma of a, b_i|j = d_j b_i - b_m Gamma^m_ij, r_ij and s_ij its
+    symmetric and skew parts, s^i_j = a^ih s_hj, s_j = b^i s_ij and
+    e_00 = r_00 + 2 beta s_0 (an index 0 is a contraction with y).
+
+    `a(xs)` and `b(xs)` give a_ij and b_i as nested lists of jets (or
+    numbers, for constant entries) through jet arithmetic; their
+    x-derivatives are read by `.d(k)`.  `xs`, `ys` are the coordinate jets of
+    one lift, and the result has one order less than the lift.
+    """
+    n = len(xs)
+    pairs = list(itertools.product(range(n), repeat=2))
+    av, bv = a(xs), b(xs)
+    dav = [[[av[i][j].d(k) if hasattr(av[i][j], "d") else 0.0 for k in range(n)]
+            for j in range(n)] for i in range(n)]
+    dbv = [[bv[i].d(k) if hasattr(bv[i], "d") else 0.0 for k in range(n)]
+           for i in range(n)]
+    ainv = _inverse(av)
+    gamma = [[[sum((0.5 * ainv[i][l] * (dav[l][j][k] + dav[l][k][j] - dav[j][k][l])
+                    for l in range(n)), 0.0) for k in range(n)] for j in range(n)]
+             for i in range(n)]
+    bcov = [[dbv[i][j] - sum((bv[m] * gamma[m][i][j] for m in range(n)), 0.0)
+             for j in range(n)] for i in range(n)]
+    r = [[0.5 * (bcov[i][j] + bcov[j][i]) for j in range(n)] for i in range(n)]
+    s = [[0.5 * (bcov[i][j] - bcov[j][i]) for j in range(n)] for i in range(n)]
+    s_up = [[sum((ainv[i][h] * s[h][j] for h in range(n)), 0.0) for j in range(n)]
+            for i in range(n)]
+    b_up = [sum((ainv[i][h] * bv[h] for h in range(n)), 0.0) for i in range(n)]
+    s_low = [sum((b_up[i] * s[i][j] for i in range(n)), 0.0) for j in range(n)]
+    alpha = sum((av[i][j] * ys[i] * ys[j] for i, j in pairs), 0.0).sqrt()
+    beta = sum((bv[i] * ys[i] for i in range(n)), 0.0)
+    s_0 = sum((s_low[j] * ys[j] for j in range(n)), 0.0)
+    e_00 = sum((r[i][j] * ys[i] * ys[j] for i, j in pairs), 0.0) + 2.0 * beta * s_0
+    scale = e_00 / (2.0 * (alpha + beta)) - s_0
+    return [sum((0.5 * gamma[i][j][k] * ys[j] * ys[k] for j, k in pairs), 0.0)
+            + scale * ys[i]
+            + alpha * sum((s_up[i][j] * ys[j] for j in range(n)), 0.0)
+            for i in range(n)]

@@ -5,6 +5,7 @@ import pytest
 
 from spraylab import curvature as cv
 from spraylab import finsler as fl
+from spraylab import jets
 from spraylab import projective as pj
 from spraylab import spray_core as sc
 from spraylab.jets import JetDomainError
@@ -16,6 +17,27 @@ P2 = PointTM((0.1, -0.2), (0.7, 0.4))
 
 A_CURVED = {(1, 1): "1+x2^2", (2, 2): "1+x1^2", (1, 2): "x1*x2/2"}
 B_SMALL = {1: "0.2*x2", 2: "-0.1*x1"}
+A3 = {(1, 1): "1+x2^2", (2, 2): "2+x3^2", (3, 3): "1+x1^2/2", (1, 2): "x1*x3/3",
+      (2, 3): "0.2*x1"}
+B3 = {1: "0.2*x2", 2: "-0.1*x3", 3: "0.15*x1*x2"}
+
+
+def _a_curved(x):       # A_CURVED, B_SMALL, A3 and B3 in jet arithmetic
+    return [[1 + x[1] * x[1], x[0] * x[1] / 2], [x[0] * x[1] / 2, 1 + x[0] * x[0]]]
+
+
+def _b_small(x):
+    return [0.2 * x[1], -0.1 * x[0]]
+
+
+def _a3(x):
+    return [[1 + x[1] * x[1], x[0] * x[2] / 3, 0.0],
+            [x[0] * x[2] / 3, 2 + x[2] * x[2], 0.2 * x[0]],
+            [0.0, 0.2 * x[0], 1 + x[0] * x[0] / 2]]
+
+
+def _b3(x):
+    return [0.2 * x[1], -0.1 * x[2], 0.15 * x[0] * x[1]]
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +110,24 @@ def test_induced_spray_matches_metric_family():
         a = sp_f.coefficients(p)
         b = sp_r.coefficients(p)
         assert sc.rel_residual(a - b, a, b) < 1e-9
+
+
+@pytest.mark.parametrize("a, b, a_jets, b_jets", [
+    (A_CURVED, B_SMALL, _a_curved, _b_small), (A3, B3, _a3, _b3)],
+    ids=["n2", "n3"])
+def test_randers_spray_matches_the_closed_form(a, b, a_jets, b_jets):
+    # the induced spray of F = alpha + beta, from F^2 through the DSL and a
+    # linear solve, against G^i_alpha + (e_00/(2F) - s_0) y^i + alpha s^i_0;
+    # values and every partial to order 4
+    n = len(b)
+    sp = fl.induced_spray(fl.RandersData(a, b, n, box=0.8).metric())
+    for p in sample_points(sp, 3, seed=64):
+        fr = sp.frame(p, 4)
+        lift = jets.lift_point(p.x + p.y, 5)
+        ref = np.array(oracles.randers_spray(a_jets, b_jets, lift[:n], lift[n:]),
+                       dtype=object)
+        for got, want in zip(fr.table(fr.G, 4), fr.table(ref, 4), strict=True):
+            assert sc.rel_residual(got - want, want) <= 1e-12
 
 
 def test_randers_spray_self_rapcsak(randers):

@@ -626,6 +626,12 @@ def test_truncated_frame_equals_built_frame(value_zoo):
                         for a, b in zip(got, want):
                             assert np.array_equal(a, b), (spray.label, order, name)
                             assert not a.flags.writeable, name    # shared caches
+                    # R^i_k is served from the top frame's tables, not rebuilt
+                    if order >= 2:
+                        for a, b, t in zip(served.R2_table, built.R2_table,
+                                           top.R2_table):
+                            assert np.shares_memory(a, t)
+                            assert not np.shares_memory(b, t)
 
 
 def _leaves(v):
@@ -637,25 +643,43 @@ def _leaves(v):
 
 
 def test_x_only_jets_equal_the_full_lift_bit_for_bit(value_zoo, monkeypatch):
-    # g and dg of the metric sprays, dlog in S, and the Randers s-tensors run
-    # on n-variable jets and are embedded into the 2n-variable space; each
-    # jet handed out must be the one the 2n lift gives, signed zeros included
+    # the factors of g and dg of the metric sprays, dlog in S, and the Randers
+    # s-tensors run on n-variable jets and are embedded into the 2n-variable
+    # space; each jet handed out must be the one the 2n lift gives, signed
+    # zeros included.  The factors of g are compared on the x-only positions
+    # and must hold exact zeros elsewhere: the 2n elimination leaves -0.0
+    # there (a float 0 minus a jet), which only products read.
     from collections import Counter
     from spraylab import finsler as fl
     from spraylab import jets
     from spraylab import projective as pj
     x_only, seen = jets.x_only, Counter()
 
-    def checked(f, xs):
-        out, ref = x_only(f, xs), f(list(xs))
+    def compare(out, ref, name, n, exact):
         for a, b in zip(_leaves(out), _leaves(ref), strict=True):
             assert type(a) is type(b)
-            if isinstance(a, jets.Jet):
-                assert a.space is b.space and a.dim == 2 * len(xs)
-                assert a.coeffs.tobytes() == b.coeffs.tobytes(), f.__qualname__
-                seen[f.__qualname__.rsplit(".", 1)[-1]] += 1
-            else:
+            if not isinstance(a, jets.Jet):
                 assert repr(a) == repr(b)
+                continue
+            assert a.space is b.space and a.dim == 2 * n
+            if exact:
+                assert a.coeffs.tobytes() == b.coeffs.tobytes(), name
+            else:
+                on = jets._embed_map(n, 2 * n, a.order)
+                off = np.ones(a.space.size, dtype=bool)
+                off[on] = False
+                assert a.coeffs[on].tobytes() == b.coeffs[on].tobytes(), name
+                assert not (a.coeffs[off].any() or b.coeffs[off].any()), name
+            seen[name] += 1
+
+    def checked(f, xs):
+        out, ref = x_only(f, xs), f(list(xs))
+        name, n = f.__qualname__.rsplit(".", 1)[-1], len(xs)
+        if name == "metric":        # (factors of g, dg)
+            compare(out[0], ref[0], "factors", n, exact=False)
+            compare(out[1], ref[1], name, n, exact=True)
+        else:
+            compare(out, ref, name, n, exact=True)
         return out
 
     monkeypatch.setattr(jets, "x_only", checked)
@@ -666,7 +690,73 @@ def test_x_only_jets_equal_the_full_lift_bit_for_bit(value_zoo, monkeypatch):
             # a fresh point per order, so every order evaluates
             for order, p in enumerate(sample_points(sp, 4, seed=seed), start=1):
                 spray.frame(p, order)
-    assert set(seen) == {"metric", "dlog", "a_and_s_up"}, seen
+    assert set(seen) == {"metric", "factors", "dlog", "a_and_s_up"}, seen
+
+
+SPHERE3_G = {(i, i): "4 / (1 + 1.0*(x1^2 + x2^2 + x3^2))^2" for i in (1, 2, 3)}
+
+
+def test_x_only_factorization_solves_like_the_2n_lift_bit_for_bit():
+    # G of a metric spray (the sphere of the value zoo, Randers' alpha)
+    # applies factors of g built on x-only jets to the right-hand side; it
+    # must be what `solve_carrier` gives on g lifted in all 2n variables, on
+    # jets of every order and on floats.  Back-substitution pins each
+    # quotient's value, so the jets' values are the float G bit for bit.
+    from spraylab import finsler as fl
+    from spraylab import jets
+    rd = fl.RandersData(A_CURVED, {1: "0.2*x2", 2: "-0.1*x1"}, 2, box=0.8)
+    cases = [(make_family("sphere", n=3, kappa=1.0), SPHERE3_G, 3),
+             (rd.alpha_spray(), A_CURVED, 2)]
+    for sp, g, n in cases:
+        g_asts = sc._normalize_metric(g, n)
+        dg = [[[exprdsl.differentiate(g_asts[i][j], k) for k in range(n)]
+               for j in range(n)] for i in range(n)]
+        for p in sample_points(sp, 4, seed=65):
+            floats = np.array(sp.eval_coefficients(list(p.x), list(p.y)))
+            for order in (None, 1, 2, 3, 4):
+                env = (list(p.x + p.y) if order is None
+                       else jets.lift_point(p.x + p.y, order))
+                xs, ys, memo = env[:n], env[n:], {}
+                gv = [[exprdsl.evaluate(g_asts[i][j], env, memo) for j in range(n)]
+                      for i in range(n)]
+                dgv = [[[exprdsl.evaluate(dg[i][j][k], env, memo) for k in range(n)]
+                        for j in range(n)] for i in range(n)]
+                yy = [[ys[k] * ys[m] for m in range(n)] for k in range(n)]
+                q = [sc.carrier_sum((2.0 * dgv[l][k][m] - dgv[m][k][l]) * yy[k][m]
+                                    for k in range(n) for m in range(n))
+                     for l in range(n)]
+                (sol,) = sc.solve_carrier(gv, [q])
+                got = sp.eval_coefficients(xs, ys)
+                for a, b in zip(got, (0.25 * v for v in sol), strict=True):
+                    assert type(a) is type(b), (sp.label, order)
+                    if order is not None:
+                        a, b = a.coeffs, b.coeffs
+                    assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (
+                        sp.label, order)
+                values = np.array([sc.carrier_value(v) for v in got])
+                assert values.tobytes() == floats.tobytes(), (sp.label, order)
+
+
+def test_jet_products_of_one_order_4_sphere_frame(monkeypatch):
+    # only the right-hand side of the metric solve is a 2n-variable product;
+    # g's elimination runs on x-only jets.  Jet-by-jet products of one
+    # order-4 sphere(n=3) frame build, by (dim, order) of the result: 57 in
+    # the 2n space when the whole solve ran there, now 31 (and 46 x-only)
+    from collections import Counter
+    from spraylab import jets
+    counts, mul = Counter(), jets.Jet.__mul__
+
+    def counted(a, b):
+        out = mul(a, b)
+        if isinstance(b, jets.Jet):
+            counts[out.dim, out.order] += 1
+        return out
+
+    sp = make_family("sphere", n=3, kappa=1.0)
+    (p,) = sample_points(sp, 1, seed=3)
+    monkeypatch.setattr(jets.Jet, "__mul__", counted)
+    sp.frame(p, 4)
+    assert counts[6, 4] <= 32, counts
 
 
 def test_s_of_lower_order_is_a_slice_of_the_top_s(value_zoo):
