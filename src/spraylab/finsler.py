@@ -24,7 +24,7 @@ import numpy as np
 from . import curvature, exprdsl, jets
 from .jets import Jet, JetDomainError
 from .spray_core import (Box, FunctionSpray, PointTM, SprayChart, TensorValue,
-                         _normalize_metric, _obj, carrier_sum, carrier_value,
+                         _normalize_metric, carrier_sum, carrier_value,
                          factor_carrier, invert_carrier, metric_spray_fn,
                          rel_residual, riemann_two_index, solve_carrier,
                          solve_factored, tensor_values)
@@ -106,7 +106,7 @@ def fundamental_tensor(F: FinslerMetric, p: PointTM) -> TensorValue:
 
 def _cartan_jets(lj: Jet, n: int) -> np.ndarray:
     """C_ijk = (1/4) d^3 L / dy^i dy^j dy^k as jets, from the jet of L = F^2."""
-    C = _obj((n, n, n))
+    C = np.empty((n, n, n), dtype=object)
     for i in range(n):
         di = lj.d(n + i)
         for j in range(i, n):
@@ -178,16 +178,12 @@ def chi_cartan(F: FinslerMetric, p: PointTM) -> curvature.ChiValue:
     _check_cond(np.array([[carrier_value(v) for v in row] for row in g]))
     ginv = invert_carrier(g)
     C = _cartan_jets(lj, n)
-    I = _obj((n,))
-    for k in range(n):
-        I[k] = carrier_sum(ginv[i][j] * C[i, j, k]
-                           for i, j in itertools.product(range(n), repeat=2))
-    # I_{k|q} stays a jet: it is differentiated once more
-    Ipq = np.stack([sfr.cov_h(I, ("down",), q) for q in range(n)], axis=-1)
-    ddI = sfr.cov_h_values(*sfr.table(Ipq, 1), ("down", "down"))  # I_{k|p|q}
+    I = sfr.table([carrier_sum(ginv[i][j] * C[i, j, k]
+                               for i, j in itertools.product(range(n), repeat=2))
+                   for k in range(n)], 2)
+    ddI = sfr.cov_h(sfr.cov_h(I, ("down",)), ("down", "down"))[0]   # I_{k|p|q}
     y = np.array(p.y)
-    comps = 0.5 * (np.einsum("kpq,p,q->k", ddI, y, y)
-                   + tensor_values(I) @ sfr.R2_table[0])
+    comps = 0.5 * (np.einsum("kpq,p,q->k", ddI, y, y) + I[0] @ sfr.R2_table[0])
     return curvature.ChiValue(comps, "cartan", p)
 
 

@@ -10,7 +10,9 @@ trace-free curvatures reproduce the classical projective invariants (Douglas
 and Weyl).  Hat-quantities come directly (jets of the composed coefficients)
 or through closed formulas in base-spray data; R_hat has both routes, which
 the suite cross-checks.  Hat-quantities read S and tau = P^2 + P_{|m} y^m,
-P = S/(n+1), off the deformed spray, which builds each once per point.  eta
+P = S/(n+1), off the deformed spray, which builds each once per point: S as
+a jet (the deformed coefficients are differentiated further), tau as a
+float table of values and partials (`Frame.hpart` on the table of P).  eta
 of the deformed spray is read off the base order-4 frame only (`eta_hat`);
 its direct route, which needs order-5 base jets, is kept as the reference in
 the tests.
@@ -23,8 +25,8 @@ import numpy as np
 from . import curvature, exprdsl, jets
 from .jets import Jet, JetDomainError
 from .spray_core import (Box, Frame, PointTM, ScalarField, SprayChart,
-                         TensorValue, carrier_sum, carrier_value, plus_outer_y,
-                         rel_residual)
+                         TensorValue, _frozen, _product, carrier_value,
+                         plus_outer_y, rel_residual)
 
 
 class VolumeForm:
@@ -103,11 +105,8 @@ def chi_via_s(G: SprayChart, dV: VolumeForm, p: PointTM,
     if ordering == "vertical-first":
         comps = 0.5 * fr.rapcsak(fr.table(S, 2))
     elif ordering == "horizontal-first":
-        Sh = [fr.hpart(S, m) for m in range(n)]
-        comps = np.empty(n)
-        for k in range(n):
-            acc = carrier_sum(fr.dy(Sh[m], k) * fr.yj[m] for m in range(n))
-            comps[k] = 0.5 * carrier_value(acc - Sh[k])
+        Sh = fr.hpart(fr.table(S, 2))       # [m(, a)] = S_{|m} (and its partials)
+        comps = 0.5 * (Sh[1][:, n:].T @ np.array(p.y) - Sh[0])
     else:
         raise ValueError(f"unknown ordering {ordering!r}")
     return curvature.ChiValue(comps, f"volume[{ordering}]", p)
@@ -144,17 +143,18 @@ class DeformedSpray(SprayChart):
             top = self._S[key] = s_jet(self.base.frame(p, order), self.volume)
         return top.truncated(order - 1)
 
-    def tau(self, p: PointTM) -> Jet:
-        """tau = (S/(n+1))^2 + S_{|m} y^m/(n+1) on the base frame of order 4
-        at p, built once per point for `hat_riemann`, `projective_ricci`,
-        `eta_hat` and the suite's Ricci split."""
+    def tau(self, p: PointTM) -> list:
+        """The table [tau, first, second partials] of tau = P^2 + P_{|m} y^m,
+        P = S/(n+1), from `table(S, 3)` on the base frame of order 4 at p,
+        built once per point for `hat_riemann`, `projective_ricci`, `eta_hat`
+        and the suite's Ricci split."""
         key = (p.x, p.y)
         if key not in self._tau:
-            n, fr, S = self.n, self.base.frame(p, 4), self.S(p, 4)
-            t = (S / (n + 1.0)) * (S / (n + 1.0))
-            for m in range(n):
-                t = t + (fr.hpart(S, m) * fr.yj[m]) / (n + 1.0)
-            self._tau[key] = t
+            fr = self.base.frame(p, 4)
+            P = [t / (self.n + 1.0) for t in fr.table(self.S(p, 4), 3)]
+            terms = zip(_product(",->", P[:3], P[:3]),
+                        _product("m,m->", fr.hpart(P), fr.y_table))
+            self._tau[key] = _frozen([np.asarray(pp + py) for pp, py in terms])
         return self._tau[key]
 
     def _make_coefficient_jets(self, frame, lifted):
@@ -231,7 +231,7 @@ def hat_riemann(G: SprayChart, dV: VolumeForm, p: PointTM,
         comps = deform(G, dV).frame(p, 2).R2_table[0]
     elif route == "formula":
         fr = G.frame(p, 3)
-        tau_v, dtau = fr.table(deform(G, dV).tau(p), 1)
+        tau_v, dtau = deform(G, dV).tau(p)[:2]
         v = -0.5 * dtau[n:] + 3.0 * fr.chi[0] / (n + 1)
         comps = plus_outer_y(fr.R2_table[:1], [v], 1.0, np.array(p.y))[0]
         comps[np.diag_indices(n)] += tau_v
@@ -251,7 +251,7 @@ def projective_ricci(G: SprayChart, dV: VolumeForm, p: PointTM) -> dict:
     n, hat = G.n, deform(G, dV)
     hat_fr = hat.frame(p, 3)
     fr = G.frame(p, 4)
-    tau_v = carrier_value(hat.tau(p))
+    tau_v = float(hat.tau(p)[0])
     ric_hat = float(fr.ric[0]) + (n - 1) * tau_v
     dchi = fr.chi[1][:, n:]      # chi_{j.l}
     H = 0.5 * (dchi + dchi.T)
@@ -292,7 +292,7 @@ def eta_hat(G: SprayChart, dV: VolumeForm, p: PointTM) -> TensorValue:
     N = fr.N_values - np.multiply.outer(y, Py) - P * eye
     Gamma = (fr.Gamma_values - np.einsum("i,jk->ijk", y, ddP[n:, n:])
              - np.einsum("ik,j->ijk", eye, Py) - np.einsum("ij,k->ijk", eye, Py))
-    R = [r + t for r, t in zip(fr.r_scalar, fr.table(deform(G, dV).tau(p), 2))]
+    R = [r + t for r, t in zip(fr.r_scalar, deform(G, dV).tau(p))]
     return TensorValue(fr.rapcsak(R, 0.5, (N, Gamma)), ("down",), ("k",), p,
                        "eta_hat")
 

@@ -4,12 +4,13 @@ A spray is given by n coefficient functions G^i(x, y), positively
 2-homogeneous in y, evaluated over any arithmetic carrier (floats or jets).
 All tensor work happens in a :class:`Frame`: the jets of G^i at one point,
 from which connection coefficients, curvature tensors and their horizontal /
-vertical derivatives follow.  The curvature tensors are float tables computed
-from the partials of G (`Frame.table`); jets are kept where a horizontal
-derivative is taken on them (N, Gamma, the scalars Pi, S and tau).  Index
-convention for stored components: the upper index comes first, so
-``R4[0][i, j, k, l]`` holds the curvature slot with upper i and lower j, k, l
-(antisymmetric in k, l).
+vertical derivatives follow.  The tensors are float tables of values and
+partials read off G's jets (`Frame.table`), and their horizontal derivatives
+are taken on those tables (`Frame.hpart`, `Frame.cov_h`), partials by the
+product rule.  Jets hold only G, plus the scalars Pi and S where the
+coefficients of a deformed spray need them.  Index convention for stored
+components: the upper index comes first, so ``R4[0][i, j, k, l]`` holds the
+curvature slot with upper i and lower j, k, l (antisymmetric in k, l).
 """
 
 from __future__ import annotations
@@ -194,10 +195,6 @@ def invert_carrier(A):
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
-def _obj(shape):
-    return np.empty(shape, dtype=object)
-
-
 def tensor_values(arr) -> np.ndarray:
     """Extract the point values from a tensor of jets."""
     arr = np.asarray(arr, dtype=object)
@@ -238,19 +235,24 @@ def _partial_reads(dim: int, k: int):
     return sp.size, [(q, sp._fact[q]) for q in pos]
 
 
+@lru_cache(maxsize=None)
+def _product_terms(spec: str, q: int) -> list:
+    """(einsum subscripts, slots on A) of each order-q term of `_product`."""
+    a, b, c = spec.replace("->", ",").split(",")
+    s, terms = "zw"[:q], []
+    for on_a in itertools.product((True, False), repeat=q):
+        p = "".join(x for x, t in zip(s, on_a) if t)
+        r = "".join(x for x, t in zip(s, on_a) if not t)
+        terms.append((f"{a}{p},{b}{r}->{c}{s}", len(p)))
+    return terms
+
+
 def _product(spec: str, A: list, B: list) -> list:
     """Table of the einsum `spec` of two tables [values, first, ...], by the
     product rule: each slot of a partial falls on A or on B."""
-    a, b, c = spec.replace("->", ",").split(",")
-    out = []
-    for q in range(min(len(A), len(B))):
-        s, terms = "zw"[:q], []
-        for on_a in itertools.product((True, False), repeat=q):
-            p = "".join(x for x, t in zip(s, on_a) if t)
-            r = "".join(x for x, t in zip(s, on_a) if not t)
-            terms.append(np.einsum(f"{a}{p},{b}{r}->{c}{s}", A[len(p)], B[len(r)]))
-        out.append(carrier_sum(terms))
-    return out
+    return [carrier_sum([np.einsum(sub, A[i], B[q - i])
+                         for sub, i in _product_terms(spec, q)])
+            for q in range(min(len(A), len(B)))]
 
 
 # -- the jet workshop ------------------------------------------------------------
@@ -264,12 +266,14 @@ class Frame:
     prefix slices (`Jet.truncated`) of the jets of a frame `top` of higher
     order at the same point: the same numbers, bit for bit.  Such a frame
     reads R^i_k off the top frame's `R2_table` too.
-    Tensors are cached lazily: jets where `hpart` is taken on them (N,
-    Gamma, Pi), float tables elsewhere, read off `table(G, k)` per quantity
-    (at order 4 it outweighs what is kept) or computed from those.  R2, Ric
-    and R are [values] at order 2 and gain a partial per order up to 4; the
-    other curvature tables are [values] at order 3 and [values, first
-    partials] deeper, the slot last as in `table`.
+    Its jets are G, the coordinates (`yj`, `xj`) and the scalar Pi, from
+    which S is built; tensors are float tables, cached lazily, read off
+    `table(G, k)` per quantity (at order 4 it outweighs what is kept) or
+    computed from those.  R2, Ric and R are [values] at order 2 and gain a
+    partial per order up to 4; the other curvature tables are [values] at
+    order 3 and [values, first partials] deeper, the slot last as in
+    `table`.  `hpart` and `cov_h` take the horizontal derivative of any such
+    table, one partial shorter.
     """
 
     def __init__(self, spray: "SprayChart", point: PointTM, order: int,
@@ -292,43 +296,6 @@ class Frame:
     # x^i as jets, lifted on first use: few frames read them, and frames stay cached
     xj = cached_property(lambda fr: jets.lift_point(fr.point.x + fr.point.y,
                                                     fr.order)[: fr.n])
-
-    # derivative operators on scalar jets
-    def dy(self, j: Jet, k: int) -> Jet:
-        return j.d(self.n + k)
-
-    def hpart(self, j: Jet, k: int) -> Jet:
-        """Horizontal derivative delta/delta x^k = d/dx^k - N^m_k d/dy^m."""
-        N = self.N
-        out = j.d(k)
-        for m in range(self.n):
-            out = out - N[m, k] * self.dy(j, m)
-        return out
-
-    def cov_h(self, arr, roles, k: int):
-        """Horizontal covariant derivative of a tensor of jets in direction k.
-
-        Scalars get the plain horizontal derivative; each upper index adds a
-        +T^{..s..} Gamma^i_{sk} correction and each lower index subtracts
-        T_{..s..} Gamma^s_{jk}.
-        """
-        if isinstance(arr, Jet):
-            return self.hpart(arr, k)
-        arr = np.asarray(arr, dtype=object)
-        Gm = self.Gamma
-        out = _obj(arr.shape)
-        for idx in np.ndindex(arr.shape):
-            t = self.hpart(arr[idx], k)
-            for axis, role in enumerate(roles):
-                a = idx[axis]
-                for s in range(self.n):
-                    jdx = idx[:axis] + (s,) + idx[axis + 1:]
-                    if role == "up":
-                        t = t + Gm[a, s, k] * arr[jdx]
-                    else:
-                        t = t - Gm[s, a, k] * arr[jdx]
-            out[idx] = t
-        return out
 
     def table(self, arr, k: int):
         """Values and all partials up to order k of a tensor of jets.
@@ -353,26 +320,51 @@ class Frame:
             raise ValueError(f"{name} needs a frame of order >= {low}, not {self.order}")
         return min(deepest, self.order - low)
 
-    def cov_h_values(self, vals, grads, roles, conn=None):
-        """Horizontal covariant derivative of a float tensor in every direction.
+    def _g_partials(self, k: int, low: int) -> list:
+        """The partials of G of orders low..k, as in `table(G, k)`."""
+        return self.table(self.G, k)[low:] if k >= low else []
 
-        `vals` and `grads` are the first two entries of `table`; the direction
-        m becomes a trailing axis: T_{|m} = dT/dx^m - N^s_m dT/dy^s, plus
-        Gamma^i_sm T^{..s..} for each upper index and minus Gamma^s_jm
-        T_{..s..} for each lower index.  `conn`, a float pair (N, Gamma),
-        replaces the frame's own connection (that of another spray at the
-        same point).
+    def hpart(self, T, N=None) -> list:
+        """Horizontal derivative delta T/delta x^m = dT/dx^m - N^s_m dT/dy^s.
+
+        T is a table [values, first, ...] (`table`) of any rank; the result
+        is the table of delta T/delta x^m, one partial shorter, with m a
+        trailing index axis before the slot axes.  Its partials come by the
+        product rule on the table of N (`table(G, depth)`, depth that of T);
+        `N`, a table of another spray's N^s_m at the point, replaces it.
         """
-        n = self.n
-        N, Gamma = conn or (self.N_values, self.Gamma_values)
-        # einsum, not a BLAS matmul, whose buffers cost 0.4 MB of peak RSS
-        out = grads[..., :n] - np.einsum("...s,sm->...m", grads[..., n:], N)
+        n, rank, depth = self.n, T[0].ndim, len(T) - 1
+        if N is None:   # the contiguous N_values: einsum's bits follow strides
+            N = [self.N_values] + [t[:, n:] for t in self._g_partials(depth, 2)]
+        x, y = ((slice(None),) * rank + (s,) for s in (slice(None, n), slice(n, None)))
+        idx = "abcdefgh"[:rank]
+        NTy = _product(f"{idx}s,sm->{idx}m", [t[y] for t in T[1:]], N)
+        return [t[x] - d for t, d in zip(T[1:], NTy)]
+
+    def cov_h(self, T, roles, conn=None) -> list:
+        """Horizontal covariant derivative T_{|m} of a table T (`table`).
+
+        `hpart` plus Gamma^i_sm T^{..s..} for each upper index and minus
+        Gamma^s_jm T_{..s..} for each lower index, the partials by the product
+        rule on the table of Gamma (`table(G, depth + 1)`).  `conn`, a float
+        pair (N, Gamma) of another spray at the same point, replaces the
+        frame's connection; it takes tables of depth 1 only.
+        """
+        n, depth = self.n, len(T) - 1
+        if conn is not None:
+            if depth != 1:
+                raise ValueError("a float connection takes tables of depth 1")
+            N, Gamma = [conn[0]], [conn[1]]
+        else:
+            N, Gamma = None, [self.Gamma_values] + [
+                t[:, n:, n:] for t in self._g_partials(depth + 1, 3)]
+        out = self.hpart(T, N)
         idx = "abcdefgh"[: len(roles)]
         for axis, role in enumerate(roles):
             src = idx[:axis] + "s" + idx[axis + 1:]
             gam = idx[axis] + "sm" if role == "up" else "s" + idx[axis] + "m"
-            term = np.einsum(f"{src},{gam}->{idx}m", vals, Gamma)
-            out = out + term if role == "up" else out - term
+            terms = _product(f"{src},{gam}->{idx}m", T[:depth], Gamma)
+            out = [o + t if role == "up" else o - t for o, t in zip(out, terms)]
         return out
 
     def rapcsak(self, L, a: float = 1.0, conn=None) -> np.ndarray:
@@ -381,47 +373,33 @@ class Frame:
         `L` is the table [value, first, second] of L (`table(jet, 2)`, or
         `r_scalar` at order 4).  The vertical derivative is taken first and
         the horizontal covariant derivative of the resulting covector second,
-        under the frame's connection or `conn` (see `cov_h_values`).  a = 1
+        under the frame's connection or `conn` (see `cov_h`).  a = 1
         gives the Rapcsak residual, a = 1/2 the dual-equivalence residual and
         eta (L = R).
         """
         n = self.n
         v, g, h = L
-        Lvh = self.cov_h_values(g[n:], h[n:], ("down",), conn)   # [k, m] = L_{.k|m}
-        return a * (Lvh @ np.array(self.point.y)) - self.cov_h_values(v, g, (), conn)
+        Lvh = self.cov_h([g[n:], h[n:]], ("down",), conn)[0]   # [k, m] = L_{.k|m}
+        return a * (Lvh @ np.array(self.point.y)) - self.cov_h([v, g], (), conn)[0]
 
     # -- connection and curvature fields ----------------------------------------
 
     @cached_property
-    def N(self):
-        """Nonlinear connection N^i_j = dG^i/dy^j."""
-        n = self.n
-        out = _obj((n, n))
-        for i, j in itertools.product(range(n), repeat=2):
-            out[i, j] = self.dy(self.G[i], j)
-        return out
-
-    @cached_property
-    def Gamma(self):
-        """Berwald connection Gamma^i_jk = d^2 G^i / dy^j dy^k."""
-        n = self.n
-        out = _obj((n, n, n))
-        for i, j in itertools.product(range(n), repeat=2):
-            for k in range(j, n):
-                d = self.dy(self.N[i, j], k)
-                out[i, j, k] = d
-                out[i, k, j] = d
-        return out
-
-    @cached_property
     def N_values(self) -> np.ndarray:
-        """N^i_j = dG^i/dy^j as floats (read by `cov_h_values`)."""
+        """Nonlinear connection N^i_j = dG^i/dy^j as floats."""
         return _frozen([self.table(self.G, 1)[1][:, self.n:].copy()])[0]
 
     @cached_property
     def Gamma_values(self) -> np.ndarray:
-        """Gamma^i_jk = d^2G^i/dy^j dy^k as floats (read by `cov_h_values`)."""
+        """Berwald connection Gamma^i_jk = d^2G^i/dy^j dy^k as floats."""
         return _frozen([self.table(self.G, 2)[2][:, self.n:, self.n:].copy()])[0]
+
+    @cached_property
+    def y_table(self):
+        """y^j as a table [values, first, second]: delta in its y slot."""
+        n = self.n
+        return _frozen([np.array(self.point.y), np.eye(n, 2 * n, n),
+                        np.zeros((n, 2 * n, 2 * n))])
 
     @cached_property
     def B(self):
@@ -433,7 +411,7 @@ class Frame:
     @cached_property
     def Pi(self):
         """The trace Pi = dG^m/dy^m (a 1-homogeneous scalar)."""
-        return carrier_sum(self.N[m, m] for m in range(self.n))
+        return carrier_sum(self.G[m].d(self.n + m) for m in range(self.n))
 
     @cached_property
     def R2_table(self):
@@ -455,8 +433,7 @@ class Frame:
         def part(q, *slots):    # table of the order-q partials of G in `slots`
             return [Gt[q + e][(slice(None),) + slots] for e in range(depth + 1)]
 
-        Y = [np.array(self.point.y), np.eye(n, 2 * n, n), np.zeros((n, 2 * n, 2 * n))]
-        terms = zip(part(1, x), _product("j,ijk->ik", Y, part(2, x, y)),
+        terms = zip(part(1, x), _product("j,ijk->ik", self.y_table, part(2, x, y)),
                     _product("j,ijk->ik", part(0), part(2, y, y)),
                     _product("ij,jk->ik", part(1, y), part(1, y)))
         return _frozen([2.0 * dx - yH + 2.0 * GG - NN for dx, yH, GG, NN in terms])
@@ -696,7 +673,7 @@ class TensorField:
         self.label = label
 
     def jets(self, frame: Frame):
-        out = _obj(self.components.shape)
+        out = np.empty(self.components.shape, dtype=object)
         for idx in np.ndindex(self.components.shape):
             f = self.components[idx]
             f = f if isinstance(f, ScalarField) else ScalarField(f, self.n)
@@ -704,20 +681,19 @@ class TensorField:
         return out
 
 
-def horizontal_partial(field, G: SprayChart, p: PointTM, k: int,
-                       order: int = 2) -> float:
+def horizontal_partial(field, G: SprayChart, p: PointTM, k: int) -> float:
     """delta f / delta x^k = df/dx^k - N^m_k df/dy^m for a scalar field."""
     if not isinstance(field, ScalarField):
         field = ScalarField(field, G.n)
-    fr = G.frame(p, order)
-    return carrier_value(fr.hpart(field.jet(fr), k))
+    fr = G.frame(p, 1)
+    return float(fr.hpart(fr.table(field.jet(fr), 1))[0][k])
 
 
-def covariant_derivative_h(field: TensorField, G: SprayChart, p: PointTM,
-                           order: int = 3) -> TensorValue:
+def covariant_derivative_h(field: TensorField, G: SprayChart,
+                           p: PointTM) -> TensorValue:
     """Horizontal covariant derivative of a rank <= 2 field; appends a lower index."""
-    fr = G.frame(p, order)
-    comps = fr.cov_h_values(*fr.table(field.jets(fr), 1), field.roles)
+    fr = G.frame(p, 2)      # Gamma needs second partials of G
+    comps = fr.cov_h(fr.table(field.jets(fr), 1), field.roles)[0]
     return TensorValue(comps, field.roles + ("down",),
                        tuple("abcd"[: len(field.roles)]) + ("k",), p,
                        f"{field.label}|")
@@ -794,8 +770,9 @@ def metric_spray_fn(g_asts, n):
 
     def fn(xs, ys):
         steps, dgv = jets.x_only(metric, xs)
-        yy = [[ys[k] * ys[m] for m in range(n)] for k in range(n)]
-        q = [carrier_sum((2.0 * dgv[l][k][m] - dgv[m][k][l]) * yy[k][m]
+        # y^m y^k has the bits of y^k y^m (at most two terms per coefficient)
+        yy = {(k, m): ys[k] * ys[m] for k in range(n) for m in range(k, n)}
+        q = [carrier_sum((2.0 * dgv[l][k][m] - dgv[m][k][l]) * yy[min(k, m), max(k, m)]
                          for k in range(n) for m in range(n))
              for l in range(n)]
         (sol,) = solve_factored(steps, [q])

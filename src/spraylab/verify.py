@@ -97,10 +97,10 @@ class PointData:
     R2 = cached_property(lambda pt: pt.fr4.R2_table)
     R4 = cached_property(lambda pt: pt.fr4.R4)
     # horizontal covariant derivatives, direction last: [i,j,k,l,m] = R^{ i}_{j kl|m}
-    covR4 = cached_property(lambda pt: pt.fr4.cov_h_values(*pt.R4, ROLES4))
-    covB = cached_property(lambda pt: pt.fr4.cov_h_values(*pt.fr4.B, ROLES4))
-    covR3 = cached_property(lambda pt: pt.fr4.cov_h_values(*pt.R3, ROLES4[:3]))
-    covR2 = cached_property(lambda pt: pt.fr4.cov_h_values(*pt.R2[:2], ROLES4[:2]))
+    covR4 = cached_property(lambda pt: pt.fr4.cov_h(pt.R4, ROLES4)[0])
+    covB = cached_property(lambda pt: pt.fr4.cov_h(pt.fr4.B, ROLES4)[0])
+    covR3 = cached_property(lambda pt: pt.fr4.cov_h(pt.R3, ROLES4[:3])[0])
+    covR2 = cached_property(lambda pt: pt.fr4.cov_h(pt.R2[:2], ROLES4[:2])[0])
     weyl = cached_property(lambda pt: cv.weyl(pt.spray, pt.p, "direct").components)
     eta = cached_property(lambda pt: pt.fr4.rapcsak(pt.fr4.r_scalar, 0.5))
     volumes = cached_property(lambda pt: [VolumeData(pt, dV) for dV in pt.run.volumes])
@@ -236,7 +236,7 @@ class VolumeData:
 
     def hat_ricci_split(self):
         fr, n, ric = self.pt.fr4, self.pt.n, self.ricci["ric_jl"].components
-        tvv = fr.table(self.hat.tau(self.p), 2)[2][n:, n:]
+        tvv = self.hat.tau(self.p)[2][n:, n:]
         expect = fr.ric_jl + (n - 1) / 2.0 * tvv - self.ricci["h_jl"].components
         return rel_residual(ric - expect, ric, expect)
 

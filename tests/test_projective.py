@@ -175,9 +175,7 @@ def test_projective_ricci_decomposition_nonquadratic():
     out = pj.projective_ricci(sp, dV, P3)
     assert np.abs(out["h_jl"].components).max() > 1e-2
     fr = sp.frame(P3, 4)
-    tau = pj.deform(sp, dV).tau(P3)
-    tvv = np.array([[sc.carrier_value(fr.dy(fr.dy(tau, j), l))
-                     for l in range(n)] for j in range(n)])
+    tvv = pj.deform(sp, dV).tau(P3)[2][n:, n:]     # tau_{.j.l}
     expect = (sc.tensor_values(fr.ric_jl) + (n - 1) / 2.0 * tvv
               - out["h_jl"].components)
     assert sc.rel_residual(out["ric_jl"].components - expect,
@@ -270,6 +268,26 @@ def test_eta_hat_matches_direct_route(hand_fixture, sphere3):
                 largest[sp.label] = max(largest.get(sp.label, 0.0), np.abs(ref).max())
     # eta_hat is far from 0 off the sphere, so the agreement is not vacuous
     assert largest["example72"] > 1.0 and largest["hand-fixture"] > 0.01, largest
+
+
+def test_projectively_flat_spray_at_n3_with_chi():
+    # G^i = P y^i on the flat chart: W = 0 and D = 0 while chi != 0, so the
+    # deformed spray is isotropic with eta_hat = 0 although chi is large
+    from spraylab import verify
+    sp = pj.with_projective_factor(
+        sc.make_flat(3), "sqrt(y1^2+y2^2+y3^2)*x1/3 + (x2*y1 - x1*y3)/(2+x3) + 0.2*y2")
+    largest = 0.0
+    for p in sample_points(sp, 6, seed=54):
+        R = sp.frame(p, 3).R2_table[0]
+        largest = max(largest, np.abs(cv.chi_definition(sp, p).components).max())
+        for sig in verify.DEFAULT_SIGMAS:
+            dV = pj.VolumeForm(sig, 3)
+            d = pj.hat_riemann(sp, dV, p, "direct").components
+            f = pj.hat_riemann(sp, dV, p, "formula").components
+            assert sc.rel_residual(d - f, d, f) <= 1e-12, sig
+            assert sc.rel_residual(pj.eta_hat(sp, dV, p).components, R) <= 1e-12, sig
+            assert sc.rel_residual(pj.weyl_hat(sp, dV, p).components, R) <= 1e-12, sig
+    assert largest > 0.1, largest
 
 
 def test_s_closed_residuals(hand_fixture, sphere3):

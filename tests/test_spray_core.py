@@ -1,5 +1,6 @@
 """Connection and curvature tensors against independent oracles."""
 
+import functools
 import itertools
 import math
 
@@ -398,21 +399,66 @@ def value_zoo():
                         n=2, box=0.8)]
 
 
+@functools.cache
+def _jet_N(fr):
+    """Nonlinear connection N^i_j = dG^i/dy^j as jets."""
+    n = fr.n
+    return np.array([[fr.G[i].d(n + j) for j in range(n)] for i in range(n)],
+                    dtype=object)
+
+
+@functools.cache
+def _jet_gamma(fr):
+    """Berwald connection Gamma^i_jk = dN^i_j/dy^k as jets (one .d per j <= k)."""
+    n, N = fr.n, _jet_N(fr)
+    out = np.empty((n,) * 3, dtype=object)
+    for i, j, k in np.ndindex(out.shape):
+        out[i, j, k] = out[i, k, j] if k < j else N[i, j].d(n + k)
+    return out
+
+
+def _jet_hpart(fr, j, k):
+    """delta j / delta x^k = dj/dx^k - N^m_k dj/dy^m of a scalar jet."""
+    N, out = _jet_N(fr), j.d(k)
+    for m in range(fr.n):
+        out = out - N[m, k] * j.d(fr.n + m)
+    return out
+
+
+def _jet_cov_h(fr, arr, roles, k):
+    """Horizontal covariant derivative of a tensor of jets in direction k:
+    `_jet_hpart` plus +T^{..s..} Gamma^i_sk per upper index and
+    -T_{..s..} Gamma^s_jk per lower index."""
+    arr, Gm = np.asarray(arr, dtype=object), _jet_gamma(fr)
+    out = np.empty(arr.shape, dtype=object)
+    for idx in np.ndindex(arr.shape):
+        t = _jet_hpart(fr, arr[idx], k)
+        for axis, role in enumerate(roles):
+            for s in range(fr.n):
+                jdx = idx[:axis] + (s,) + idx[axis + 1:]
+                if role == "up":
+                    t = t + Gm[idx[axis], s, k] * arr[jdx]
+                else:
+                    t = t - Gm[s, idx[axis], k] * arr[jdx]
+        out[idx] = t
+    return out
+
+
 def _jet_r2(fr):
     """R^i_k as jets by the standard spray formula:
 
     R^i_k = 2 dG^i/dx^k - y^j d^2G^i/dx^j dy^k
             + 2 G^j d^2G^i/dy^j dy^k - dG^i/dy^j dG^j/dy^k
     """
-    n, G, yj = fr.n, fr.G, fr.yj
+    n, G, yj, N = fr.n, fr.G, fr.yj, _jet_N(fr)
     dxG = [[G[i].d(j) for j in range(n)] for i in range(n)]
     out = np.empty((n, n), dtype=object)
     for i, k in itertools.product(range(n), repeat=2):
         t = 2.0 * dxG[i][k]
         for j in range(n):
-            t = t - yj[j] * fr.dy(dxG[i][j], k)
-            t = t + 2.0 * (G[j] * fr.N[i, j].d(fr.n + k))
-            t = t - fr.N[i, j] * fr.N[j, k]
+            t = t - yj[j] * dxG[i][j].d(n + k)
+            t = t + 2.0 * (G[j] * N[i, j].d(n + k))
+            t = t - N[i, j] * N[j, k]
         out[i, k] = t
     return out
 
@@ -424,11 +470,11 @@ def _jet_ric(R2):
 
 def _jet_r4(fr):
     """R^{ i}_{j kl} as jets: delta Gamma^i_jl / delta x^k - delta Gamma^i_jk /
-    delta x^l + Gamma^i_ks Gamma^s_jl - Gamma^s_jk Gamma^i_ls from `hpart`."""
-    n, Gm = fr.n, fr.Gamma
+    delta x^l + Gamma^i_ks Gamma^s_jl - Gamma^s_jk Gamma^i_ls from `_jet_hpart`."""
+    n, Gm = fr.n, _jet_gamma(fr)
     hG = np.empty((n,) * 4, dtype=object)   # [i,j,l,k] = delta Gamma^i_jl / delta x^k
     for i, j, l, k in np.ndindex(hG.shape):
-        hG[i, j, l, k] = fr.hpart(Gm[i, j, l], k)
+        hG[i, j, l, k] = _jet_hpart(fr, Gm[i, j, l], k)
     out = np.empty((n,) * 4, dtype=object)
     for i, j, k, l in np.ndindex(out.shape):
         t = hG[i, j, l, k] - hG[i, j, k, l]
@@ -443,7 +489,7 @@ def _jet_b(fr):
     n = fr.n
     out = np.empty((n,) * 4, dtype=object)
     for i, j, k, l in np.ndindex(out.shape):
-        out[i, j, k, l] = fr.dy(fr.Gamma[i, k, l], j)
+        out[i, j, k, l] = _jet_gamma(fr)[i, k, l].d(n + j)
     return out
 
 
@@ -453,9 +499,9 @@ def _jet_chi(fr):
     ric = _jet_ric(R2)
     out = np.empty(n, dtype=object)
     for k in range(n):
-        t = fr.dy(ric, k)
+        t = ric.d(n + k)
         for m in range(n):
-            t = t + 2.0 * fr.dy(R2[m, k], m)
+            t = t + 2.0 * R2[m, k].d(n + m)
         out[k] = t / -6.0
     return out
 
@@ -466,7 +512,7 @@ def _jet_t(fr):
     R = _jet_ric(R2) / float(n - 1)
     out = np.empty((n, n), dtype=object)
     for i, k in np.ndindex(out.shape):
-        t = R2[i, k] + 0.5 * (fr.dy(R, k) * fr.yj[i])
+        t = R2[i, k] + 0.5 * (R.d(n + k) * fr.yj[i])
         out[i, k] = t - R if i == k else t
     return out
 
@@ -533,7 +579,7 @@ def test_float_r4_matches_jet_r4(value_zoo):
                 sp.frame(p, 2).R4
 
 
-def test_table_and_cov_h_values_match_jet_cov_h(value_zoo):
+def test_table_and_cov_h_match_jet_cov_h(value_zoo):
     roles4 = ("up", "down", "down", "down")
     for sp in value_zoo:
         for p in sample_points(sp, 2, seed=31):
@@ -548,8 +594,8 @@ def test_table_and_cov_h_values_match_jet_cov_h(value_zoo):
                                (R3, roles4[:3]), (R2, roles4[:2])):
                 vals, grads = fr.table(arr, 1)
                 assert np.array_equal(vals, sc.tensor_values(arr))
-                got = fr.cov_h_values(vals, grads, roles)
-                ref = np.stack([sc.tensor_values(fr.cov_h(arr, roles, m))
+                (got,) = fr.cov_h([vals, grads], roles)
+                ref = np.stack([sc.tensor_values(_jet_cov_h(fr, arr, roles, m))
                                 for m in range(sp.n)], axis=-1)
                 assert got.shape == ref.shape
                 assert sc.rel_residual(got - ref, vals, ref) <= 1e-13
@@ -565,15 +611,13 @@ def test_table_and_cov_h_values_match_jet_cov_h(value_zoo):
 
 
 def _jet_rapcsak(fr, L, a):
-    """a L_{.k|m} y^m - L_{|k} composed from the jet cov_h and hpart."""
+    """a L_{.k|m} y^m - L_{|k} composed from `_jet_cov_h` and `_jet_hpart`."""
     n = fr.n
-    Lv = np.empty(n, dtype=object)
-    for k in range(n):
-        Lv[k] = fr.dy(L, k)
-    dLv = [fr.cov_h(Lv, ("down",), m) for m in range(n)]
+    Lv = [L.d(n + k) for k in range(n)]
+    dLv = [_jet_cov_h(fr, Lv, ("down",), m) for m in range(n)]
     return np.array([sc.carrier_value(
         a * sc.carrier_sum(dLv[m][k] * fr.yj[m] for m in range(n))
-        - fr.hpart(L, k)) for k in range(n)])
+        - _jet_hpart(fr, L, k)) for k in range(n)])
 
 
 def test_float_rapcsak_matches_jet_composition(value_zoo):
@@ -592,6 +636,55 @@ def test_float_rapcsak_matches_jet_composition(value_zoo):
             # eta reads R's float table
             got, ref = fr.rapcsak(fr.r_scalar, 0.5), _jet_rapcsak(fr, R, 0.5)
             assert sc.rel_residual(got - ref, ref, fr.r_scalar[1]) <= 1e-13
+
+
+def test_table_operators_partials_match_jet_references(value_zoo):
+    # the partial entries of the table operators against jet compositions:
+    # R^i_{k|m} of the depth-2 R^i_k table, tau of the deformed spray, the
+    # horizontal-first chi route and the mean-Cartan chi route
+    from spraylab import finsler as fl
+    from spraylab import projective as pj
+    roles = ("up", "down")
+    for sp in value_zoo:
+        n, dV = sp.n, pj.VolumeForm("exp(x1)", sp.n)
+        hat = pj.deform(sp, dV)
+        for p in sample_points(sp, 2, seed=37):
+            fr, y = sp.frame(p, 4), np.array(p.y)
+            ref = np.stack([_jet_cov_h(fr, _jet_r2(fr), roles, m)
+                            for m in range(n)], axis=-1)
+            S = hat.S(p, 4)
+            tau = (S / (n + 1.0)) * (S / (n + 1.0))
+            for m in range(n):
+                tau = tau + (_jet_hpart(fr, S, m) * fr.yj[m]) / (n + 1.0)
+            for got, want in ((fr.cov_h(fr.R2_table, roles), fr.table(ref, 1)),
+                              (hat.tau(p), fr.table(tau, 2))):
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape
+                    assert sc.rel_residual(g - w, w) <= 1e-13
+            fr3, S3 = sp.frame(p, 3), hat.S(p, 3)
+            Sh = [_jet_hpart(fr3, S3, m) for m in range(n)]
+            want = np.array([0.5 * sc.carrier_value(sc.carrier_sum(
+                Sh[m].d(n + k) * fr3.yj[m] for m in range(n)) - Sh[k])
+                for k in range(n)])
+            got = pj.chi_via_s(sp, dV, p, "horizontal-first").components
+            assert sc.rel_residual(got - want, want) <= 1e-13
+            if sp.metric is None:
+                continue
+            lj = sp.metric.l_jets(p, 5)
+            ginv = sc.invert_carrier([[0.5 * lj.d(n + i).d(n + j) for j in range(n)]
+                                      for i in range(n)])
+            C = fl._cartan_jets(lj, n)
+            I = [sc.carrier_sum(ginv[i][j] * C[i, j, k]
+                                for i, j in itertools.product(range(n), repeat=2))
+                 for k in range(n)]
+            Ip = np.stack([_jet_cov_h(fr3, I, ("down",), q) for q in range(n)], -1)
+            Ipq = np.stack([_jet_cov_h(fr3, Ip, ("down", "down"), q)
+                            for q in range(n)], -1)
+            want = 0.5 * (np.einsum("kpq,p,q->k", sc.tensor_values(Ipq), y, y)
+                          + sc.tensor_values(I) @ fr3.R2_table[0])
+            got = fl.chi_cartan(sp.metric, p).components
+            assert sc.rel_residual(got - want, want) <= 1e-13
 
 
 # the float quantities of a frame, with the lowest order that defines each
@@ -741,7 +834,8 @@ def test_jet_products_of_one_order_4_sphere_frame(monkeypatch):
     # only the right-hand side of the metric solve is a 2n-variable product;
     # g's elimination runs on x-only jets.  Jet-by-jet products of one
     # order-4 sphere(n=3) frame build, by (dim, order) of the result: 57 in
-    # the 2n space when the whole solve ran there, now 31 (and 46 x-only)
+    # the 2n space when the whole solve ran there, 31 (and 46 x-only) when
+    # all n^2 products y^k y^m were formed, now 28: y^m y^k reuses y^k y^m
     from collections import Counter
     from spraylab import jets
     counts, mul = Counter(), jets.Jet.__mul__
@@ -756,7 +850,7 @@ def test_jet_products_of_one_order_4_sphere_frame(monkeypatch):
     (p,) = sample_points(sp, 1, seed=3)
     monkeypatch.setattr(jets.Jet, "__mul__", counted)
     sp.frame(p, 4)
-    assert counts[6, 4] <= 32, counts
+    assert counts[6, 4] <= 28, counts
 
 
 def test_s_of_lower_order_is_a_slice_of_the_top_s(value_zoo):

@@ -202,28 +202,36 @@ def test_jet_work_of_one_point_suite(monkeypatch):
     # frame first and the lower orders truncated its jets, 2201, 189 and 18;
     # before g, dg and dlog ran on x-only jets and S was built once per point
     # at order 4, 1234, 189 and 18; before g was factored on x-only jets and
-    # back-substitution reused each pivot's reciprocal, 772, 171 and 18 (now
-    # 739, 171, 18).
+    # back-substitution reused each pivot's reciprocal, 772, 171 and 18;
+    # before the horizontal derivative was taken on float tables only (tau,
+    # horizontal-first chi and chi_cartan included) and N, Gamma and the jet
+    # hpart/cov_h left the frame, 739, 171 and 18.  Now 634 products and 24
+    # .d calls, and no hpart or cov_h call receives jets.
     from spraylab import jets
     from spraylab.spray_core import Frame
     counts = {"mul": 0, "d": 0, "hpart": 0}
 
-    def counted(key, fn):
+    def counted(key, fn, when=lambda *args: True):
         def wrapper(*args):
-            counts[key] += 1
+            counts[key] += when(*args)
             return fn(*args)
         return wrapper
+
+    def on_jets(_frame, T, *rest):
+        return isinstance(T, jets.Jet) or any(
+            getattr(t, "dtype", None) != float for t in T)
 
     mul = counted("mul", jets.Jet.__mul__)
     monkeypatch.setattr(jets.Jet, "__mul__", mul)
     monkeypatch.setattr(jets.Jet, "__rmul__", mul)
     monkeypatch.setattr(jets.Jet, "d", counted("d", jets.Jet.d))
-    monkeypatch.setattr(Frame, "hpart", counted("hpart", Frame.hpart))
+    for name in ("hpart", "cov_h"):
+        monkeypatch.setattr(Frame, name, counted("hpart", getattr(Frame, name), on_jets))
     sp = make_family("sphere", n=3, kappa=1.0)
     rows = verify.run_suite(sp, sample_points(sp, 1, seed=1))
     assert not [r.id for r in rows if r.passed is False]
-    assert (counts["mul"] <= 760 and counts["d"] <= 190
-            and counts["hpart"] <= 20), counts
+    assert (counts["mul"] <= 634 and counts["d"] <= 24
+            and counts["hpart"] == 0), counts
 
 
 def test_dsl_node_visits_per_order_4_frame(monkeypatch):
