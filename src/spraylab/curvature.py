@@ -96,7 +96,7 @@ def weyl(G: SprayChart, p: PointTM, route: str = "direct") -> TensorValue:
     fr = G.frame(p, 3)
     n = fr.n
     if route == "via_chi":
-        comps = plus_outer_y(fr.T, fr.chi, 3.0 / (n + 1), np.array(p.y))[0]
+        comps = plus_outer_y(fr.T, fr.chi, 3.0 / (n + 1), fr.y_table)[0]
     elif route == "direct":
         Av, dA = (t.copy() for t in fr.R2_table)
         for t, r in zip((Av, dA), fr.r_scalar):

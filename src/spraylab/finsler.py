@@ -9,7 +9,10 @@ A metric is a positive 1-homogeneous scalar F(x, y) given as a DSL expression
     G^i = (1/4) g^{il} (L_{x^m y^l} y^m - L_{x^l})   (induced spray)
 
 plus the metric route to the chi-covector through two horizontal covariant
-derivatives of I.  The Randers machinery (covariant derivatives of the
+derivatives of I.  g, C and I are float tables of values and partials read
+off the jet of L (`Frame.table`); products of tables go through the product
+rule (`spray_core._product`) and covariant derivatives through
+`Frame.cov_h`, also for the Randers tensors.  The Randers machinery (covariant derivatives of the
 1-form, the r/s/q/t tensors and the closed-form deformed spray) lives in
 :class:`RandersData`.
 """
@@ -23,9 +26,9 @@ import numpy as np
 
 from . import curvature, exprdsl, jets
 from .jets import Jet, JetDomainError
-from .spray_core import (Box, FunctionSpray, PointTM, SprayChart, TensorValue,
-                         _normalize_metric, carrier_sum, carrier_value,
-                         factor_carrier, invert_carrier, metric_spray_fn,
+from .spray_core import (Box, Frame, FunctionSpray, PointTM, SprayChart,
+                         TensorValue, _normalize_metric, _product, carrier_sum,
+                         carrier_value, factor_carrier, metric_spray_fn,
                          rel_residual, riemann_two_index, solve_carrier,
                          solve_factored, tensor_values)
 
@@ -95,32 +98,14 @@ class FinslerMetric:
 def fundamental_tensor(F: FinslerMetric, p: PointTM) -> TensorValue:
     """g_ij = (1/2) d^2(F^2)/dy^i dy^j."""
     n = F.n
-    lj = F.l_jets(p, 2)
-    g = np.empty((n, n))
-    for i in range(n):
-        di = lj.d(n + i)
-        for j in range(i, n):
-            g[i, j] = g[j, i] = 0.5 * carrier_value(di.d(n + j))
+    g = 0.5 * Frame.table(F.l_jets(p, 2), 2)[2][n:, n:]
     return TensorValue(g, ("down", "down"), ("i", "j"), p, "g")
-
-
-def _cartan_jets(lj: Jet, n: int) -> np.ndarray:
-    """C_ijk = (1/4) d^3 L / dy^i dy^j dy^k as jets, from the jet of L = F^2."""
-    C = np.empty((n, n, n), dtype=object)
-    for i in range(n):
-        di = lj.d(n + i)
-        for j in range(i, n):
-            dij = di.d(n + j)
-            for k in range(j, n):
-                v = 0.25 * dij.d(n + k)
-                for perm in itertools.permutations((i, j, k)):
-                    C[perm] = v
-    return C
 
 
 def cartan_torsion(F: FinslerMetric, p: PointTM) -> TensorValue:
     """C_ijk = (1/4) d^3(F^2)/dy^i dy^j dy^k (totally symmetric)."""
-    C = tensor_values(_cartan_jets(F.l_jets(p, 3), F.n))
+    n = F.n
+    C = 0.25 * Frame.table(F.l_jets(p, 3), 3)[3][n:, n:, n:]
     return TensorValue(C, ("down",) * 3, ("i", "j", "k"), p, "C")
 
 
@@ -168,19 +153,22 @@ def chi_cartan(F: FinslerMetric, p: PointTM) -> curvature.ChiValue:
 
     with | the horizontal covariant derivative of the induced spray.  This is
     the deepest chain in the library (order-5 jets of F^2 plus a matrix
-    inverse), hence its looser tolerance downstream.
+    inverse), hence its looser tolerance downstream.  g, g^{-1}, C and I are
+    tables to second partials: g and C are y-partials of L of orders 2..5,
+    the partials of g^{-1} follow from d(g^{-1}) = -g^{-1} dg g^{-1} and
+    those of I from the product rule.
     """
     n = F.n
-    sp = F.spray()
-    sfr = sp.frame(p, 3)
-    lj = F.l_jets(p, 5)
-    g = [[0.5 * lj.d(n + i).d(n + j) for j in range(n)] for i in range(n)]
-    _check_cond(np.array([[carrier_value(v) for v in row] for row in g]))
-    ginv = invert_carrier(g)
-    C = _cartan_jets(lj, n)
-    I = sfr.table([carrier_sum(ginv[i][j] * C[i, j, k]
-                               for i, j in itertools.product(range(n), repeat=2))
-                   for k in range(n)], 2)
+    sfr = F.spray().frame(p, 3)
+    Lt = Frame.table(F.l_jets(p, 5), 5)
+    g = [0.5 * t[n:, n:] for t in Lt[2:5]]
+    C = [0.25 * t[n:, n:, n:] for t in Lt[3:6]]
+    _check_cond(g[0])
+    ginv = [np.linalg.inv(g[0])]
+    for _ in range(2):      # each pass adds one order of partials to g^{-1}
+        dg_ginv = _product("jka,kl->jla", g[1:], ginv)
+        ginv = ginv[:1] + [-t for t in _product("ij,jla->ila", ginv, dg_ginv)]
+    I = _product("ij,ijk->k", ginv, C)
     ddI = sfr.cov_h(sfr.cov_h(I, ("down",)), ("down", "down"))[0]   # I_{k|p|q}
     y = np.array(p.y)
     comps = 0.5 * (np.einsum("kpq,p,q->k", ddI, y, y) + I[0] @ sfr.R2_table[0])
@@ -232,7 +220,11 @@ class RandersData:
             bv = np.array([carrier_value(exprdsl.evaluate(self.b_asts[i], x,
                                                           memo))
                            for i in range(self.n)])
-            norm2 = float(bv @ np.linalg.solve(av, bv))
+            try:
+                norm2 = float(bv @ np.linalg.solve(av, bv))
+            except np.linalg.LinAlgError:
+                raise ValueError(f"metric a_ij is singular at x = "
+                                 f"{tuple(x[:self.n])}") from None
             if norm2 >= 1.0:
                 raise ValueError(f"|b|_a = {math.sqrt(norm2):.4f} >= 1 at x = "
                                  f"{tuple(x[:self.n])}")
@@ -275,7 +267,8 @@ class RandersData:
         return VolumeForm(f"sqrt({det})", n, label="dV_alpha")
 
     def _carrier_tensors(self, xs):
-        """Christoffels of a and the derived s-tensors over a carrier point x."""
+        """a, b, the covariant derivative of b and its r/s parts, and s^i_j
+        over a carrier point x, through the Christoffels of a."""
         n, memo = self.n, {}
         av = [[exprdsl.evaluate(self.a_asts[i][j], xs, memo) for j in range(n)]
               for i in range(n)]
@@ -306,7 +299,7 @@ class RandersData:
         s_up = solve_factored(steps, [[s[i][j] for i in range(n)]
                                       for j in range(n)])
         # s_up[j][i] = s^i_j
-        return av, dav, bv, bcov, r, s, s_up, Gm
+        return av, bv, bcov, r, s, s_up
 
     def deformed_spray(self) -> SprayChart:
         """The closed-form deformed spray G_alpha^i + alpha s^i_0."""
@@ -314,7 +307,7 @@ class RandersData:
         alpha_fn = metric_spray_fn(self.a_asts, n)
 
         def a_and_s_up(xs):     # the tensors of `_carrier_tensors` read here
-            av, _, _, _, _, _, s_up, _ = self._carrier_tensors(xs)
+            av, _, _, _, _, s_up = self._carrier_tensors(xs)
             return av, s_up
 
         def fn(xs, ys):
@@ -332,41 +325,28 @@ class RandersData:
     # -- pointwise quantities ------------------------------------------------------
 
     def quantities(self, p: PointTM) -> dict:
-        """All derived Randers tensors at a point (numeric)."""
-        n = self.n
-        xl = jets.lift_point(p.x, 2)
-        av, dav, bv, bcov, r, s, s_up, Gm = self._carrier_tensors(xl)
-        val = carrier_value
+        """All derived Randers tensors at a point (numeric).
+
+        s_{ij|k} and s^m_{j|m} are `Frame.cov_h` on the order-2 frame of the
+        alpha spray: its Berwald connection is the Levi-Civita one of a, and
+        the horizontal derivative of an x-only table is its x-partial.
+        """
+        fr = self.alpha_spray().frame(p, 2)
+        av, bv, bcov, r, s, s_up = self._carrier_tensors(fr.xj)
+        # the tables of s_ij and s^i_j (s_up transposed); constants come as floats
+        s_t, sup_t = (Frame.table([[jets.as_jet(v, fr.xj[0]) for v in row]
+                                   for row in rows], 1) for rows in (s, zip(*s_up)))
+        a_v, b_v, bcov_v, r_v = (tensor_values(t) for t in (av, bv, bcov, r))
+        s_v, sup_v = s_t[0], sup_t[0]
         y = np.array(p.y)
-        a_v = np.array([[val(av[i][j]) for j in range(n)] for i in range(n)])
-        b_v = np.array([val(b) for b in bv])
-        bcov_v = np.array([[val(bcov[i][j]) for j in range(n)]
-                           for i in range(n)])
-        r_v = np.array([[val(r[i][j]) for j in range(n)] for i in range(n)])
-        s_v = np.array([[val(s[i][j]) for j in range(n)] for i in range(n)])
-        sup_v = np.array([[val(s_up[j][i]) for j in range(n)]
-                          for i in range(n)])          # s^i_j
-        Gm_v = np.array([[[val(Gm[i][j][k]) for k in range(n)]
-                          for j in range(n)] for i in range(n)])
         b_up = np.linalg.solve(a_v, b_v)
         sj = b_up @ s_v                                  # s_j = b^i s_ij
         q_v = r_v @ sup_v                                # q_ij = r_im s^m_j
         t_v = s_v @ sup_v                                # t_ij = s_im s^m_j
         tj = b_up @ t_v
-        # covariant derivatives of s_ij and s^i_j (values)
-        s_cov = np.empty((n, n, n))
-        for i, j, k in itertools.product(range(n), repeat=3):
-            v = val(s[i][j].d(k)) if isinstance(s[i][j], Jet) else 0.0
-            for m in range(n):
-                v -= Gm_v[m][i][k] * s_v[m, j] + Gm_v[m][j][k] * s_v[i, m]
-            s_cov[i, j, k] = v
-        sup_div = np.zeros(n)                            # s^m_{j|m}
-        for j in range(n):
-            for m in range(n):
-                v = val(s_up[j][m].d(m)) if isinstance(s_up[j][m], Jet) else 0.0
-                for pp in range(n):
-                    v += Gm_v[m][m][pp] * sup_v[pp, j] - Gm_v[pp][j][m] * sup_v[m, pp]
-                sup_div[j] += v
+        s_cov = fr.cov_h(s_t, ("down", "down"))[0]                # s_{ij|k}
+        sup_cov = fr.cov_h(sup_t, ("up", "down"))[0]              # s^i_{j|k}
+        sup_div = np.einsum("mjm->j", sup_cov)                    # s^m_{j|m}
         alpha = math.sqrt(float(y @ a_v @ y))
         return {
             "a": a_v, "b": b_v, "b_cov": bcov_v, "r": r_v, "s": s_v,

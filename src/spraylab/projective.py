@@ -233,7 +233,7 @@ def hat_riemann(G: SprayChart, dV: VolumeForm, p: PointTM,
         fr = G.frame(p, 3)
         tau_v, dtau = deform(G, dV).tau(p)[:2]
         v = -0.5 * dtau[n:] + 3.0 * fr.chi[0] / (n + 1)
-        comps = plus_outer_y(fr.R2_table[:1], [v], 1.0, np.array(p.y))[0]
+        comps = plus_outer_y(fr.R2_table[:1], [v], 1.0, fr.y_table)[0]
         comps[np.diag_indices(n)] += tau_v
     else:
         raise ValueError(f"unknown route {route!r}")

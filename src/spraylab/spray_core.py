@@ -187,14 +187,6 @@ def solve_carrier(A, B):
     return solve_factored(factor_carrier(A), B)
 
 
-def invert_carrier(A):
-    """Inverse of an n*n carrier matrix via the generic linear solve."""
-    n = len(A)
-    eye = [[1.0 if i == j else 0.0 for i in range(n)] for j in range(n)]
-    cols = solve_carrier(A, eye)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
 def tensor_values(arr) -> np.ndarray:
     """Extract the point values from a tensor of jets."""
     arr = np.asarray(arr, dtype=object)
@@ -204,14 +196,10 @@ def tensor_values(arr) -> np.ndarray:
     return out
 
 
-def plus_outer_y(X, v, c: float, y) -> list:
-    """X^i_k + c v_k y^i on tables [values(, first partials)], by the product rule."""
-    out = [X[0] + c * np.multiply.outer(y, v[0])]
-    if len(X) > 1:
-        vy = np.multiply.outer(y, v[1])      # [i,k,a] = v_{k,a} y^i
-        vy[..., len(y):] += np.einsum("ia,k->ika", np.eye(len(y)), v[0])
-        out.append(X[1] + c * vy)
-    return out
+def plus_outer_y(X, v, c: float, yt) -> list:
+    """X^i_k + c v_k y^i on tables [values(, first partials)], with `yt` the
+    table of y^i (`Frame.y_table`)."""
+    return [x + c * t for x, t in zip(X, _product("i,k->ik", yt, v))]
 
 
 def _frozen(tables: list) -> list:
@@ -297,19 +285,22 @@ class Frame:
     xj = cached_property(lambda fr: jets.lift_point(fr.point.x + fr.point.y,
                                                     fr.order)[: fr.n])
 
-    def table(self, arr, k: int):
+    @staticmethod
+    def table(arr, k: int):
         """Values and all partials up to order k of a tensor of jets.
 
         Returns [values, first, second, ...] to order k, as float arrays with
-        one trailing slot axis per order (x slots, then y slots): first[..., a]
-        is the partial in slot a, second[..., a, b] the mixed one.  They are
-        read off the normalized coefficients (partial = coefficient * alpha!)
-        through the order-k prefix that jets of every order >= k share.
+        one trailing slot axis per order (one per jet variable: x slots, then
+        y slots on a frame's jets): first[..., a] is the partial in slot a,
+        second[..., a, b] the mixed one.  They are read off the normalized
+        coefficients (partial = coefficient * alpha!) through the order-k
+        prefix that jets of every order >= k share.  It needs no frame: the
+        Finsler layer reads the partials of L = F^2 through it too.
         """
         arr = np.asarray(arr, dtype=object)
         if not 0 <= k <= min(j.order for j in arr.flat):
             raise ValueError(f"cannot read order-{k} partials from these jets")
-        size, reads = _partial_reads(2 * self.n, k)
+        size, reads = _partial_reads(arr.flat[0].dim, k)
         coeffs = np.stack([j.coeffs[:size] for j in arr.flat])
         coeffs = coeffs.reshape(arr.shape + (size,))
         return [coeffs[..., pos] * fact for pos, fact in reads]
@@ -495,7 +486,7 @@ class Frame:
         n, depth = self.n, self._depth("T")
         R = self.r_scalar
         out = plus_outer_y(self.R2_table[:depth + 1], [d[n:] for d in R[1:]],
-                           0.5, np.array(self.point.y))
+                           0.5, self.y_table)
         for t, r in zip(out, R):
             t[np.diag_indices(n)] -= r
         return _frozen(out)
@@ -824,6 +815,9 @@ def make_example72(A="0", B="0", C="0", D="0", f="0", box: float = 1.0):
 
 def make_custom(file=None, doc=None, label: str = "custom"):
     if doc is None:
+        if file is None:
+            raise ValueError("custom needs a spray-definition file: "
+                             "custom(file=PATH)")
         doc = exprdsl.load_spray_file(file)
     if doc.metric is not None:
         return make_randers(doc.metric, doc.one_form or {}, doc.dim, box=doc.box)

@@ -20,7 +20,8 @@ import numpy as np
 from . import curvature as cv
 from . import finsler as fl
 from . import projective as pj
-from .spray_core import SprayChart, carrier_value, plus_outer_y, rel_residual
+from .spray_core import (SprayChart, _product, carrier_value, plus_outer_y,
+                         rel_residual)
 
 DEFAULT_SIGMAS = ("1", "exp(x1)", "1+0.5*x1^2")    # when no volume form is given
 FLAG_TOL = 1e-6          # classification flags (looser than identity rows)
@@ -96,6 +97,8 @@ class PointData:
     # order-4 tables: R^i_k to second partials, R^{ i}_{j kl} to first
     R2 = cached_property(lambda pt: pt.fr4.R2_table)
     R4 = cached_property(lambda pt: pt.fr4.R4)
+    # R^p_{ kl} = y^j R^{ p}_{j kl} and its first partials
+    R3 = cached_property(lambda pt: _product("pjkl,j->pkl", pt.R4, pt.fr4.y_table))
     # horizontal covariant derivatives, direction last: [i,j,k,l,m] = R^{ i}_{j kl|m}
     covR4 = cached_property(lambda pt: pt.fr4.cov_h(pt.R4, ROLES4)[0])
     covB = cached_property(lambda pt: pt.fr4.cov_h(pt.fr4.B, ROLES4)[0])
@@ -104,14 +107,6 @@ class PointData:
     weyl = cached_property(lambda pt: cv.weyl(pt.spray, pt.p, "direct").components)
     eta = cached_property(lambda pt: pt.fr4.rapcsak(pt.fr4.r_scalar, 0.5))
     volumes = cached_property(lambda pt: [VolumeData(pt, dV) for dV in pt.run.volumes])
-
-    @cached_property
-    def R3(self):
-        """R^p_{ kl} = y^j R^{ p}_{j kl} and its partials by the product rule."""
-        R4v, R4g = self.R4
-        R3g = np.einsum("pjkla,j->pkla", R4g, self.y)
-        R3g[..., self.n:] += np.einsum("pjkl->pklj", R4v)
-        return np.einsum("pjkl,j->pkl", R4v, self.y), R3g
 
     def euler(self):
         G = np.array([carrier_value(g) for g in self.fr3.G])
@@ -194,7 +189,7 @@ class PointData:
     def weyl_vertical_trace(self):
         # W^i_k = T^i_k + 3 chi_k y^i/(n+1) with its first partials
         fr, n = self.fr4, self.n
-        Wv, dW = plus_outer_y(fr.T, fr.chi, 3.0 / (n + 1), self.y)
+        Wv, dW = plus_outer_y(fr.T, fr.chi, 3.0 / (n + 1), fr.y_table)
         div = np.einsum("mkm->k", dW[..., n:])       # dW^m_k/dy^m
         return rel_residual(np.abs(div).max(), Wv)
 

@@ -161,12 +161,17 @@ def test_exit_code_2_on_input_errors(tmp_path, capsys):
     # malformed family parameters
     assert run_cli("evaluate", "--spray", "sphere(n=3", capsys=capsys)[0] == 2
     assert run_cli("evaluate", "--spray", "sphere(3)", capsys=capsys)[0] == 2
-    # non-numeric family parameters and metric / 1-form keys outside 1..n
+    # non-numeric family parameters, metric / 1-form keys outside 1..n, a
+    # custom spray without its file and a singular Randers a_ij
     for spec, msg in (("sphere(n=abc)", "parameter n='abc'"),
                       ("sphere(n=3,kappa=x)", "parameter kappa='x'"),
                       ("randers(a11=1,a22=1,b3=0.5*x1)", "b_3: index outside 1..2"),
                       ("randers(a11=1,a22=1,b0=0.5)", "b_0: index outside 1..2"),
-                      ("riemannian(g11=1,g22=1,g30=1)", "a_30: index outside 1..3")):
+                      ("riemannian(g11=1,g22=1,g30=1)", "a_30: index outside 1..3"),
+                      ("custom", "custom(file=PATH)"),
+                      ("custom()", "custom(file=PATH)"),
+                      ("randers(a11=1,a22=1,a12=1,b1=0.1)",
+                       "metric a_ij is singular at x = (")):
         for command in ("evaluate", "verify"):
             code, _, err = run_cli(command, "--spray", spec, "--points", "1",
                                    capsys=capsys)

@@ -1,5 +1,7 @@
 """Finsler layer: fundamental tensor, Cartan torsion, induced sprays, Randers."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,88 @@ def test_randers_zero_one_form_reduces_to_riemannian():
     alpha = rd.alpha_spray()
     for p in sample_points(alpha, 5, seed=65):
         assert np.abs(hat.coefficients(p) - alpha.coefficients(p)).max() < 1e-14
+
+
+def _cov_s_loops(rd, p):
+    """s_{ij|k} and s^m_{j|m} by explicit loops over the Christoffels of a,
+    the partials of s by `Jet.d` on jets of x alone."""
+    from spraylab import exprdsl
+    n, x, val = rd.n, list(p.x), sc.carrier_value
+    _, _, _, _, s, s_up = rd._carrier_tensors(jets.lift_point(p.x, 2))
+    a = np.array([[val(exprdsl.evaluate(rd.a_asts[i][j], x)) for j in range(n)]
+                  for i in range(n)])
+    da = np.array([[[val(exprdsl.evaluate(rd.da[i][j][k], x)) for k in range(n)]
+                    for j in range(n)] for i in range(n)])
+    Gm = np.linalg.solve(a, 0.5 * (da + da.transpose(0, 2, 1)
+                                   - da.transpose(2, 1, 0)).reshape(n, -1))
+    Gm = Gm.reshape(n, n, n)                         # Gm[i, j, k] = Gamma^i_jk
+    s_v = sc.tensor_values(s)
+    sup_v = sc.tensor_values(s_up).T                 # s^i_j
+    s_cov = np.empty((n, n, n))
+    for i, j, k in itertools.product(range(n), repeat=3):
+        v = val(s[i][j].d(k)) if isinstance(s[i][j], jets.Jet) else 0.0
+        for m in range(n):
+            v -= Gm[m][i][k] * s_v[m, j] + Gm[m][j][k] * s_v[i, m]
+        s_cov[i, j, k] = v
+    s_div = np.zeros(n)
+    for j in range(n):
+        for m in range(n):
+            v = val(s_up[j][m].d(m)) if isinstance(s_up[j][m], jets.Jet) else 0.0
+            for q in range(n):
+                v += Gm[m][m][q] * sup_v[q, j] - Gm[q][j][m] * sup_v[m, q]
+            s_div[j] += v
+    return s_cov, s_div
+
+
+@pytest.mark.parametrize("a, b", [(A_CURVED, B_SMALL), (A3, B3)], ids=["n2", "n3"])
+def test_finsler_tables_match_jet_references(a, b):
+    # g and C read off the table of L = F^2 carry the bits of the iterated
+    # Jet.d; the Randers covariant derivatives of s from Frame.cov_h agree
+    # with the Christoffel loops, and vanish exactly when b = 0
+    n = len(b)
+    rd, rd0 = fl.RandersData(a, b, n, box=0.8), fl.RandersData(a, {}, n, box=0.8)
+    F = rd.metric()
+    for p in sample_points(F.spray(), 10, seed=70):
+        l2, l3 = F.l_jets(p, 2), F.l_jets(p, 3)
+        g = np.empty((n, n))
+        C = np.empty((n, n, n))
+        for i, j in itertools.product(range(n), repeat=2):
+            g[i, j] = 0.5 * sc.carrier_value(l2.d(n + min(i, j)).d(n + max(i, j)))
+        for idx in itertools.product(range(n), repeat=3):
+            i, j, k = sorted(idx)
+            C[idx] = sc.carrier_value(0.25 * l3.d(n + i).d(n + j).d(n + k))
+        assert fl.fundamental_tensor(F, p).components.tobytes() == g.tobytes()
+        assert fl.cartan_torsion(F, p).components.tobytes() == C.tobytes()
+        qt = rd.quantities(p)
+        s_cov, s_div = _cov_s_loops(rd, p)
+        assert np.abs(qt["s_cov"] - s_cov).max() <= 1e-13
+        assert np.abs(qt["s_div"] - s_div).max() <= 1e-13
+        assert np.abs(qt["s_cov"]).max() > 1e-3
+        qt0 = rd0.quantities(p)
+        assert np.abs(qt0["s_cov"]).max() == np.abs(qt0["s_div"]).max() == 0.0
+
+
+def test_chi_cartan_takes_no_jet_work(randers, monkeypatch):
+    # with the induced spray's order-3 frame and the order-5 jets of L
+    # cached, chi_cartan works on float tables alone
+    from collections import Counter
+    F = randers.metric()
+    (p,) = sample_points(F.spray(), 1, seed=71)
+    F.spray().frame(p, 3)
+    F.l_jets(p, 5)
+    counts, mul, d = Counter(), jets.Jet.__mul__, jets.Jet.d
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for attr in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(jets.Jet, attr, counted("mul", mul))
+    monkeypatch.setattr(jets.Jet, "d", counted("d", d))
+    fl.chi_cartan(F, p)
+    assert counts == {}, counts
 
 
 def test_randers_flat_alpha_constant_b():

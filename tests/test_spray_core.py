@@ -163,19 +163,41 @@ def test_covariant_derivative_covector_against_fd_assembly():
 
 def _mean_cartan_jet(F, xs, ys, k):
     """Component k of the mean Cartan torsion as a jet at the point under xs, ys."""
-    from spraylab.spray_core import carrier_value, invert_carrier
-    import itertools
-    n = F.n
-    p = PointTM(tuple(carrier_value(v) for v in xs),
-                tuple(carrier_value(v) for v in ys))
-    lj = F.l_jets(p, 5)
-    g = [[0.5 * lj.d(n + i).d(n + j) for j in range(n)] for i in range(n)]
-    ginv = invert_carrier(g)
-    acc = None
-    for i, j in itertools.product(range(n), repeat=2):
-        term = ginv[i][j] * (0.25 * lj.d(n + i).d(n + j).d(n + k))
-        acc = term if acc is None else acc + term
-    return acc
+    p = PointTM(tuple(sc.carrier_value(v) for v in xs),
+                tuple(sc.carrier_value(v) for v in ys))
+    return _jet_mean_cartan(F.l_jets(p, 5), F.n)[k]
+
+
+def _jet_mean_cartan(lj, n):
+    """I_k = g^{ij} C_ijk as jets, from the jet of L = F^2."""
+    ginv = _jet_inverse([[0.5 * lj.d(n + i).d(n + j) for j in range(n)]
+                         for i in range(n)])
+    C = _jet_cartan(lj, n)
+    return [sc.carrier_sum(ginv[i][j] * C[i, j, k]
+                           for i, j in itertools.product(range(n), repeat=2))
+            for k in range(n)]
+
+
+def _jet_inverse(A):
+    """Inverse of an n*n matrix of jets via the generic linear solve."""
+    n = len(A)
+    eye = [[1.0 if i == j else 0.0 for i in range(n)] for j in range(n)]
+    cols = sc.solve_carrier(A, eye)
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
+def _jet_cartan(lj, n):
+    """C_ijk = (1/4) d^3 L / dy^i dy^j dy^k as jets, from the jet of L = F^2."""
+    C = np.empty((n, n, n), dtype=object)
+    for i in range(n):
+        di = lj.d(n + i)
+        for j in range(i, n):
+            dij = di.d(n + j)
+            for k in range(j, n):
+                v = 0.25 * dij.d(n + k)
+                for perm in itertools.permutations((i, j, k)):
+                    C[perm] = v
+    return C
 
 
 def test_covariant_derivative_mixed_tensor_against_fd():
@@ -671,13 +693,7 @@ def test_table_operators_partials_match_jet_references(value_zoo):
             assert sc.rel_residual(got - want, want) <= 1e-13
             if sp.metric is None:
                 continue
-            lj = sp.metric.l_jets(p, 5)
-            ginv = sc.invert_carrier([[0.5 * lj.d(n + i).d(n + j) for j in range(n)]
-                                      for i in range(n)])
-            C = fl._cartan_jets(lj, n)
-            I = [sc.carrier_sum(ginv[i][j] * C[i, j, k]
-                                for i, j in itertools.product(range(n), repeat=2))
-                 for k in range(n)]
+            I = _jet_mean_cartan(sp.metric.l_jets(p, 5), n)
             Ip = np.stack([_jet_cov_h(fr3, I, ("down",), q) for q in range(n)], -1)
             Ipq = np.stack([_jet_cov_h(fr3, Ip, ("down", "down"), q)
                             for q in range(n)], -1)
