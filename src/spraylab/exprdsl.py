@@ -378,19 +378,24 @@ def ast_equal(a: ExprAst, b: ExprAst) -> bool:
     return False
 
 
+def variables(ast: ExprAst) -> set:
+    """The names of the variables an expression reads."""
+    if isinstance(ast, Var):
+        return {ast.name}
+    if isinstance(ast, Neg):
+        return variables(ast.child)
+    if isinstance(ast, Bin):
+        return variables(ast.left) | variables(ast.right)
+    if isinstance(ast, Pow):
+        return variables(ast.base)
+    if isinstance(ast, Call):
+        return variables(ast.arg)
+    return set()
+
+
 def uses_y(ast: ExprAst) -> bool:
     """True when the expression depends on a fibre variable y1..yn."""
-    if isinstance(ast, Var):
-        return ast.name[0] == "y"
-    if isinstance(ast, Neg):
-        return uses_y(ast.child)
-    if isinstance(ast, Bin):
-        return uses_y(ast.left) or uses_y(ast.right)
-    if isinstance(ast, Pow):
-        return uses_y(ast.base)
-    if isinstance(ast, Call):
-        return uses_y(ast.arg)
-    return False
+    return any(name[0] == "y" for name in variables(ast))
 
 
 # -- pretty printer -------------------------------------------------------------

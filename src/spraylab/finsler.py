@@ -208,6 +208,7 @@ class RandersData:
         self.db = [[exprdsl.differentiate(self.b_asts[i], k) for k in range(n)]
                    for i in range(n)]
         self._check_norm()
+        self._alpha = None
 
     def _check_norm(self, count: int = 20, seed: int = 0):
         rng = np.random.default_rng(seed)
@@ -224,6 +225,11 @@ class RandersData:
                 norm2 = float(bv @ np.linalg.solve(av, bv))
             except np.linalg.LinAlgError:
                 raise ValueError(f"metric a_ij is singular at x = "
+                                 f"{tuple(x[:self.n])}") from None
+            try:
+                np.linalg.cholesky(av)
+            except np.linalg.LinAlgError:
+                raise ValueError(f"metric a_ij is not positive definite at x = "
                                  f"{tuple(x[:self.n])}") from None
             if norm2 >= 1.0:
                 raise ValueError(f"|b|_a = {math.sqrt(norm2):.4f} >= 1 at x = "
@@ -247,9 +253,12 @@ class RandersData:
         return FinslerMetric(src, n, domain=self.box, label="randers")
 
     def alpha_spray(self) -> SprayChart:
-        """The Riemannian spray of alpha."""
-        return FunctionSpray(self.n, metric_spray_fn(self.a_asts, self.n),
-                             self.box, "alpha")
+        """The Riemannian spray of alpha, built once, so that its frames are
+        shared by every caller."""
+        if self._alpha is None:
+            self._alpha = FunctionSpray(self.n, metric_spray_fn(self.a_asts, self.n),
+                                        self.box, "alpha")
+        return self._alpha
 
     def volume_alpha(self):
         """dV_alpha: the density sqrt(det a) as a volume form."""
@@ -369,10 +378,11 @@ class RandersData:
         alpha_sp = self.alpha_spray()
         res1 = res2 = 0.0
         for p in points:
+            # the order-3 frame first: the order-2 one `quantities` reads is its slice
+            Rbar = riemann_two_index(alpha_sp, p).components
             qt = self.quantities(p)
             y = np.array(p.y)
             kv = carrier_value(exprdsl.evaluate(kast, list(p.x) + [0.0] * n))
-            Rbar = riemann_two_index(alpha_sp, p).components
             a2 = qt["alpha"] ** 2
             t_up = qt["s_up"] @ qt["s_up"]
             rhs = kv * (a2 * np.eye(n) - np.outer(y, qt["y_low"]))

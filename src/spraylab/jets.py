@@ -26,14 +26,17 @@ class JetDomainError(ArithmeticError):
     """An operation left the domain where the expansion stays finite."""
 
 
-def _multi_indices(dim, order):
-    """All exponent tuples of length `dim` with total degree <= `order`."""
-    if dim == 0:
-        yield ()
-        return
-    for head in range(order + 1):
-        for tail in _multi_indices(dim - 1, order - head):
-            yield (head,) + tail
+@lru_cache(maxsize=None)
+def _exponent_rows(dim: int, degree: int) -> np.ndarray:
+    """All exponents of length `dim` and total degree `degree`, as the rows
+    of an int8 array in lexicographic order."""
+    if dim == 1:
+        return np.array([[degree]], dtype=np.int8)
+    blocks = []
+    for head in range(degree + 1):
+        tail = _exponent_rows(dim - 1, degree - head)
+        blocks.append(np.column_stack((np.full(len(tail), head, np.int8), tail)))
+    return np.concatenate(blocks)
 
 
 @lru_cache(maxsize=None)
@@ -42,50 +45,64 @@ def jet_space(dim: int, order: int) -> "JetSpace":
 
 
 class JetSpace:
-    """Shared index tables for all jets of one (dim, order) signature."""
+    """Shared index tables for all jets of one (dim, order) signature.
+
+    The tables are built with array operations.  With B = order + 1, an
+    exponent e has the key |e| B^dim + sum_d e_d B^(dim - 1 - d), which
+    increases in (degree, lex) order, the order of the positions.  The
+    entries of a sum of two exponents of degree <= order stay below B, so
+    its key is the sum of their keys, and `positions` finds an exponent by
+    its key.
+    """
 
     def __init__(self, dim: int, order: int):
         if dim < 1 or order < 0:
             raise ValueError("need dim >= 1 and order >= 0")
         self.dim = dim
         self.order = order
-        exps = sorted(_multi_indices(dim, order), key=lambda e: (sum(e), e))
-        self.exponents = tuple(exps)
-        self.size = len(exps)
-        degree = np.array([sum(e) for e in exps], dtype=np.int64)
-        self.degree = degree
-        self.index = {e: i for i, e in enumerate(exps)}
         # size of the prefix holding all indices of degree <= k
-        self.size_at = tuple(int((degree <= k).sum()) for k in range(order + 1))
+        self.size_at = tuple(math.comb(dim + k, dim) for k in range(order + 1))
+        self.size = self.size_at[-1]
+        self.rows = np.concatenate([_exponent_rows(dim, k) for k in range(order + 1)])
+        self.exponents = tuple(map(tuple, self.rows.tolist()))
+        self.index = dict(zip(self.exponents, range(self.size)))
+        self.degree = self.rows.sum(axis=1, dtype=np.int64)
+        self.weights = (order + 1) ** np.arange(dim, -1, -1, dtype=np.int64)
+        self._keys = self.keys(self.rows)
         self._product = None
         self._deriv = {}
-        self._fact = np.array([math.prod(math.factorial(a) for a in e) for e in exps],
-                              dtype=float)
+        self._fact = np.array([math.prod(math.factorial(a) for a in e)
+                               for e in self.exponents], dtype=float)
+
+    def keys(self, rows) -> np.ndarray:
+        """The keys (see the class doc) of exponents given as rows."""
+        out = rows.sum(axis=1, dtype=np.int64) * self.weights[0]
+        for d in range(self.dim):
+            out += rows[:, d] * self.weights[d + 1]
+        return out
+
+    def positions(self, keys) -> np.ndarray:
+        """Positions of the exponents with these keys."""
+        return np.searchsorted(self._keys, keys)
 
     def _product_table(self):
+        """Position pairs (i, j) whose degrees sum to <= order, i major and
+        j ascending (the summation order of `np.bincount`), and the position
+        of each pair's exponent sum."""
         if self._product is None:
-            ia, ib, it = [], [], []
-            for i, ea in enumerate(self.exponents):
-                da = self.degree[i]
-                # positions are degree-sorted, so valid partners form a prefix
-                for j in range(self.size_at[self.order - da]):
-                    eb = self.exponents[j]
-                    it.append(self.index[tuple(a + b for a, b in zip(ea, eb))])
-                    ia.append(i)
-                    ib.append(j)
-            self._product = (np.array(ia), np.array(ib), np.array(it))
+            # positions are degree-sorted, so valid partners form a prefix
+            counts = np.array(self.size_at)[self.order - self.degree]
+            ia = np.repeat(np.arange(self.size), counts)
+            ib = np.arange(len(ia)) - np.repeat(np.cumsum(counts) - counts, counts)
+            self._product = (ia, ib, self.positions(self._keys[ia] + self._keys[ib]))
         return self._product
 
     def _deriv_table(self, slot):
         if slot not in self._deriv:
             m = self.size_at[self.order - 1] if self.order >= 1 else 0
-            src = np.empty(m, dtype=np.int64)
-            mult = np.empty(m, dtype=float)
-            for t in range(m):
-                e = list(self.exponents[t])
-                e[slot] += 1
-                src[t] = self.index[tuple(e)]
-                mult[t] = e[slot]
+            unit = self.weights[0] + self.weights[slot + 1]
+            src = self.positions(self._keys[:m] + unit)
+            mult = self.rows[:m, slot] + 1.0
             self._deriv[slot] = (src, mult)
         return self._deriv[slot]
 
@@ -416,8 +433,18 @@ def lift_point(coords, order: int):
 def _embed_map(n: int, dim: int, order: int) -> np.ndarray:
     """Position in jet_space(dim, order) of (e, 0...0) for each exponent e of
     jet_space(n, order), in the order of the smaller space."""
-    pad, big = (0,) * (dim - n), jet_space(dim, order)
-    return np.array([big.index[e + pad] for e in jet_space(n, order).exponents])
+    small, big = jet_space(n, order), jet_space(dim, order)
+    pad = np.zeros((small.size, dim - n), dtype=np.int8)
+    return big.positions(big.keys(np.hstack((small.rows, pad))))
+
+
+@lru_cache(maxsize=None)
+def _xy_split(n: int, order: int):
+    """Positions in jet_space(n, order) of the x half and of the y half of
+    each exponent of jet_space(2n, order)."""
+    big, small = jet_space(2 * n, order), jet_space(n, order)
+    return tuple(small.positions(small.keys(big.rows[:, half]))
+                 for half in (slice(None, n), slice(n, None)))
 
 
 def _is_coordinate(j, slot: int, space: JetSpace) -> bool:
@@ -430,13 +457,48 @@ def _is_coordinate(j, slot: int, space: JetSpace) -> bool:
     return c[space.dim - slot] == 1.0 and np.count_nonzero(c) == 1 + (c[0] != 0.0)
 
 
+def small_lift(vs, first: int = 0):
+    """`lift_point(values, K)` in len(vs) variables when `vs` are the
+    coordinate jets of slots first, first + 1, ... of one lift in more
+    variables (`lift_point(x + y, K)[:n]` for first = 0, `[n:]` for
+    first = n); None for any other carriers."""
+    vs = list(vs)
+    space = getattr(vs[0], "space", None)
+    if space is None or space.dim <= len(vs) or not all(
+            _is_coordinate(j, first + i, space) for i, j in enumerate(vs)):
+        return None
+    return lift_point([j.value for j in vs], space.order)
+
+
+def embed(v, dim: int):
+    """`v` with every jet in it (nested in lists or tuples), a jet of the
+    leading variables, embedded into jet_space(dim, order) through
+    `_embed_map`, zeros elsewhere.  Other values pass through, and a jet met
+    twice is embedded once."""
+    memo = {}
+
+    def one(v):
+        if isinstance(v, (list, tuple)):
+            return type(v)(one(u) for u in v)
+        if not isinstance(v, Jet):
+            return v
+        out = memo.get(id(v))
+        if out is None:
+            sp = jet_space(dim, v.order)
+            c = np.zeros(sp.size)
+            c[_embed_map(v.dim, dim, v.order)] = v.coeffs
+            out = memo[id(v)] = Jet(sp, c)
+        return out
+
+    return one(v)
+
+
 def x_only(f, xs):
     """f(xs) for a map f of the leading coordinates alone, on small jets.
 
     When `xs` are the coordinate jets x^1..x^n of one lift in dim > n
-    variables (`lift_point(x + y, K)[:n]`), f runs on `lift_point(x, K)`, and
-    every jet in its result (nested in lists or tuples) is embedded into
-    jet_space(dim, order) through `_embed_map`, zeros elsewhere.  The
+    variables (`lift_point(x + y, K)[:n]`), f runs on `small_lift(xs)`, and
+    its result is embedded into jet_space(dim, order) (`embed`).  The
     numbers are those of f(xs) bit for bit: both spaces sort exponents by
     (degree, lex), so the x-only exponents keep their relative order, and a
     product's x-only coefficient receives the same terms in the same order.
@@ -444,27 +506,8 @@ def x_only(f, xs):
     -0.0 there after a negative scalar factor), which no product result
     depends on.  Any other `xs` go to f unchanged.
     """
-    xs = list(xs)
-    n, space = len(xs), getattr(xs[0], "space", None)
-    if space is None or space.dim <= n or not all(
-            _is_coordinate(j, i, space) for i, j in enumerate(xs)):
-        return f(xs)
-    memo = {}
-
-    def embed(v):
-        if isinstance(v, (list, tuple)):
-            return type(v)(embed(u) for u in v)
-        if not isinstance(v, Jet):
-            return v
-        out = memo.get(id(v))
-        if out is None:
-            sp = jet_space(space.dim, v.order)
-            c = np.zeros(sp.size)
-            c[_embed_map(n, space.dim, v.order)] = v.coeffs
-            out = memo[id(v)] = Jet(sp, c)
-        return out
-
-    return embed(f(lift_point([j.value for j in xs], space.order)))
+    small = small_lift(xs)
+    return f(xs) if small is None else embed(f(small), xs[0].dim)
 
 
 def partial(j: Jet, alpha) -> float:

@@ -12,7 +12,9 @@ or through closed formulas in base-spray data; R_hat has both routes, which
 the suite cross-checks.  Hat-quantities read S and tau = P^2 + P_{|m} y^m,
 P = S/(n+1), off the deformed spray, which builds each once per point: S as
 a jet (the deformed coefficients are differentiated further), tau as a
-float table of values and partials (`Frame.hpart` on the table of P).  eta
+float table of values and partials (`Frame.hpart` on the table of P).  The
+value of S alone (`s_curvature`, the float deformed coefficients) is read on
+floats off an order-1 frame (`s_value`), bit for bit the jet's value.  eta
 of the deformed spray is read off the base order-4 frame only (`eta_hat`);
 its direct route, which needs order-5 base jets, is kept as the reference in
 the tests.
@@ -25,8 +27,8 @@ import numpy as np
 from . import curvature, exprdsl, jets
 from .jets import Jet, JetDomainError
 from .spray_core import (Box, Frame, PointTM, ScalarField, SprayChart,
-                         TensorValue, _frozen, _product, carrier_value,
-                         plus_outer_y, rel_residual)
+                         TensorValue, _frozen, _product, carrier_sum,
+                         carrier_value, plus_outer_y, rel_residual)
 
 
 class VolumeForm:
@@ -41,6 +43,8 @@ class VolumeForm:
         self.n = n
         self.ast = sigma_ast
         self.dast = [exprdsl.differentiate(sigma_ast, k) for k in range(n)]
+        # on jets, dlog is a jet exactly when sigma reads a variable
+        self.varies = bool(exprdsl.variables(sigma_ast))
         self.label = label or exprdsl.pretty(sigma_ast)
 
     @staticmethod
@@ -82,10 +86,23 @@ def s_jet(fr: Frame, dV: VolumeForm) -> Jet:
     return out
 
 
+def s_value(fr: Frame, dV: VolumeForm) -> float:
+    """S at the frame's point on floats, with the bits of `s_jet(fr, dV)`'s
+    value: the trace of `N_values`, then minus y^m dlog_m in `s_jet`'s
+    order.  Where dlog_m is a jet there (sigma reads x), its product with
+    y^m is a bincount started at +0.0, so the float product gets + 0.0."""
+    y, dlog = fr.point.y, dV.dlog(list(fr.point.x))
+    out = carrier_sum(fr.N_values[m, m] for m in range(fr.n))
+    for m in range(fr.n):
+        t = y[m] * dlog[m]
+        out = out - (t + 0.0 if dV.varies else t)
+    return float(out)
+
+
 def s_curvature(G: SprayChart, dV: VolumeForm, p: PointTM) -> float:
     """S-curvature of (G, dV) at a point (a 1-homogeneous scalar), read off
-    the order-1 S of the deformed spray."""
-    return carrier_value(deform(G, dV).S(p, 1))
+    the order-1 frame of G (`s_value`)."""
+    return s_value(G.frame(p, 1), dV)
 
 
 def chi_via_s(G: SprayChart, dV: VolumeForm, p: PointTM,
@@ -132,11 +149,11 @@ class DeformedSpray(SprayChart):
         self._tau = {}          # (x, y) -> tau on the order-4 base frame
 
     def S(self, p: PointTM, order: int) -> Jet:
-        """S at p to this order for deformed frames, `chi_via_s`, `eta_hat`,
-        `tau`, and at order 1 `s_curvature` and `eval_coefficients`.  Below
-        the highest order built at p it is a prefix slice of that S, the same
-        numbers bit for bit (as for frames): asking for the top order first
-        costs one `s_jet` per point."""
+        """S at p to this order for deformed frames, `chi_via_s`, `eta_hat`
+        and `tau` (its value alone is `s_value`).  Below the highest order
+        built at p it is a prefix slice of that S, the same numbers bit for
+        bit (as for frames): asking for the top order first costs one
+        `s_jet` per point."""
         key = (p.x, p.y)
         top = self._S.get(key)
         if top is None or top.order < order - 1:    # Pi costs S an order
@@ -172,7 +189,7 @@ class DeformedSpray(SprayChart):
         which reads the S-jet off a base frame one order deeper.
         """
         p = PointTM(tuple(xs), tuple(ys))
-        S = carrier_value(self.S(p, 1))
+        S = s_value(self.base.frame(p, 1), self.volume)
         base_vals = self.base.coefficients(p)
         return [base_vals[i] - S * ys[i] / (self.n + 1) for i in range(self.n)]
 

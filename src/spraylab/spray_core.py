@@ -147,10 +147,21 @@ def factor_carrier(A):
         for r in range(k + 1, n):
             f = a[r][k] * inv
             for c in range(k + 1, n):
-                a[r][c] = a[r][c] - f * a[k][c]
+                a[r][c] = _minus_product(a[r][c], f, a[k][c])
             fs.append(f)
         steps.append((piv, fs, a[k][k:], inv))
     return steps
+
+
+def _minus_product(acc, f, v):
+    """acc - f * v on carriers.  The product is skipped when f is a jet with
+    no nonzero coefficient and acc and v are jets of its space: its bincount
+    would add zero terms to +0.0 (v finite), and acc - 0.0 is acc bit for
+    bit.  A diagonal g leaves every multiplier and off-diagonal U entry so."""
+    if (isinstance(f, Jet) and isinstance(acc, Jet) and isinstance(v, Jet)
+            and acc.space is f.space is v.space and not np.count_nonzero(f.coeffs)):
+        return acc
+    return acc - f * v
 
 
 def solve_factored(steps, B):
@@ -159,7 +170,8 @@ def solve_factored(steps, B):
     B is a list of right-hand sides (each a list of n carriers); they take
     the row swaps and updates of the elimination, then back-substitution
     divides by each pivot through its kept reciprocal (`jets.quotient`).
-    Returns the list of solution vectors.
+    Updates by zero jets are skipped (`_minus_product`).  Returns the list
+    of solution vectors.
     """
     n = len(steps)
     bs = [col[:] for col in B]
@@ -167,7 +179,7 @@ def solve_factored(steps, B):
         for col in bs:
             col[k], col[piv] = col[piv], col[k]
             for r, f in enumerate(fs, start=k + 1):
-                col[r] = col[r] - f * col[k]
+                col[r] = _minus_product(col[r], f, col[k])
     out = []
     for col in bs:
         x = [None] * n
@@ -175,7 +187,7 @@ def solve_factored(steps, B):
             _, _, u, inv = steps[k]
             acc = col[k]
             for c in range(k + 1, n):
-                acc = acc - u[c - k] * x[c]
+                acc = _minus_product(acc, u[c - k], x[c])
             x[k] = jets.quotient(acc, u[0], inv)
         out.append(x)
     return out
@@ -739,13 +751,66 @@ def _normalize_metric(g, n):
     return full
 
 
+def _placed_rhs(dg, ly) -> list:
+    """q_l = sum_{k,m} c_lkm y^k y^m, c_lkm = 2 dg_lk/dx^m - dg_mk/dx^l, as
+    jets in 2n variables, from dg on the n-variable lift of x (jets, or
+    floats where an entry is constant) and `ly`, the n-variable lift of y.
+
+    The bits are those of the 2n products c_lkm * (y^k y^m), summed left to
+    right in (k, m) order.  A product of an x-only and a y-only jet has one
+    nonzero term per coefficient, c[alpha] Y[beta], which its bincount adds
+    to +0.0 among zero terms (finite coefficients): so c[alpha] Y[beta] + 0.0
+    is written straight into place (`jets._xy_split`).  Y on n variables has
+    the bits of the 2n product y^k y^m at the y-only positions, for the
+    reason `jets.x_only` gives, and that product is zero elsewhere.  A float
+    c scales all of Y (`Jet.__mul__`).  c is exact at the x-only positions;
+    the sign of a zero there does not matter.
+    """
+    n, small = len(ly), ly[0].space
+    ix, iy = jets._xy_split(n, small.order)
+    space = jets.jet_space(2 * n, small.order)
+    # y^k y^m is zero above degree 2: the product of order-2 prefixes, padded
+    low = min(small.order, 2)
+    Y = np.zeros((n, n, small.size))
+    for k in range(n):
+        for m in range(k, n):
+            c = (ly[k].truncated(low) * ly[m].truncated(low)).coeffs
+            Y[k, m, :c.size] = Y[m, k, :c.size] = c
+    Y = Y[..., iy]                          # y^k y^m at each 2n position
+    pure = ix == 0                          # the y-only positions
+    Y2n = np.zeros_like(Y)                  # the 2n product y^k y^m
+    Y2n[..., pure] = Y[..., pure]
+    D = np.zeros((n, n, n, small.size))     # dg_ij/dx^k at [i, j, k]
+    for i, j, k in itertools.product(range(n), repeat=3):
+        v = dg[i][j][k]
+        if isinstance(v, Jet):
+            D[i, j, k] = v.coeffs
+        else:
+            D[i, j, k, 0] = v
+    C = 2.0 * D - D.transpose(2, 1, 0, 3)   # c_lkm at [l, k, m]
+    q = []
+    for l in range(n):      # one l at a time: no large temporary (peak RSS)
+        P = C[l][..., ix] * Y + 0.0
+        for k, m in itertools.product(range(n), repeat=2):
+            if not (isinstance(dg[l][k][m], Jet) or isinstance(dg[m][k][l], Jet)):
+                P[k, m] = Y2n[k, m] * C[l, k, m, 0]
+        P = P.reshape(n * n, -1)
+        acc = P[0]
+        for row in P[1:]:
+            acc = acc + row
+        q.append(Jet(space, acc))
+    return q
+
+
 def metric_spray_fn(g_asts, n):
     """Carrier-generic geodesic coefficients of a Riemannian metric g(x).
 
     G^i = (1/4) g^{il} (2 dg_lk/dx^m - dg_mk/dx^l) y^k y^m, evaluated through
     symbolic x-derivatives of the metric entries and a generic linear solve.
-    g, its factors and its x-derivatives run on x-only jets (`jets.x_only`);
-    only the right-hand side and its solve take the y variables.
+    On the coordinate jets of a lift, g, its factors and its x-derivatives
+    run on x-only jets (`jets.small_lift`), the right-hand side is placed
+    (`_placed_rhs`) and only its solve takes the y variables.  Floats and
+    other carriers take the same steps as products of carriers.
     """
     dg = [[[exprdsl.differentiate(g_asts[i][j], k) for k in range(n)]
            for j in range(n)] for i in range(n)]
@@ -757,15 +822,26 @@ def metric_spray_fn(g_asts, n):
              for i in range(n)]
         dgv = [[[exprdsl.evaluate(dg[i][j][k], xs, memo) for k in range(n)]
                 for j in range(n)] for i in range(n)]
-        return factor_carrier(g), dgv
+        try:
+            return factor_carrier(g), dgv
+        except JetDomainError:
+            x = tuple(carrier_value(v) for v in xs)
+            raise JetDomainError(f"metric g_ij is singular at x = {x}") from None
 
     def fn(xs, ys):
-        steps, dgv = jets.x_only(metric, xs)
-        # y^m y^k has the bits of y^k y^m (at most two terms per coefficient)
-        yy = {(k, m): ys[k] * ys[m] for k in range(n) for m in range(k, n)}
-        q = [carrier_sum((2.0 * dgv[l][k][m] - dgv[m][k][l]) * yy[min(k, m), max(k, m)]
-                         for k in range(n) for m in range(n))
-             for l in range(n)]
+        lx, ly = jets.small_lift(xs), jets.small_lift(ys, n)
+        if (lx is not None and ly is not None and xs[0].space is ys[0].space
+                and xs[0].dim == 2 * n):
+            steps, dgv = metric(lx)
+            steps, q = jets.embed(steps, 2 * n), _placed_rhs(dgv, ly)
+        else:
+            steps, dgv = metric(xs)
+            # y^m y^k has the bits of y^k y^m (at most two terms per coefficient)
+            yy = {(k, m): ys[k] * ys[m] for k in range(n) for m in range(k, n)}
+            q = [carrier_sum((2.0 * dgv[l][k][m] - dgv[m][k][l])
+                             * yy[min(k, m), max(k, m)]
+                             for k in range(n) for m in range(n))
+                 for l in range(n)]
         (sol,) = solve_factored(steps, [q])
         return [0.25 * v for v in sol]
 

@@ -162,7 +162,7 @@ def test_exit_code_2_on_input_errors(tmp_path, capsys):
     assert run_cli("evaluate", "--spray", "sphere(n=3", capsys=capsys)[0] == 2
     assert run_cli("evaluate", "--spray", "sphere(3)", capsys=capsys)[0] == 2
     # non-numeric family parameters, metric / 1-form keys outside 1..n, a
-    # custom spray without its file and a singular Randers a_ij
+    # custom spray without its file, and a singular or indefinite Randers a_ij
     for spec, msg in (("sphere(n=abc)", "parameter n='abc'"),
                       ("sphere(n=3,kappa=x)", "parameter kappa='x'"),
                       ("randers(a11=1,a22=1,b3=0.5*x1)", "b_3: index outside 1..2"),
@@ -171,12 +171,22 @@ def test_exit_code_2_on_input_errors(tmp_path, capsys):
                       ("custom", "custom(file=PATH)"),
                       ("custom()", "custom(file=PATH)"),
                       ("randers(a11=1,a22=1,a12=1,b1=0.1)",
-                       "metric a_ij is singular at x = (")):
+                       "metric a_ij is singular at x = ("),
+                      ("randers(a11=-1,a22=1)",
+                       "metric a_ij is not positive definite at x = (")):
         for command in ("evaluate", "verify"):
             code, _, err = run_cli(command, "--spray", spec, "--points", "1",
                                    capsys=capsys)
             assert code == 2 and err.startswith("error: ") and msg in err, err
             assert len(err.splitlines()) == 1
+    # a singular Riemannian g is met where the spray is evaluated, at any
+    # point: a domain error that names g and the point
+    for command in ("evaluate", "verify"):
+        code, _, err = run_cli(command, "--spray", "riemannian(g11=1,g22=1,g12=1)",
+                               "--points", "1", capsys=capsys)
+        assert code == 2 and err.startswith("domain error: metric g_ij is "
+                                            "singular at x = ("), err
+        assert len(err.splitlines()) == 1
     # invalid --file sprays: not 2-homogeneous, and a Randers block with
     # |b|_a >= 1; both are bad input, reported without a traceback
     cubic = tmp_path / "cubic.spray"

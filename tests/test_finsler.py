@@ -181,6 +181,30 @@ def test_chi_cartan_degree_one(randers):
 def test_randers_norm_bound_rejected():
     with pytest.raises(ValueError, match=">= 1"):
         fl.RandersData({(1, 1): "1", (2, 2): "1"}, {1: "1.2"}, 2)
+    # an a_ij that is not positive definite is named with its point, before
+    # it reaches the generated F expression
+    with pytest.raises(ValueError, match=r"metric a_ij is not positive definite at x = \("):
+        fl.RandersData({(1, 1): "-1", (2, 2): "1"}, {}, 2)
+    with pytest.raises(ValueError, match="not positive definite"):
+        fl.RandersData({(1, 1): "1", (2, 2): "1", (1, 2): "2"}, {1: "0.1"}, 2)
+
+
+def test_randers_alpha_spray_has_one_owner():
+    # the alpha spray is built once per RandersData, so `quantities`,
+    # `hat_R` and `isotropy_residuals` at one point share one coefficient
+    # evaluation: isotropy asks for the order-3 frame first, and the order-2
+    # frame `quantities` reads is its slice
+    rd = fl.RandersData(A_CURVED, B_SMALL, 2, box=0.8)
+    alpha = rd.alpha_spray()
+    assert rd.alpha_spray() is alpha
+    pts = sample_points(alpha, 3, seed=70)
+    rd.isotropy_residuals("1", pts)
+    for p in pts:
+        rd.quantities(p)
+        rd.hat_R("1", p)
+    built = [fr for fr in alpha._frames.values() if fr.top is None]
+    assert sorted(fr.point.x for fr in built) == sorted(p.x for p in pts), len(built)
+    assert {fr.order for fr in built} == {3}
 
 
 def test_randers_zero_one_form_reduces_to_riemannian():

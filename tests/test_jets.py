@@ -243,6 +243,59 @@ def test_x_only_embeds_small_jets_and_passes_other_carriers_through():
     assert jets.x_only(lambda xs: xs, [full[1], full[0]])[0] is full[1]
 
 
+def _loop_tables(dim, order):
+    """The index tables of jet_space(dim, order) by per-exponent and per-pair
+    loops over exponent tuples: exponents, the exponent index, size_at, the
+    product table and the derivative tables of every slot."""
+    def indices(dim, order):
+        if dim == 0:
+            yield ()
+            return
+        for head in range(order + 1):
+            for tail in indices(dim - 1, order - head):
+                yield (head,) + tail
+
+    exps = sorted(indices(dim, order), key=lambda e: (sum(e), e))
+    index = {e: i for i, e in enumerate(exps)}
+    size_at = tuple(sum(1 for e in exps if sum(e) <= k) for k in range(order + 1))
+    ia, ib, it = [], [], []
+    for i, ea in enumerate(exps):
+        for j in range(size_at[order - sum(ea)]):
+            it.append(index[tuple(a + b for a, b in zip(ea, exps[j]))])
+            ia.append(i)
+            ib.append(j)
+    deriv = []
+    for slot in range(dim):
+        src, mult = [], []
+        for e in exps[: size_at[order - 1] if order >= 1 else 0]:
+            e = list(e)
+            e[slot] += 1
+            src.append(index[tuple(e)])
+            mult.append(float(e[slot]))
+        deriv.append((np.array(src, dtype=np.int64), np.array(mult)))
+    return exps, index, size_at, (np.array(ia), np.array(ib), np.array(it)), deriv
+
+
+def test_index_tables_match_the_loop_construction():
+    # the tables are built with array operations; they must be the arrays
+    # of the loop construction, in its pair order (the summation order of
+    # `np.bincount`), for the (dim, order) of every zoo spray: n and 2n
+    # variables for n = 2, 3, 4, orders 0-5
+    for dim in (2, 3, 4, 6, 8):
+        for order in range(6):
+            sp = jets.JetSpace(dim, order)
+            exps, index, size_at, product, deriv = _loop_tables(dim, order)
+            assert sp.exponents == tuple(exps) and sp.index == index
+            assert sp.size_at == size_at and sp.size == len(exps)
+            assert np.array_equal(sp.degree, [sum(e) for e in exps])
+            for got, ref in zip(sp._product_table(), product, strict=True):
+                assert got.dtype == ref.dtype and np.array_equal(got, ref), (dim, order)
+            for slot in range(dim):
+                for got, ref in zip(sp._deriv_table(slot), deriv[slot], strict=True):
+                    assert got.dtype == ref.dtype and np.array_equal(got, ref), (
+                        dim, order, slot)
+
+
 def test_exp_overflow_is_a_domain_error():
     with pytest.raises(JetDomainError, match="exp of 800.0 overflows"):
         jets.exp(800.0)

@@ -752,43 +752,31 @@ def _leaves(v):
 
 
 def test_x_only_jets_equal_the_full_lift_bit_for_bit(value_zoo, monkeypatch):
-    # the factors of g and dg of the metric sprays, dlog in S, and the Randers
-    # s-tensors run on n-variable jets and are embedded into the 2n-variable
-    # space; each jet handed out must be the one the 2n lift gives, signed
-    # zeros included.  The factors of g are compared on the x-only positions
-    # and must hold exact zeros elsewhere: the 2n elimination leaves -0.0
-    # there (a float 0 minus a jet), which only products read.
+    # dlog in S and the Randers s-tensors run on n-variable jets and are
+    # embedded into the 2n-variable space; each jet handed out must be the one
+    # the 2n lift gives, signed zeros included.  (The metric sprays factor g
+    # on the n-variable lift themselves and place the right-hand side; their
+    # factors are checked in the test below, their G there and in
+    # `test_placed_rhs_matches_the_2n_product_loop_bit_for_bit`.)
     from collections import Counter
     from spraylab import finsler as fl
     from spraylab import jets
     from spraylab import projective as pj
     x_only, seen = jets.x_only, Counter()
 
-    def compare(out, ref, name, n, exact):
+    def compare(out, ref, name, n):
         for a, b in zip(_leaves(out), _leaves(ref), strict=True):
             assert type(a) is type(b)
             if not isinstance(a, jets.Jet):
                 assert repr(a) == repr(b)
                 continue
             assert a.space is b.space and a.dim == 2 * n
-            if exact:
-                assert a.coeffs.tobytes() == b.coeffs.tobytes(), name
-            else:
-                on = jets._embed_map(n, 2 * n, a.order)
-                off = np.ones(a.space.size, dtype=bool)
-                off[on] = False
-                assert a.coeffs[on].tobytes() == b.coeffs[on].tobytes(), name
-                assert not (a.coeffs[off].any() or b.coeffs[off].any()), name
+            assert a.coeffs.tobytes() == b.coeffs.tobytes(), name
             seen[name] += 1
 
     def checked(f, xs):
         out, ref = x_only(f, xs), f(list(xs))
-        name, n = f.__qualname__.rsplit(".", 1)[-1], len(xs)
-        if name == "metric":        # (factors of g, dg)
-            compare(out[0], ref[0], "factors", n, exact=False)
-            compare(out[1], ref[1], name, n, exact=True)
-        else:
-            compare(out, ref, name, n, exact=True)
+        compare(out, ref, f.__qualname__.rsplit(".", 1)[-1], len(xs))
         return out
 
     monkeypatch.setattr(jets, "x_only", checked)
@@ -799,10 +787,53 @@ def test_x_only_jets_equal_the_full_lift_bit_for_bit(value_zoo, monkeypatch):
             # a fresh point per order, so every order evaluates
             for order, p in enumerate(sample_points(sp, 4, seed=seed), start=1):
                 spray.frame(p, order)
-    assert set(seen) == {"metric", "factors", "dlog", "a_and_s_up"}, seen
+    assert set(seen) == {"dlog", "a_and_s_up"}, seen
 
 
 SPHERE3_G = {(i, i): "4 / (1 + 1.0*(x1^2 + x2^2 + x3^2))^2" for i in (1, 2, 3)}
+SPHERE4_G = {(i, i): "4 / (1 + 1.0*(x1^2 + x2^2 + x3^2 + x4^2))^2"
+             for i in (1, 2, 3, 4)}
+# metrics of the sprays whose right-hand side is placed: the sphere (n = 3, 4;
+# diagonal), Randers' alpha of the value zoo, a g with constant dg (every c_lkm
+# a float), a constant g (every c_lkm the float 0.0), and two on which every
+# c_1km is negative: as floats (q_1 holds -0.0 off the y-only positions) and
+# as jets (a product's zero coefficients are c[alpha] * 0.0 = -0.0 before
+# its bincount adds +0.0)
+PLACED_METRICS = [("sphere(n=3,kappa=1)", SPHERE3_G, 3), ("sphere(n=4,kappa=1)", SPHERE4_G, 4),
+                  ("alpha", A_CURVED, 2),
+                  ("linear", {(1, 1): "2+x1", (2, 2): "2-x2", (1, 2): "0.3*x1"}, 2),
+                  ("constant", {(1, 1): "2", (2, 2): "3", (1, 2): "1"}, 2),
+                  ("negative floats", {(1, 1): "2-x1-x2", (1, 2): "-0.5*x1-0.5*x2",
+                                       (2, 2): "2"}, 2),
+                  ("negative jets", {(1, 1): "2-x1-x2+x1*x2",
+                                     (1, 2): "-0.3*x1-0.3*x2+0.1*x1*x2",
+                                     (2, 2): "2+0.5*x1+0.1*x1*x2"}, 2)]
+
+
+def _metric_jets(g, n, env):
+    """g_ij and dg_ij/dx^k evaluated on the carriers `env`."""
+    g_asts, memo = sc._normalize_metric(g, n), {}
+    gv = [[exprdsl.evaluate(g_asts[i][j], env, memo) for j in range(n)]
+          for i in range(n)]
+    dgv = [[[exprdsl.evaluate(exprdsl.differentiate(g_asts[i][j], k), env, memo)
+             for k in range(n)] for j in range(n)] for i in range(n)]
+    return gv, dgv
+
+
+def _loop_rhs(dgv, ys, n):
+    """The right-hand side of `metric_spray_fn` as products of carriers: all
+    n^2 products y^k y^m, then every c_lkm * (y^k y^m), summed in (k, m)
+    order.  On a 2n lift this is the reference for `_placed_rhs`."""
+    yy = [[ys[k] * ys[m] for m in range(n)] for k in range(n)]
+    return [sc.carrier_sum((2.0 * dgv[l][k][m] - dgv[m][k][l]) * yy[k][m]
+                           for k in range(n) for m in range(n))
+            for l in range(n)]
+
+
+def _placed_spray(label, g, n):
+    if label.startswith("sphere"):
+        return make_family("sphere", n=n, kappa=1.0)
+    return sc.make_riemannian(g, n, box=0.8)
 
 
 def test_x_only_factorization_solves_like_the_2n_lift_bit_for_bit():
@@ -811,30 +842,37 @@ def test_x_only_factorization_solves_like_the_2n_lift_bit_for_bit():
     # must be what `solve_carrier` gives on g lifted in all 2n variables, on
     # jets of every order and on floats.  Back-substitution pins each
     # quotient's value, so the jets' values are the float G bit for bit.
+    # The factors match the 2n elimination on the x-only positions and hold
+    # exact zeros elsewhere: the 2n elimination leaves -0.0 there (a float 0
+    # minus a jet), which only products read.
     from spraylab import finsler as fl
     from spraylab import jets
     rd = fl.RandersData(A_CURVED, {1: "0.2*x2", 2: "-0.1*x1"}, 2, box=0.8)
     cases = [(make_family("sphere", n=3, kappa=1.0), SPHERE3_G, 3),
              (rd.alpha_spray(), A_CURVED, 2)]
     for sp, g, n in cases:
-        g_asts = sc._normalize_metric(g, n)
-        dg = [[[exprdsl.differentiate(g_asts[i][j], k) for k in range(n)]
-               for j in range(n)] for i in range(n)]
         for p in sample_points(sp, 4, seed=65):
             floats = np.array(sp.eval_coefficients(list(p.x), list(p.y)))
             for order in (None, 1, 2, 3, 4):
                 env = (list(p.x + p.y) if order is None
                        else jets.lift_point(p.x + p.y, order))
-                xs, ys, memo = env[:n], env[n:], {}
-                gv = [[exprdsl.evaluate(g_asts[i][j], env, memo) for j in range(n)]
-                      for i in range(n)]
-                dgv = [[[exprdsl.evaluate(dg[i][j][k], env, memo) for k in range(n)]
-                        for j in range(n)] for i in range(n)]
-                yy = [[ys[k] * ys[m] for m in range(n)] for k in range(n)]
-                q = [sc.carrier_sum((2.0 * dgv[l][k][m] - dgv[m][k][l]) * yy[k][m]
-                                    for k in range(n) for m in range(n))
-                     for l in range(n)]
-                (sol,) = sc.solve_carrier(gv, [q])
+                xs, ys = env[:n], env[n:]
+                gv, dgv = _metric_jets(g, n, env)
+                if order is not None:
+                    small = _metric_jets(g, n, jets.lift_point(p.x, order))[0]
+                    factors = jets.embed(sc.factor_carrier(small), 2 * n)
+                    on = jets._embed_map(n, 2 * n, order)
+                    off = np.ones(jets.jet_space(2 * n, order).size, dtype=bool)
+                    off[on] = False
+                    for a, b in zip(_leaves(factors), _leaves(sc.factor_carrier(gv)),
+                                    strict=True):
+                        assert type(a) is type(b)
+                        if not isinstance(a, jets.Jet):
+                            assert repr(a) == repr(b)
+                            continue
+                        assert a.coeffs[on].tobytes() == b.coeffs[on].tobytes()
+                        assert not (a.coeffs[off].any() or b.coeffs[off].any())
+                (sol,) = sc.solve_carrier(gv, [_loop_rhs(dgv, ys, n)])
                 got = sp.eval_coefficients(xs, ys)
                 for a, b in zip(got, (0.25 * v for v in sol), strict=True):
                     assert type(a) is type(b), (sp.label, order)
@@ -846,12 +884,71 @@ def test_x_only_factorization_solves_like_the_2n_lift_bit_for_bit():
                 assert values.tobytes() == floats.tobytes(), (sp.label, order)
 
 
+def test_placed_rhs_matches_the_2n_product_loop_bit_for_bit():
+    # the right-hand side of a metric spray is written into place from c on
+    # x-only jets (floats where dg is constant) and y^k y^m on n-variable
+    # jets; it must have the bits of the product loop in the 2n space, at
+    # orders 1-5 and at scaled points, negative scales included
+    from spraylab import jets
+    floats = set()
+    for label, g, n in PLACED_METRICS:
+        sp = _placed_spray(label, g, n)
+        for p0 in sample_points(sp, 2, seed=66):
+            for s in (1.0, 0.5, -3.0):
+                p = p0.scaled(s)
+                for order in range(1, 6):
+                    lift = jets.lift_point(p.x + p.y, order)
+                    small = _metric_jets(g, n, jets.lift_point(p.x, order))[1]
+                    got = sc._placed_rhs(small, jets.lift_point(p.y, order))
+                    ref = _loop_rhs(_metric_jets(g, n, lift)[1], lift[n:], n)
+                    for a, b in zip(got, ref, strict=True):
+                        assert a.space is b.space, (label, order)
+                        assert a.coeffs.tobytes() == b.coeffs.tobytes(), (label, order, s)
+                    floats |= {label for v in _leaves(small)
+                               if not isinstance(v, jets.Jet)}
+    assert floats >= {"linear", "constant", "alpha"}, floats
+
+
+def test_zero_jet_skips_leave_the_solve_bit_for_bit(monkeypatch):
+    # factor_carrier and solve_factored skip an update f * v when f is a jet
+    # with no nonzero coefficient (a diagonal g leaves every multiplier and
+    # off-diagonal U entry so); the solution must be that of the solve with
+    # every product taken, on the 2n lift, with the spray's right-hand side
+    from spraylab import jets
+    minus, skipped = sc._minus_product, []
+
+    def counted(acc, f, v):
+        out = minus(acc, f, v)
+        skipped.append(out is acc)
+        return out
+
+    monkeypatch.setattr(sc, "_minus_product", counted)
+    for label, g, n in PLACED_METRICS[:3]:
+        sp = _placed_spray(label, g, n)
+        for p in sample_points(sp, 2, seed=68):
+            for order in (1, 2, 3, 4):
+                lift = jets.lift_point(p.x + p.y, order)
+                gv, dgv = _metric_jets(g, n, lift)
+                q = _loop_rhs(dgv, lift[n:], n)
+                skipped.clear()
+                (got,) = sc.solve_carrier(gv, [q])
+                assert any(skipped) == label.startswith("sphere"), (label, skipped)
+                with monkeypatch.context() as m:
+                    m.setattr(sc, "_minus_product", lambda acc, f, v: acc - f * v)
+                    (ref,) = sc.solve_carrier(gv, [q])
+                for a, b in zip(got, ref, strict=True):
+                    assert a.space is b.space
+                    assert a.coeffs.tobytes() == b.coeffs.tobytes(), (label, order)
+
+
 def test_jet_products_of_one_order_4_sphere_frame(monkeypatch):
-    # only the right-hand side of the metric solve is a 2n-variable product;
-    # g's elimination runs on x-only jets.  Jet-by-jet products of one
-    # order-4 sphere(n=3) frame build, by (dim, order) of the result: 57 in
-    # the 2n space when the whole solve ran there, 31 (and 46 x-only) when
-    # all n^2 products y^k y^m were formed, now 28: y^m y^k reuses y^k y^m
+    # only the solve's back-substitution is a 2n-variable product: g's
+    # elimination runs on x-only jets, the right-hand side is placed and
+    # updates by zero jets are skipped.  Jet-by-jet products of one order-4
+    # sphere(n=3) frame build, by (dim, order) of the result: 57 in the 2n
+    # space when the whole solve ran there, 31 (and 46 x-only) when all n^2
+    # products y^k y^m were formed, 28 when y^m y^k reused y^k y^m, now 3
+    # (45 x-only and 6 y^k y^m on order-2 n-variable jets)
     from collections import Counter
     from spraylab import jets
     counts, mul = Counter(), jets.Jet.__mul__
@@ -866,7 +963,7 @@ def test_jet_products_of_one_order_4_sphere_frame(monkeypatch):
     (p,) = sample_points(sp, 1, seed=3)
     monkeypatch.setattr(jets.Jet, "__mul__", counted)
     sp.frame(p, 4)
-    assert counts[6, 4] <= 28, counts
+    assert counts[6, 4] <= 3, counts
 
 
 def test_s_of_lower_order_is_a_slice_of_the_top_s(value_zoo):
@@ -883,3 +980,25 @@ def test_s_of_lower_order_is_a_slice_of_the_top_s(value_zoo):
             assert np.shares_memory(served.coeffs, top.coeffs)
             assert served.space is built.space
             assert served.coeffs.tobytes() == built.coeffs.tobytes()
+
+
+def test_float_s_matches_the_s_jet_value_bit_for_bit(value_zoo):
+    # `s_value` reads S off N_values and dlog on floats; its bits must be
+    # those of `s_jet`'s value, signed zeros included.  On the spray below
+    # Pi = -0.0 where y1, y2 < 0, and "1+0*x1" reads x with dlog = 0, so
+    # there S is -0.0 only if the products y^m dlog_m are +0.0 as in `s_jet`
+    from spraylab import projective as pj
+    zeros = ExpressionSpray(2, [exprdsl.parse("0*y1^2", 2), exprdsl.parse("0*y2^2", 2)],
+                            Box.cube(2, 1.0), "signed-zero")
+    negative = 0
+    for sp in value_zoo + [zeros]:
+        for sigma in ("1", "exp(x1)", "1+0*x1"):
+            dV = pj.VolumeForm(sigma, sp.n)
+            for p0 in sample_points(sp, 8, seed=67):
+                for p in (p0, p0.scaled(-2.0)):
+                    fr = sp.frame(p, 1)
+                    got = np.float64(pj.s_value(fr, dV)).tobytes()
+                    assert got == np.float64(pj.s_jet(fr, dV).value).tobytes()
+                    negative += got == np.float64(-0.0).tobytes()
+                    assert pj.s_curvature(sp, dV, p) == pj.s_value(fr, dV)
+    assert negative > 0
