@@ -8,7 +8,6 @@ timing is shown only in text output so it never perturbs report bytes.
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 
@@ -20,11 +19,14 @@ from . import exprdsl
 from . import projective as pj
 from . import report
 from . import spray_core as sc
-from . import verify
 from .jets import JetDomainError
 from .spray_core import CrossCheckError
 
-DEFAULT_SIGMAS = verify.DEFAULT_SIGMAS
+# after numpy and spraylab's modules: imported before them, argparse (with
+# gettext) raised the peak RSS of the `verify` runs by 0.15-0.4 MB
+import argparse  # noqa: E402
+
+DEFAULT_SIGMAS = pj.DEFAULT_SIGMAS
 
 _NUMBER_PARAMS = {"n": int, "kappa": float, "box": float}
 
@@ -116,7 +118,7 @@ def _resolve_spray(args) -> tuple:
             raise _unreadable(f"--file {args.file}", e) from None
         if doc.sigma is not None:
             sigma = [exprdsl.pretty(doc.sigma)]
-        spray = _make_family("custom", doc=doc)
+        spray = _make_family("custom", doc=doc, label=f"--file {args.file}")
     else:
         spray = _build_spray(*_parse_family_spec(args.spray))
     return spray, sigma, spray.metric
@@ -219,13 +221,14 @@ def cmd_evaluate(args) -> int:
         if order >= 4:
             q["eta"] = cv.eta(spray, p).components.tolist()
         pt_docs.append({"x": list(p.x), "y": list(p.y), "quantities": q})
-    cls = cv.classify(spray, points, verify.FLAG_TOL)
+    cls = cv.classify(spray, points, cv.FLAG_TOL)
     doc = _document(args, "evaluate", sigmas, cls, [], pt_docs)
     _emit(doc, args, time.time() - t0)
     return 0
 
 
 def cmd_verify(args) -> int:
+    from . import verify        # only this command runs the identity suite
     t0 = time.time()
     spray, file_sigma, _metric = _resolve_spray(args)
     sigmas = args.sigma or file_sigma or DEFAULT_SIGMAS
@@ -252,7 +255,8 @@ class _TolAction(argparse.Action):
         if "=" not in value:
             parser.error(f"--tol expects id=value, got {value!r}")
         key, val = value.split("=", 1)
-        if key not in {spec.id for spec in verify.ROWS}:
+        from .verify import ROWS
+        if key not in {spec.id for spec in ROWS}:
             parser.error(f"unknown tolerance id {key!r}")
         try:
             d[key] = float(val)

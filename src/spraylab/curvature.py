@@ -17,19 +17,20 @@ The metric route through the mean Cartan torsion lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
+from .records import Record
 from .spray_core import (PointTM, SprayChart, TensorValue, carrier_value,
                          plus_outer_y, rel_residual)
 
+FLAG_TOL = 1e-6          # classification flags (looser than identity rows)
 
-@dataclass
-class ChiValue:
-    components: np.ndarray
-    route: str
-    point: PointTM
+
+class ChiValue(Record):
+    __slots__ = ("components", "route", "point")
+
+    def __init__(self, components: np.ndarray, route: str, point: PointTM):
+        self.components, self.route, self.point = components, route, point
 
     def __repr__(self):
         return f"ChiValue(route={self.route!r}, {self.components})"
@@ -117,15 +118,20 @@ def eta(G: SprayChart, p: PointTM) -> TensorValue:
 
 # -- classification ---------------------------------------------------------------
 
-@dataclass
-class Classification:
-    """Max relative residuals of the three pointwise conditions over a sample."""
-    isotropy_residual: float       # max |T|
-    scalar_residual: float         # max |W|
-    chi_residual: float            # max |chi|
-    flag_tol: float
-    points: int
-    notes: dict = field(default_factory=dict)
+class Classification(Record):
+    """Max relative residuals of the three pointwise conditions over a
+    sample: max |T|, max |W| and max |chi|."""
+    __slots__ = ("isotropy_residual", "scalar_residual", "chi_residual",
+                 "flag_tol", "points", "notes")
+
+    def __init__(self, isotropy_residual: float, scalar_residual: float,
+                 chi_residual: float, flag_tol: float, points: int,
+                 notes: dict | None = None):
+        self.isotropy_residual = isotropy_residual
+        self.scalar_residual = scalar_residual
+        self.chi_residual = chi_residual
+        self.flag_tol, self.points = flag_tol, points
+        self.notes = {} if notes is None else notes
 
     @property
     def isotropic(self) -> bool:
@@ -140,7 +146,7 @@ class Classification:
         return self.chi_residual <= self.flag_tol
 
 
-def classify(G: SprayChart, points, flag_tol: float = 1e-6) -> Classification:
+def classify(G: SprayChart, points, flag_tol: float = FLAG_TOL) -> Classification:
     """Classify a spray over a point sample by its T, W and chi residuals."""
     if not points:
         raise ValueError("classification needs a non-empty point set")

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import struct
 import weakref
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import jets
 from .jets import JetDomainError
+from .records import Frozen, Record
 
 FUNCTIONS = {
     "sqrt": jets.sqrt,
@@ -36,12 +36,11 @@ FUNCTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    start: int
-    end: int
-    line: int
-    col: int
+class SourceSpan(Frozen):
+    __slots__ = ("start", "end", "line", "col")
+
+    def __init__(self, start: int, end: int, line: int, col: int):
+        self._init(start, end, line, col)
 
     def __str__(self):
         return f"line {self.line}, column {self.col}"
@@ -61,45 +60,51 @@ class ExprDomainError(ArithmeticError):
 
 # -- AST ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Num:
-    value: float
-    span: SourceSpan
+class _Node(Frozen):
+    __slots__ = ("__weakref__",)     # `interned` keeps nodes by weak reference
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    slot: int  # 0..n-1 for x, n..2n-1 for y
-    span: SourceSpan
+class Num(_Node):
+    __slots__ = ("value", "span")
+
+    def __init__(self, value: float, span: SourceSpan):
+        self._init(value, span)
 
 
-@dataclass(frozen=True)
-class Neg:
-    child: "ExprAst"
-    span: SourceSpan
+class Var(_Node):
+    __slots__ = ("name", "slot", "span")
+
+    def __init__(self, name: str, slot: int, span: SourceSpan):
+        self._init(name, slot, span)     # slot 0..n-1 for x, n..2n-1 for y
 
 
-@dataclass(frozen=True)
-class Bin:
-    op: str  # one of + - * /
-    left: "ExprAst"
-    right: "ExprAst"
-    span: SourceSpan
+class Neg(_Node):
+    __slots__ = ("child", "span")
+
+    def __init__(self, child: "ExprAst", span: SourceSpan):
+        self._init(child, span)
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "ExprAst"
-    exponent: int
-    span: SourceSpan
+class Bin(_Node):
+    __slots__ = ("op", "left", "right", "span")
+
+    def __init__(self, op: str, left: "ExprAst", right: "ExprAst",
+                 span: SourceSpan):
+        self._init(op, left, right, span)    # op one of + - * /
 
 
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    arg: "ExprAst"
-    span: SourceSpan
+class Pow(_Node):
+    __slots__ = ("base", "exponent", "span")
+
+    def __init__(self, base: "ExprAst", exponent: int, span: SourceSpan):
+        self._init(base, exponent, span)
+
+
+class Call(_Node):
+    __slots__ = ("fn", "arg", "span")
+
+    def __init__(self, fn: str, arg: "ExprAst", span: SourceSpan):
+        self._init(fn, arg, span)
 
 
 ExprAst = Union[Num, Var, Neg, Bin, Pow, Call]
@@ -135,11 +140,12 @@ def interned(cls, *fields) -> ExprAst:
 _OPS = set("+-*/^()")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "num" | "ident" | an operator char | "eof"
-    text: str
-    span: SourceSpan
+class _Token(Frozen):
+    __slots__ = ("kind", "text", "span")
+
+    def __init__(self, kind: str, text: str, span: SourceSpan):
+        # kind: "num" | "ident" | an operator char | "eof"
+        self._init(kind, text, span)
 
 
 def _tokenize(src: str, line_offset: int = 0, col_offset: int = 0):
@@ -571,15 +577,18 @@ def _derivative(ast: ExprAst, slot: int, d) -> ExprAst:
 
 # -- spray-definition files -------------------------------------------------------
 
-@dataclass
-class SprayFileDoc:
-    """Parsed contents of a spray-definition text file."""
-    dim: int
-    coeffs: Optional[list]          # G1..Gn ASTs, or None for a metric block
-    sigma: Optional[ExprAst]        # optional volume density, x-only
-    metric: Optional[dict]          # {(i, j): ast} for a_ij, or None
-    one_form: Optional[dict]        # {i: ast} for b_i, or None
-    box: float                      # half-width of the domain box
+class SprayFileDoc(Record):
+    """Parsed contents of a spray-definition text file: `coeffs` the G1..Gn
+    ASTs (None for a metric block), `sigma` an optional x-only volume
+    density, `metric` {(i, j): ast} for a_ij and `one_form` {i: ast} for b_i
+    (None without a metric block), `box` the half-width of the domain box."""
+    __slots__ = ("dim", "coeffs", "sigma", "metric", "one_form", "box")
+
+    def __init__(self, dim: int, coeffs: Optional[list],
+                 sigma: Optional[ExprAst], metric: Optional[dict],
+                 one_form: Optional[dict], box: float):
+        self.dim, self.coeffs, self.sigma = dim, coeffs, sigma
+        self.metric, self.one_form, self.box = metric, one_form, box
 
 
 def load_spray_file(path) -> SprayFileDoc:

@@ -30,6 +30,8 @@ from .spray_core import (Box, Frame, PointTM, ScalarField, SprayChart,
                          TensorValue, _frozen, _product, carrier_sum,
                          carrier_value, plus_outer_y, rel_residual)
 
+DEFAULT_SIGMAS = ("1", "exp(x1)", "1+0.5*x1^2")    # when no volume form is given
+
 
 class VolumeForm:
     """A positive density sigma(x) on the chart, given as an x-only expression."""

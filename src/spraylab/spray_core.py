@@ -18,13 +18,13 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
 from . import exprdsl, jets
 from .jets import Jet, JetDomainError
+from .records import Frozen, Record
 
 EPS_Y = 1e-6
 CROSS_CHECK_TOL = 1e-8   # direct R^i_k against y^j R^{ i}_{j kl} y^l
@@ -36,12 +36,11 @@ class CrossCheckError(AssertionError):
 
 # -- geometry of the chart -----------------------------------------------------
 
-@dataclass(frozen=True)
-class Box:
-    lo: tuple
-    hi: tuple
+class Box(Frozen):
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
+    def __init__(self, lo: tuple, hi: tuple):
+        self._init(lo, hi)
         for i, (l, h) in enumerate(zip(self.lo, self.hi)):
             if not (math.isfinite(l) and math.isfinite(h) and l < h):
                 raise ValueError(f"domain box axis x{i + 1}: bounds [{l!r}, "
@@ -66,15 +65,12 @@ class Box:
         return tuple(rng.uniform(l, h) for l, h in zip(self.lo, self.hi))
 
 
-@dataclass(frozen=True)
-class PointTM:
+class PointTM(Frozen):
     """A chart point (x; y) with y bounded away from the zero section."""
-    x: tuple
-    y: tuple
+    __slots__ = ("x", "y")
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
-        object.__setattr__(self, "y", tuple(float(v) for v in self.y))
+    def __init__(self, x: tuple, y: tuple):
+        self._init(tuple(float(v) for v in x), tuple(float(v) for v in y))
         if math.sqrt(sum(v * v for v in self.y)) < EPS_Y:
             raise ValueError(f"|y| below {EPS_Y}; tensors are undefined at y = 0")
 
@@ -87,14 +83,16 @@ class PointTM:
         return PointTM(self.x, tuple(s * v for v in self.y))
 
 
-@dataclass
-class TensorValue:
-    """Dense real components of a tensor at a point, with index metadata."""
-    components: np.ndarray
-    roles: tuple            # "up" / "down" per axis
-    names: tuple            # index letters, e.g. ("i", "j", "k", "l")
-    point: PointTM
-    label: str = ""
+class TensorValue(Record):
+    """Dense real components of a tensor at a point, with index metadata:
+    `roles` "up" / "down" per axis, `names` the index letters, e.g.
+    ("i", "j", "k", "l")."""
+    __slots__ = ("components", "roles", "names", "point", "label")
+
+    def __init__(self, components: np.ndarray, roles: tuple, names: tuple,
+                 point: PointTM, label: str = ""):
+        self.components, self.roles, self.names = components, roles, names
+        self.point, self.label = point, label
 
     @property
     def rank(self) -> int:
@@ -557,19 +555,23 @@ class SprayChart:
         return fr
 
     def homogeneity_residual(self, p: PointTM, lambdas=(0.5, 2.0, 3.0)) -> float:
-        """Worst relative residual of G(x, s*y) = s^2 G(x, y) over `lambdas`."""
+        """Worst relative residual of G(x, s*y) = s^2 G(x, y) over `lambdas`;
+        a NaN coefficient makes it NaN (np.max, unlike max, keeps a NaN)."""
         base = self.coefficients(p)
-        worst = 0.0
-        for s in lambdas:
-            scaled = self.coefficients(p.scaled(s))
-            worst = max(worst, rel_residual(scaled - s * s * base, base))
-        return worst
+        return float(np.max([rel_residual(self.coefficients(p.scaled(s))
+                                          - s * s * base, base) for s in lambdas]))
 
     def check_homogeneity(self, points, lambdas=(0.5, 2.0, 3.0), tol=1e-9):
-        """Verify G(x, s*y) = s^2 G(x, y) at sample points; raise on failure."""
+        """Verify G(x, s*y) = s^2 G(x, y) at sample points; raise on failure,
+        and at the first point where a coefficient is not finite."""
         worst = 0.0
         for p in points:
-            worst = max(worst, self.homogeneity_residual(p, lambdas))
+            res = self.homogeneity_residual(p, lambdas)
+            if not math.isfinite(res):
+                raise ValueError(f"{self.label}: spray coefficients G(x, s y) are "
+                                 f"not finite at x = {p.x}, y = {p.y}, s in "
+                                 f"{(1.0, *lambdas)}")
+            worst = max(worst, res)
         if worst > tol:
             raise ValueError(
                 f"{self.label}: 2-homogeneity violated (residual {worst:.2e})")
@@ -889,7 +891,8 @@ def make_example72(A="0", B="0", C="0", D="0", f="0", box: float = 1.0):
     return FunctionSpray(n, fn, Box.cube(n, box), "example72")
 
 
-def make_custom(file=None, doc=None, label: str = "custom"):
+def make_custom(file=None, doc=None, label: str = ""):
+    label = label or (f"custom(file={file})" if file is not None else "custom")
     if doc is None:
         if file is None:
             raise ValueError("custom needs a spray-definition file: "

@@ -11,34 +11,35 @@ passing vacuously.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from . import curvature as cv
-from . import finsler as fl
 from . import projective as pj
+from .curvature import FLAG_TOL
+from .projective import DEFAULT_SIGMAS
+from .records import Frozen, Record
 from .spray_core import (SprayChart, _product, carrier_value, plus_outer_y,
                          rel_residual)
 
-DEFAULT_SIGMAS = ("1", "exp(x1)", "1+0.5*x1^2")    # when no volume form is given
-FLAG_TOL = 1e-6          # classification flags (looser than identity rows)
 S_CLOSED_TOL = 1e-8      # hypothesis threshold for the closedness test
 ROLES4 = ("up", "down", "down", "down")
 
 
-@dataclass
-class Row:
-    id: str
-    eq_tag: str
-    statement: str
-    tolerance: float
-    residuals: list = field(default_factory=list)
-    point_ids: list = field(default_factory=list)
-    applicable: bool = True
-    note: str = ""
+class Row(Record):
+    __slots__ = ("id", "eq_tag", "statement", "tolerance", "residuals",
+                 "point_ids", "applicable", "note")
+
+    def __init__(self, id: str, eq_tag: str, statement: str, tolerance: float,
+                 residuals: list | None = None, point_ids: list | None = None,
+                 applicable: bool = True, note: str = ""):
+        self.id, self.eq_tag, self.statement = id, eq_tag, statement
+        self.tolerance = tolerance
+        self.residuals = [] if residuals is None else residuals
+        self.point_ids = [] if point_ids is None else point_ids
+        self.applicable, self.note = applicable, note
 
     def add(self, value: float, point=None):
         self.residuals.append(float(value))
@@ -177,6 +178,11 @@ class PointData:
     def versus_chi(self, route: cv.ChiValue):
         return rel_residual(route.components - self.chi, self.chi)
 
+    def chi_cartan(self):
+        from . import finsler       # loaded only for a spray with a metric
+        route = finsler.chi_cartan(self.spray.metric, self.p).components
+        return rel_residual(route - self.chi, self.chi, self.scale)
+
     def chi_homogeneity(self):
         return max(0.0, *(rel_residual(cv.chi_definition(self.spray, self.p.scaled(s))
                                        .components - s * self.chi, self.chi)
@@ -272,19 +278,18 @@ def _s_closed(run):
     return False, note + " (hypothesis fails: Pi is not closed)"
 
 
-@dataclass(frozen=True)
-class RowSpec:
+class RowSpec(Frozen):
     """One identity row.  `part` names the `SuiteRunner` method that fills
     it; `residual` maps a context (`SuiteRunner._contexts`) to a residual.
     `hypothesis` maps the runner to (applicable, note), or to None to leave
     the row out; without one the row always applies."""
-    id: str
-    part: str
-    eq_tag: str
-    tolerance: float
-    residual: Callable
-    statement: str
-    hypothesis: Callable | None = None
+    __slots__ = ("id", "part", "eq_tag", "tolerance", "residual", "statement",
+                 "hypothesis")
+
+    def __init__(self, id: str, part: str, eq_tag: str, tolerance: float,
+                 residual: Callable, statement: str,
+                 hypothesis: Callable | None = None):
+        self._init(id, part, eq_tag, tolerance, residual, statement, hypothesis)
 
 
 P, V = PointData, VolumeData
@@ -335,9 +340,7 @@ ROWS = (
     RowSpec("chi-y-contraction", "chi", "chi-contract", 1e-9,
             lambda pt: rel_residual(float(pt.chi @ pt.y), pt.chi), "chi_k y^k = 0"),
     # only a spray induced by a Finsler metric has the mean-Cartan route
-    RowSpec("chi-cartan-route", "chi", "chi-mean-cartan", 1e-6,
-            lambda pt: rel_residual(fl.chi_cartan(pt.spray.metric, pt.p).components
-                                    - pt.chi, pt.chi, pt.scale),
+    RowSpec("chi-cartan-route", "chi", "chi-mean-cartan", 1e-6, P.chi_cartan,
             "the mean-Cartan route to chi equals the definition on the induced spray",
             lambda run: None if run.spray.metric is None else (True, "")),
     RowSpec("weyl-route", "weyl", "weyl-via-chi", 1e-8, P.weyl_route,

@@ -193,13 +193,18 @@ def test_exit_code_2_on_input_errors(tmp_path, capsys):
     cubic.write_text("dim = 2\nG1 = y1^3\nG2 = 0\n")
     wide = tmp_path / "wide.spray"
     wide.write_text("dim = 2\na_11 = 1\na_22 = 1\nb_1 = 1.5\n")
-    for path, msg in ((cubic, "2-homogeneity"), (wide, "|b|_a")):
+    # coefficients [nan, 0]: inf - inf, which a max() of residuals dropped
+    nan = tmp_path / "nan.spray"
+    nan.write_text("dim = 2\nG1 = 1e308*10*y1^2 - 1e308*10*y1^2\nG2 = 0\n")
+    for path, msg in ((cubic, "2-homogeneity"), (wide, "|b|_a"),
+                      (nan, f"{nan}: spray coefficients G(x, s y) are not "
+                            "finite at x = (")):
         for command in ("evaluate", "verify"):
             code, _, err = run_cli(command, "--file", str(path), "--points",
                                    "2", capsys=capsys)
             assert code == 2
             assert err.startswith("error: ") and msg in err
-            assert "Traceback" not in err
+            assert "Traceback" not in err and len(err.splitlines()) == 1
     # an inverted domain box
     code, _, err = run_cli("verify", "--spray", "flat(n=2,box=-1)", "--points",
                            "2", capsys=capsys)

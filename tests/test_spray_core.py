@@ -1002,3 +1002,15 @@ def test_float_s_matches_the_s_jet_value_bit_for_bit(value_zoo):
                     negative += got == np.float64(-0.0).tobytes()
                     assert pj.s_curvature(sp, dV, p) == pj.s_value(fr, dV)
     assert negative > 0
+
+
+def test_a_nan_coefficient_is_kept_by_the_homogeneity_residual():
+    # inf - inf: G = [nan, 0] everywhere, which a max() of residuals dropped
+    doc = exprdsl.parse_spray_source(
+        "dim = 2\nG1 = 1e308*10*y1^2 - 1e308*10*y1^2\nG2 = 0\n")
+    sp = make_family("custom", validate=False, doc=doc)
+    assert np.isnan(sp.coefficients(P2)[0])
+    assert math.isnan(sp.homogeneity_residual(P2))
+    with pytest.raises(ValueError, match=r"^custom: spray coefficients G\(x, s y\) "
+                       r"are not finite at x = \(0\.1, -0\.2\), y = \(0\.7, 0\.4\)"):
+        sp.check_homogeneity([P2])
