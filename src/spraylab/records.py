@@ -35,6 +35,9 @@ class Frozen(Record):
     def __hash__(self):
         return hash(self._values())
 
+    def __reduce__(self):       # copy and pickle through the constructor
+        return type(self), self._values()
+
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a frozen "
                              f"{type(self).__name__}")

@@ -1,9 +1,11 @@
 """The package surface: lazy imports per command, the public names, and the
 semantics of the plain record types."""
 
+import copy
 import importlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 import weakref
@@ -125,6 +127,16 @@ def test_frozen_records_refuse_assignment(record, field):
         delattr(record, field)
     with pytest.raises(AttributeError):
         record.extra = 0            # no __dict__ either
+
+
+def test_records_copy_and_pickle_by_value():
+    span = SourceSpan(0, 2, 1, 1)
+    for record in (PointTM((0.0, 1.0), (1.0, 0.0)), Box((-1.0,), (1.0,)), span,
+                   Bin("+", Num(1.0, span), Var("x1", 0, span), span),
+                   Row("id", "tag", "s", 1e-9, [0.5], [0])):
+        for twin in (copy.copy(record), copy.deepcopy(record),
+                     pickle.loads(pickle.dumps(record))):
+            assert twin == record and type(twin) is type(record)
 
 
 def test_box_and_point_checks_on_construction():
