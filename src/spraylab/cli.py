@@ -221,7 +221,7 @@ def cmd_evaluate(args) -> int:
         if order >= 4:
             q["eta"] = cv.eta(spray, p).components.tolist()
         pt_docs.append({"x": list(p.x), "y": list(p.y), "quantities": q})
-    cls = cv.classify(spray, points, cv.FLAG_TOL)
+    cls = cv.classify(spray, points)
     doc = _document(args, "evaluate", sigmas, cls, [], pt_docs)
     _emit(doc, args, time.time() - t0)
     return 0

@@ -120,33 +120,29 @@ def eta(G: SprayChart, p: PointTM) -> TensorValue:
 
 class Classification(Record):
     """Max relative residuals of the three pointwise conditions over a
-    sample: max |T|, max |W| and max |chi|."""
-    __slots__ = ("isotropy_residual", "scalar_residual", "chi_residual",
-                 "flag_tol", "points", "notes")
+    sample: max |T|, max |W| and max |chi|; each flag holds within FLAG_TOL."""
+    __slots__ = ("isotropy_residual", "scalar_residual", "chi_residual")
 
     def __init__(self, isotropy_residual: float, scalar_residual: float,
-                 chi_residual: float, flag_tol: float, points: int,
-                 notes: dict | None = None):
+                 chi_residual: float):
         self.isotropy_residual = isotropy_residual
         self.scalar_residual = scalar_residual
         self.chi_residual = chi_residual
-        self.flag_tol, self.points = flag_tol, points
-        self.notes = {} if notes is None else notes
 
     @property
     def isotropic(self) -> bool:
-        return self.isotropy_residual <= self.flag_tol
+        return self.isotropy_residual <= FLAG_TOL
 
     @property
     def scalar_curvature(self) -> bool:
-        return self.scalar_residual <= self.flag_tol
+        return self.scalar_residual <= FLAG_TOL
 
     @property
     def chi_zero(self) -> bool:
-        return self.chi_residual <= self.flag_tol
+        return self.chi_residual <= FLAG_TOL
 
 
-def classify(G: SprayChart, points, flag_tol: float = FLAG_TOL) -> Classification:
+def classify(G: SprayChart, points) -> Classification:
     """Classify a spray over a point sample by its T, W and chi residuals."""
     if not points:
         raise ValueError("classification needs a non-empty point set")
@@ -157,4 +153,4 @@ def classify(G: SprayChart, points, flag_tol: float = FLAG_TOL) -> Classificatio
         t_res = max(t_res, rel_residual(fr.T[0], R2v))
         w_res = max(w_res, rel_residual(weyl(G, p, "direct").components, R2v))
         c_res = max(c_res, rel_residual(fr.chi[0], R2v))
-    return Classification(t_res, w_res, c_res, flag_tol, len(points))
+    return Classification(t_res, w_res, c_res)

@@ -9,12 +9,20 @@ A metric is a positive 1-homogeneous scalar F(x, y) given as a DSL expression
     G^i = (1/4) g^{il} (L_{x^m y^l} y^m - L_{x^l})   (induced spray)
 
 plus the metric route to the chi-covector through two horizontal covariant
-derivatives of I.  g, C and I are float tables of values and partials read
-off the jet of L (`Frame.table`); products of tables go through the product
-rule (`spray_core._product`) and covariant derivatives through
-`Frame.cov_h`, also for the Randers tensors.  The Randers machinery (covariant derivatives of the
-1-form, the r/s/q/t tensors and the closed-form deformed spray) lives in
-:class:`RandersData`.
+derivatives of I.  Each quantity has one route:
+
+* g, g^{-1}, C and I are float tables of values and partials from `_tables`,
+  read off the one jet of L per point (`FinslerMetric.l_jets`) through
+  `Frame.table`; products of tables go through the product rule
+  (`spray_core._product`).
+* The induced spray (`induced_spray`, one per metric) evaluates the symbolic
+  x- and y-derivatives of L; its frames give chi_cartan's covariant
+  derivatives (`Frame.cov_h`) and R^i_k.
+* :class:`RandersData` holds the Randers 1-form: a, s_ij and s^i_j come from
+  `_carrier_tensors`, and every covariant derivative of b or s is
+  `Frame.cov_h` on the frames of the alpha spray (`alpha_spray`), whose
+  Berwald connection is the Levi-Civita connection of a.  The closed-form
+  deformed spray adds alpha s^i_0 to that spray.
 """
 
 from __future__ import annotations
@@ -27,10 +35,10 @@ import numpy as np
 from . import curvature, exprdsl, jets
 from .jets import Jet, JetDomainError
 from .spray_core import (Box, Frame, FunctionSpray, PointTM, SprayChart,
-                         TensorValue, _normalize_metric, _product, carrier_sum,
-                         carrier_value, factor_carrier, metric_spray_fn,
+                         TensorValue, _normalize_metric, _parse_x_expr, _product,
+                         carrier_sum, carrier_value, metric_spray_fn,
                          rel_residual, riemann_two_index, solve_carrier,
-                         solve_factored, tensor_values)
+                         tensor_values)
 
 COND_LIMIT = 1e8
 
@@ -59,25 +67,22 @@ class FinslerMetric:
         self._dLx = [exprdsl.differentiate(self.L_ast, l) for l in range(n)]
         self._dLxy = [[exprdsl.differentiate(self._dLy[l], m)
                        for m in range(n)] for l in range(n)]
-        self._l_jets = {}
-        self._spray = None
+        self._l_jets = {}       # (x, y) -> the jet of L of the highest order asked
+        self._spray = None      # built by `induced_spray`
 
     def value(self, p: PointTM) -> float:
         return carrier_value(exprdsl.evaluate(self.ast, list(p.x) + list(p.y)))
 
     def l_jets(self, p: PointTM, order: int) -> Jet:
-        key = (p.x, p.y, order)
-        j = self._l_jets.get(key)
-        if j is None:
+        """The jet of L at p.  L is evaluated once per point, at the highest
+        order asked so far; lower orders are prefix slices of that jet
+        (`Jet.truncated`), the same numbers bit for bit."""
+        j = self._l_jets.get((p.x, p.y))
+        if j is None or j.order < order:
             env = jets.lift_point(p.x + p.y, order)
-            j = jets.as_jet(exprdsl.evaluate(self.L_ast, env), env[0])
-            self._l_jets[key] = j
-        return j
-
-    def spray(self) -> SprayChart:
-        if self._spray is None:
-            self._spray = _induced_spray(self)
-        return self._spray
+            j = self._l_jets[p.x, p.y] = jets.as_jet(
+                exprdsl.evaluate(self.L_ast, env), env[0])
+        return j.truncated(order)
 
     def validate(self, points, tol: float = 1e-9):
         """Sampled checks: F > 0, 1-homogeneity, positive definite g."""
@@ -95,30 +100,54 @@ class FinslerMetric:
                                  f"definite at {p} (eigenvalues {ev})")
 
 
+def _tables(F: FinslerMetric, p: PointTM, order: int, inverse: bool = True):
+    """g, C, g^{-1} and I at p as tables [values, first, ...] (`Frame.table`,
+    y slots only), all read off the order-`order` jet of L = F^2.
+
+    g has the partials of orders 0..order-2, C and, with `inverse`, g^{-1}
+    and I those of orders 0..order-3: the partials of g^{-1} follow from
+    d(g^{-1}) = -g^{-1} dg g^{-1}, those of I from the product rule.  Without
+    `inverse` the last two are None and a degenerate g is no error.
+    """
+    n = F.n
+    Lt = Frame.table(F.l_jets(p, order), order)
+    g = [0.5 * t[n:, n:] for t in Lt[2:]]
+    C = [0.25 * t[n:, n:, n:] for t in Lt[3:]]
+    if not inverse:
+        return g, C, None, None
+    _check_cond(g[0])
+    ginv = [np.linalg.inv(g[0])]
+    for _ in C[1:]:         # each pass adds one order of partials to g^{-1}
+        dg_ginv = _product("jka,kl->jla", g[1:], ginv)
+        ginv = ginv[:1] + [-t for t in _product("ij,jla->ila", ginv, dg_ginv)]
+    return g, C, ginv, _product("ij,ijk->k", ginv, C)
+
+
 def fundamental_tensor(F: FinslerMetric, p: PointTM) -> TensorValue:
     """g_ij = (1/2) d^2(F^2)/dy^i dy^j."""
-    n = F.n
-    g = 0.5 * Frame.table(F.l_jets(p, 2), 2)[2][n:, n:]
+    g = _tables(F, p, 2, inverse=False)[0][0]
     return TensorValue(g, ("down", "down"), ("i", "j"), p, "g")
 
 
 def cartan_torsion(F: FinslerMetric, p: PointTM) -> TensorValue:
     """C_ijk = (1/4) d^3(F^2)/dy^i dy^j dy^k (totally symmetric)."""
-    n = F.n
-    C = 0.25 * Frame.table(F.l_jets(p, 3), 3)[3][n:, n:, n:]
+    C = _tables(F, p, 3, inverse=False)[1][0]
     return TensorValue(C, ("down",) * 3, ("i", "j", "k"), p, "C")
 
 
 def mean_cartan(F: FinslerMetric, p: PointTM) -> TensorValue:
     """I_k = g^{ij} C_ijk."""
-    g = fundamental_tensor(F, p).components
-    _check_cond(g)
-    C = cartan_torsion(F, p).components
-    ginv = np.linalg.inv(g)
-    return TensorValue(np.einsum("ij,ijk->k", ginv, C), ("down",), ("k",), p, "I")
+    I = _tables(F, p, 3)[3][0]
+    return TensorValue(I, ("down",), ("k",), p, "I")
 
 
-def _induced_spray(F: FinslerMetric) -> SprayChart:
+def induced_spray(F: FinslerMetric) -> SprayChart:
+    """The geodesic spray of a Finsler metric, built once per metric:
+
+        G^i = (1/4) g^{il} (L_{x^m y^l} y^m - L_{x^l})
+    """
+    if F._spray is not None:
+        return F._spray
     n = F.n
 
     def fn(xs, ys):
@@ -136,14 +165,9 @@ def _induced_spray(F: FinslerMetric) -> SprayChart:
         (sol,) = solve_carrier(g, [q])
         return [0.25 * v for v in sol]
 
-    sp = FunctionSpray(n, fn, F.domain, f"spray({F.label})")
-    sp.metric = F
-    return sp
-
-
-def induced_spray(F: FinslerMetric) -> SprayChart:
-    """The geodesic spray of a Finsler metric (memoized per metric)."""
-    return F.spray()
+    F._spray = FunctionSpray(n, fn, F.domain, f"spray({F.label})")
+    F._spray.metric = F
+    return F._spray
 
 
 def chi_cartan(F: FinslerMetric, p: PointTM) -> curvature.ChiValue:
@@ -153,22 +177,13 @@ def chi_cartan(F: FinslerMetric, p: PointTM) -> curvature.ChiValue:
 
     with | the horizontal covariant derivative of the induced spray.  This is
     the deepest chain in the library (order-5 jets of F^2 plus a matrix
-    inverse), hence its looser tolerance downstream.  g, g^{-1}, C and I are
-    tables to second partials: g and C are y-partials of L of orders 2..5,
-    the partials of g^{-1} follow from d(g^{-1}) = -g^{-1} dg g^{-1} and
-    those of I from the product rule.
+    inverse), hence its looser tolerance downstream.  I is the table of
+    `_tables` to second partials, from the one order-5 jet of L at p; the
+    two covariant derivatives and R^i_k come from the induced spray's
+    order-3 frame (`Frame.cov_h`, `Frame.R2_table`).
     """
-    n = F.n
-    sfr = F.spray().frame(p, 3)
-    Lt = Frame.table(F.l_jets(p, 5), 5)
-    g = [0.5 * t[n:, n:] for t in Lt[2:5]]
-    C = [0.25 * t[n:, n:, n:] for t in Lt[3:6]]
-    _check_cond(g[0])
-    ginv = [np.linalg.inv(g[0])]
-    for _ in range(2):      # each pass adds one order of partials to g^{-1}
-        dg_ginv = _product("jka,kl->jla", g[1:], ginv)
-        ginv = ginv[:1] + [-t for t in _product("ij,jla->ila", ginv, dg_ginv)]
-    I = _product("ij,ijk->k", ginv, C)
+    sfr = induced_spray(F).frame(p, 3)
+    I = _tables(F, p, 5)[3]
     ddI = sfr.cov_h(sfr.cov_h(I, ("down",)), ("down", "down"))[0]   # I_{k|p|q}
     y = np.array(p.y)
     comps = 0.5 * (np.einsum("kpq,p,q->k", ddI, y, y) + I[0] @ sfr.R2_table[0])
@@ -182,13 +197,14 @@ class RandersData:
 
     alpha = sqrt(a_ij(x) y^i y^j), beta = b_i(x) y^i, with the sampled
     smallness condition |b|_a < 1.  Covariant derivatives of beta are taken
-    with the Levi-Civita connection of a.
+    with the Levi-Civita connection of a, which is the Berwald connection of
+    the alpha spray (`alpha_spray`, `Frame.cov_h`).
     """
 
     def __init__(self, a, b, n: int, box: float = 1.0):
         self.n = n
         self.box = Box.cube(n, box)
-        self.a_asts = _normalize_metric(a, n)
+        self.a_asts = _normalize_metric(a, n, "a")
         b_map = {}
         if isinstance(b, dict):
             items = b.items()
@@ -197,22 +213,18 @@ class RandersData:
         for i, src in items:
             if i not in range(1, n + 1):
                 raise ValueError(f"1-form entry b_{i}: index outside 1..{n}")
-            ast = src if not isinstance(src, str) else exprdsl.parse(src, n)
-            if exprdsl.uses_y(ast):
-                raise ValueError(f"1-form entry b_{i} must depend on x only")
-            b_map[int(i)] = ast
+            b_map[int(i)] = _parse_x_expr(src, n, f"1-form entry b_{i}")
         zero = exprdsl.parse("0", n)
         self.b_asts = [b_map.get(i + 1, zero) for i in range(n)]
-        self.da = [[[exprdsl.differentiate(self.a_asts[i][j], k)
-                     for k in range(n)] for j in range(n)] for i in range(n)]
         self.db = [[exprdsl.differentiate(self.b_asts[i], k) for k in range(n)]
                    for i in range(n)]
         self._check_norm()
         self._alpha = None
 
-    def _check_norm(self, count: int = 20, seed: int = 0):
-        rng = np.random.default_rng(seed)
-        for _ in range(count):
+    def _check_norm(self):
+        """|b|_a < 1 and a_ij positive definite at 20 sampled x."""
+        rng = np.random.default_rng(0)
+        for _ in range(20):
             x = list(self.box.sample(rng)) + [0.0] * self.n
             memo = {}
             av = np.array([[carrier_value(exprdsl.evaluate(self.a_asts[i][j],
@@ -276,52 +288,26 @@ class RandersData:
         return VolumeForm(f"sqrt({det})", n, label="dV_alpha")
 
     def _carrier_tensors(self, xs):
-        """a, b, the covariant derivative of b and its r/s parts, and s^i_j
-        over a carrier point x, through the Christoffels of a."""
+        """a_ij, s_ij = (1/2)(db_i/dx^j - db_j/dx^i) and s^i_j = a^{im} s_mj
+        over a carrier point x, s^i_j from one solve (s_up[j][i] = s^i_j).
+        s needs no connection: Gamma^m_ij is symmetric, so its terms in the
+        two covariant derivatives of b cancel."""
         n, memo = self.n, {}
         av = [[exprdsl.evaluate(self.a_asts[i][j], xs, memo) for j in range(n)]
               for i in range(n)]
-        dav = [[[exprdsl.evaluate(self.da[i][j][k], xs, memo) for k in range(n)]
-                for j in range(n)] for i in range(n)]
-        bv = [exprdsl.evaluate(self.b_asts[i], xs, memo) for i in range(n)]
         dbv = [[exprdsl.evaluate(self.db[i][k], xs, memo) for k in range(n)]
                for i in range(n)]
-        # Christoffel symbols of a: solve a . Gamma_(jk) = rhs_(jk)
-        rhs = []
-        for j, k in itertools.product(range(n), repeat=2):
-            col = [0.5 * (dav[l][j][k] + dav[l][k][j] - dav[j][k][l])
-                   for l in range(n)]
-            rhs.append(col)
-        steps = factor_carrier(av)      # one factorization for both solves
-        sols = solve_factored(steps, rhs)
-        Gm = [[[sols[j * n + k][i] for k in range(n)] for j in range(n)]
-              for i in range(n)]
-        # covariant derivative of the 1-form
-        bcov = [[dbv[i][j] for j in range(n)] for i in range(n)]
-        for i, j in itertools.product(range(n), repeat=2):
-            for m in range(n):
-                bcov[i][j] = bcov[i][j] - bv[m] * Gm[m][i][j]
-        s = [[0.5 * (bcov[i][j] - bcov[j][i]) for j in range(n)]
-             for i in range(n)]
-        r = [[0.5 * (bcov[i][j] + bcov[j][i]) for j in range(n)]
-             for i in range(n)]
-        s_up = solve_factored(steps, [[s[i][j] for i in range(n)]
-                                      for j in range(n)])
-        # s_up[j][i] = s^i_j
-        return av, bv, bcov, r, s, s_up
+        s = [[0.5 * (dbv[i][j] - dbv[j][i]) for j in range(n)] for i in range(n)]
+        s_up = solve_carrier(av, [[s[i][j] for i in range(n)] for j in range(n)])
+        return av, s, s_up
 
     def deformed_spray(self) -> SprayChart:
         """The closed-form deformed spray G_alpha^i + alpha s^i_0."""
-        n = self.n
-        alpha_fn = metric_spray_fn(self.a_asts, n)
-
-        def a_and_s_up(xs):     # the tensors of `_carrier_tensors` read here
-            av, _, _, _, _, s_up = self._carrier_tensors(xs)
-            return av, s_up
+        n, alpha_sp = self.n, self.alpha_spray()
 
         def fn(xs, ys):
-            base = alpha_fn(xs, ys)
-            av, s_up = jets.x_only(a_and_s_up, xs)
+            base = alpha_sp.eval_coefficients(xs, ys)
+            av, _, s_up = jets.x_only(self._carrier_tensors, xs)
             alpha = jets.sqrt(carrier_sum(
                 av[i][j] * (ys[i] * ys[j])
                 for i, j in itertools.product(range(n), repeat=2)))
@@ -336,17 +322,22 @@ class RandersData:
     def quantities(self, p: PointTM) -> dict:
         """All derived Randers tensors at a point (numeric).
 
-        s_{ij|k} and s^m_{j|m} are `Frame.cov_h` on the order-2 frame of the
-        alpha spray: its Berwald connection is the Levi-Civita one of a, and
+        a, s_ij and s^i_j come from `_carrier_tensors` on the x jets of the
+        alpha spray's order-2 frame, b from the 1-form there; b_{i|j} (and
+        r, its symmetric part), s_{ij|k} and s^m_{j|m} are `Frame.cov_h` on
+        that frame: its Berwald connection is the Levi-Civita one of a, and
         the horizontal derivative of an x-only table is its x-partial.
         """
         fr = self.alpha_spray().frame(p, 2)
-        av, bv, bcov, r, s, s_up = self._carrier_tensors(fr.xj)
-        # the tables of s_ij and s^i_j (s_up transposed); constants come as floats
-        s_t, sup_t = (Frame.table([[jets.as_jet(v, fr.xj[0]) for v in row]
-                                   for row in rows], 1) for rows in (s, zip(*s_up)))
-        a_v, b_v, bcov_v, r_v = (tensor_values(t) for t in (av, bv, bcov, r))
-        s_v, sup_v = s_t[0], sup_t[0]
+        av, s, s_up = self._carrier_tensors(fr.xj)
+        b = [exprdsl.evaluate(ast, fr.xj) for ast in self.b_asts]
+        # tables of b_i, s_ij and s^i_j (s_up transposed); constants come as floats
+        lift = np.frompyfunc(lambda v: jets.as_jet(v, fr.xj[0]), 1, 1)
+        b_t, s_t, sup_t = (Frame.table(lift(np.array(t, dtype=object)), 1)
+                           for t in (b, s, list(zip(*s_up))))
+        a_v, b_v, s_v, sup_v = tensor_values(av), b_t[0], s_t[0], sup_t[0]
+        bcov_v = fr.cov_h(b_t, ("down",))[0]                       # b_{i|j}
+        r_v = 0.5 * (bcov_v + bcov_v.T)
         y = np.array(p.y)
         b_up = np.linalg.solve(a_v, b_v)
         sj = b_up @ s_v                                  # s_j = b^i s_ij

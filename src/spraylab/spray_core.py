@@ -706,11 +706,10 @@ def covariant_derivative_h(field: TensorField, G: SprayChart,
 
 # -- sampling protocol ----------------------------------------------------------------
 
-def sample_points(spray: SprayChart, count: int, seed: int,
-                  shrink: float = 0.10):
+def sample_points(spray: SprayChart, count: int, seed: int):
     """x uniform in the domain box shrunk by 10%, y uniform on the unit sphere."""
     rng = np.random.default_rng(seed)
-    box = spray.domain.shrunk(shrink)
+    box = spray.domain.shrunk(0.10)
     pts = []
     for _ in range(count):
         x = box.sample(rng)
@@ -732,8 +731,9 @@ def _parse_x_expr(src, n, what):
     return ast
 
 
-def _normalize_metric(g, n):
-    """Accept {(i, j): expr} with 1-based keys or a nested list; symmetrize."""
+def _normalize_metric(g, n, letter: str = "g"):
+    """Accept {(i, j): expr} with 1-based keys or a nested list; symmetrize.
+    Errors name an entry by the family's `letter` (g_ij, or a_ij for randers)."""
     out = {}
     if isinstance(g, dict):
         items = g.items()
@@ -741,11 +741,12 @@ def _normalize_metric(g, n):
         items = (((i + 1, j + 1), g[i][j]) for i in range(n) for j in range(n))
     for (i, j), src in items:
         if not (i in range(1, n + 1) and j in range(1, n + 1)):
-            raise ValueError(f"metric entry a_{i}{j}: index outside 1..{n}")
-        ast = _parse_x_expr(src, n, f"metric entry a_{i}{j}")
+            raise ValueError(f"metric entry {letter}_{i}{j}: index outside 1..{n}")
+        ast = _parse_x_expr(src, n, f"metric entry {letter}_{i}{j}")
         key = (min(i, j), max(i, j))
         if key in out and not exprdsl.ast_equal(out[key], ast):
-            raise ValueError(f"metric entries a_{i}{j} and a_{j}{i} disagree")
+            raise ValueError(f"metric entries {letter}_{i}{j} and "
+                             f"{letter}_{j}{i} disagree")
         out[key] = ast
     zero = exprdsl.parse("0", n)
     full = [[out.get((min(i, j) + 1, max(i, j) + 1), zero) for j in range(n)]

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import curvature as cv
 from . import projective as pj
-from .curvature import FLAG_TOL
 from .projective import DEFAULT_SIGMAS
 from .records import Frozen, Record
 from .spray_core import (SprayChart, _product, carrier_value, plus_outer_y,
@@ -439,7 +438,7 @@ class SuiteRunner:
         self.rows = []
 
     # the classification flags that the hypotheses read and the report echoes
-    cls = cached_property(lambda run: cv.classify(run.spray, run.points, FLAG_TOL))
+    cls = cached_property(lambda run: cv.classify(run.spray, run.points))
     # G + P y, projectively related to G, for the projective-invariance row
     shifted = cached_property(
         lambda run: pj.with_projective_factor(run.spray, "0.3*y1 + 0.1*y2"))

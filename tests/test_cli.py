@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from spraylab import cli, verify
+from spraylab import cli
 from spraylab import curvature as cv
 from spraylab import spray_core as sc
 
@@ -161,13 +161,18 @@ def test_exit_code_2_on_input_errors(tmp_path, capsys):
     # malformed family parameters
     assert run_cli("evaluate", "--spray", "sphere(n=3", capsys=capsys)[0] == 2
     assert run_cli("evaluate", "--spray", "sphere(3)", capsys=capsys)[0] == 2
-    # non-numeric family parameters, metric / 1-form keys outside 1..n, a
-    # custom spray without its file, and a singular or indefinite Randers a_ij
+    # non-numeric family parameters, metric / 1-form keys outside 1..n or
+    # entries that read y (named by the family's letter), a custom spray
+    # without its file, and a singular or indefinite Randers a_ij
     for spec, msg in (("sphere(n=abc)", "parameter n='abc'"),
                       ("sphere(n=3,kappa=x)", "parameter kappa='x'"),
                       ("randers(a11=1,a22=1,b3=0.5*x1)", "b_3: index outside 1..2"),
                       ("randers(a11=1,a22=1,b0=0.5)", "b_0: index outside 1..2"),
-                      ("riemannian(g11=1,g22=1,g30=1)", "a_30: index outside 1..3"),
+                      ("riemannian(g11=1,g22=1,g30=1)", "g_30: index outside 1..3"),
+                      ("riemannian(g11=y1,g22=1)",
+                       "metric entry g_11 must depend on x variables only"),
+                      ("randers(a11=1,a22=1,b1=y1)",
+                       "1-form entry b_1 must depend on x variables only"),
                       ("custom", "custom(file=PATH)"),
                       ("custom()", "custom(file=PATH)"),
                       ("randers(a11=1,a22=1,a12=1,b1=0.1)",
@@ -262,7 +267,7 @@ def test_verify_classifies_once(monkeypatch, capsys):
     assert code == 0 and len(calls) == 1
     # the block the report had when the suite and the report each classified
     sp = cli._build_spray(*cli._parse_family_spec(spec))
-    cls = classify(sp, sc.sample_points(sp, 3, 7), verify.FLAG_TOL)
+    cls = classify(sp, sc.sample_points(sp, 3, 7))
     assert json.loads(out)["classification"] == {
         "isotropy_residual": cls.isotropy_residual,
         "scalar_residual": cls.scalar_residual,

@@ -219,18 +219,28 @@ def test_randers_zero_one_form_reduces_to_riemannian():
 
 
 def _cov_s_loops(rd, p):
-    """s_{ij|k} and s^m_{j|m} by explicit loops over the Christoffels of a,
-    the partials of s by `Jet.d` on jets of x alone."""
+    """b_{i|j}, s_{ij|k} and s^m_{j|m} by explicit loops over the Christoffels
+    of a, the partials of b and s by `Jet.d` on jets of x alone."""
     from spraylab import exprdsl
     n, x, val = rd.n, list(p.x), sc.carrier_value
-    _, _, _, _, s, s_up = rd._carrier_tensors(jets.lift_point(p.x, 2))
+    xj = jets.lift_point(p.x, 2)
+    _, s, s_up = rd._carrier_tensors(xj)
+    b = [exprdsl.evaluate(rd.b_asts[i], xj) for i in range(n)]
     a = np.array([[val(exprdsl.evaluate(rd.a_asts[i][j], x)) for j in range(n)]
                   for i in range(n)])
-    da = np.array([[[val(exprdsl.evaluate(rd.da[i][j][k], x)) for k in range(n)]
-                    for j in range(n)] for i in range(n)])
+    da = np.array([[[val(exprdsl.evaluate(exprdsl.differentiate(rd.a_asts[i][j], k),
+                                          x))
+                     for k in range(n)] for j in range(n)] for i in range(n)])
     Gm = np.linalg.solve(a, 0.5 * (da + da.transpose(0, 2, 1)
                                    - da.transpose(2, 1, 0)).reshape(n, -1))
     Gm = Gm.reshape(n, n, n)                         # Gm[i, j, k] = Gamma^i_jk
+    b_v = sc.tensor_values(b)
+    b_cov = np.empty((n, n))
+    for i, j in itertools.product(range(n), repeat=2):
+        v = val(b[i].d(j)) if isinstance(b[i], jets.Jet) else 0.0
+        for m in range(n):
+            v -= Gm[m][i][j] * b_v[m]
+        b_cov[i, j] = v
     s_v = sc.tensor_values(s)
     sup_v = sc.tensor_values(s_up).T                 # s^i_j
     s_cov = np.empty((n, n, n))
@@ -246,18 +256,19 @@ def _cov_s_loops(rd, p):
             for q in range(n):
                 v += Gm[m][m][q] * sup_v[q, j] - Gm[q][j][m] * sup_v[m, q]
             s_div[j] += v
-    return s_cov, s_div
+    return b_cov, s_cov, s_div
 
 
 @pytest.mark.parametrize("a, b", [(A_CURVED, B_SMALL), (A3, B3)], ids=["n2", "n3"])
 def test_finsler_tables_match_jet_references(a, b):
     # g and C read off the table of L = F^2 carry the bits of the iterated
-    # Jet.d; the Randers covariant derivatives of s from Frame.cov_h agree
-    # with the Christoffel loops, and vanish exactly when b = 0
+    # Jet.d; the Randers covariant derivatives of b and s from Frame.cov_h
+    # agree with the Christoffel loops, and those of s vanish exactly when
+    # b = 0
     n = len(b)
     rd, rd0 = fl.RandersData(a, b, n, box=0.8), fl.RandersData(a, {}, n, box=0.8)
     F = rd.metric()
-    for p in sample_points(F.spray(), 10, seed=70):
+    for p in sample_points(fl.induced_spray(F), 10, seed=70):
         l2, l3 = F.l_jets(p, 2), F.l_jets(p, 3)
         g = np.empty((n, n))
         C = np.empty((n, n, n))
@@ -269,7 +280,8 @@ def test_finsler_tables_match_jet_references(a, b):
         assert fl.fundamental_tensor(F, p).components.tobytes() == g.tobytes()
         assert fl.cartan_torsion(F, p).components.tobytes() == C.tobytes()
         qt = rd.quantities(p)
-        s_cov, s_div = _cov_s_loops(rd, p)
+        b_cov, s_cov, s_div = _cov_s_loops(rd, p)
+        assert np.abs(qt["b_cov"] - b_cov).max() <= 1e-13
         assert np.abs(qt["s_cov"] - s_cov).max() <= 1e-13
         assert np.abs(qt["s_div"] - s_div).max() <= 1e-13
         assert np.abs(qt["s_cov"]).max() > 1e-3
@@ -282,8 +294,8 @@ def test_chi_cartan_takes_no_jet_work(randers, monkeypatch):
     # cached, chi_cartan works on float tables alone
     from collections import Counter
     F = randers.metric()
-    (p,) = sample_points(F.spray(), 1, seed=71)
-    F.spray().frame(p, 3)
+    (p,) = sample_points(fl.induced_spray(F), 1, seed=71)
+    fl.induced_spray(F).frame(p, 3)
     F.l_jets(p, 5)
     counts, mul, d = Counter(), jets.Jet.__mul__, jets.Jet.d
 
@@ -298,6 +310,27 @@ def test_chi_cartan_takes_no_jet_work(randers, monkeypatch):
     monkeypatch.setattr(jets.Jet, "d", counted("d", d))
     fl.chi_cartan(F, p)
     assert counts == {}, counts
+
+
+def test_l_jets_evaluates_L_once_per_point(randers, monkeypatch):
+    # asked at orders 5, 3 and 2, L is evaluated once, at order 5; the lower
+    # orders are slices with the bits of a fresh evaluation at their order
+    from spraylab import exprdsl
+    F = randers.metric()
+    p, evaluate, calls = P2, exprdsl.evaluate, []
+
+    def counted(ast, *args):
+        calls.append(ast is F.L_ast)
+        return evaluate(ast, *args)
+
+    monkeypatch.setattr(exprdsl, "evaluate", counted)
+    got = {k: F.l_jets(p, k) for k in (5, 3, 2)}
+    assert calls.count(True) == 1
+    monkeypatch.undo()
+    for k, j in got.items():
+        env = jets.lift_point(p.x + p.y, k)
+        fresh = jets.as_jet(exprdsl.evaluate(F.L_ast, env), env[0])
+        assert j.order == k and np.array_equal(j.coeffs, fresh.coeffs)
 
 
 def test_randers_flat_alpha_constant_b():

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import spraylab
-from spraylab import exprdsl, verify
+from spraylab import exprdsl
 from spraylab.curvature import ChiValue, Classification
 from spraylab.exprdsl import (Bin, Call, Neg, Num, Pow, SourceSpan,
                               SprayFileDoc, Var, _Token)
@@ -172,9 +172,7 @@ def test_records_construct_by_keyword_with_their_defaults():
     assert a.residuals == [] and a.residuals is not b.residuals
     assert a.point_ids is not b.point_ids and a.applicable and a.note == ""
     assert Row("id", "tag", "s", 1e-9, applicable=False, note="n").note == "n"
-    cls = Classification(0.0, 0.0, 0.0, verify.FLAG_TOL, 1)
-    assert cls.notes == {} and cls.isotropic
-    assert cls.notes is not Classification(0.0, 0.0, 0.0, 1e-6, 1).notes
+    assert Classification(0.0, 0.0, 0.0).isotropic
     p = PointTM((0.0,), (1.0,))
     assert TensorValue(components=None, roles=(), names=(), point=p).label == ""
     assert ChiValue(components=None, route="trace", point=p).route == "trace"

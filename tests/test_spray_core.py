@@ -327,9 +327,9 @@ def test_make_family_registry_and_errors():
     with pytest.raises(ValueError, match="unknown spray family"):
         make_family("nope")
     # metric and 1-form keys outside 1..n are refused, not dropped
-    with pytest.raises(ValueError, match="a_30: index outside 1..3"):
+    with pytest.raises(ValueError, match="g_30: index outside 1..3"):
         make_family("riemannian", g={(1, 1): "1", (2, 2): "1", (3, 0): "1"}, n=3)
-    with pytest.raises(ValueError, match="a_1.52: index outside 1..2"):
+    with pytest.raises(ValueError, match="g_1.52: index outside 1..2"):
         make_family("riemannian", g={(1, 1): "1", (2, 2): "1", (1.5, 2): "5"}, n=2)
     for b in ({3: "0.5*x1"}, {0: "0.5"}, {1.5: "0.1"}, ["0.1", "0.1", "0.1"]):
         with pytest.raises(ValueError,
@@ -787,7 +787,7 @@ def test_x_only_jets_equal_the_full_lift_bit_for_bit(value_zoo, monkeypatch):
             # a fresh point per order, so every order evaluates
             for order, p in enumerate(sample_points(sp, 4, seed=seed), start=1):
                 spray.frame(p, order)
-    assert set(seen) == {"dlog", "a_and_s_up"}, seen
+    assert set(seen) == {"dlog", "_carrier_tensors"}, seen
 
 
 SPHERE3_G = {(i, i): "4 / (1 + 1.0*(x1^2 + x2^2 + x3^2))^2" for i in (1, 2, 3)}

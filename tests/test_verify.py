@@ -6,6 +6,7 @@ from collections import defaultdict
 import pytest
 
 from spraylab import cli, exprdsl, verify
+from spraylab import finsler as fl
 from spraylab import projective as pj
 from spraylab.spray_core import Box, ExpressionSpray, make_family, sample_points
 
@@ -36,7 +37,7 @@ def test_full_suite_on_randers_spray():
                      b={1: "0.2*x2", 2: "-0.1*x1"}, n=2, box=0.8)
     # an induced spray carries its metric, so the mean-Cartan chi route
     # joins the suite without being asked for
-    assert sp.metric.spray() is sp
+    assert fl.induced_spray(sp.metric) is sp
     rows = verify.run_suite(sp, sample_points(sp, 5, seed=98))
     assert not [r.id for r in rows if r.passed is False]
     cartan = [r for r in rows if r.id == "chi-cartan-route"]
