@@ -57,9 +57,10 @@ def _parse_family_spec(spec: str):
 
 
 def _build_spray(name: str, params: dict) -> sc.SprayChart:
-    kwargs = {}
-    metric = {}
-    oneform = {}
+    """The family's spray from its CLI parameters: numbers, expressions, and
+    entries gIJ (riemannian) or aIJ and bI (randers) of its metric data."""
+    letter = {"riemannian": "g", "randers": "a"}.get(name)
+    kwargs, metric, oneform = {}, {}, {}
     for key, val in params.items():
         if key in _NUMBER_PARAMS:
             try:
@@ -67,27 +68,21 @@ def _build_spray(name: str, params: dict) -> sc.SprayChart:
             except ValueError:
                 raise InputError(f"parameter {key}={val!r} of family {name!r}: "
                                  f"expected {_NUMBER_PARAMS[key].__name__}") from None
-        elif key[0] in "ga" and len(key) == 3 and key[1:].isdigit():
+        elif letter and key[:1] == letter and len(key) == 3 and key[1:].isdecimal():
             metric[(int(key[1]), int(key[2]))] = val
-        elif key[0] == "b" and key[1:].isdigit():
+        elif name == "randers" and key[:1] == "b" and key[1:].isdecimal():
             oneform[int(key[1:])] = val
         elif key in {"A", "B", "C", "D", "f", "file"}:
             kwargs[key] = val
         else:
             raise InputError(f"unknown parameter {key!r} for family {name!r}")
-    if name == "riemannian":
+    if letter:
         if not metric:
-            raise InputError("riemannian needs metric entries g11, g12, ...")
-        kwargs["g"] = metric
+            raise InputError(f"{name} needs metric entries {letter}11, {letter}12, ...")
+        kwargs[letter] = metric
         kwargs.setdefault("n", max(max(i, j) for i, j in metric))
-    elif name == "randers":
-        if not metric:
-            raise InputError("randers needs metric entries a11, a12, ...")
-        kwargs["a"] = metric
+    if name == "randers":
         kwargs["b"] = oneform
-        kwargs.setdefault("n", max(max(i, j) for i, j in metric))
-    elif metric or oneform:
-        raise InputError(f"family {name!r} takes no metric entries")
     return _make_family(name, **kwargs)
 
 
@@ -168,7 +163,7 @@ def _emit(doc: dict, args, elapsed: float) -> None:
 
 def cmd_list(args) -> int:
     lines = ["available spray families:"]
-    for name, (desc, params) in sc.FAMILIES.items():
+    for name, (_, desc, params) in sc.FAMILIES.items():
         lines.append(f"  {name:<12} {desc}")
         lines.append(f"  {'':<12}   parameters: {params}")
     sys.stdout.write("\n".join(lines) + "\n")

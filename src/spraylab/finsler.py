@@ -43,10 +43,11 @@ from .spray_core import (Box, Frame, FunctionSpray, PointTM, SprayChart,
 COND_LIMIT = 1e8
 
 
-def _check_cond(gv: np.ndarray, what: str = "fundamental tensor"):
+def _check_cond(gv: np.ndarray):
     c = float(np.linalg.cond(gv))
     if not np.isfinite(c) or c > COND_LIMIT:
-        raise JetDomainError(f"{what} is numerically degenerate (cond {c:.2e})")
+        raise JetDomainError(f"fundamental tensor is numerically degenerate "
+                             f"(cond {c:.2e})")
 
 
 class FinslerMetric:

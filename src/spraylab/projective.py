@@ -340,25 +340,3 @@ def s_closed_residual(G: SprayChart, points) -> dict:
         curl_raw = max(curl_raw, float(np.abs(curlm).max()))
     return {"vertical_hessian": lin, "curl": curl,
             "vertical_hessian_raw": lin_raw, "curl_raw": curl_raw}
-
-
-# -- projective / dual equivalence residuals ----------------------------------------
-
-def rapcsak_residual(F, G: SprayChart, p: PointTM) -> TensorValue:
-    """The covector F_{.k|m} y^m - F_{|k} (zero iff F is projectively
-    equivalent to G at this point, at tolerance)."""
-    field = F if isinstance(F, ScalarField) else ScalarField(F, G.n)
-    fr = G.frame(p, 3)
-    Fj = field.jet(fr)
-    if carrier_value(Fj) <= 0.0:
-        raise JetDomainError("the metric function must be positive at the point")
-    return TensorValue(fr.rapcsak(fr.table(Fj, 2)), ("down",), ("k",), p, "rapcsak")
-
-
-def dual_residual(L, G: SprayChart, p: PointTM) -> TensorValue:
-    """The covector (1/2) L_{.k|m} y^m - L_{|k} for a scalar L (dual
-    equivalence residual)."""
-    field = L if isinstance(L, ScalarField) else ScalarField(L, G.n)
-    fr = G.frame(p, 3)
-    L = fr.table(field.jet(fr), 2)
-    return TensorValue(fr.rapcsak(L, 0.5), ("down",), ("k",), p, "dual")

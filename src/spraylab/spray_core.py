@@ -15,6 +15,7 @@ curvature slot with upper i and lower j, k, l (antisymmetric in k, l).
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 import operator
@@ -28,6 +29,8 @@ from .records import Frozen, Record
 
 EPS_Y = 1e-6
 CROSS_CHECK_TOL = 1e-8   # direct R^i_k against y^j R^{ i}_{j kl} y^l
+HOMOGENEITY_SCALES = (0.5, 2.0, 3.0)    # s in G(x, s y) = s^2 G(x, y)
+HOMOGENEITY_TOL = 1e-9
 
 
 class CrossCheckError(AssertionError):
@@ -332,7 +335,7 @@ class Frame:
         is the table of delta T/delta x^m, one partial shorter, with m a
         trailing index axis before the slot axes.  Its partials come by the
         product rule on the table of N (`table(G, depth)`, depth that of T);
-        `N`, a table of another spray's N^s_m at the point, replaces it.
+        `N`, a table of N^s_m at the point (another spray's, or R4's), replaces it.
         """
         n, rank, depth = self.n, T[0].ndim, len(T) - 1
         if N is None:   # the contiguous N_values: einsum's bits follow strides
@@ -446,23 +449,16 @@ class Frame:
         R^{ i}_{j kl} = delta Gamma^i_jl / delta x^k - delta Gamma^i_jk / delta x^l
                         + Gamma^i_ks Gamma^s_jl - Gamma^s_jk Gamma^i_ls
 
-        read off the tables of Gamma and N in `table(G, depth + 3)`.  With
+        from one `table(G, depth + 3)`: `hpart` of the table of Gamma, under
+        the table of N read off it too, and the products by `_product`.  With
         A[i,j,k,l] = delta Gamma^i_jl / delta x^k + Gamma^i_ks Gamma^s_jl,
         R4 = A - (A with k, l swapped).
         """
         n, depth = self.n, self._depth("R4")
         Gt = self.table(self.G, depth + 3)
         Gm = [t[:, n:, n:] for t in Gt[2:]]             # Gamma and its partials
-        Nt = [t[:, n:] for t in Gt[1: depth + 2]]       # N and its partials
-        G0, G1 = Gm[0], Gm[1]
-        # hG[i,j,l,m(,a)] = delta Gamma^i_jl / delta x^m (and its partial in a)
-        hG = [d[:, :, :, :n] - np.einsum("ijls...,sm->ijlm...", d[:, :, :, n:], Nt[0])
-              for d in Gm[1:]]
-        GG = [np.einsum("iks,sjl->ijkl", G0, G0)]
-        if depth:   # the product rule on the N and Gamma factors
-            hG[1] -= np.einsum("ijls,sma->ijlma", G1[..., n:], Nt[1])
-            GG.append(np.einsum("iksa,sjl->ijkla", G1, G0)
-                      + np.einsum("iks,sjla->ijkla", G0, G1))
+        hG = self.hpart(Gm, [t[:, n:] for t in Gt[1: depth + 2]])   # [i,j,l,m]
+        GG = _product("iks,sjl->ijkl", Gm[:depth + 1], Gm)
         out = []
         for h, gg in zip(hG, GG):
             A = np.swapaxes(h, 2, 3) + gg
@@ -554,25 +550,26 @@ class SprayChart:
             self._frames[key] = fr
         return fr
 
-    def homogeneity_residual(self, p: PointTM, lambdas=(0.5, 2.0, 3.0)) -> float:
-        """Worst relative residual of G(x, s*y) = s^2 G(x, y) over `lambdas`;
+    def homogeneity_residual(self, p: PointTM) -> float:
+        """Worst relative residual of G(x, s*y) = s^2 G(x, y), s in HOMOGENEITY_SCALES;
         a NaN coefficient makes it NaN (np.max, unlike max, keeps a NaN)."""
         base = self.coefficients(p)
         return float(np.max([rel_residual(self.coefficients(p.scaled(s))
-                                          - s * s * base, base) for s in lambdas]))
+                                          - s * s * base, base)
+                             for s in HOMOGENEITY_SCALES]))
 
-    def check_homogeneity(self, points, lambdas=(0.5, 2.0, 3.0), tol=1e-9):
-        """Verify G(x, s*y) = s^2 G(x, y) at sample points; raise on failure,
-        and at the first point where a coefficient is not finite."""
+    def check_homogeneity(self, points):
+        """Verify G(x, s*y) = s^2 G(x, y) to HOMOGENEITY_TOL at sample points;
+        raise on failure, and at the first point where a coefficient is not finite."""
         worst = 0.0
         for p in points:
-            res = self.homogeneity_residual(p, lambdas)
+            res = self.homogeneity_residual(p)
             if not math.isfinite(res):
                 raise ValueError(f"{self.label}: spray coefficients G(x, s y) are "
                                  f"not finite at x = {p.x}, y = {p.y}, s in "
-                                 f"{(1.0, *lambdas)}")
+                                 f"{(1.0, *HOMOGENEITY_SCALES)}")
             worst = max(worst, res)
-        if worst > tol:
+        if worst > HOMOGENEITY_TOL:
             raise ValueError(
                 f"{self.label}: 2-homogeneity violated (residual {worst:.2e})")
         return worst
@@ -910,30 +907,34 @@ def make_randers(a, b, n: int, box: float = 1.0) -> SprayChart:
     return finsler.induced_spray(rd.metric())
 
 
-FAMILIES = {
-    "flat": ("zero coefficients", "n (default 2), box"),
-    "riemannian": ("geodesic spray of a metric g_ij(x)", "g entries gIJ, n, box"),
-    "sphere": ("constant-curvature metric on one chart", "n (default 3), kappa"),
-    "example72": ("2D family quadratic in y", "A, B, C, D, f expressions, box"),
-    "randers": ("induced spray of a Randers norm", "a entries aIJ, b entries bI, n, box"),
-    "custom": ("spray-definition file", "file path"),
+FAMILIES = {   # name -> (builder, description, parameters for `spraylab list`)
+    "flat": (make_flat, "zero coefficients", "n (default 2), box"),
+    "riemannian": (make_riemannian, "geodesic spray of a metric g_ij(x)",
+                   "g entries gIJ, n, box"),
+    "sphere": (make_sphere, "constant-curvature metric on one chart",
+               "n (default 3), kappa"),
+    "example72": (make_example72, "2D family quadratic in y",
+                  "A, B, C, D, f expressions, box"),
+    "randers": (make_randers, "induced spray of a Randers norm",
+                "a entries aIJ, b entries bI, n, box"),
+    "custom": (make_custom, "spray-definition file", "file path"),
 }
 
 
-def make_family(name: str, validate: bool = True, **params) -> SprayChart:
-    """Construct a zoo spray by family name; validates 2-homogeneity."""
-    builders = {
-        "flat": make_flat,
-        "riemannian": make_riemannian,
-        "sphere": make_sphere,
-        "example72": make_example72,
-        "randers": make_randers,
-        "custom": make_custom,
-    }
-    if name not in builders:
+def make_family(name: str, **params) -> SprayChart:
+    """Construct a zoo spray by family name from `FAMILIES` and validate its
+    2-homogeneity.  An unknown family, or parameters its builder does not
+    take or misses, raise ValueError naming the family."""
+    if name not in FAMILIES:
         raise ValueError(f"unknown spray family {name!r}; "
-                         f"known: {', '.join(sorted(builders))}")
-    spray = builders[name](**params)
-    if validate:
-        spray.check_homogeneity(sample_points(spray, 5, seed=20180704))
+                         f"known: {', '.join(sorted(FAMILIES))}")
+    builder = FAMILIES[name][0]
+    sig = inspect.signature(builder)
+    try:
+        sig.bind(**params)
+    except TypeError as e:
+        raise ValueError(f"family {name!r}: {e} (parameters: "
+                         f"{', '.join(sig.parameters)})") from None
+    spray = builder(**params)
+    spray.check_homogeneity(sample_points(spray, 5, seed=20180704))
     return spray

@@ -137,8 +137,9 @@ def test_randers_spray_self_rapcsak(randers):
     F = randers.metric()
     sp = fl.induced_spray(F)
     for p in sample_points(sp, 5, seed=63):
-        r = pj.rapcsak_residual(sc.ScalarField(F.ast, 2), sp, p)
-        assert np.abs(r.components).max() < 1e-11
+        fr = sp.frame(p, 3)
+        r = fr.rapcsak(fr.table(sc.ScalarField(F.ast, 2).jet(fr), 2))
+        assert np.abs(r).max() < 1e-11
 
 
 def test_metric_validation_rejects_degenerate():

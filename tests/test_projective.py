@@ -332,13 +332,13 @@ def test_chi_via_s_route_and_orderings(hand_fixture):
 
 def test_rapcsak_residuals(flat2, sphere3):
     # the Euclidean norm is projectively equivalent to the flat spray
-    r = pj.rapcsak_residual("sqrt(y1^2+y2^2)", flat2, P2)
-    assert np.abs(r.components).max() < 1e-14
+    fr = flat2.frame(P2, 3)
+    r = fr.rapcsak(fr.table(sc.ScalarField("sqrt(y1^2+y2^2)", 2).jet(fr), 2))
+    assert np.abs(r).max() < 1e-14
     # negative control: Euclidean norm against the curved sphere spray
-    r2 = pj.rapcsak_residual("sqrt(y1^2+y2^2+y3^2)", sphere3, P3)
-    assert np.abs(r2.components).max() > 1e-3
-    with pytest.raises(Exception, match="positive"):
-        pj.rapcsak_residual("0*y1", flat2, P2)
+    fr = sphere3.frame(P3, 3)
+    r2 = fr.rapcsak(fr.table(sc.ScalarField("sqrt(y1^2+y2^2+y3^2)", 3).jet(fr), 2))
+    assert np.abs(r2).max() > 1e-3
 
 
 def test_dual_residual_of_curvature_scalar(sphere3):
@@ -348,8 +348,9 @@ def test_dual_residual_of_curvature_scalar(sphere3):
     for p in sample_points(sphere3, 5, seed=50):
         R = cv.curvature_scalar(sphere3, p)
         assert abs(L.carrier(p.x, p.y) - R) <= 1e-14 * (1.0 + abs(R))
-        d = pj.dual_residual(L, sphere3, p).components
-        assert sc.rel_residual(d, sphere3.frame(p, 3).R2_table[0]) < 1e-7
+        fr = sphere3.frame(p, 3)
+        d = fr.rapcsak(fr.table(L.jet(fr), 2), 0.5)
+        assert sc.rel_residual(d, fr.R2_table[0]) < 1e-7
 
 
 def test_rapcsak_of_abs_s_with_chi_zero():

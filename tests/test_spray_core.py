@@ -326,6 +326,10 @@ def test_make_family_registry_and_errors():
                                 "randers", "custom"}
     with pytest.raises(ValueError, match="unknown spray family"):
         make_family("nope")
+    # a parameter the family's builder does not take
+    with pytest.raises(ValueError, match=r"family 'flat': .*'kappa'.*"
+                                         r"\(parameters: n, box\)"):
+        make_family("flat", kappa=1.0)
     # metric and 1-form keys outside 1..n are refused, not dropped
     with pytest.raises(ValueError, match="g_30: index outside 1..3"):
         make_family("riemannian", g={(1, 1): "1", (2, 2): "1", (3, 0): "1"}, n=3)
@@ -368,7 +372,7 @@ def test_homogeneity_suite_all_zoo_sprays():
            make_family("randers", a={(1, 1): "1+x2^2", (2, 2): "1+x1^2"},
                        b={1: "0.2*x2", 2: "-0.1*x1"}, n=2, box=0.8)]
     for sp in zoo:
-        worst = sp.check_homogeneity(sample_points(sp, 50, seed=9), tol=1e-9)
+        worst = sp.check_homogeneity(sample_points(sp, 50, seed=9))
         assert worst <= 1e-9
 
 
@@ -1008,7 +1012,7 @@ def test_a_nan_coefficient_is_kept_by_the_homogeneity_residual():
     # inf - inf: G = [nan, 0] everywhere, which a max() of residuals dropped
     doc = exprdsl.parse_spray_source(
         "dim = 2\nG1 = 1e308*10*y1^2 - 1e308*10*y1^2\nG2 = 0\n")
-    sp = make_family("custom", validate=False, doc=doc)
+    sp = sc.make_custom(doc=doc)
     assert np.isnan(sp.coefficients(P2)[0])
     assert math.isnan(sp.homogeneity_residual(P2))
     with pytest.raises(ValueError, match=r"^custom: spray coefficients G\(x, s y\) "
