@@ -59,6 +59,8 @@ def _parse_family_spec(spec: str):
 def _build_spray(name: str, params: dict) -> sc.SprayChart:
     """The family's spray from its CLI parameters: numbers, expressions, and
     entries gIJ (riemannian) or aIJ and bI (randers) of its metric data."""
+    if name not in sc.FAMILIES:     # refused by name before any key is read
+        return _make_family(name)
     letter = {"riemannian": "g", "randers": "a"}.get(name)
     kwargs, metric, oneform = {}, {}, {}
     for key, val in params.items():

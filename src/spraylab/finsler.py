@@ -224,7 +224,8 @@ class RandersData:
 
     def _check_norm(self):
         """|b|_a < 1 and a_ij positive definite at 20 sampled x."""
-        rng = np.random.default_rng(0)
+        from ._rng import Generator
+        rng = Generator(0)
         for _ in range(20):
             x = list(self.box.sample(rng)) + [0.0] * self.n
             memo = {}

@@ -69,7 +69,8 @@ class VolumeForm:
 
     def check_positive(self, box: Box):
         """sigma > 0 at 20 sampled x in `box`."""
-        rng = np.random.default_rng(0)
+        from ._rng import Generator
+        rng = Generator(0)
         zeros = [0.0] * self.n
         for _ in range(20):
             self.sigma(list(box.sample(rng)) + zeros)

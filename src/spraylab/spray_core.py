@@ -704,14 +704,18 @@ def covariant_derivative_h(field: TensorField, G: SprayChart,
 # -- sampling protocol ----------------------------------------------------------------
 
 def sample_points(spray: SprayChart, count: int, seed: int):
-    """x uniform in the domain box shrunk by 10%, y uniform on the unit sphere."""
-    rng = np.random.default_rng(seed)
+    """x uniform in the domain box shrunk by 10%, y uniform on the unit sphere.
+
+    The draws are those of ``numpy.random.default_rng(seed)``, made without
+    importing ``numpy.random`` (see `spraylab._rng`)."""
+    from ._rng import Generator
+    rng = Generator(seed)
     box = spray.domain.shrunk(0.10)
     pts = []
     for _ in range(count):
         x = box.sample(rng)
         while True:
-            y = rng.standard_normal(spray.n)
+            y = np.array([rng.standard_normal() for _ in range(spray.n)])
             nrm = float(np.linalg.norm(y))
             if nrm > 1e-8:
                 break
@@ -924,17 +928,16 @@ FAMILIES = {   # name -> (builder, description, parameters for `spraylab list`)
 def make_family(name: str, **params) -> SprayChart:
     """Construct a zoo spray by family name from `FAMILIES` and validate its
     2-homogeneity.  An unknown family, or parameters its builder does not
-    take or misses, raise ValueError naming the family."""
+    take or misses, raise ValueError naming the family and, for parameters,
+    what `spraylab list` says the family takes."""
     if name not in FAMILIES:
         raise ValueError(f"unknown spray family {name!r}; "
                          f"known: {', '.join(sorted(FAMILIES))}")
-    builder = FAMILIES[name][0]
-    sig = inspect.signature(builder)
+    builder, _, accepted = FAMILIES[name]
     try:
-        sig.bind(**params)
+        inspect.signature(builder).bind(**params)
     except TypeError as e:
-        raise ValueError(f"family {name!r}: {e} (parameters: "
-                         f"{', '.join(sig.parameters)})") from None
+        raise ValueError(f"family {name!r}: {e} (parameters: {accepted})") from None
     spray = builder(**params)
     spray.check_homogeneity(sample_points(spray, 5, seed=20180704))
     return spray

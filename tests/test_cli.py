@@ -189,6 +189,8 @@ def test_exit_code_2_on_input_errors(tmp_path, capsys):
                       ("riemannian(g11=1,g22=1,b1=0.1)",
                        "unknown parameter 'b1' for family 'riemannian'"),
                       ("flat(kappa=1)", "family 'flat': "),
+                      # the family's name is checked before its keys
+                      ("nope(g11=1)", "unknown spray family 'nope'; known: "),
                       ("flat(=1)", "unknown parameter '' for family 'flat'")):
         for command in ("evaluate", "verify"):
             code, _, err = run_cli(command, "--spray", spec, "--points", "1",

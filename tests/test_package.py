@@ -45,20 +45,22 @@ PUBLIC = {
 }
 
 
-def loaded_modules(code: str) -> set:
-    """The spraylab modules a fresh interpreter holds after running `code`."""
-    prog = (f"import sys, json\n{code}\n"
-            "print(json.dumps(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'spraylab')))")
+def loaded_modules(code: str, package="spraylab") -> set:
+    """The modules a fresh interpreter holds after running `code`: those of
+    `package`, or all of them for None."""
+    prog = f"import sys, json\n{code}\nprint(json.dumps(sorted(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", prog], env=env, check=True,
                          capture_output=True, text=True).stdout
-    return set(json.loads(out.splitlines()[-1]))
+    mods = set(json.loads(out.splitlines()[-1]))
+    return mods if package is None else {m for m in mods
+                                         if m.split(".")[0] == package}
 
 
 def cli_modules(*argv) -> set:
+    """Every module a fresh interpreter holds after one CLI run."""
     args = [*argv, "--points", "1", "--out", os.devnull]
-    return loaded_modules(f"from spraylab import cli\ncli.main({args!r})")
+    return loaded_modules(f"from spraylab import cli\ncli.main({args!r})", None)
 
 
 def test_import_spraylab_loads_no_submodule():
@@ -71,7 +73,11 @@ def test_each_command_loads_only_what_it_runs():
     assert not evaluate & {"spraylab.verify", "spraylab.finsler"}
     flat = cli_modules("verify", "--spray", "flat(n=2)")
     assert "spraylab.verify" in flat and "spraylab.finsler" not in flat
-    assert "spraylab.finsler" in cli_modules("verify", "--spray", RANDERS2)
+    randers = cli_modules("verify", "--spray", RANDERS2)
+    assert "spraylab.finsler" in randers
+    # the sample stream is drawn without numpy.random and what it imports
+    for mods in (evaluate, flat, randers):
+        assert not mods & {"numpy.random", "secrets", "hashlib", "_hashlib"}
 
 
 def test_public_names_are_unchanged():

@@ -326,10 +326,16 @@ def test_make_family_registry_and_errors():
                                 "randers", "custom"}
     with pytest.raises(ValueError, match="unknown spray family"):
         make_family("nope")
-    # a parameter the family's builder does not take
+    # a parameter the family's builder does not take, with the parameters
+    # `spraylab list` gives, not the builder's own keywords
     with pytest.raises(ValueError, match=r"family 'flat': .*'kappa'.*"
-                                         r"\(parameters: n, box\)"):
+                                         r"\(parameters: n \(default 2\), box\)$"):
         make_family("flat", kappa=1.0)
+    with pytest.raises(ValueError, match=r"'n' \(parameters: file path\)$"):
+        make_family("custom", n=2)
+    with pytest.raises(ValueError,
+                       match=r"'kappa' \(parameters: g entries gIJ, n, box\)$"):
+        make_family("riemannian", g={(1, 1): "1", (2, 2): "1"}, n=2, kappa=2.0)
     # metric and 1-form keys outside 1..n are refused, not dropped
     with pytest.raises(ValueError, match="g_30: index outside 1..3"):
         make_family("riemannian", g={(1, 1): "1", (2, 2): "1", (3, 0): "1"}, n=3)
@@ -406,6 +412,73 @@ def test_sampling_protocol_determinism_and_bounds():
     for p in a:
         assert shrunk.contains(p.x)
         assert np.linalg.norm(p.y) == pytest.approx(1.0, abs=1e-12)
+
+
+def numpy_sample_points(spray, count, seed):
+    """`sample_points` as written on numpy's own generator: the reference."""
+    rng = np.random.default_rng(seed)
+    box = spray.domain.shrunk(0.10)
+    pts = []
+    for _ in range(count):
+        x = box.sample(rng)
+        while True:
+            y = rng.standard_normal(spray.n)
+            nrm = float(np.linalg.norm(y))
+            if nrm > 1e-8:
+                break
+        pts.append(PointTM(x, tuple(y / nrm)))
+    return pts
+
+
+def test_sample_stream_is_numpys_default_rng_bit_for_bit():
+    from spraylab._rng import Generator
+    # uniform and standard_normal interleaved as `sample_points` draws them;
+    # 10**40 + 7 has five 32-bit words, more entropy than the seeding pool
+    for seed in [*range(1000), 2**32 - 1, 2**32, 2**64 + 5,
+                 12345678901234567890123, 10**40 + 7]:
+        ours, ref = Generator(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            assert [ours.uniform(-0.7, 1.3) for _ in range(3)] == [
+                ref.uniform(-0.7, 1.3) for _ in range(3)], seed
+            assert [ours.standard_normal() for _ in range(3)] == \
+                ref.standard_normal(3).tolist(), seed
+    # a stream long enough to take the ziggurat's tail branch beyond r
+    gen = Generator(0)
+    ours = [gen.standard_normal() for _ in range(300_000)]
+    assert ours == np.random.default_rng(0).standard_normal(300_000).tolist()
+    assert max(map(abs, ours)) > 3.6541528853610088
+    with pytest.raises(OverflowError, match="range exceeds valid bounds"):
+        Generator(0).uniform(-1e308, 1e308)
+    with pytest.raises(ValueError, match="non-negative"):
+        Generator(-1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sample_points_equal_numpys_draws(n):
+    sp = make_family("sphere", n=n, kappa=1.0)
+    for seed in (0, 3, 11, 20180704, 12345678901234567890123):
+        ours = sample_points(sp, 6, seed)
+        ref = numpy_sample_points(sp, 6, seed)
+        assert np.array([p.x + p.y for p in ours]).tobytes() == \
+            np.array([p.x + p.y for p in ref]).tobytes()
+
+
+def test_set_up_checks_draw_numpys_x(monkeypatch):
+    from spraylab import finsler, projective
+
+    def numpy_draws(box):       # the 20 x of a check, seed 0
+        rng = np.random.default_rng(0)
+        return [tuple(rng.uniform(l, h) for l, h in zip(box.lo, box.hi))
+                for _ in range(20)]
+
+    drawn = []
+    sample = Box.sample
+    monkeypatch.setattr(Box, "sample",
+                        lambda box, rng: drawn.append(sample(box, rng)) or drawn[-1])
+    box = Box((-0.3, 0.1), (0.8, 0.9))
+    projective.VolumeForm("exp(x1)", 2).check_positive(box)
+    finsler.RandersData({(1, 1): "1", (2, 2): "1"}, {1: "0.1"}, 2, box=0.8)
+    assert drawn == numpy_draws(box) + numpy_draws(Box.cube(2, 0.8))
 
 
 def test_custom_family_from_source(tmp_path):
