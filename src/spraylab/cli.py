@@ -148,8 +148,15 @@ def _config_echo(args, command, sigmas):
 
 
 def _emit(doc: dict, args, elapsed: float) -> None:
-    # rendered for both formats: a NaN or inf fails here, with its path
-    text = report.canonical_json(doc) + "\n"
+    # rendered for both formats: a NaN or inf fails here, named by the spray,
+    # the row of a verify report, and its path
+    try:
+        text = report.canonical_json(doc) + "\n"
+    except report.NonFiniteError as e:
+        where = args.spray or f"--file {args.file}"
+        if e.path.startswith(".rows["):
+            where += f": row {doc['rows'][int(e.path[6:e.path.index(']')])]['id']}"
+        raise InputError(f"{where}: {e}") from None
     if args.format == "text":
         doc = dict(doc)
         doc["wall_clock_text"] = f"{elapsed:.2f} s"
@@ -309,7 +316,7 @@ def main(argv=None) -> int:
         # overflow shows up as a located non-finite value, not as warnings
         with np.errstate(all="ignore"):
             return args.fn(args)
-    except (InputError, exprdsl.ExprSyntaxError, report.NonFiniteError) as e:
+    except (InputError, exprdsl.ExprSyntaxError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
     except CrossCheckError as e:

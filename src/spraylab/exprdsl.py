@@ -338,7 +338,7 @@ def evaluate(ast: ExprAst, env, memo: Optional[dict] = None):
             v = a * b
         else:
             try:
-                v = jets.divide(a, b)
+                v = jets.quotient(a, b, _reciprocal(ast.right, b, memo))
             except JetDomainError as e:
                 raise ExprDomainError(str(e), ast.span) from None
     elif isinstance(ast, Pow):
@@ -355,6 +355,19 @@ def evaluate(ast: ExprAst, env, memo: Optional[dict] = None):
         raise TypeError(f"not an expression node: {ast!r}")
     memo[key] = v
     return v
+
+
+def _reciprocal(node: ExprAst, b, memo: dict):
+    """The reciprocal of a jet `b`, the value of denominator `node`, built
+    once per memo table: quotients by one node share it, and each has the
+    bits of `a / b` (`jets.quotient`).  None for a float b."""
+    if not isinstance(b, jets.Jet):
+        return None
+    key = ("1/", id(node))
+    inv = memo.get(key)
+    if inv is None:
+        inv = memo[key] = b.reciprocal()
+    return inv
 
 
 def evaluate_many(asts, env):

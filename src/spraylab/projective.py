@@ -60,12 +60,14 @@ class VolumeForm:
         return v
 
     def dlog(self, xs):
-        """d(log sigma)/dx^k for all k at x, computed as (d sigma/dx^k) / sigma."""
+        """d(log sigma)/dx^k for all k at x, computed as (d sigma/dx^k) / sigma,
+        the n quotients through one reciprocal of a jet sigma."""
         memo = {}
         s = exprdsl.evaluate(self.ast, xs, memo)
         if carrier_value(s) <= 0.0:
             raise JetDomainError(f"volume density {self.label!r} is not positive")
-        return [jets.divide(exprdsl.evaluate(d, xs, memo), s) for d in self.dast]
+        inv = s.reciprocal() if isinstance(s, Jet) else None
+        return [jets.quotient(exprdsl.evaluate(d, xs, memo), s, inv) for d in self.dast]
 
     def check_positive(self, box: Box):
         """sigma > 0 at 20 sampled x in `box`."""
@@ -230,7 +232,9 @@ def with_projective_factor(G: SprayChart, P, label: str = "") -> SprayChart:
 
     class _Shifted(SprayChart):
         def eval_coefficients(self, xs, ys):
-            base = G.eval_coefficients(xs, ys)
+            # on floats G's own values, evaluated once per (x, y)
+            base = (G.eval_coefficients(xs, ys) if isinstance(xs[0], Jet)
+                    else G.coefficients(PointTM(tuple(xs), tuple(ys))))
             pv = field.carrier(xs, ys)
             return [base[i] + pv * ys[i] for i in range(G.n)]
 

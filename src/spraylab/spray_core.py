@@ -44,10 +44,11 @@ class Box(Frozen):
 
     def __init__(self, lo: tuple, hi: tuple):
         self._init(lo, hi)
-        for i, (l, h) in enumerate(zip(self.lo, self.hi)):
-            if not (math.isfinite(l) and math.isfinite(h) and l < h):
+        for i, (l, h) in enumerate(zip(self.lo, self.hi)):     # sampled uniformly
+            if not (math.isfinite(h - l) and l < h):
                 raise ValueError(f"domain box axis x{i + 1}: bounds [{l!r}, "
-                                 f"{h!r}] must be finite with lower < upper")
+                                 f"{h!r}] must be finite with lower < upper "
+                                 "and a finite width")
 
     @staticmethod
     def cube(n: int, half: float) -> "Box":
@@ -133,17 +134,22 @@ def factor_carrier(A):
     A is a nested list of carriers; pivots are chosen by the magnitude of the
     carrier value.  Returns one step per pivot k: (the row swapped into
     place k, the multipliers of rows k+1.., row k of U from the diagonal on,
-    the reciprocal of the pivot), for `solve_factored`.
+    the reciprocal of the pivot), for `solve_factored`.  Pivot jets with
+    equal coefficients (a diagonal of one expression) share one reciprocal.
     """
     n = len(A)
     a = [row[:] for row in A]
-    steps = []
+    steps, inverses = [], {}
     for k in range(n):
         piv = max(range(k, n), key=lambda r: abs(carrier_value(a[r][k])))
         if abs(carrier_value(a[piv][k])) == 0.0:
             raise JetDomainError("degenerate linear system (zero pivot)")
         a[k], a[piv] = a[piv], a[k]
-        inv = jets.divide(1.0, a[k][k])
+        p = a[k][k]
+        key = (p.space, p.coeffs.tobytes()) if isinstance(p, Jet) else k
+        if key not in inverses:
+            inverses[key] = jets.divide(1.0, p)
+        inv = inverses[key]
         fs = []
         for r in range(k + 1, n):
             f = a[r][k] * inv
@@ -285,18 +291,20 @@ class Frame:
         self.n = spray.n
         self.top = top
         if top is not None:
-            self.yj = [j.truncated(order) for j in top.yj]
             self.G = [g.truncated(order) for g in top.G]
-            if "xj" in vars(top):       # lifted there; a slice here
-                self.xj = [j.truncated(order) for j in top.xj]
+            for name in ("xj", "yj"):
+                if name in vars(top):       # lifted there; a slice here
+                    setattr(self, name, [j.truncated(order) for j in vars(top)[name]])
             return
-        lifted = jets.lift_point(point.x + point.y, order)
-        self.yj = lifted[self.n:]
-        self.G = spray._make_coefficient_jets(self, lifted)
+        self.G = spray._make_coefficient_jets(
+            self, jets.lift_point(point.x + point.y, order))
 
-    # x^i as jets, lifted on first use: few frames read them, and frames stay cached
+    # x^i and y^i as jets, lifted on first use: few frames read them (S and
+    # the deformed coefficients read y^i), and frames stay cached
     xj = cached_property(lambda fr: jets.lift_point(fr.point.x + fr.point.y,
                                                     fr.order)[: fr.n])
+    yj = cached_property(lambda fr: jets.lift_point(fr.point.x + fr.point.y,
+                                                    fr.order)[fr.n:])
 
     @staticmethod
     def table(arr, k: int):
@@ -507,7 +515,12 @@ class Frame:
 # -- spray charts -----------------------------------------------------------------
 
 class SprayChart:
-    """Dimension n plus n coefficient functions over an explicit domain box."""
+    """Dimension n plus n coefficient functions over an explicit domain box.
+
+    The coefficients are evaluated once per point: on jets once per (x, y)
+    at the highest order asked there (`frame`), on floats once per (x, y)
+    (`coefficients`).
+    """
 
     def __init__(self, n: int, domain: Box, label: str):
         if n < 2:
@@ -518,6 +531,7 @@ class SprayChart:
         self.metric = None      # the FinslerMetric of an induced spray
         self._frames = {}
         self._top = {}          # (x, y) -> the highest-order frame built there
+        self._values = {}       # (x, y) -> the float coefficients (`coefficients`)
         self._deformed = {}     # VolumeForm -> DeformedSpray (projective.deform)
 
     # subclasses provide carrier-generic evaluation
@@ -529,8 +543,15 @@ class SprayChart:
         return [jets.as_jet(v, lifted[0]) for v in out]
 
     def coefficients(self, p: PointTM) -> np.ndarray:
-        return np.array([carrier_value(v)
-                         for v in self.eval_coefficients(list(p.x), list(p.y))])
+        """G^i at p on floats, evaluated once per (x, y): a read-only array
+        that every caller shares."""
+        key = (p.x, p.y)
+        out = self._values.get(key)
+        if out is None:
+            out = np.array([carrier_value(v) for v in
+                            self.eval_coefficients(list(p.x), list(p.y))])
+            out = self._values[key] = _frozen([out])[0]
+        return out
 
     def frame(self, p: PointTM, order: int) -> Frame:
         """The frame of this order at p, cached.  Below the highest order
@@ -755,6 +776,13 @@ def _normalize_metric(g, n, letter: str = "g"):
     return full
 
 
+def _truncated(v, order: int):
+    """`v` with every jet in it (nested in lists or tuples) cut to `order`."""
+    if isinstance(v, (list, tuple)):
+        return type(v)(_truncated(u, order) for u in v)
+    return v.truncated(order) if isinstance(v, Jet) else v
+
+
 def _placed_rhs(dg, ly) -> list:
     """q_l = sum_{k,m} c_lkm y^k y^m, c_lkm = 2 dg_lk/dx^m - dg_mk/dx^l, as
     jets in 2n variables, from dg on the n-variable lift of x (jets, or
@@ -799,6 +827,7 @@ def _placed_rhs(dg, ly) -> list:
             if not (isinstance(dg[l][k][m], Jet) or isinstance(dg[m][k][l], Jet)):
                 P[k, m] = Y2n[k, m] * C[l, k, m, 0]
         P = P.reshape(n * n, -1)
+        # sum the n^2 rows left to right, as the product loop: P.sum(axis=0) moves bits
         acc = P[0]
         for row in P[1:]:
             acc = acc + row
@@ -815,9 +844,17 @@ def metric_spray_fn(g_asts, n):
     run on x-only jets (`jets.small_lift`), the right-hand side is placed
     (`_placed_rhs`) and only its solve takes the y variables.  Floats and
     other carriers take the same steps as products of carriers.
+
+    The factors and dg depend on x alone, and the suite asks for them at one
+    x many times (frames at (x, s y), deformed and shifted sprays, float
+    coefficients).  So they are built once per x: on x-only jets at the
+    highest order asked there, a lower order reading prefix slices of them
+    (`Jet.truncated`, the bits of a fresh evaluation, as `SprayChart.frame`
+    serves frames), and once per x on floats.
     """
     dg = [[[exprdsl.differentiate(g_asts[i][j], k) for k in range(n)]
            for j in range(n)] for i in range(n)]
+    kept = {}       # (x, on floats) -> (order, metric(x)) at the top order asked
 
     def metric(xs):
         """The factors of g_ij (`factor_carrier`) and dg_ij/dx^k at x."""
@@ -832,14 +869,23 @@ def metric_spray_fn(g_asts, n):
             x = tuple(carrier_value(v) for v in xs)
             raise JetDomainError(f"metric g_ij is singular at x = {x}") from None
 
+    def metric_at(xs):
+        """`metric(xs)` once per x, on the x-only lift or on floats (see above)."""
+        x, order = tuple(map(carrier_value, xs)), getattr(xs[0], "order", -1)
+        top = kept.get((x, order < 0))
+        if top is None or top[0] < order:
+            top = kept[x, order < 0] = (order, metric(xs))
+        return top[1] if top[0] == order else _truncated(top[1], order)
+
     def fn(xs, ys):
         lx, ly = jets.small_lift(xs), jets.small_lift(ys, n)
         if (lx is not None and ly is not None and xs[0].space is ys[0].space
                 and xs[0].dim == 2 * n):
-            steps, dgv = metric(lx)
+            steps, dgv = metric_at(lx)
             steps, q = jets.embed(steps, 2 * n), _placed_rhs(dgv, ly)
         else:
-            steps, dgv = metric(xs)
+            floats = all(type(v) is float for v in xs)
+            steps, dgv = metric_at(xs) if floats else metric(xs)
             # y^m y^k has the bits of y^k y^m (at most two terms per coefficient)
             yy = {(k, m): ys[k] * ys[m] for k in range(n) for m in range(k, n)}
             q = [carrier_sum((2.0 * dgv[l][k][m] - dgv[m][k][l])

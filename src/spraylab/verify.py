@@ -450,8 +450,8 @@ class SuiteRunner:
             raise ValueError(f"unknown suite groups {sorted(unknown)}")
         for pt in self.data:    # the top order first: the lower ones truncate it
             pt.fr4
-            for dV in self.volumes:
-                pj.deform(self.spray, dV).S(pt.p, 4)
+            for dV in self.volumes:     # its coefficients read S at order 4
+                pj.deform(self.spray, dV).frame(pt.p, 3)
         for group, methods in self.GROUPS.items():
             for name in methods if group in groups else ():
                 getattr(self, name)()

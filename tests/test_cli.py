@@ -1,10 +1,15 @@
 """Command-line interface: subcommands, exit codes, determinism, file I/O."""
 
+import contextlib
+import io
 import json
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+
+import exprgen
 
 from spraylab import cli
 from spraylab import curvature as cv
@@ -227,20 +232,47 @@ def test_exit_code_2_on_input_errors(tmp_path, capsys):
     code, _, err = run_cli("verify", "--spray", "flat(n=2,box=-1)", "--points",
                            "2", capsys=capsys)
     assert code == 2 and "domain box axis x1: bounds [1.0, -1.0]" in err
-    # coefficients that overflow: the non-finite value is located in the
-    # report instead of ending in a traceback
+    # coefficients or residuals that overflow: the non-finite value is named
+    # by the spray as given, by its row in a verify report, and located in
+    # the report, instead of ending in a traceback
     overflow = tmp_path / "overflow.spray"
     overflow.write_text("dim = 2\nG1 = y1^2*exp(900*x1)\nG2 = 0\n")
-    for argv, where in ((("evaluate", "--file", str(overflow)), " at points["),
-                        (("verify", "--spray", "example72(f=exp(800*x1))"),
-                         " at rows[")):
+    huge = "sphere(n=3,kappa=1e308)"
+    for argv, where in (
+            (("evaluate", "--file", str(overflow)),
+             f"error: --file {overflow}: non-finite value nan at points[1]."),
+            (("verify", "--spray", "example72(f=exp(800*x1))"),
+             "error: example72(f=exp(800*x1)): row bianchi-first: non-finite "
+             "value nan at rows[4].max_residual;"),
+            (("evaluate", "--spray", huge),
+             f"error: {huge}: non-finite value nan at points[0].quantities.R[0][0];"),
+            (("verify", "--spray", huge),
+             f"error: {huge}: row bianchi-first: non-finite value nan at "
+             "rows[4].max_residual;")):
         # the text format refuses the same value with the same message
         for fmt in ("json", "text"):
             code, out, err = run_cli(*argv, "--points", "2", "--format", fmt,
                                      capsys=capsys)
             assert code == 2 and out == ""
-            assert err.startswith("error: non-finite value") and where in err
+            assert err.startswith(where), err
             assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+@given(exprgen.cli_argv())
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_exit_code_contract_on_fuzzed_command_lines(argv):
+    # any family spec with any flags: exit code 0, 1 or 2, no traceback, and
+    # a valid JSON report whenever the run gets as far as one
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:      # argparse refuses a flag
+            code = e.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+    if code in (0, 1) and "--format" not in argv:
+        json.loads(out.getvalue())
 
 
 def test_exp_overflow_is_a_located_domain_error(tmp_path, capsys):
@@ -372,6 +404,59 @@ def test_evaluate_evaluates_the_coefficients_once_per_point(monkeypatch, capsys)
     assert docs[1]["config"].pop("order") == 9
     assert docs[0]["config"].pop("order") == 4
     assert docs[0] == docs[1]
+
+
+def test_verify_evaluates_each_coefficient_input_once(monkeypatch, capsys):
+    # the suite asks for a metric spray at one x many times (frames at
+    # (x, s y), deformed and shifted sprays, float coefficients): g is
+    # factored once per x on jets and once per x on floats, the float
+    # coefficients are evaluated once per (x, y), the deformed coefficient
+    # jets once per (volume form, point), and every jet reciprocal is of
+    # another jet (one per denominator node and per distinct pivot).
+    # Before, one point (set-up included) factored g 4 times on jets at 1 x
+    # and 30 times on floats at 6 x, made 30 float evaluations at 24 (x, y),
+    # built deformed coefficient jets 6 times for 3 volume forms and took 44
+    # reciprocals.
+    from spraylab import jets
+    from spraylab import projective as pj
+    factored = {"jets": [], "floats": []}
+    evaluated, reciprocals, deformed = [], [], []
+    factor, recip = sc.factor_carrier, jets.Jet.reciprocal
+    coefficients = sc.FunctionSpray.eval_coefficients
+    deformed_jets = pj.DeformedSpray._make_coefficient_jets
+
+    def counted_deformed(self, frame, lifted):
+        deformed.append((self.volume, frame.point))
+        return deformed_jets(self, frame, lifted)
+
+    def counted_factor(A):
+        carrier = "jets" if isinstance(A[0][0], jets.Jet) else "floats"
+        factored[carrier].append(tuple(sc.carrier_value(v) for row in A for v in row))
+        return factor(A)
+
+    def counted_reciprocal(self):
+        reciprocals.append((self.space, self.coeffs.tobytes()))
+        return recip(self)
+
+    def counted_coefficients(self, xs, ys):
+        if not isinstance(xs[0], jets.Jet):
+            evaluated.append((tuple(xs), tuple(ys)))
+        return coefficients(self, xs, ys)
+
+    monkeypatch.setattr(sc, "factor_carrier", counted_factor)
+    monkeypatch.setattr(jets.Jet, "reciprocal", counted_reciprocal)
+    monkeypatch.setattr(sc.FunctionSpray, "eval_coefficients", counted_coefficients)
+    monkeypatch.setattr(pj.DeformedSpray, "_make_coefficient_jets", counted_deformed)
+    code, out, _ = run_cli("verify", "--spray", "sphere(n=4,kappa=1)", "--points",
+                           "1", "--seed", "3", capsys=capsys)
+    assert code == 0 and json.loads(out)["rows"]
+    for carrier, distinct in (("jets", 1), ("floats", 6)):    # 5 x in set-up
+        assert len(factored[carrier]) == len(set(factored[carrier])) == distinct
+    assert len(evaluated) == len(set(evaluated)) == 24   # 4 (x, s y) per x
+    assert len(deformed) == len(set(deformed)) == 3
+    # at the one x, 1/D and 1/D^2 of g = 4/D, D = (1 + |x|^2)^2, 1/g of the
+    # four equal pivots, and 1/sigma of the two sigmas that read x
+    assert len(reciprocals) == len(set(reciprocals)) == 5
 
 
 def test_unknown_tolerance_id_rejected(capsys):

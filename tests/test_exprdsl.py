@@ -147,6 +147,34 @@ def test_differentiate_shares_subtrees():
     assert vals[1] == pytest.approx(math.cos(0.21) * 0.7 + 0.7)
 
 
+def test_quotients_by_one_denominator_share_its_reciprocal(monkeypatch):
+    # the sphere's g = 4/D and its three x-derivatives, whose denominators
+    # are one node D^2: one memo table takes one jet reciprocal per
+    # denominator node, and every quotient has the bits of a fresh a / b
+    g = parse("4 / (1 + 1.0*(x1^2 + x2^2 + x3^2))^2", 3)
+    asts = [g] + [differentiate(g, k) for k in range(3)]
+    quotients, todo = {}, list(asts)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Bin) and node.op == "/":
+            quotients[id(node)] = node
+        todo += [getattr(node, f) for f in ("left", "right", "child", "base", "arg")
+                 if hasattr(node, f)]
+    assert len({id(q.right) for q in quotients.values()}) == 2
+    taken, recip = [], jets.Jet.reciprocal
+    monkeypatch.setattr(jets.Jet, "reciprocal",
+                        lambda self: taken.append(self) or recip(self))
+    for order in (1, 3, 5):
+        env = jets.lift_point((0.1, -0.3, 0.2, 0.5, 0.6, -0.7), order)
+        memo, taken[:] = {}, []
+        for a in asts:
+            evaluate(a, env, memo)
+        assert len(taken) == 2
+        for q in quotients.values():
+            a, b = evaluate(q.left, env), evaluate(q.right, env)
+            assert memo[id(q)].coeffs.tobytes() == (a / b).coeffs.tobytes()
+
+
 def test_unary_minus_and_negative_numbers():
     assert evaluate(parse("-x1^2", 2), [3.0, 0, 0, 0]) == -9.0
     assert evaluate(parse("--x1", 2), [3.0, 0, 0, 0]) == 3.0

@@ -961,6 +961,70 @@ def test_x_only_factorization_solves_like_the_2n_lift_bit_for_bit():
                 assert values.tobytes() == floats.tobytes(), (sp.label, order)
 
 
+def test_metric_sliced_from_a_deeper_order_equals_a_fresh_one_bit_for_bit():
+    # a metric spray factors g and takes dg once per x, at the highest order
+    # asked there; a lower order reads prefix slices of those jets.  Sliced
+    # from order 5 they must be the factors and dg evaluated fresh at each
+    # order 1-5, and G of a spray asked for order 5 first the G of a spray
+    # that never was: on the sphere, RIEMANNIAN2's g and the RANDERS2 alpha
+    from spraylab import finsler as fl
+    from spraylab import jets
+    rd = fl.RandersData(A_CURVED, {1: "0.2*x2", 2: "-0.1*x1"}, 2, box=0.8)
+    cases = [(make_family("sphere", n=3, kappa=1.0), SPHERE3_G, 3),
+             (make_family("riemannian", g=A_CURVED, n=2), A_CURVED, 2),
+             (rd.alpha_spray(), A_CURVED, 2)]
+    for sp, g, n in cases:
+        def fresh():
+            return sc.metric_spray_fn(sc._normalize_metric(g, n), n)
+        served = fresh()
+        for p in sample_points(sp, 3, seed=67):
+            gv, dgv = _metric_jets(g, n, jets.lift_point(p.x, 5))
+            top = (sc.factor_carrier(gv), dgv)
+            lift = jets.lift_point(p.x + p.y, 5)
+            served(lift[:n], lift[n:])
+            for order in range(1, 6):
+                gk, dgk = _metric_jets(g, n, jets.lift_point(p.x, order))
+                for a, b in zip(_leaves(sc._truncated(top, order)),
+                                _leaves((sc.factor_carrier(gk), dgk)), strict=True):
+                    assert type(a) is type(b)
+                    if isinstance(a, jets.Jet):
+                        assert a.space is b.space, (sp.label, order)
+                        assert a.coeffs.tobytes() == b.coeffs.tobytes(), sp.label
+                    else:
+                        assert repr(a) == repr(b)
+                lift = jets.lift_point(p.x + p.y, order)
+                for a, b in zip(served(lift[:n], lift[n:]),
+                                fresh()(lift[:n], lift[n:]), strict=True):
+                    assert a.coeffs.tobytes() == b.coeffs.tobytes(), (sp.label, order)
+
+
+def test_float_coefficients_are_evaluated_once_and_read_only(value_zoo):
+    # `coefficients` keeps one read-only array per (x, y), which homogeneity,
+    # the deformed spray and G + P y (its float path reads G's) all share;
+    # it must hold the bits of a fresh evaluation, on a spray never asked
+    from spraylab import projective as pj
+
+    def family(sp):
+        return [sp, pj.deform(sp, pj.VolumeForm("exp(x1)", sp.n)),
+                pj.with_projective_factor(sp, "0.3*y1 + 0.1*y2")]
+
+    fresh_zoo = [make_family("sphere", n=3, kappa=1.0),
+                 make_family("example72", **EX72),
+                 make_family("randers", a=A_CURVED, b={1: "0.2*x2", 2: "-0.1*x1"},
+                             n=2, box=0.8)]
+    for sp, fresh_sp in zip(value_zoo, fresh_zoo, strict=True):
+        for p in sample_points(sp, 3, seed=68):
+            for spray, fresh in zip(family(sp), family(fresh_sp), strict=True):
+                want = np.array([sc.carrier_value(v) for v in
+                                 fresh.eval_coefficients(list(p.x), list(p.y))])
+                got = spray.coefficients(p)
+                assert spray.coefficients(p) is got
+                assert got.tobytes() == want.tobytes(), spray.label
+                assert not got.flags.writeable
+                with pytest.raises(ValueError):
+                    got[0] = 0.0
+
+
 def test_placed_rhs_matches_the_2n_product_loop_bit_for_bit():
     # the right-hand side of a metric spray is written into place from c on
     # x-only jets (floats where dg is constant) and y^k y^m on n-variable
