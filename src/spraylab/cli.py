@@ -208,7 +208,7 @@ def cmd_evaluate(args) -> int:
         raise InputError("--order below 3 cannot produce the curvature tables")
     pt_docs = []
     for p in points:
-        # the top order first: every lower-order frame truncates its jets
+        # the top order first: the lower orders read this one frame
         top = spray.frame(p, min(order, 4))
         q = {
             "G": [g.value for g in top.G],

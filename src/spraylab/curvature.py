@@ -99,7 +99,7 @@ def weyl(G: SprayChart, p: PointTM, route: str = "direct") -> TensorValue:
     if route == "via_chi":
         comps = plus_outer_y(fr.T, fr.chi, 3.0 / (n + 1), fr.y_table)[0]
     elif route == "direct":
-        Av, dA = (t.copy() for t in fr.R2_table)
+        Av, dA = (t.copy() for t in fr.R2_table[:2])
         for t, r in zip((Av, dA), fr.r_scalar):
             t[np.diag_indices(n)] -= r
         div = np.einsum("mkm->k", dA[..., n:])           # A^m_{k.m}

@@ -123,7 +123,8 @@ def interned(cls, *fields) -> ExprAst:
     Children are keyed by identity (they are interned already) and a `Num`
     by the bits of its value, so 0.0 and -0.0 stay apart.  The span is part
     of the key, so a domain error still cites its own line; identical text
-    parsed at the same offsets, and derived nodes (`_NOSPAN`), are merged.
+    parsed at the same offsets, and derived nodes of one span (`_NOSPAN`, or
+    a quotient's source span, `_div`), are merged.
     """
     if cls is Num:
         key = (Num, struct.pack("<d", fields[0]), fields[1])
@@ -508,12 +509,14 @@ def _mul(a, b):
     return interned(Bin, "*", a, b, _NOSPAN)
 
 
-def _div(a, b):
+def _div(a, b, span: SourceSpan):
+    """a / b, at the `span` of the node whose derivative it is: a division
+    by zero there cites the source it came from."""
     if _is_const(a, 0.0):
         return _num(0.0)
     if _is_const(b, 1.0):
         return a
-    return interned(Bin, "/", a, b, _NOSPAN)
+    return interned(Bin, "/", a, b, span)
 
 
 def _pow(a, k: int):
@@ -561,9 +564,9 @@ def _derivative(ast: ExprAst, slot: int, d) -> ExprAst:
         if ast.op == "*":
             return _add(_mul(da, ast.right), _mul(ast.left, db))
         if _is_const(ast.right):
-            return _div(da, ast.right)
+            return _div(da, ast.right, ast.span)
         return _div(_sub(_mul(da, ast.right), _mul(ast.left, db)),
-                    _pow(ast.right, 2))
+                    _pow(ast.right, 2), ast.span)
     if isinstance(ast, Pow):
         db = d(ast.base)
         return _mul(_mul(_num(ast.exponent), _pow(ast.base, ast.exponent - 1)), db)
@@ -573,18 +576,18 @@ def _derivative(ast: ExprAst, slot: int, d) -> ExprAst:
             return _num(0.0)
         u = ast.arg
         if ast.fn == "sqrt":
-            return _div(da, _mul(_num(2.0), ast))
+            return _div(da, _mul(_num(2.0), ast), ast.span)
         if ast.fn == "exp":
             return _mul(ast, da)
         if ast.fn == "log":
-            return _div(da, u)
+            return _div(da, u, ast.span)
         if ast.fn == "sin":
             return _mul(interned(Call, "cos", u, _NOSPAN), da)
         if ast.fn == "cos":
             sin_u = interned(Call, "sin", u, _NOSPAN)
             return _sub(_num(0.0), _mul(sin_u, da))
         if ast.fn == "abs":
-            return _mul(_div(u, ast), da)
+            return _mul(_div(u, ast, ast.span), da)
     raise TypeError(f"not an expression node: {ast!r}")
 
 

@@ -71,9 +71,6 @@ class FinslerMetric:
         self._l_jets = {}       # (x, y) -> the jet of L of the highest order asked
         self._spray = None      # built by `induced_spray`
 
-    def value(self, p: PointTM) -> float:
-        return carrier_value(exprdsl.evaluate(self.ast, list(p.x) + list(p.y)))
-
     def l_jets(self, p: PointTM, order: int) -> Jet:
         """The jet of L at p.  L is evaluated once per point, at the highest
         order asked so far; lower orders are prefix slices of that jet
@@ -84,21 +81,6 @@ class FinslerMetric:
             j = self._l_jets[p.x, p.y] = jets.as_jet(
                 exprdsl.evaluate(self.L_ast, env), env[0])
         return j.truncated(order)
-
-    def validate(self, points, tol: float = 1e-9):
-        """Sampled checks: F > 0, 1-homogeneity, positive definite g."""
-        for p in points:
-            f = self.value(p)
-            if f <= 0.0:
-                raise ValueError(f"{self.label}: F is not positive at {p}")
-            for s in (0.5, 2.0, 3.0):
-                fs = self.value(p.scaled(s))
-                if abs(fs - s * f) > tol * (1.0 + abs(f)):
-                    raise ValueError(f"{self.label}: F is not 1-homogeneous")
-            ev = np.linalg.eigvalsh(fundamental_tensor(self, p).components)
-            if ev.min() <= 0.0:
-                raise ValueError(f"{self.label}: fundamental tensor not positive "
-                                 f"definite at {p} (eigenvalues {ev})")
 
 
 def _tables(F: FinslerMetric, p: PointTM, order: int, inverse: bool = True):
@@ -325,10 +307,11 @@ class RandersData:
         """All derived Randers tensors at a point (numeric).
 
         a, s_ij and s^i_j come from `_carrier_tensors` on the x jets of the
-        alpha spray's order-2 frame, b from the 1-form there; b_{i|j} (and
-        r, its symmetric part), s_{ij|k} and s^m_{j|m} are `Frame.cov_h` on
-        that frame: its Berwald connection is the Levi-Civita one of a, and
-        the horizontal derivative of an x-only table is its x-partial.
+        alpha spray's frame (of order >= 2), b from the 1-form there;
+        b_{i|j} (and r, its symmetric part), s_{ij|k} and s^m_{j|m} are
+        `Frame.cov_h` on that frame: its Berwald connection is the
+        Levi-Civita one of a, and the horizontal derivative of an x-only
+        table is its x-partial.
         """
         fr = self.alpha_spray().frame(p, 2)
         av, s, s_up = self._carrier_tensors(fr.xj)
@@ -371,7 +354,7 @@ class RandersData:
         alpha_sp = self.alpha_spray()
         res1 = res2 = 0.0
         for p in points:
-            # the order-3 frame first: the order-2 one `quantities` reads is its slice
+            # the order-3 frame first: `quantities` reads the same frame
             Rbar = riemann_two_index(alpha_sp, p).components
             qt = self.quantities(p)
             y = np.array(p.y)

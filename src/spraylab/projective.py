@@ -14,8 +14,8 @@ P = S/(n+1), off the deformed spray, which builds each once per point: S as
 a jet (the deformed coefficients are differentiated further), tau as a
 float table of values and partials (`Frame.hpart` on the table of P).  The
 value of S alone (`s_curvature`, the float deformed coefficients) is read on
-floats off an order-1 frame (`s_value`), bit for bit the jet's value.  eta
-of the deformed spray is read off the base order-4 frame only (`eta_hat`);
+floats off N on the point's frame (`s_value`), bit for bit the jet's value.
+eta of the deformed spray is read off the base order-4 frame only (`eta_hat`);
 its direct route, which needs order-5 base jets, is kept as the reference in
 the tests.
 """
@@ -107,7 +107,7 @@ def s_value(fr: Frame, dV: VolumeForm) -> float:
 
 def s_curvature(G: SprayChart, dV: VolumeForm, p: PointTM) -> float:
     """S-curvature of (G, dV) at a point (a 1-homogeneous scalar), read off
-    the order-1 frame of G (`s_value`)."""
+    G's frame at p (`s_value`)."""
     return s_value(G.frame(p, 1), dV)
 
 
@@ -156,10 +156,10 @@ class DeformedSpray(SprayChart):
 
     def S(self, p: PointTM, order: int) -> Jet:
         """S at p to this order for deformed frames, `chi_via_s`, `eta_hat`
-        and `tau` (its value alone is `s_value`).  Below the highest order
-        built at p it is a prefix slice of that S, the same numbers bit for
-        bit (as for frames): asking for the top order first costs one
-        `s_jet` per point."""
+        and `tau` (its value alone is `s_value`).  It is built once per
+        point, on the base spray's one frame there, and a lower order is a
+        prefix slice of it (`Jet.truncated`), the same numbers bit for bit:
+        asking for the top order first costs one `s_jet` per point."""
         key = (p.x, p.y)
         top = self._S.get(key)
         if top is None or top.order < order - 1:    # Pi costs S an order

@@ -269,10 +269,10 @@ class Frame:
 
     The frame's order bounds how many derivatives remain available: every
     vertical (.d on a y slot) or horizontal derivative consumes one order.
-    Its jets come from one evaluation of the spray's coefficients, or are
-    prefix slices (`Jet.truncated`) of the jets of a frame `top` of higher
-    order at the same point: the same numbers, bit for bit.  Such a frame
-    reads R^i_k off the top frame's `R2_table` too.
+    Its jets come from one evaluation of the spray's coefficients.  A reader
+    that needs fewer orders takes the leading tables of each quantity: they
+    hold the bits of a frame built at the lower order (`table` reads the
+    prefix that jets of every order share).
     Its jets are G, the coordinates (`yj`, `xj`) and the scalar Pi, from
     which S is built; tensors are float tables, cached lazily, read off
     `table(G, k)` per quantity (at order 4 it outweighs what is kept) or
@@ -283,19 +283,11 @@ class Frame:
     table, one partial shorter.
     """
 
-    def __init__(self, spray: "SprayChart", point: PointTM, order: int,
-                 top: "Frame | None" = None):
+    def __init__(self, spray: "SprayChart", point: PointTM, order: int):
         self.spray = spray
         self.point = point
         self.order = order
         self.n = spray.n
-        self.top = top
-        if top is not None:
-            self.G = [g.truncated(order) for g in top.G]
-            for name in ("xj", "yj"):
-                if name in vars(top):       # lifted there; a slice here
-                    setattr(self, name, [j.truncated(order) for j in vars(top)[name]])
-            return
         self.G = spray._make_coefficient_jets(
             self, jets.lift_point(point.x + point.y, order))
 
@@ -434,11 +426,8 @@ class Frame:
 
         with its partials to order <= 2, from `table(G, depth + 2)` by the
         product rule; the partial of the factor y^j is delta in its y slot.
-        A frame with a top frame returns the leading tables of the top's.
         """
         n, depth = self.n, self._depth("R2", 2, 2)
-        if self.top is not None:
-            return self.top.R2_table[:depth + 1]
         Gt = self.table(self.G, depth + 2)
         x, y = slice(None, n), slice(n, None)
 
@@ -529,8 +518,7 @@ class SprayChart:
         self.domain = domain
         self.label = label
         self.metric = None      # the FinslerMetric of an induced spray
-        self._frames = {}
-        self._top = {}          # (x, y) -> the highest-order frame built there
+        self._frames = {}       # (x, y) -> the one frame kept there (`frame`)
         self._values = {}       # (x, y) -> the float coefficients (`coefficients`)
         self._deformed = {}     # VolumeForm -> DeformedSpray (projective.deform)
 
@@ -554,21 +542,17 @@ class SprayChart:
         return out
 
     def frame(self, p: PointTM, order: int) -> Frame:
-        """The frame of this order at p, cached.  Below the highest order
-        built at p it truncates that frame's jets instead of evaluating the
-        coefficients: asking for the top order first costs one evaluation."""
-        key = (p.x, p.y, order)
+        """The one frame kept at p, of order at least `order`: the reader
+        takes the leading tables it needs (see `Frame`).  A higher order than
+        the kept one builds a frame at that order, which replaces it: asking
+        for the top order first costs one evaluation."""
+        key = (p.x, p.y)
         fr = self._frames.get(key)
-        if fr is None:
+        if fr is None or fr.order < order:
             if not self.domain.contains(p.x):
                 raise ValueError(f"{self.label}: point x = {p.x} lies outside "
                                  f"the declared domain box")
-            top = self._top.get(key[:2])
-            if top is not None and top.order > order:
-                fr = Frame(self, p, order, top)
-            else:
-                fr = self._top[key[:2]] = Frame(self, p, order)
-            self._frames[key] = fr
+            fr = self._frames[key] = Frame(self, p, order)
         return fr
 
     def homogeneity_residual(self, p: PointTM) -> float:
@@ -849,10 +833,11 @@ def metric_spray_fn(g_asts, n):
     x many times (frames at (x, s y), deformed and shifted sprays, float
     coefficients).  So they are built once per x: on x-only jets at the
     highest order asked there, a lower order reading prefix slices of them
-    (`Jet.truncated`, the bits of a fresh evaluation, as `SprayChart.frame`
-    serves frames), and once per x on floats.
+    (`Jet.truncated`, the bits of a fresh evaluation), and once per x on
+    floats.
     """
-    dg = [[[exprdsl.differentiate(g_asts[i][j], k) for k in range(n)]
+    memos = [{} for _ in range(n)]      # one per slot: equal entries share dg
+    dg = [[[exprdsl.differentiate(g_asts[i][j], k, memos[k]) for k in range(n)]
            for j in range(n)] for i in range(n)]
     kept = {}       # (x, on floats) -> (order, metric(x)) at the top order asked
 

@@ -448,7 +448,7 @@ class SuiteRunner:
         unknown = groups - set(self.GROUPS)
         if unknown:
             raise ValueError(f"unknown suite groups {sorted(unknown)}")
-        for pt in self.data:    # the top order first: the lower ones truncate it
+        for pt in self.data:    # the top order first: lower orders read it
             pt.fr4
             for dV in self.volumes:     # its coefficients read S at order 4
                 pj.deform(self.spray, dV).frame(pt.p, 3)

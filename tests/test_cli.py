@@ -210,6 +210,13 @@ def test_exit_code_2_on_input_errors(tmp_path, capsys):
         assert code == 2 and err.startswith("domain error: metric g_ij is "
                                             "singular at x = ("), err
         assert len(err.splitlines()) == 1
+    # a domain error in a symbolic derivative cites the source of the node
+    # it differentiates: example72 evaluates only the partials of f
+    for command in ("evaluate", "verify"):
+        code, out, err = run_cli(command, "--spray", "example72(f=x1/0)",
+                                 "--points", "1", capsys=capsys)
+        assert code == 2 and out == ""
+        assert err == "domain error: division by zero at line 1, column 3\n", err
     # invalid --file sprays: not 2-homogeneous, and a Randers block with
     # |b|_a >= 1; both are bad input, reported without a traceback
     cubic = tmp_path / "cubic.spray"
@@ -271,6 +278,7 @@ def test_exit_code_contract_on_fuzzed_command_lines(argv):
             code = e.code
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue(), argv
+    assert "line 0, column 0" not in err.getvalue(), argv     # every error located
     if code in (0, 1) and "--format" not in argv:
         json.loads(out.getvalue())
 
@@ -375,7 +383,7 @@ def test_order_flag(capsys):
 
 
 def test_evaluate_evaluates_the_coefficients_once_per_point(monkeypatch, capsys):
-    # the top-order frame comes first and the lower orders truncate its jets;
+    # the top-order frame comes first and the lower orders read its tables;
     # before, each of the orders 1-4 evaluated the coefficients (12 on 3
     # points).  An --order above 4 builds no deeper frame than --order 4.
     evaluations, orders = [], []
@@ -457,6 +465,28 @@ def test_verify_evaluates_each_coefficient_input_once(monkeypatch, capsys):
     # at the one x, 1/D and 1/D^2 of g = 4/D, D = (1 + |x|^2)^2, 1/g of the
     # four equal pivots, and 1/sigma of the two sigmas that read x
     assert len(reciprocals) == len(set(reciprocals)) == 5
+
+
+def test_verify_builds_one_frame_per_spray_and_point(monkeypatch, capsys):
+    # each spray keeps one frame per (x, y), and the suite asks for its top
+    # order first: no point of the base, shifted or deformed sprays gets a
+    # second frame.  Before, every order asked below the top was a frame of
+    # its own, a prefix slice of the top one.
+    from collections import Counter
+    from spraylab import projective as pj
+    built, init = Counter(), sc.Frame.__init__
+
+    def counted(self, spray, point, order):
+        built[spray, point.x, point.y] += 1
+        init(self, spray, point, order)
+
+    monkeypatch.setattr(sc.Frame, "__init__", counted)
+    code, out, _ = run_cli("verify", "--spray", "sphere(n=3,kappa=1)", "--points",
+                           "1", "--seed", "3", capsys=capsys)
+    assert code == 0 and json.loads(out)["rows"]
+    assert set(built.values()) == {1}, built
+    kinds = {type(spray) for spray, _x, _y in built}
+    assert pj.DeformedSpray in kinds and len(kinds) == 3, kinds
 
 
 def test_unknown_tolerance_id_rejected(capsys):

@@ -620,7 +620,7 @@ def test_float_b_chi_t_match_jet_references(value_zoo):
     for sp in value_zoo:
         for p in sample_points(sp, 2, seed=35):
             for order, depth in ((3, 0), (4, 1)):
-                fr = sp.frame(p, order)
+                fr = sc.Frame(sp, p, order)
                 for got, ref in ((fr.B, _jet_b), (fr.chi, _jet_chi),
                                  (fr.T, _jet_t)):
                     want = fr.table(ref(fr), depth)
@@ -630,14 +630,14 @@ def test_float_b_chi_t_match_jet_references(value_zoo):
                         assert not g.flags.writeable      # shared caches
             for name in ("B", "chi", "T"):
                 with pytest.raises(ValueError, match="order >= 3"):
-                    getattr(sp.frame(p, 2), name)
+                    getattr(sc.Frame(sp, p, 2), name)
 
 
 def test_float_r2_matches_jet_r2(value_zoo):
     for sp in value_zoo:
         for p in sample_points(sp, 2, seed=36):
             for order in (2, 3, 4):
-                fr = sp.frame(p, order)
+                fr = sc.Frame(sp, p, order)
                 got, want = fr.R2_table, fr.table(_jet_r2(fr), order - 2)
                 assert len(got) == len(want) == len(fr.ric) == order - 1
                 for g, w in zip(got, want):
@@ -650,9 +650,9 @@ def test_float_r2_matches_jet_r2(value_zoo):
                     assert np.array_equal(r, trace / float(sp.n - 1))
                     assert not (t.flags.writeable or ric.flags.writeable
                                 or r.flags.writeable)     # shared caches
-            assert np.abs(sp.frame(p, 2).R2_table[0]).max() > 0.1
+            assert np.abs(sc.Frame(sp, p, 2).R2_table[0]).max() > 0.1
             with pytest.raises(ValueError, match="order >= 2"):
-                sp.frame(p, 1).R2_table
+                sc.Frame(sp, p, 1).R2_table
 
 
 def test_float_r4_matches_jet_r4(value_zoo):
@@ -672,10 +672,10 @@ def test_float_r4_matches_jet_r4(value_zoo):
             assert sc.rel_residual(ric - 0.5 * (ric_ref + ric_ref.T), ric_ref) <= 1e-13
             assert not (R4.flags.writeable or ric.flags.writeable)   # shared caches
             # an order-3 frame has the values only, an order-2 frame not even those
-            (R4_3,) = sp.frame(p, 3).R4
+            (R4_3,) = sc.Frame(sp, p, 3).R4
             assert sc.rel_residual(R4_3 - R4, R4) <= 1e-13
             with pytest.raises(ValueError, match="order >= 3"):
-                sp.frame(p, 2).R4
+                sc.Frame(sp, p, 2).R4
 
 
 def test_table_and_cov_h_match_jet_cov_h(value_zoo):
@@ -786,38 +786,31 @@ FRAME_TABLES = (("N_values", 1), ("Gamma_values", 2), ("R2_table", 2),
                 ("T", 3))
 
 
-def test_truncated_frame_equals_built_frame(value_zoo):
-    # below a cached frame of order K, a frame slices K's jets instead of
-    # evaluating the coefficients again; it must read the same bits
+def test_lower_orders_read_the_leading_tables_of_the_one_frame(value_zoo):
+    # a spray keeps one frame per point; a reader that needs order k < 4
+    # takes the leading tables of the order-4 frame, which must hold the
+    # bits of a frame built at order k
     from spraylab import projective as pj
     for sp in value_zoo:
+        (p,) = sample_points(sp, 1, seed=44)
         for spray in (sp, pj.deform(sp, pj.VolumeForm("exp(x1)", sp.n))):
-            for top_order in (3, 4):
-                (p,) = sample_points(sp, 1, seed=40 + top_order)
-                top = spray.frame(p, top_order)
-                for order in range(1, top_order):
-                    served, built = spray.frame(p, order), sc.Frame(spray, p, order)
-                    assert np.shares_memory(served.G[0].coeffs, top.G[0].coeffs)
-                    assert not np.shares_memory(built.G[0].coeffs, top.G[0].coeffs)
-                    for g, h in zip(served.G, built.G, strict=True):
-                        assert g.order == h.order == order
-                        assert np.array_equal(g.coeffs, h.coeffs)
-                    for name, low in FRAME_TABLES:
-                        if order < low:
-                            continue
-                        got, want = getattr(served, name), getattr(built, name)
-                        if isinstance(got, np.ndarray):
-                            got, want = [got], [want]
-                        assert len(got) == len(want), name
-                        for a, b in zip(got, want):
-                            assert np.array_equal(a, b), (spray.label, order, name)
-                            assert not a.flags.writeable, name    # shared caches
-                    # R^i_k is served from the top frame's tables, not rebuilt
-                    if order >= 2:
-                        for a, b, t in zip(served.R2_table, built.R2_table,
-                                           top.R2_table):
-                            assert np.shares_memory(a, t)
-                            assert not np.shares_memory(b, t)
+            top = spray.frame(p, 4)
+            for order in range(1, top.order):
+                assert spray.frame(p, order) is top
+                built = sc.Frame(spray, p, order)
+                for g, h in zip(top.G, built.G, strict=True):
+                    assert g.truncated(order).coeffs.tobytes() == h.coeffs.tobytes()
+                for name, low in FRAME_TABLES:
+                    if order < low:
+                        continue
+                    got, want = getattr(top, name), getattr(built, name)
+                    if isinstance(got, np.ndarray):
+                        got, want = [got], [want]
+                    assert len(got) >= len(want), name
+                    for a, b in zip(got, want):
+                        assert a.tobytes() == b.tobytes(), (spray.label, order, name)
+                        assert not a.flags.writeable, name    # shared caches
+            assert spray._frames[p.x, p.y] is top
 
 
 def _leaves(v):
@@ -959,6 +952,30 @@ def test_x_only_factorization_solves_like_the_2n_lift_bit_for_bit():
                         sp.label, order)
                 values = np.array([sc.carrier_value(v) for v in got])
                 assert values.tobytes() == floats.tobytes(), (sp.label, order)
+
+
+def test_metric_spray_differentiates_equal_entries_once_per_slot(monkeypatch):
+    # one differentiation memo per slot: the sphere's n equal diagonal
+    # entries share their derivatives (336 calls, recursion included, with a
+    # fresh memo per entry), and dg holds the interned nodes fresh memos give
+    diff, calls, top, depth = exprdsl.differentiate, [], [], [0]
+
+    def counted(ast, slot, memo=None):
+        calls.append(slot)
+        depth[0] += 1
+        out = diff(ast, slot, memo)
+        depth[0] -= 1
+        if not depth[0]:        # called by the spray, not by the recursion
+            top.append((ast, slot, out, memo))
+        return out
+
+    monkeypatch.setattr(exprdsl, "differentiate", counted)
+    make_family("sphere", n=4, kappa=1.0)
+    monkeypatch.undo()
+    assert len(calls) == 132
+    assert len(top) == 4 * 4 * 4 and len({id(t[3]) for t in top}) == 4
+    for ast, slot, out, _memo in top:
+        assert out is exprdsl.differentiate(ast, slot)
 
 
 def test_metric_sliced_from_a_deeper_order_equals_a_fresh_one_bit_for_bit():
@@ -1117,7 +1134,7 @@ def test_s_of_lower_order_is_a_slice_of_the_top_s(value_zoo):
         (p,) = sample_points(sp, 1, seed=63)
         top = hat.S(p, 4)
         for order in (1, 2, 3):
-            served, built = hat.S(p, order), pj.s_jet(sp.frame(p, order), dV)
+            served, built = hat.S(p, order), pj.s_jet(sc.Frame(sp, p, order), dV)
             assert np.shares_memory(served.coeffs, top.coeffs)
             assert served.space is built.space
             assert served.coeffs.tobytes() == built.coeffs.tobytes()

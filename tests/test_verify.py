@@ -140,6 +140,8 @@ def test_deform_is_memoized_per_volume_form():
 def test_volume_rows_share_one_deformed_frame_per_order():
     # sphere(n=3) has scalar curvature, so eta-hat runs too; it reads the
     # deformed spray off the base order-4 frame and asks for no deformed frame
+    # of order 4; the rows that read orders 1 and 2 take the leading tables
+    # of the one order-3 frame
     sp = make_family("sphere", n=3, kappa=1.0)
     runner = verify.SuiteRunner(sp, sample_points(sp, 1, seed=6))
     runner._volume_rows()
@@ -147,7 +149,7 @@ def test_volume_rows_share_one_deformed_frame_per_order():
         [r.id for r in runner.rows if r.passed is not True]
     for dV in runner.volumes:
         frames = pj.deform(sp, dV)._frames
-        assert sorted(order for _x, _y, order in frames) == [1, 2, 3]
+        assert [fr.order for fr in frames.values()] == [3]
 
 
 def test_one_point_suite_builds_no_frame_above_order_4():
@@ -159,7 +161,8 @@ def test_one_point_suite_builds_no_frame_above_order_4():
     assert not [r.id for r in runner.rows if r.passed is False]
     sprays = [sp, runner.shifted]
     sprays += [hat for s in sprays for hat in s._deformed.values()]
-    orders = {s.label: sorted({o for _x, _y, o in s._frames}) for s in sprays}
+    orders = {s.label: sorted({fr.order for fr in s._frames.values()})
+              for s in sprays}
     assert len(sprays) == 2 + 2 * len(runner.volumes), orders
     assert all(o <= 4 for os in orders.values() for o in os), orders
 
