@@ -8,6 +8,7 @@ timing is shown only in text output so it never perturbs report bytes.
 
 from __future__ import annotations
 
+import gc
 import sys
 import time
 
@@ -327,5 +328,17 @@ def main(argv=None) -> int:
         return 2
 
 
+def run(argv=None):
+    """The process entry point (`python -m spraylab.cli`, the `spraylab`
+    script): `main`, then a normal exit with its code.  Every object still
+    live dies with the process, so it is frozen first (`gc.freeze`) and the
+    interpreter's exit-time collections traverse nothing; `atexit` handlers
+    and the flush of stdout and stderr run as in any exit.  In-process
+    callers use `main`, which leaves the collector as it is."""
+    code = main(argv)
+    gc.freeze()
+    raise SystemExit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -36,9 +36,9 @@ from . import curvature, exprdsl, jets
 from .jets import Jet, JetDomainError
 from .spray_core import (Box, Frame, FunctionSpray, PointTM, SprayChart,
                          TensorValue, _normalize_metric, _parse_x_expr, _product,
-                         carrier_sum, carrier_value, metric_spray_fn,
-                         rel_residual, riemann_two_index, solve_carrier,
-                         tensor_values)
+                         carrier_sum, carrier_value, metric_draws,
+                         metric_spray_fn, rel_residual, riemann_two_index,
+                         solve_carrier, tensor_values)
 
 COND_LIMIT = 1e8
 
@@ -205,15 +205,8 @@ class RandersData:
         self._alpha = None
 
     def _check_norm(self):
-        """|b|_a < 1 and a_ij positive definite at 20 sampled x."""
-        from ._rng import Generator
-        rng = Generator(0)
-        for _ in range(20):
-            x = list(self.box.sample(rng)) + [0.0] * self.n
-            memo = {}
-            av = np.array([[carrier_value(exprdsl.evaluate(self.a_asts[i][j],
-                                                           x, memo))
-                            for j in range(self.n)] for i in range(self.n)])
+        """|b|_a < 1 and a_ij positive definite at 20 sampled x (`metric_draws`)."""
+        for x, memo, av in metric_draws(self.a_asts, self.n, self.box, "a"):
             bv = np.array([carrier_value(exprdsl.evaluate(self.b_asts[i], x,
                                                           memo))
                            for i in range(self.n)])
@@ -221,11 +214,6 @@ class RandersData:
                 norm2 = float(bv @ np.linalg.solve(av, bv))
             except np.linalg.LinAlgError:
                 raise ValueError(f"metric a_ij is singular at x = "
-                                 f"{tuple(x[:self.n])}") from None
-            try:
-                np.linalg.cholesky(av)
-            except np.linalg.LinAlgError:
-                raise ValueError(f"metric a_ij is not positive definite at x = "
                                  f"{tuple(x[:self.n])}") from None
             if norm2 >= 1.0:
                 raise ValueError(f"|b|_a = {math.sqrt(norm2):.4f} >= 1 at x = "

@@ -27,15 +27,27 @@ class NonFiniteError(ValueError):
 
 
 def _fmt_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
+    if not math.isfinite(x):
         raise NonFiniteError(x)
-    if x == int(x) and abs(x) < 1e16:
+    if x.is_integer() and abs(x) < 1e16:
         return f"{x:.1f}"
     return format(x, ".17g")
 
 
 def canonical_json(obj, indent: int = 0) -> str:
-    """Render a JSON document with sorted keys and fixed float formatting."""
+    """Render a JSON document with sorted keys and fixed float formatting.
+
+    A NaN or infinite value raises NonFiniteError with its path in the
+    document (`_locate`), found after the fact so that rendering carries no
+    paths."""
+    try:
+        return _render(obj, indent)
+    except NonFiniteError as e:
+        e.path = _locate(obj)
+        raise
+
+
+def _render(obj, indent: int) -> str:
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if obj is None:
@@ -55,7 +67,8 @@ def canonical_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [_located(f"[{i}]", v, indent) for i, v in enumerate(obj)]
+        items = [_fmt_float(v) if type(v) is float else _render(v, indent + 1)
+                 for v in obj]
         return "[\n" + ",\n".join(inner + it for it in items) + "\n" + pad + "]"
     if isinstance(obj, dict):
         if not obj:
@@ -64,18 +77,26 @@ def canonical_json(obj, indent: int = 0) -> str:
         for k in sorted(obj):
             if not isinstance(k, str):
                 raise TypeError(f"JSON object keys must be strings, got {k!r}")
-            items.append(f'{inner}"{k}": {_located(f".{k}", obj[k], indent)}')
+            items.append(f'{inner}"{k}": {_render(obj[k], indent + 1)}')
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
-def _located(part: str, value, indent: int) -> str:
-    """Render a member of a container; a NonFiniteError learns its place."""
-    try:
-        return canonical_json(value, indent + 1)
-    except NonFiniteError as e:
-        e.path = part + e.path
-        raise
+def _locate(obj) -> str:
+    """The path of the first non-finite float in rendering order, or None."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else ""
+    if isinstance(obj, dict):
+        parts = ((f".{k}", obj[k]) for k in sorted(obj))
+    elif isinstance(obj, (list, tuple)):
+        parts = ((f"[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return None
+    for part, v in parts:
+        path = _locate(v)
+        if path is not None:
+            return part + path
+    return None
 
 
 def write_atomic(path: str, text: str):

@@ -228,6 +228,25 @@ def _frozen(tables: list) -> list:
     return tables
 
 
+class _Table:
+    """A curvature table [values, first partials] (`Frame`) built as values
+    alone, and whole on the first read past [0]: `build(depth)` gives it to
+    `depth`, with the bits of `build(0)` in its values.  Most readers of a
+    deep frame take the values alone."""
+    __slots__ = ("_build", "_depth", "_t")
+
+    def __init__(self, build, depth: int):
+        self._build, self._depth, self._t = build, depth, _frozen(build(0))
+
+    def __len__(self):
+        return self._depth + 1
+
+    def __getitem__(self, i):
+        if i != 0 and len(self._t) <= self._depth:
+            self._t = _frozen(self._build(self._depth))
+        return self._t[i]
+
+
 @lru_cache(maxsize=None)
 def _partial_reads(dim: int, k: int):
     """Order-k prefix size and (positions, alpha!) of the partials of order 0..k.
@@ -279,7 +298,8 @@ class Frame:
     computed from those.  R2, Ric and R are [values] at order 2 and gain a
     partial per order up to 4; the other curvature tables are [values] at
     order 3 and [values, first partials] deeper, the slot last as in
-    `table`.  `hpart` and `cov_h` take the horizontal derivative of any such
+    `table`; R4 and T build the partials on their first read (`_Table`).
+    `hpart` and `cov_h` take the horizontal derivative of any such
     table, one partial shorter.
     """
 
@@ -451,16 +471,19 @@ class Frame:
         A[i,j,k,l] = delta Gamma^i_jl / delta x^k + Gamma^i_ks Gamma^s_jl,
         R4 = A - (A with k, l swapped).
         """
-        n, depth = self.n, self._depth("R4")
-        Gt = self.table(self.G, depth + 3)
-        Gm = [t[:, n:, n:] for t in Gt[2:]]             # Gamma and its partials
-        hG = self.hpart(Gm, [t[:, n:] for t in Gt[1: depth + 2]])   # [i,j,l,m]
-        GG = _product("iks,sjl->ijkl", Gm[:depth + 1], Gm)
-        out = []
-        for h, gg in zip(hG, GG):
-            A = np.swapaxes(h, 2, 3) + gg
-            out.append(A - np.swapaxes(A, 2, 3))
-        return _frozen(out)
+        n = self.n
+
+        def build(depth):
+            Gt = self.table(self.G, depth + 3)
+            Gm = [t[:, n:, n:] for t in Gt[2:]]         # Gamma and its partials
+            hG = self.hpart(Gm, [t[:, n:] for t in Gt[1: depth + 2]])   # [i,j,l,m]
+            GG = _product("iks,sjl->ijkl", Gm[:depth + 1], Gm)
+            out = []
+            for h, gg in zip(hG, GG):
+                A = np.swapaxes(h, 2, 3) + gg
+                out.append(A - np.swapaxes(A, 2, 3))
+            return out
+        return _Table(build, self._depth("R4"))
 
     @cached_property
     def ric(self):
@@ -486,13 +509,16 @@ class Frame:
     @cached_property
     def T(self):
         """T^i_k = R^i_k - {R delta^i_k - (1/2) dR/dy^k y^i}, from `R2_table`."""
-        n, depth = self.n, self._depth("T")
-        R = self.r_scalar
-        out = plus_outer_y(self.R2_table[:depth + 1], [d[n:] for d in R[1:]],
-                           0.5, self.y_table)
-        for t, r in zip(out, R):
-            t[np.diag_indices(n)] -= r
-        return _frozen(out)
+        n = self.n
+
+        def build(depth):
+            R = self.r_scalar
+            out = plus_outer_y(self.R2_table[:depth + 1],
+                               [d[n:] for d in R[1:depth + 2]], 0.5, self.y_table)
+            for t, r in zip(out, R):
+                t[np.diag_indices(n)] -= r
+            return out
+        return _Table(build, self._depth("T"))
 
     @cached_property
     def ric_jl(self) -> np.ndarray:
@@ -760,6 +786,27 @@ def _normalize_metric(g, n, letter: str = "g"):
     return full
 
 
+def metric_draws(asts, n: int, box: Box, letter: str):
+    """The metric of entries `asts` at 20 draws of `Generator(0)` in `box`:
+    yields (x, evaluation memo, values) at each draw, after refusing one that
+    is not positive definite (a ValueError naming the metric by `letter` and
+    the point).  A singular value passes: its caller names it."""
+    from ._rng import Generator
+    rng = Generator(0)
+    for _ in range(20):
+        x = list(box.sample(rng)) + [0.0] * n
+        memo = {}
+        v = np.array([[carrier_value(exprdsl.evaluate(asts[i][j], x, memo))
+                       for j in range(n)] for i in range(n)])
+        try:
+            np.linalg.cholesky(v)
+        except np.linalg.LinAlgError:
+            if np.linalg.slogdet(v)[0] != 0.0:     # sign 0: singular
+                raise ValueError(f"metric {letter}_ij is not positive definite "
+                                 f"at x = {tuple(x[:n])}") from None
+        yield x, memo, v
+
+
 def _truncated(v, order: int):
     """`v` with every jet in it (nested in lists or tuples) cut to `order`."""
     if isinstance(v, (list, tuple)):
@@ -888,8 +935,12 @@ def make_flat(n: int = 2, box: float = 1.0) -> SprayChart:
 
 
 def make_riemannian(g, n: int, box: float = 1.0, label: str = "riemannian"):
-    g_asts = _normalize_metric(g, n)
-    return FunctionSpray(n, metric_spray_fn(g_asts, n), Box.cube(n, box), label)
+    """The geodesic spray of g, refused where g is indefinite (`metric_draws`);
+    a singular g is a domain error where the spray is evaluated."""
+    g_asts, domain = _normalize_metric(g, n), Box.cube(n, box)
+    for _ in metric_draws(g_asts, n, domain, "g"):
+        pass
+    return FunctionSpray(n, metric_spray_fn(g_asts, n), domain, label)
 
 
 def make_sphere(n: int = 3, kappa: float = 1.0) -> SprayChart:

@@ -1,9 +1,14 @@
 """Command-line interface: subcommands, exit codes, determinism, file I/O."""
 
 import contextlib
+import gc
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +21,21 @@ from spraylab import curvature as cv
 from spraylab import spray_core as sc
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def run_cli(*argv, capsys=None):
     code = cli.main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def spawn_cli(*argv):
+    """Exit code, stdout and stderr of `python -m spraylab.cli ARGV`."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "spraylab.cli", *argv],
+                          env=env, capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def test_list_contents_and_determinism(capsys):
@@ -184,6 +200,9 @@ def test_exit_code_2_on_input_errors(tmp_path, capsys):
                        "metric a_ij is singular at x = ("),
                       ("randers(a11=-1,a22=1)",
                        "metric a_ij is not positive definite at x = ("),
+                      # an indefinite Riemannian g is refused as Randers' a_ij
+                      ("riemannian(g11=x1,g22=1)",
+                       "metric g_ij is not positive definite at x = ("),
                       # metric entries in the family's own letter only, and a
                       # 1-form for randers only; a parameter the family's
                       # builder does not take names the family
@@ -334,6 +353,43 @@ def test_exit_code_1_on_tolerance_failure(capsys):
                              "deformed-chi-vanishes=1e-30", capsys=capsys)
     assert code == 1
     assert "deformed-chi-vanishes" in err
+
+
+def test_a_cli_process_ends_as_main_returns(capsys):
+    # a process runs `cli.run`: main, a frozen heap and a normal exit, so
+    # stdout, stderr and the exit code are main's; main itself leaves the
+    # collector as it is
+    for argv, code, err in (
+            (("evaluate", "--spray", "flat", "--points", "2"), 0, ""),
+            (("verify", "--spray", "example72(f=x1*x2)", "--points", "2",
+              "--seed", "1", "--tol", "deformed-chi-vanishes=1e-30"), 1,
+             "FAIL deformed-chi-vanishes: "),
+            (("verify", "--spray", "riemannian(g11=x1,g22=1)", "--points", "1"),
+             2, "error: ")):
+        frozen = gc.get_freeze_count()
+        in_process = run_cli(*argv, capsys=capsys)
+        assert gc.get_freeze_count() == frozen, argv
+        assert in_process[0] == code and in_process[2].startswith(err), argv
+        assert (in_process[1] != "") == (code < 2), argv
+        assert spawn_cli(*argv) == in_process, argv
+    try:
+        with pytest.raises(SystemExit) as info:
+            cli.run(["list"])
+        assert info.value.code == 0 and gc.get_freeze_count() > frozen
+    finally:
+        gc.unfreeze()
+    capsys.readouterr()
+
+
+def test_evaluate_builds_the_values_of_r4_and_t_alone(monkeypatch, capsys):
+    # evaluate reads R4[0] and T[0] of order-4 frames: no first partials
+    depths = []
+    init = sc._Table.__init__
+    monkeypatch.setattr(sc._Table, "__init__", lambda t, build, depth: init(
+        t, lambda d: depths.append(d) or build(d), depth))
+    code, _, _ = run_cli("evaluate", "--spray", "sphere(n=3,kappa=1)",
+                         "--points", "2", capsys=capsys)
+    assert code == 0 and depths and set(depths) == {0}, depths
 
 
 def test_json_byte_determinism(capsys):

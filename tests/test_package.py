@@ -191,3 +191,19 @@ def test_mutable_records_compare_by_value_and_are_unhashable():
     assert a != b
     with pytest.raises(TypeError):
         hash(a)
+
+
+def test_both_launch_paths_enter_through_cli_run():
+    # the installed `spraylab` script and `python -m spraylab.cli` call one
+    # function, the process entry point
+    import ast
+    tomllib = pytest.importorskip("tomllib")
+    from spraylab import cli
+    pyproject = tomllib.loads((SRC.parent / "pyproject.toml").read_text())
+    module, name = pyproject["project"]["scripts"]["spraylab"].split(":")
+    script = getattr(importlib.import_module(module), name)
+    (block,) = [node for node in ast.parse(Path(cli.__file__).read_text()).body
+                if isinstance(node, ast.If)
+                and ast.unparse(node.test) == "__name__ == '__main__'"]
+    (stmt,) = block.body
+    assert script is getattr(cli, stmt.value.func.id) is cli.run

@@ -478,7 +478,9 @@ def test_set_up_checks_draw_numpys_x(monkeypatch):
     box = Box((-0.3, 0.1), (0.8, 0.9))
     projective.VolumeForm("exp(x1)", 2).check_positive(box)
     finsler.RandersData({(1, 1): "1", (2, 2): "1"}, {1: "0.1"}, 2, box=0.8)
-    assert drawn == numpy_draws(box) + numpy_draws(Box.cube(2, 0.8))
+    sc.make_riemannian({(1, 1): "1", (2, 2): "1"}, 2, box=0.5)
+    assert drawn == (numpy_draws(box) + numpy_draws(Box.cube(2, 0.8))
+                     + numpy_draws(Box.cube(2, 0.5)))
 
 
 def test_custom_family_from_source(tmp_path):
@@ -811,6 +813,29 @@ def test_lower_orders_read_the_leading_tables_of_the_one_frame(value_zoo):
                         assert a.tobytes() == b.tobytes(), (spray.label, order, name)
                         assert not a.flags.writeable, name    # shared caches
             assert spray._frames[p.x, p.y] is top
+
+
+def test_r4_and_t_build_their_partials_on_the_first_read_past_the_values(
+        monkeypatch):
+    # R4 and T of an order-4 frame are built as values alone; indexing past
+    # [0] builds the whole table, whose values hold the same bits
+    depths = []
+    init = sc._Table.__init__
+    monkeypatch.setattr(sc._Table, "__init__", lambda t, build, depth: init(
+        t, lambda d: depths.append(d) or build(d), depth))
+    sp = make_family("sphere", n=3, kappa=1.0)
+    (p,) = sample_points(sp, 1, seed=3)
+    for name in ("R4", "T"):
+        lazy, whole = sc.Frame(sp, p, 4), sc.Frame(sp, p, 4)
+        depths.clear()
+        values = getattr(lazy, name)[0]
+        assert depths == [0] and len(getattr(lazy, name)) == 2, name
+        table = getattr(whole, name)[:]
+        assert depths == [0, 0, 1] and len(table) == 2, name
+        assert values.tobytes() == table[0].tobytes(), name
+        assert getattr(lazy, name)[1].tobytes() == table[1].tobytes(), name
+        assert getattr(lazy, name)[0].tobytes() == values.tobytes(), name
+        assert depths == [0, 0, 1, 1], name
 
 
 def _leaves(v):
