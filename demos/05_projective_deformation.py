@@ -22,20 +22,20 @@ fix = ExpressionSpray(2, [exprdsl.parse("x2*y1^2/2", 2), exprdsl.parse("0", 2)],
                       Box.cube(2, 1.0), "hand-fixture")
 p = PointTM((0.1, -0.2), (0.7, 0.4))
 
-print(f"base spray {fix.label}: chi = {cv.chi_definition(fix, p).components}")
+print(f"base spray {fix.label}: chi = {cv.chi_definition(fix, p)}")
 for sig in ("1", "exp(x1)", "1+0.5*x1^2"):
     dV = pj.VolumeForm(sig, 2)
     hat = pj.deform(fix, dV)
     S = pj.s_curvature(fix, dV, p)
     S_hat = pj.s_curvature(hat, dV, p)
-    chi_hat = cv.chi_definition(hat, p).components
+    chi_hat = cv.chi_definition(hat, p)
     print(f"  dV = {sig:<11} S = {S:+.6f}  S_hat = {S_hat:+.1e}  "
           f"max|chi_hat| = {np.abs(chi_hat).max():.2e}")
 
 print("\n== the deformed curvature has a closed formula in tau and chi")
 dV = pj.VolumeForm("exp(x1)", 2)
-d = pj.hat_riemann(fix, dV, p, "direct").components
-f = pj.hat_riemann(fix, dV, p, "formula").components
+d = pj.hat_riemann(fix, dV, p, "direct")
+f = pj.hat_riemann(fix, dV, p, "formula")
 print(f"direct:\n{d}")
 print(f"formula route difference: {np.abs(d - f).max():.2e}")
 
@@ -48,11 +48,11 @@ print(f"max deformed-coefficient difference: "
 print("\n== Douglas tensor ignores the volume form; deformed T is the Weyl "
       "curvature")
 dV2 = pj.VolumeForm("(1+0.5*x1^2)*exp(x1)", 2)
-D1 = pj.douglas(fix, dV, p).components
-D2 = pj.douglas(fix, dV2, p).components
+D1 = pj.douglas(fix, dV, p)
+D2 = pj.douglas(fix, dV2, p)
 print(f"Douglas difference across volumes: {np.abs(D1 - D2).max():.2e}")
-W = cv.weyl(fix, p).components
-T_hat = pj.weyl_hat(fix, dV, p).components
+W = cv.weyl(fix, p)
+T_hat = pj.weyl_hat(fix, dV, p)
 print(f"deformed-T vs Weyl difference:     {np.abs(W - T_hat).max():.2e}")
 
 print("\n== closedness of the divergence forces chi = 0")

@@ -57,5 +57,5 @@ direct = cv.ricci_scalar(hat_w, q)
 print(f"\ncurvature scalar of the deformed spray at one point:")
 print(f"  closed formula kappa alpha^2 + t_00 + ... = {formula:.10f}")
 print(f"  (n-1)^-1 Ric computed from jets           = {direct:.10f}")
-T = cv.t_curvature(hat_w, q).components
+T = cv.t_curvature(hat_w, q)
 print(f"  isotropy: max |T| = {np.abs(T).max():.2e}")

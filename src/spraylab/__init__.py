@@ -10,15 +10,13 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "jets": ("Jet", "JetDomainError", "eval_derivatives", "lift_variable",
-             "partial"),
-    "spray_core": ("Box", "PointTM", "SprayChart", "TensorValue",
-                   "berwald_connection", "berwald_curvature", "make_family",
-                   "nonlinear_connection", "riemann_four_index",
-                   "riemann_two_index", "sample_points"),
-    "curvature": ("ChiValue", "chi_definition", "chi_from_t", "chi_local",
-                  "chi_trace", "classify", "eta", "ricci_scalar",
-                  "ricci_tensor", "t_curvature", "weyl"),
+    "jets": ("Jet", "JetDomainError", "eval_derivatives", "lift_variable"),
+    "spray_core": ("Box", "PointTM", "SprayChart", "berwald_connection",
+                   "berwald_curvature", "make_family", "nonlinear_connection",
+                   "riemann_four_index", "riemann_two_index", "sample_points"),
+    "curvature": ("chi_definition", "chi_from_t", "chi_local", "chi_trace",
+                  "classify", "eta", "ricci_scalar", "ricci_tensor",
+                  "t_curvature", "weyl"),
     "projective": ("DeformedSpray", "VolumeForm", "deform", "douglas",
                    "eta_hat", "hat_riemann", "projective_invariance_check",
                    "projective_ricci", "s_closed_residual", "s_curvature",

@@ -213,18 +213,18 @@ def cmd_evaluate(args) -> int:
         top = spray.frame(p, min(order, 4))
         q = {
             "G": [g.value for g in top.G],
-            "N": sc.nonlinear_connection(spray, p).components.tolist(),
-            "R": sc.riemann_two_index(spray, p).components.tolist(),
-            "Ric_jl": cv.ricci_tensor(spray, p).components.tolist(),
+            "N": sc.nonlinear_connection(spray, p).tolist(),
+            "R": sc.riemann_two_index(spray, p).tolist(),
+            "Ric_jl": cv.ricci_tensor(spray, p).tolist(),
             "Ric": cv.ricci_scalar(spray, p),
             "R_scalar": cv.curvature_scalar(spray, p),
-            "chi": cv.chi_definition(spray, p).components.tolist(),
-            "T": cv.t_curvature(spray, p).components.tolist(),
-            "W": cv.weyl(spray, p).components.tolist(),
+            "chi": cv.chi_definition(spray, p).tolist(),
+            "T": cv.t_curvature(spray, p).tolist(),
+            "W": cv.weyl(spray, p).tolist(),
             "S": {v.label: float(pj.s_curvature(spray, v, p)) for v in vols},
         }
         if order >= 4:
-            q["eta"] = cv.eta(spray, p).components.tolist()
+            q["eta"] = cv.eta(spray, p).tolist()
         pt_docs.append({"x": list(p.x), "y": list(p.y), "quantities": q})
     cls = cv.classify(spray, points)
     doc = _document(args, "evaluate", sigmas, cls, [], pt_docs)

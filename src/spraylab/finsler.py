@@ -9,7 +9,7 @@ A metric is a positive 1-homogeneous scalar F(x, y) given as a DSL expression
     G^i = (1/4) g^{il} (L_{x^m y^l} y^m - L_{x^l})   (induced spray)
 
 plus the metric route to the chi-covector through two horizontal covariant
-derivatives of I.  Each quantity has one route:
+derivatives of I.  Each quantity is a float array, and has one route:
 
 * g, g^{-1}, C and I are float tables of values and partials from `_tables`,
   read off the one jet of L per point (`FinslerMetric.l_jets`) through
@@ -32,10 +32,10 @@ import math
 
 import numpy as np
 
-from . import curvature, exprdsl, jets
+from . import exprdsl, jets
 from .jets import Jet, JetDomainError
 from .spray_core import (Box, Frame, FunctionSpray, PointTM, SprayChart,
-                         TensorValue, _normalize_metric, _parse_x_expr, _product,
+                         _normalize_metric, _parse_x_expr, _product,
                          carrier_sum, carrier_value, metric_draws,
                          metric_spray_fn, rel_residual, riemann_two_index,
                          solve_carrier, tensor_values)
@@ -106,22 +106,19 @@ def _tables(F: FinslerMetric, p: PointTM, order: int, inverse: bool = True):
     return g, C, ginv, _product("ij,ijk->k", ginv, C)
 
 
-def fundamental_tensor(F: FinslerMetric, p: PointTM) -> TensorValue:
+def fundamental_tensor(F: FinslerMetric, p: PointTM) -> np.ndarray:
     """g_ij = (1/2) d^2(F^2)/dy^i dy^j."""
-    g = _tables(F, p, 2, inverse=False)[0][0]
-    return TensorValue(g, ("down", "down"), ("i", "j"), p, "g")
+    return _tables(F, p, 2, inverse=False)[0][0]
 
 
-def cartan_torsion(F: FinslerMetric, p: PointTM) -> TensorValue:
+def cartan_torsion(F: FinslerMetric, p: PointTM) -> np.ndarray:
     """C_ijk = (1/4) d^3(F^2)/dy^i dy^j dy^k (totally symmetric)."""
-    C = _tables(F, p, 3, inverse=False)[1][0]
-    return TensorValue(C, ("down",) * 3, ("i", "j", "k"), p, "C")
+    return _tables(F, p, 3, inverse=False)[1][0]
 
 
-def mean_cartan(F: FinslerMetric, p: PointTM) -> TensorValue:
+def mean_cartan(F: FinslerMetric, p: PointTM) -> np.ndarray:
     """I_k = g^{ij} C_ijk."""
-    I = _tables(F, p, 3)[3][0]
-    return TensorValue(I, ("down",), ("k",), p, "I")
+    return _tables(F, p, 3)[3][0]
 
 
 def induced_spray(F: FinslerMetric) -> SprayChart:
@@ -153,7 +150,7 @@ def induced_spray(F: FinslerMetric) -> SprayChart:
     return F._spray
 
 
-def chi_cartan(F: FinslerMetric, p: PointTM) -> curvature.ChiValue:
+def chi_cartan(F: FinslerMetric, p: PointTM) -> np.ndarray:
     """The metric route to chi through the mean Cartan torsion:
 
         chi_k = (1/2) { I_{k|p|q} y^p y^q + I_m R^m_k }
@@ -169,8 +166,7 @@ def chi_cartan(F: FinslerMetric, p: PointTM) -> curvature.ChiValue:
     I = _tables(F, p, 5)[3]
     ddI = sfr.cov_h(sfr.cov_h(I, ("down",)), ("down", "down"))[0]   # I_{k|p|q}
     y = np.array(p.y)
-    comps = 0.5 * (np.einsum("kpq,p,q->k", ddI, y, y) + I[0] @ sfr.R2_table[0])
-    return curvature.ChiValue(comps, "cartan", p)
+    return 0.5 * (np.einsum("kpq,p,q->k", ddI, y, y) + I[0] @ sfr.R2_table[0])
 
 
 # -- Randers data ----------------------------------------------------------------
@@ -184,16 +180,12 @@ class RandersData:
     the alpha spray (`alpha_spray`, `Frame.cov_h`).
     """
 
-    def __init__(self, a, b, n: int, box: float = 1.0):
+    def __init__(self, a: dict, b: dict, n: int, box: float = 1.0):
         self.n = n
         self.box = Box.cube(n, box)
         self.a_asts = _normalize_metric(a, n, "a")
         b_map = {}
-        if isinstance(b, dict):
-            items = b.items()
-        else:
-            items = ((i + 1, v) for i, v in enumerate(b))
-        for i, src in items:
+        for i, src in b.items():
             if i not in range(1, n + 1):
                 raise ValueError(f"1-form entry b_{i}: index outside 1..{n}")
             b_map[int(i)] = _parse_x_expr(src, n, f"1-form entry b_{i}")
@@ -343,7 +335,7 @@ class RandersData:
         res1 = res2 = 0.0
         for p in points:
             # the order-3 frame first: `quantities` reads the same frame
-            Rbar = riemann_two_index(alpha_sp, p).components
+            Rbar = riemann_two_index(alpha_sp, p)
             qt = self.quantities(p)
             y = np.array(p.y)
             kv = carrier_value(exprdsl.evaluate(kast, list(p.x) + [0.0] * n))

@@ -510,11 +510,6 @@ def x_only(f, xs):
     return f(xs) if small is None else embed(f(small), xs[0].dim)
 
 
-def partial(j: Jet, alpha) -> float:
-    """Partial derivative d^alpha of the function represented by `j`."""
-    return j.partial(alpha)
-
-
 def as_jet(value, like: Jet) -> Jet:
     """Coerce a plain number to a constant jet matching `like`."""
     if isinstance(value, Jet):

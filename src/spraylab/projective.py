@@ -17,18 +17,20 @@ value of S alone (`s_curvature`, the float deformed coefficients) is read on
 floats off N on the point's frame (`s_value`), bit for bit the jet's value.
 eta of the deformed spray is read off the base order-4 frame only (`eta_hat`);
 its direct route, which needs order-5 base jets, is kept as the reference in
-the tests.
+the tests.  Every hat-quantity is a float array (a dict of them and floats
+for `projective_ricci`); R_hat by the direct route, D and T_hat are the
+read-only tables of the deformed spray's frame.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import curvature, exprdsl, jets
+from . import exprdsl, jets
 from .jets import Jet, JetDomainError
-from .spray_core import (Box, Frame, PointTM, ScalarField, SprayChart,
-                         TensorValue, _frozen, _product, carrier_sum,
-                         carrier_value, plus_outer_y, rel_residual)
+from .spray_core import (Box, Frame, PointTM, ScalarField, SprayChart, _frozen,
+                         _product, carrier_sum, carrier_value, plus_outer_y,
+                         rel_residual)
 
 DEFAULT_SIGMAS = ("1", "exp(x1)", "1+0.5*x1^2")    # when no volume form is given
 
@@ -70,12 +72,10 @@ class VolumeForm:
         return [jets.quotient(exprdsl.evaluate(d, xs, memo), s, inv) for d in self.dast]
 
     def check_positive(self, box: Box):
-        """sigma > 0 at 20 sampled x in `box`."""
-        from ._rng import Generator
-        rng = Generator(0)
+        """sigma > 0 at the sampled x of `box.check_sample()`."""
         zeros = [0.0] * self.n
-        for _ in range(20):
-            self.sigma(list(box.sample(rng)) + zeros)
+        for x in box.check_sample():
+            self.sigma(list(x) + zeros)
 
     def __repr__(self):
         return f"VolumeForm({self.label!r})"
@@ -112,7 +112,7 @@ def s_curvature(G: SprayChart, dV: VolumeForm, p: PointTM) -> float:
 
 
 def chi_via_s(G: SprayChart, dV: VolumeForm, p: PointTM,
-              ordering: str = "vertical-first") -> curvature.ChiValue:
+              ordering: str = "vertical-first") -> np.ndarray:
     """chi_k = (1/2) {S_{.k|m} y^m - S_{|k}} for any volume form.
 
     `ordering` selects how the second derivative is iterated:
@@ -126,13 +126,11 @@ def chi_via_s(G: SprayChart, dV: VolumeForm, p: PointTM,
     n = fr.n
     S = deform(G, dV).S(p, 3)
     if ordering == "vertical-first":
-        comps = 0.5 * fr.rapcsak(fr.table(S, 2))
-    elif ordering == "horizontal-first":
+        return 0.5 * fr.rapcsak(fr.table(S, 2))
+    if ordering == "horizontal-first":
         Sh = fr.hpart(fr.table(S, 2))       # [m(, a)] = S_{|m} (and its partials)
-        comps = 0.5 * (Sh[1][:, n:].T @ np.array(p.y) - Sh[0])
-    else:
-        raise ValueError(f"unknown ordering {ordering!r}")
-    return curvature.ChiValue(comps, f"volume[{ordering}]", p)
+        return 0.5 * (Sh[1][:, n:].T @ np.array(p.y) - Sh[0])
+    raise ValueError(f"unknown ordering {ordering!r}")
 
 
 # -- the projective deformation ----------------------------------------------------
@@ -244,7 +242,7 @@ def with_projective_factor(G: SprayChart, P, label: str = "") -> SprayChart:
 # -- hat-quantities ------------------------------------------------------------------
 
 def hat_riemann(G: SprayChart, dV: VolumeForm, p: PointTM,
-                route: str = "direct") -> TensorValue:
+                route: str = "direct") -> np.ndarray:
     """Riemann curvature of the deformed spray, by two routes.
 
     direct:  jets of the composed coefficients of G_hat
@@ -253,16 +251,15 @@ def hat_riemann(G: SprayChart, dV: VolumeForm, p: PointTM,
     """
     n = G.n
     if route == "direct":
-        comps = deform(G, dV).frame(p, 2).R2_table[0]
-    elif route == "formula":
+        return deform(G, dV).frame(p, 2).R2_table[0]
+    if route == "formula":
         fr = G.frame(p, 3)
         tau_v, dtau = deform(G, dV).tau(p)[:2]
         v = -0.5 * dtau[n:] + 3.0 * fr.chi[0] / (n + 1)
         comps = plus_outer_y(fr.R2_table[:1], [v], 1.0, fr.y_table)[0]
         comps[np.diag_indices(n)] += tau_v
-    else:
-        raise ValueError(f"unknown route {route!r}")
-    return TensorValue(comps, ("up", "down"), ("i", "k"), p, f"R_hat[{route}]")
+        return comps
+    raise ValueError(f"unknown route {route!r}")
 
 
 def projective_ricci(G: SprayChart, dV: VolumeForm, p: PointTM) -> dict:
@@ -280,28 +277,20 @@ def projective_ricci(G: SprayChart, dV: VolumeForm, p: PointTM) -> dict:
     ric_hat = float(fr.ric[0]) + (n - 1) * tau_v
     dchi = fr.chi[1][:, n:]      # chi_{j.l}
     H = 0.5 * (dchi + dchi.T)
-    return {
-        "ric_jl": TensorValue(hat_fr.ric_jl, ("down", "down"), ("j", "l"), p,
-                              "Ric_hat"),
-        "ric": ric_hat,
-        "h_jl": TensorValue(H, ("down", "down"), ("j", "l"), p, "H"),
-        "tau": tau_v,
-    }
+    return {"ric_jl": hat_fr.ric_jl, "ric": ric_hat, "h_jl": H, "tau": tau_v}
 
 
-def douglas(G: SprayChart, dV: VolumeForm, p: PointTM) -> TensorValue:
+def douglas(G: SprayChart, dV: VolumeForm, p: PointTM) -> np.ndarray:
     """Douglas curvature: the Berwald curvature of the deformed spray."""
-    return TensorValue(deform(G, dV).frame(p, 3).B[0],
-                       ("up", "down", "down", "down"), ("i", "j", "k", "l"), p, "D")
+    return deform(G, dV).frame(p, 3).B[0]
 
 
-def weyl_hat(G: SprayChart, dV: VolumeForm, p: PointTM) -> TensorValue:
+def weyl_hat(G: SprayChart, dV: VolumeForm, p: PointTM) -> np.ndarray:
     """T-curvature of the deformed spray; equals the Weyl curvature of G."""
-    return TensorValue(deform(G, dV).frame(p, 3).T[0], ("up", "down"), ("i", "k"),
-                       p, "T_hat")
+    return deform(G, dV).frame(p, 3).T[0]
 
 
-def eta_hat(G: SprayChart, dV: VolumeForm, p: PointTM) -> TensorValue:
+def eta_hat(G: SprayChart, dV: VolumeForm, p: PointTM) -> np.ndarray:
     """The eta-covector of the deformed spray (a projective invariant), read
     off the order-4 base frame.  With P = S/(n+1) the deformed spray has
 
@@ -318,8 +307,7 @@ def eta_hat(G: SprayChart, dV: VolumeForm, p: PointTM) -> TensorValue:
     Gamma = (fr.Gamma_values - np.einsum("i,jk->ijk", y, ddP[n:, n:])
              - np.einsum("ik,j->ijk", eye, Py) - np.einsum("ij,k->ijk", eye, Py))
     R = [r + t for r, t in zip(fr.r_scalar, deform(G, dV).tau(p))]
-    return TensorValue(fr.rapcsak(R, 0.5, (N, Gamma)), ("down",), ("k",), p,
-                       "eta_hat")
+    return fr.rapcsak(R, 0.5, (N, Gamma))
 
 
 # -- S-closed sprays -------------------------------------------------------------------

@@ -34,14 +34,14 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def canonical_json(obj, indent: int = 0) -> str:
+def canonical_json(obj) -> str:
     """Render a JSON document with sorted keys and fixed float formatting.
 
     A NaN or infinite value raises NonFiniteError with its path in the
     document (`_locate`), found after the fact so that rendering carries no
     paths."""
     try:
-        return _render(obj, indent)
+        return _render(obj, 0)
     except NonFiniteError as e:
         e.path = _locate(obj)
         raise

@@ -11,6 +11,9 @@ product rule.  Jets hold only G, plus the scalars Pi and S where the
 coefficients of a deformed spray need them.  Index convention for stored
 components: the upper index comes first, so ``R4[0][i, j, k, l]`` holds the
 curvature slot with upper i and lower j, k, l (antisymmetric in k, l).
+The public tensor operations (`nonlinear_connection` ... `riemann_four_index`)
+return the value table of the point's frame itself, a read-only float array;
+`covariant_derivative_h` returns a new one.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from . import exprdsl, jets
 from .jets import Jet, JetDomainError
-from .records import Frozen, Record
+from .records import Frozen
 
 EPS_Y = 1e-6
 CROSS_CHECK_TOL = 1e-8   # direct R^i_k against y^j R^{ i}_{j kl} y^l
@@ -68,6 +71,13 @@ class Box(Frozen):
     def sample(self, rng) -> tuple:
         return tuple(rng.uniform(l, h) for l, h in zip(self.lo, self.hi))
 
+    def check_sample(self) -> list:
+        """The 20 x at which set-up checks a metric or a volume density: the
+        draws of `Generator(0)`, the same in every run."""
+        from ._rng import Generator
+        rng = Generator(0)
+        return [self.sample(rng) for _ in range(20)]
+
 
 class PointTM(Frozen):
     """A chart point (x; y) with y bounded away from the zero section."""
@@ -85,26 +95,6 @@ class PointTM(Frozen):
     def scaled(self, s: float) -> "PointTM":
         """The point (x; s y) on the same fibre."""
         return PointTM(self.x, tuple(s * v for v in self.y))
-
-
-class TensorValue(Record):
-    """Dense real components of a tensor at a point, with index metadata:
-    `roles` "up" / "down" per axis, `names` the index letters, e.g.
-    ("i", "j", "k", "l")."""
-    __slots__ = ("components", "roles", "names", "point", "label")
-
-    def __init__(self, components: np.ndarray, roles: tuple, names: tuple,
-                 point: PointTM, label: str = ""):
-        self.components, self.roles, self.names = components, roles, names
-        self.point, self.label = point, label
-
-    @property
-    def rank(self) -> int:
-        return self.components.ndim
-
-    def __repr__(self):
-        return (f"TensorValue({self.label!r}, rank={self.rank}, "
-                f"max|.|={np.abs(self.components).max():.3e})")
 
 
 def rel_residual(diff, *refs) -> float:
@@ -629,24 +619,22 @@ class ExpressionSpray(SprayChart):
 
 # -- public tensor operations -------------------------------------------------------
 
-def nonlinear_connection(G: SprayChart, p: PointTM) -> TensorValue:
+def nonlinear_connection(G: SprayChart, p: PointTM) -> np.ndarray:
     """N^i_j = dG^i/dy^j."""
-    return TensorValue(G.frame(p, 1).N_values, ("up", "down"), ("i", "j"), p, "N")
+    return G.frame(p, 1).N_values
 
 
-def berwald_connection(G: SprayChart, p: PointTM) -> TensorValue:
+def berwald_connection(G: SprayChart, p: PointTM) -> np.ndarray:
     """Gamma^i_jk = d^2 G^i/dy^j dy^k (symmetric in j, k)."""
-    return TensorValue(G.frame(p, 2).Gamma_values, ("up", "down", "down"),
-                       ("i", "j", "k"), p, "Gamma")
+    return G.frame(p, 2).Gamma_values
 
 
-def berwald_curvature(G: SprayChart, p: PointTM) -> TensorValue:
+def berwald_curvature(G: SprayChart, p: PointTM) -> np.ndarray:
     """B^{ i}_{j kl}, totally symmetric in j, k, l with y^j B^{ i}_{j kl} = 0."""
-    return TensorValue(G.frame(p, 3).B[0], ("up", "down", "down", "down"),
-                       ("i", "j", "k", "l"), p, "B")
+    return G.frame(p, 3).B[0]
 
 
-def riemann_two_index(G: SprayChart, p: PointTM) -> TensorValue:
+def riemann_two_index(G: SprayChart, p: PointTM) -> np.ndarray:
     """R^i_k by the direct spray formula, cross-asserted against y^j R4 y^l."""
     fr = G.frame(p, 3)
     direct = fr.R2_table[0]
@@ -656,13 +644,12 @@ def riemann_two_index(G: SprayChart, p: PointTM) -> TensorValue:
         raise CrossCheckError(
             f"{G.label}: direct two-index curvature disagrees with the "
             f"four-index contraction (residual {res:.2e} > {CROSS_CHECK_TOL:.0e})")
-    return TensorValue(direct, ("up", "down"), ("i", "k"), p, "R")
+    return direct
 
 
-def riemann_four_index(G: SprayChart, p: PointTM) -> TensorValue:
+def riemann_four_index(G: SprayChart, p: PointTM) -> np.ndarray:
     """R^{ i}_{j kl} of the Berwald connection (antisymmetric in k, l)."""
-    return TensorValue(G.frame(p, 3).R4[0], ("up", "down", "down", "down"),
-                       ("i", "j", "k", "l"), p, "R4")
+    return G.frame(p, 3).R4[0]
 
 
 # -- scalar / tensor fields over the chart -------------------------------------------
@@ -723,13 +710,10 @@ def horizontal_partial(field, G: SprayChart, p: PointTM, k: int) -> float:
 
 
 def covariant_derivative_h(field: TensorField, G: SprayChart,
-                           p: PointTM) -> TensorValue:
+                           p: PointTM) -> np.ndarray:
     """Horizontal covariant derivative of a rank <= 2 field; appends a lower index."""
     fr = G.frame(p, 2)      # Gamma needs second partials of G
-    comps = fr.cov_h(fr.table(field.jets(fr), 1), field.roles)[0]
-    return TensorValue(comps, field.roles + ("down",),
-                       tuple("abcd"[: len(field.roles)]) + ("k",), p,
-                       f"{field.label}|")
+    return fr.cov_h(fr.table(field.jets(fr), 1), field.roles)[0]
 
 
 # -- sampling protocol ----------------------------------------------------------------
@@ -763,15 +747,11 @@ def _parse_x_expr(src, n, what):
     return ast
 
 
-def _normalize_metric(g, n, letter: str = "g"):
-    """Accept {(i, j): expr} with 1-based keys or a nested list; symmetrize.
-    Errors name an entry by the family's `letter` (g_ij, or a_ij for randers)."""
+def _normalize_metric(g: dict, n, letter: str = "g"):
+    """Accept {(i, j): expr} with 1-based keys; symmetrize.  Errors name an
+    entry by the family's `letter` (g_ij, or a_ij for randers)."""
     out = {}
-    if isinstance(g, dict):
-        items = g.items()
-    else:
-        items = (((i + 1, j + 1), g[i][j]) for i in range(n) for j in range(n))
-    for (i, j), src in items:
+    for (i, j), src in g.items():
         if not (i in range(1, n + 1) and j in range(1, n + 1)):
             raise ValueError(f"metric entry {letter}_{i}{j}: index outside 1..{n}")
         ast = _parse_x_expr(src, n, f"metric entry {letter}_{i}{j}")
@@ -787,14 +767,12 @@ def _normalize_metric(g, n, letter: str = "g"):
 
 
 def metric_draws(asts, n: int, box: Box, letter: str):
-    """The metric of entries `asts` at 20 draws of `Generator(0)` in `box`:
-    yields (x, evaluation memo, values) at each draw, after refusing one that
-    is not positive definite (a ValueError naming the metric by `letter` and
-    the point).  A singular value passes: its caller names it."""
-    from ._rng import Generator
-    rng = Generator(0)
-    for _ in range(20):
-        x = list(box.sample(rng)) + [0.0] * n
+    """The metric of entries `asts` at the x of `box.check_sample()`: yields
+    (x, evaluation memo, values) at each, after refusing one that is not
+    positive definite (a ValueError naming the metric by `letter` and the
+    point).  A singular value passes: its caller names it."""
+    for x in box.check_sample():
+        x = list(x) + [0.0] * n
         memo = {}
         v = np.array([[carrier_value(exprdsl.evaluate(asts[i][j], x, memo))
                        for j in range(n)] for i in range(n)])

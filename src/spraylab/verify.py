@@ -87,30 +87,30 @@ class PointData:
         self.p = run.points[index]
         self.y = np.array(self.p.y)
 
-    fr3 = cached_property(lambda pt: pt.spray.frame(pt.p, 3))
-    fr4 = cached_property(lambda pt: pt.spray.frame(pt.p, 4))
+    # the point's one frame: every lower order reads its leading tables
+    fr = cached_property(lambda pt: pt.spray.frame(pt.p, 4))
     # chi by its definition, the reference of every other chi route
-    chi = cached_property(lambda pt: cv.chi_definition(pt.spray, pt.p).components)
+    chi = cached_property(lambda pt: cv.chi_definition(pt.spray, pt.p))
     # R^i_k, the scale of the rows that state a vanishing
-    scale = cached_property(lambda pt: pt.fr3.R2_table[0])
-    B = cached_property(lambda pt: pt.fr3.B[0])
+    scale = cached_property(lambda pt: pt.fr.R2_table[0])
+    B = cached_property(lambda pt: pt.fr.B[0])
     # order-4 tables: R^i_k to second partials, R^{ i}_{j kl} to first
-    R2 = cached_property(lambda pt: pt.fr4.R2_table)
-    R4 = cached_property(lambda pt: pt.fr4.R4)
+    R2 = cached_property(lambda pt: pt.fr.R2_table)
+    R4 = cached_property(lambda pt: pt.fr.R4)
     # R^p_{ kl} = y^j R^{ p}_{j kl} and its first partials
-    R3 = cached_property(lambda pt: _product("pjkl,j->pkl", pt.R4, pt.fr4.y_table))
+    R3 = cached_property(lambda pt: _product("pjkl,j->pkl", pt.R4, pt.fr.y_table))
     # horizontal covariant derivatives, direction last: [i,j,k,l,m] = R^{ i}_{j kl|m}
-    covR4 = cached_property(lambda pt: pt.fr4.cov_h(pt.R4, ROLES4)[0])
-    covB = cached_property(lambda pt: pt.fr4.cov_h(pt.fr4.B, ROLES4)[0])
-    covR3 = cached_property(lambda pt: pt.fr4.cov_h(pt.R3, ROLES4[:3])[0])
-    covR2 = cached_property(lambda pt: pt.fr4.cov_h(pt.R2[:2], ROLES4[:2])[0])
-    weyl = cached_property(lambda pt: cv.weyl(pt.spray, pt.p, "direct").components)
-    eta = cached_property(lambda pt: pt.fr4.rapcsak(pt.fr4.r_scalar, 0.5))
+    covR4 = cached_property(lambda pt: pt.fr.cov_h(pt.R4, ROLES4)[0])
+    covB = cached_property(lambda pt: pt.fr.cov_h(pt.fr.B, ROLES4)[0])
+    covR3 = cached_property(lambda pt: pt.fr.cov_h(pt.R3, ROLES4[:3])[0])
+    covR2 = cached_property(lambda pt: pt.fr.cov_h(pt.R2[:2], ROLES4[:2])[0])
+    weyl = cached_property(lambda pt: cv.weyl(pt.spray, pt.p, "direct"))
+    eta = cached_property(lambda pt: pt.fr.rapcsak(pt.fr.r_scalar, 0.5))
     volumes = cached_property(lambda pt: [VolumeData(pt, dV) for dV in pt.run.volumes])
 
     def euler(self):
-        G = np.array([carrier_value(g) for g in self.fr3.G])
-        N, Gm = self.fr3.N_values, self.fr3.Gamma_values
+        G = np.array([carrier_value(g) for g in self.fr.G])
+        N, Gm = self.fr.N_values, self.fr.Gamma_values
         return max(rel_residual(N @ self.y - 2 * G, G, N),
                    rel_residual(np.einsum("ijm,m->ij", Gm, self.y) - N, N, Gm))
 
@@ -142,7 +142,7 @@ class PointData:
         return rel_residual(np.einsum("ijkl,j->ikl", R4, self.y) - rhs, R4, d1)
 
     def bianchi_second(self):
-        cov, Bv, R3v = self.covR4, self.fr4.B[0], self.R3[0]
+        cov, Bv, R3v = self.covR4, self.fr.B[0], self.R3[0]
         term = cov + np.einsum("ijlmk->ijklm", cov) + np.einsum("ijmkl->ijklm", cov)
         coupling = (np.einsum("ijmp,pkl->ijklm", Bv, R3v)
                     + np.einsum("ijlp,pmk->ijklm", Bv, R3v)
@@ -155,7 +155,7 @@ class PointData:
         return rel_residual(dR4 - rhs, dR4, cov)
 
     def berwald_vertical(self):
-        dB = self.fr4.B[1][..., self.n:]
+        dB = self.fr.B[1][..., self.n:]
         return rel_residual(dB - np.einsum("ijkml->ijklm", dB), dB)
 
     def bianchi_contracted(self):
@@ -170,36 +170,36 @@ class PointData:
         return rel_residual(lhs, cov2, cov3)
 
     def ricci_trace(self):
-        ric, Ric = self.fr4.ric_jl, float(self.fr4.ric[0])
+        ric, Ric = self.fr.ric_jl, float(self.fr.ric[0])
         return max(rel_residual(ric - ric.T, ric),
                    rel_residual(float(self.y @ ric @ self.y) - Ric, ric))
 
-    def versus_chi(self, route: cv.ChiValue):
-        return rel_residual(route.components - self.chi, self.chi)
+    def versus_chi(self, route: np.ndarray):
+        return rel_residual(route - self.chi, self.chi)
 
     def chi_cartan(self):
         from . import finsler       # loaded only for a spray with a metric
-        route = finsler.chi_cartan(self.spray.metric, self.p).components
+        route = finsler.chi_cartan(self.spray.metric, self.p)
         return rel_residual(route - self.chi, self.chi, self.scale)
 
     def chi_homogeneity(self):
         return max(0.0, *(rel_residual(cv.chi_definition(self.spray, self.p.scaled(s))
-                                       .components - s * self.chi, self.chi)
+                                       - s * self.chi, self.chi)
                           for s in (0.5, 2.0)))
 
     def weyl_route(self):
-        w2 = cv.weyl(self.spray, self.p, "via_chi").components
+        w2 = cv.weyl(self.spray, self.p, "via_chi")
         return rel_residual(self.weyl - w2, self.weyl, w2)
 
     def weyl_vertical_trace(self):
         # W^i_k = T^i_k + 3 chi_k y^i/(n+1) with its first partials
-        fr, n = self.fr4, self.n
+        fr, n = self.fr, self.n
         Wv, dW = plus_outer_y(fr.T, fr.chi, 3.0 / (n + 1), fr.y_table)
         div = np.einsum("mkm->k", dW[..., n:])       # dW^m_k/dy^m
         return rel_residual(np.abs(div).max(), Wv)
 
     def isotropic_four_index(self):
-        fr, n, R4 = self.fr4, self.n, self.R4[0]
+        fr, n, R4 = self.fr, self.n, self.R4[0]
         dRR = fr.r_scalar[2][n:, n:]                 # d2R/dy^l dy^j
         expect = 0.5 * (np.einsum("lj,ik->ijkl", dRR, np.eye(n))
                         - np.einsum("kj,il->ijkl", dRR, np.eye(n)))
@@ -217,27 +217,27 @@ class VolumeData:
     hat = cached_property(lambda v: pj.deform(v.spray, v.dV))
     s = cached_property(lambda v: pj.s_curvature(v.spray, v.dV, v.p))
     ricci = cached_property(lambda v: pj.projective_ricci(v.spray, v.dV, v.p))
-    weyl_hat = cached_property(lambda v: pj.weyl_hat(v.spray, v.dV, v.p).components)
-    chi_s = cached_property(lambda v: pj.chi_via_s(v.spray, v.dV, v.p).components)
-    douglas = cached_property(lambda v: pj.douglas(v.spray, v.dV, v.p).components)
+    weyl_hat = cached_property(lambda v: pj.weyl_hat(v.spray, v.dV, v.p))
+    chi_s = cached_property(lambda v: pj.chi_via_s(v.spray, v.dV, v.p))
+    douglas = cached_property(lambda v: pj.douglas(v.spray, v.dV, v.p))
 
     def s_homogeneity(self):
         return max(0.0, *(abs(pj.s_curvature(self.spray, self.dV, self.p.scaled(s))
                               - s * self.s) / (1.0 + abs(self.s)) for s in (0.5, 2.0)))
 
     def hat_riemann(self):
-        d = pj.hat_riemann(self.spray, self.dV, self.p, "direct").components
-        f = pj.hat_riemann(self.spray, self.dV, self.p, "formula").components
+        d = pj.hat_riemann(self.spray, self.dV, self.p, "direct")
+        f = pj.hat_riemann(self.spray, self.dV, self.p, "formula")
         return rel_residual(d - f, d, f)
 
     def hat_ricci_contract(self):
-        ric, y = self.ricci["ric_jl"].components, self.pt.y
+        ric, y = self.ricci["ric_jl"], self.pt.y
         return rel_residual(float(y @ ric @ y) - self.ricci["ric"], ric)
 
     def hat_ricci_split(self):
-        fr, n, ric = self.pt.fr4, self.pt.n, self.ricci["ric_jl"].components
+        fr, n, ric = self.pt.fr, self.pt.n, self.ricci["ric_jl"]
         tvv = self.hat.tau(self.p)[2][n:, n:]
-        expect = fr.ric_jl + (n - 1) / 2.0 * tvv - self.ricci["h_jl"].components
+        expect = fr.ric_jl + (n - 1) / 2.0 * tvv - self.ricci["h_jl"]
         return rel_residual(ric - expect, ric, expect)
 
     def douglas_change(self):
@@ -245,7 +245,7 @@ class VolumeData:
         return rel_residual(self.douglas - d0, d0, self.douglas)
 
     def chi_ordering_gap(self):
-        other = pj.chi_via_s(self.spray, self.dV, self.p, "horizontal-first").components
+        other = pj.chi_via_s(self.spray, self.dV, self.p, "horizontal-first")
         return rel_residual(self.chi_s - other, self.chi_s, self.pt.scale)
 
 
@@ -347,7 +347,7 @@ ROWS = (
     RowSpec("weyl-vertical-trace", "weyl", "weyl-trace", 1e-8, P.weyl_vertical_trace,
             "dW^m_k/dy^m = 0"),
     RowSpec("t-trace", "weyl", "t-traceless", 1e-9,
-            lambda pt: rel_residual(np.trace(pt.fr3.T[0]), pt.fr3.T[0]), "T^m_m = 0"),
+            lambda pt: rel_residual(np.trace(pt.fr.T[0]), pt.fr.T[0]), "T^m_m = 0"),
     RowSpec("isotropic-4idx", "isotropic", "isotropic-four-index", 1e-7,
             P.isotropic_four_index, "isotropic curvature forces R^{ i}_{j kl} = "
             "(1/2){R_{.l.j} d^i_k - R_{.k.j} d^i_l}", _requires(_ISOTROPIC)),
@@ -371,7 +371,7 @@ ROWS = (
             lambda v: abs(pj.s_curvature(v.hat, v.dV, v.p)) / (1.0 + abs(v.s)),
             "the S-curvature of the deformed spray vanishes"),
     RowSpec("deformed-chi-vanishes", "volume", "deformation-chi-zero", 1e-7,
-            lambda v: rel_residual(cv.chi_definition(v.hat, v.p).components, v.pt.scale),
+            lambda v: rel_residual(cv.chi_definition(v.hat, v.p), v.pt.scale),
             "the deformed spray has chi = 0 for every volume form"),
     RowSpec("hat-riemann-route", "volume", "hat-riemann-formula", 1e-7, V.hat_riemann,
             "direct curvature of the deformed spray equals the closed formula in "
@@ -400,7 +400,7 @@ ROWS = (
             lambda v: rel_residual(v.weyl_hat, v.pt.scale),
             "scalar-curvature sprays deform to isotropic sprays", _requires(_SCALAR)),
     RowSpec("eta-hat-vanishes", "volume", "hat-eta-zero", 1e-7,
-            lambda v: rel_residual(pj.eta_hat(v.spray, v.dV, v.p).components, v.pt.scale),
+            lambda v: rel_residual(pj.eta_hat(v.spray, v.dV, v.p), v.pt.scale),
             "eta of the deformed spray vanishes for scalar-curvature sprays, n >= 3",
             _requires(_SCALAR, (lambda run: run.spray.n >= 3,
                                 "not applicable in dimension 2"))),
@@ -449,7 +449,7 @@ class SuiteRunner:
         if unknown:
             raise ValueError(f"unknown suite groups {sorted(unknown)}")
         for pt in self.data:    # the top order first: lower orders read it
-            pt.fr4
+            pt.fr
             for dV in self.volumes:     # its coefficients read S at order 4
                 pj.deform(self.spray, dV).frame(pt.p, 3)
         for group, methods in self.GROUPS.items():

@@ -62,7 +62,7 @@ def test_criterion_1_deformed_chi_vanishes(zoo):
         for sig in SIGMAS:
             hat = pj.deform(sp, pj.VolumeForm(sig, sp.n))
             for p in pts:
-                chi = cv.chi_definition(hat, p).components
+                chi = cv.chi_definition(hat, p)
                 scale = sp.frame(p, 3).R2_table[0]
                 worst = max(worst, sc.rel_residual(chi, scale))
     elapsed = time.monotonic() - t0
@@ -78,7 +78,7 @@ def test_criterion_2_chi_route_agreement(zoo, randers_data):
     worst = 0.0
     for sp, pts in zoo:
         for p in pts:
-            vals = [r(sp, p).components for r in routes]
+            vals = [r(sp, p) for r in routes]
             scale = sp.frame(p, 3).R2_table[0]
             for i in range(len(vals)):
                 for j in range(i + 1, len(vals)):
@@ -92,8 +92,8 @@ def test_criterion_2_chi_route_agreement(zoo, randers_data):
     for F in metrics:
         sp = fl.induced_spray(F)
         for p in sample_points(sp, POINTS, seed=SEED):
-            a = fl.chi_cartan(F, p).components
-            b = cv.chi_definition(sp, p).components
+            a = fl.chi_cartan(F, p)
+            b = cv.chi_definition(sp, p)
             scale = sp.frame(p, 3).R2_table[0]
             worst_cartan = max(worst_cartan, sc.rel_residual(a - b, b, scale))
     ok = worst <= 1e-8 and worst_cartan <= 1e-6
@@ -132,8 +132,8 @@ def test_criterion_4_hat_riemann_formula(zoo):
     for sp, pts in zoo:
         dV = pj.VolumeForm("exp(x1)", sp.n)
         for p in pts:
-            d = pj.hat_riemann(sp, dV, p, "direct").components
-            f = pj.hat_riemann(sp, dV, p, "formula").components
+            d = pj.hat_riemann(sp, dV, p, "direct")
+            f = pj.hat_riemann(sp, dV, p, "formula")
             worst = max(worst, sc.rel_residual(d - f, d, f))
     ok = worst <= 1e-7
     report("criterion 4 (deformed curvature formula)", ok,
@@ -152,11 +152,11 @@ def test_criterion_5_projective_invariants(zoo):
         worst_p = max(worst_p, pj.projective_invariance_check(
             sp, shifted, dV2, pts))
         for p in pts:
-            w = cv.weyl(sp, p).components
-            th = pj.weyl_hat(sp, dV2, p).components
+            w = cv.weyl(sp, p)
+            th = pj.weyl_hat(sp, dV2, p)
             worst_w = max(worst_w, sc.rel_residual(th - w, w, th))
-            d1 = pj.douglas(sp, dV1, p).components
-            d2 = pj.douglas(sp, dV2, p).components
+            d1 = pj.douglas(sp, dV1, p)
+            d2 = pj.douglas(sp, dV2, p)
             worst_d = max(worst_d, sc.rel_residual(d1 - d2, d1, d2))
     ok = worst_w <= 1e-8 and worst_d <= 1e-8 and worst_p <= 1e-9
     report("criterion 5 (projective invariants)", ok,
@@ -176,9 +176,9 @@ def test_criterion_6_polynomial_family_isotropic():
         sp = make_family("example72", **kw)
         for p in sample_points(sp, POINTS, seed=SEED):
             scale = sp.frame(p, 3).R2_table[0]
-            chi = cv.chi_definition(sp, p).components
+            chi = cv.chi_definition(sp, p)
             worst_chi = max(worst_chi, sc.rel_residual(chi, scale))
-            T = cv.t_curvature(sp, p).components
+            T = cv.t_curvature(sp, p)
             worst_t = max(worst_t, sc.rel_residual(T, scale))
     ok = worst_chi <= 1e-9 and worst_t <= 1e-8
     report("criterion 6 (2D polynomial family)", ok,
@@ -196,7 +196,7 @@ def test_criterion_7_sphere_family():
         fr = sp.frame(p, 4)
         scale = fr.R2_table[0]
         worst_w = max(worst_w, sc.rel_residual(
-            cv.weyl(sp, p).components, scale))
+            cv.weyl(sp, p), scale))
         etav = fr.rapcsak(fr.r_scalar, 0.5)
         worst_e = max(worst_e, sc.rel_residual(etav, scale))
         worst_g = max(worst_g, sc.rel_residual((3 - 2) * 2.0 * etav, scale))
@@ -243,7 +243,7 @@ def test_criterion_9_s_closed_implies_chi(zoo):
             continue
         n_closed += 1
         for p in pts:
-            chi = cv.chi_definition(sp, p).components
+            chi = cv.chi_definition(sp, p)
             worst = max(worst, sc.rel_residual(
                 chi, sp.frame(p, 3).R2_table[0]))
     fixture = ExpressionSpray(2, [exprdsl.parse("x2*y1^2/2", 2),
@@ -253,7 +253,7 @@ def test_criterion_9_s_closed_implies_chi(zoo):
     fres = pj.s_closed_residual(fixture, fpts)
     excluded = max(fres["vertical_hessian"], fres["curl"]) > 1e-8
     chi_fix = max(sc.rel_residual(
-        cv.chi_definition(fixture, p).components,
+        cv.chi_definition(fixture, p),
         fixture.frame(p, 3).R2_table[0]) for p in fpts)
     ok = worst <= 1e-7 and excluded and n_closed >= 3 and chi_fix > 1e-3
     report("criterion 9 (closedness forces chi = 0)", ok,

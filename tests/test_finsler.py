@@ -53,23 +53,23 @@ def randers():
 
 
 def test_fundamental_tensor_euclidean(euclid):
-    g = fl.fundamental_tensor(euclid, P2).components
+    g = fl.fundamental_tensor(euclid, P2)
     assert np.abs(g - np.eye(2)).max() < 1e-12
-    C = fl.cartan_torsion(euclid, P2).components
+    C = fl.cartan_torsion(euclid, P2)
     assert np.abs(C).max() < 1e-12
-    I = fl.mean_cartan(euclid, P2).components
+    I = fl.mean_cartan(euclid, P2)
     assert np.abs(I).max() < 1e-12
 
 
 def test_cartan_contraction_and_symmetry(randers):
     F = randers.metric()
     for p in sample_points(fl.induced_spray(F), 10, seed=61):
-        C = fl.cartan_torsion(F, p).components
+        C = fl.cartan_torsion(F, p)
         for perm in ((1, 0, 2), (0, 2, 1), (2, 1, 0)):
             assert np.array_equal(C, C.transpose(perm))
         contr = np.einsum("ijk,k->ij", C, np.array(p.y))
         assert sc.rel_residual(contr, C) < 1e-10
-        g = fl.fundamental_tensor(F, p).components
+        g = fl.fundamental_tensor(F, p)
         assert np.linalg.eigvalsh(g).min() > 0.0
 
 
@@ -93,7 +93,7 @@ def test_mean_cartan_against_fd(randers):
                     lambda z: oracles.fd_second(L, z, n + i, n + j, h=1e-2),
                     z0, n + k, h=1e-2)
     expect = np.einsum("ij,ijk->k", np.linalg.inv(g), C)
-    got = fl.mean_cartan(F, P2).components
+    got = fl.mean_cartan(F, P2)
     assert np.abs(got - expect).max() < 1e-5
 
 
@@ -155,7 +155,7 @@ def test_chi_cartan_riemannian_is_zero():
     r2 = "+".join(f"x{i}^2" for i in (1, 2))
     F = fl.FinslerMetric(f"sqrt((4/(1+{r2})^2)*(y1^2+y2^2))", 2,
                          domain=Box.cube(2, 0.4), label="riem-norm")
-    chi = fl.chi_cartan(F, P2).components
+    chi = fl.chi_cartan(F, P2)
     assert np.abs(chi).max() < 1e-10
 
 
@@ -163,18 +163,18 @@ def test_chi_cartan_matches_spray_routes(randers):
     F = randers.metric()
     sp = fl.induced_spray(F)
     for p in sample_points(sp, 10, seed=64):
-        a = fl.chi_cartan(F, p).components
-        b = cv.chi_definition(sp, p).components
+        a = fl.chi_cartan(F, p)
+        b = cv.chi_definition(sp, p)
         scale = sp.frame(p, 3).R2_table[0]
         assert sc.rel_residual(a - b, b, scale) < 1e-6
 
 
 def test_chi_cartan_degree_one(randers):
     F = randers.metric()
-    base = fl.chi_cartan(F, P2).components
+    base = fl.chi_cartan(F, P2)
     for s in (0.5, 2.0):
         scl = fl.chi_cartan(F, PointTM(P2.x, tuple(s * v for v in P2.y)))
-        assert np.abs(scl.components - s * base).max() <= 1e-7 * (1 + np.abs(base).max())
+        assert np.abs(scl - s * base).max() <= 1e-7 * (1 + np.abs(base).max())
 
 
 def test_randers_norm_bound_rejected():
@@ -276,8 +276,8 @@ def test_finsler_tables_match_jet_references(a, b):
         for idx in itertools.product(range(n), repeat=3):
             i, j, k = sorted(idx)
             C[idx] = sc.carrier_value(0.25 * l3.d(n + i).d(n + j).d(n + k))
-        assert fl.fundamental_tensor(F, p).components.tobytes() == g.tobytes()
-        assert fl.cartan_torsion(F, p).components.tobytes() == C.tobytes()
+        assert fl.fundamental_tensor(F, p).tobytes() == g.tobytes()
+        assert fl.cartan_torsion(F, p).tobytes() == C.tobytes()
         qt = rd.quantities(p)
         b_cov, s_cov, s_div = _cov_s_loops(rd, p)
         assert np.abs(qt["b_cov"] - b_cov).max() <= 1e-13
@@ -400,7 +400,7 @@ def test_randers_hat_R_matches_deformed_ricci(witness):
         direct = cv.ricci_scalar(hat, p) / (2 - 1)
         assert formula == pytest.approx(direct, rel=1e-10, abs=1e-12)
         # the deformed spray is of isotropic curvature
-        T = cv.t_curvature(hat, p).components
+        T = cv.t_curvature(hat, p)
         assert sc.rel_residual(T, hat.frame(p, 3).R2_table[0]) < 1e-7
 
 

@@ -1,6 +1,8 @@
-"""The package surface: lazy imports per command, the public names, and the
-semantics of the plain record types."""
+"""The package surface: lazy imports per command, the public names, tensor
+results as plain arrays, the semantics of the plain record types, and no
+unused imports in the sources."""
 
+import ast
 import copy
 import importlib
 import json
@@ -11,14 +13,19 @@ import sys
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spraylab
+from spraylab import curvature as cv
 from spraylab import exprdsl
-from spraylab.curvature import ChiValue, Classification
+from spraylab import finsler as fl
+from spraylab import projective as pj
+from spraylab import spray_core as sc
+from spraylab.curvature import Classification
 from spraylab.exprdsl import (Bin, Call, Neg, Num, Pow, SourceSpan,
                               SprayFileDoc, Var, _Token)
-from spraylab.spray_core import EPS_Y, Box, PointTM, TensorValue
+from spraylab.spray_core import EPS_Y, Box, PointTM
 from spraylab.verify import Row, RowSpec
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -27,15 +34,13 @@ RANDERS2 = ("randers(a11=1+x2^2,a22=1+x1^2,a12=x1*x2/2,b1=0.2*x2,"
 
 # the names `spraylab/__init__.py` imported eagerly, by defining module
 PUBLIC = {
-    "jets": ("Jet", "JetDomainError", "eval_derivatives", "lift_variable",
-             "partial"),
-    "spray_core": ("Box", "PointTM", "SprayChart", "TensorValue",
-                   "berwald_connection", "berwald_curvature", "make_family",
-                   "nonlinear_connection", "riemann_four_index",
-                   "riemann_two_index", "sample_points"),
-    "curvature": ("ChiValue", "chi_definition", "chi_from_t", "chi_local",
-                  "chi_trace", "classify", "eta", "ricci_scalar",
-                  "ricci_tensor", "t_curvature", "weyl"),
+    "jets": ("Jet", "JetDomainError", "eval_derivatives", "lift_variable"),
+    "spray_core": ("Box", "PointTM", "SprayChart", "berwald_connection",
+                   "berwald_curvature", "make_family", "nonlinear_connection",
+                   "riemann_four_index", "riemann_two_index", "sample_points"),
+    "curvature": ("chi_definition", "chi_from_t", "chi_local", "chi_trace",
+                  "classify", "eta", "ricci_scalar", "ricci_tensor",
+                  "t_curvature", "weyl"),
     "projective": ("DeformedSpray", "VolumeForm", "deform", "douglas",
                    "eta_hat", "hat_riemann", "projective_invariance_check",
                    "projective_ricci", "s_closed_residual", "s_curvature",
@@ -96,6 +101,116 @@ def test_public_names_are_unchanged():
     ns = {}
     exec("from spraylab import *", ns)
     assert set(names) <= set(ns)
+
+
+# every public tensor operation -> (a call on (spray, volume form, point), and
+# for the frame-backed ones the frame table that it returns itself, or None)
+def _base(table):
+    return lambda G, dV, p: table(G.frame(p, 1))
+
+
+def _hat(table):
+    return lambda G, dV, p: table(pj.deform(G, dV).frame(p, 1))
+
+
+FIELD = sc.TensorField(np.array(["x1*y2", "y1^2"], dtype=object), ("down",), 2)
+TENSOR_OPERATIONS = {
+    "nonlinear_connection": (lambda G, dV, p: sc.nonlinear_connection(G, p),
+                             _base(lambda fr: fr.N_values)),
+    "berwald_connection": (lambda G, dV, p: sc.berwald_connection(G, p),
+                           _base(lambda fr: fr.Gamma_values)),
+    "berwald_curvature": (lambda G, dV, p: sc.berwald_curvature(G, p),
+                          _base(lambda fr: fr.B[0])),
+    "riemann_two_index": (lambda G, dV, p: sc.riemann_two_index(G, p),
+                          _base(lambda fr: fr.R2_table[0])),
+    "riemann_four_index": (lambda G, dV, p: sc.riemann_four_index(G, p),
+                           _base(lambda fr: fr.R4[0])),
+    "covariant_derivative_h": (
+        lambda G, dV, p: sc.covariant_derivative_h(FIELD, G, p), None),
+    "chi_definition": (lambda G, dV, p: cv.chi_definition(G, p),
+                       _base(lambda fr: fr.chi[0])),
+    "chi_trace": (lambda G, dV, p: cv.chi_trace(G, p), None),
+    "chi_local": (lambda G, dV, p: cv.chi_local(G, p), None),
+    "chi_from_t": (lambda G, dV, p: cv.chi_from_t(G, p), None),
+    "ricci_tensor": (lambda G, dV, p: cv.ricci_tensor(G, p),
+                     _base(lambda fr: fr.ric_jl)),
+    "t_curvature": (lambda G, dV, p: cv.t_curvature(G, p),
+                    _base(lambda fr: fr.T[0])),
+    "weyl[direct]": (lambda G, dV, p: cv.weyl(G, p, "direct"), None),
+    "weyl[via_chi]": (lambda G, dV, p: cv.weyl(G, p, "via_chi"), None),
+    "eta": (lambda G, dV, p: cv.eta(G, p), None),
+    "chi_via_s[vertical-first]": (
+        lambda G, dV, p: pj.chi_via_s(G, dV, p, "vertical-first"), None),
+    "chi_via_s[horizontal-first]": (
+        lambda G, dV, p: pj.chi_via_s(G, dV, p, "horizontal-first"), None),
+    "hat_riemann[direct]": (lambda G, dV, p: pj.hat_riemann(G, dV, p, "direct"),
+                            _hat(lambda fr: fr.R2_table[0])),
+    "hat_riemann[formula]": (
+        lambda G, dV, p: pj.hat_riemann(G, dV, p, "formula"), None),
+    "projective_ricci[ric_jl]": (
+        lambda G, dV, p: pj.projective_ricci(G, dV, p)["ric_jl"],
+        _hat(lambda fr: fr.ric_jl)),
+    "projective_ricci[h_jl]": (
+        lambda G, dV, p: pj.projective_ricci(G, dV, p)["h_jl"], None),
+    "douglas": (lambda G, dV, p: pj.douglas(G, dV, p), _hat(lambda fr: fr.B[0])),
+    "weyl_hat": (lambda G, dV, p: pj.weyl_hat(G, dV, p), _hat(lambda fr: fr.T[0])),
+    "eta_hat": (lambda G, dV, p: pj.eta_hat(G, dV, p), None),
+    "fundamental_tensor": (lambda G, dV, p: fl.fundamental_tensor(G.metric, p),
+                           None),
+    "cartan_torsion": (lambda G, dV, p: fl.cartan_torsion(G.metric, p), None),
+    "mean_cartan": (lambda G, dV, p: fl.mean_cartan(G.metric, p), None),
+    "chi_cartan": (lambda G, dV, p: fl.chi_cartan(G.metric, p), None),
+}
+
+
+@pytest.fixture(scope="module")
+def randers_setup():
+    """A spray with a metric, so that every operation applies to it."""
+    G = sc.make_family("randers", a={(1, 1): "1+x2^2", (2, 2): "1+x1^2",
+                                     (1, 2): "x1*x2/2"},
+                       b={1: "0.2*x2", 2: "-0.1*x1"}, n=2, box=0.8)
+    return G, pj.VolumeForm("exp(x1)", 2), PointTM((0.1, -0.2), (0.7, 0.4))
+
+
+@pytest.mark.parametrize("name", TENSOR_OPERATIONS)
+def test_tensor_operations_return_plain_arrays(name, randers_setup):
+    op, table = TENSOR_OPERATIONS[name]
+    out = op(*randers_setup)
+    assert type(out) is np.ndarray and out.dtype == float and out.ndim >= 1
+    if table is not None:       # the frame's own cached table, not a copy
+        assert out is table(*randers_setup)
+        assert not out.flags.writeable
+
+
+def _unused_imports(path: Path) -> list:
+    """The names that top-level imports of a module bind and that nothing in
+    it reads: no Name or attribute base in the code, nor in an annotation
+    given as a string."""
+    tree = ast.parse(path.read_text())
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        notes = (getattr(node, "annotation", None), getattr(node, "returns", None))
+        for note in notes:
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                used.update(n.id for n in ast.walk(ast.parse(note.value))
+                            if isinstance(n, ast.Name))
+    return sorted(f"{path.name}:{line}: {name}" for name, line in bound.items()
+                  if name not in used)
+
+
+def test_sources_have_no_unused_imports():
+    assert [u for path in sorted((SRC / "spraylab").glob("*.py"))
+            for u in _unused_imports(path)] == []
 
 
 def test_frozen_records_compare_and_hash_by_value():
@@ -179,9 +294,6 @@ def test_records_construct_by_keyword_with_their_defaults():
     assert a.point_ids is not b.point_ids and a.applicable and a.note == ""
     assert Row("id", "tag", "s", 1e-9, applicable=False, note="n").note == "n"
     assert Classification(0.0, 0.0, 0.0).isotropic
-    p = PointTM((0.0,), (1.0,))
-    assert TensorValue(components=None, roles=(), names=(), point=p).label == ""
-    assert ChiValue(components=None, route="trace", point=p).route == "trace"
 
 
 def test_mutable_records_compare_by_value_and_are_unhashable():
@@ -196,7 +308,6 @@ def test_mutable_records_compare_by_value_and_are_unhashable():
 def test_both_launch_paths_enter_through_cli_run():
     # the installed `spraylab` script and `python -m spraylab.cli` call one
     # function, the process entry point
-    import ast
     tomllib = pytest.importorskip("tomllib")
     from spraylab import cli
     pyproject = tomllib.loads((SRC.parent / "pyproject.toml").read_text())
