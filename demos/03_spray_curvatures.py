@@ -44,9 +44,9 @@ print(f"Berwald curvature of a metric spray vanishes: max |B| = {np.abs(B).max()
 
 print("\n== a spray that is not metric: G^1 = x2 y1^2 / 2")
 from spraylab import exprdsl
-from spraylab.spray_core import Box, ExpressionSpray
-fix = ExpressionSpray(2, [exprdsl.parse("x2*y1^2/2", 2), exprdsl.parse("0", 2)],
-                      Box.cube(2, 1.0), "hand-fixture")
+from spraylab.spray_core import make_custom
+fix = make_custom(doc=exprdsl.parse_spray_source(
+          "dim = 2\nG1 = x2*y1^2/2\nG2 = 0"), label="hand-fixture")
 q = PointTM((0.1, -0.2), (0.7, 0.4))
 print(f"R = \n{sc.riemann_two_index(fix, q)}")
 print(f"(hand computation gives [[-y1 y2, y1^2], [0, 0]] = "

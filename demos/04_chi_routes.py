@@ -14,13 +14,13 @@ from spraylab import curvature as cv
 from spraylab import finsler as fl
 from spraylab import projective as pj
 from spraylab import spray_core as sc
-from spraylab.spray_core import Box, ExpressionSpray, PointTM
+from spraylab.spray_core import PointTM, make_custom
 from spraylab import exprdsl
 
 np.set_printoptions(precision=10, suppress=True)
 
-fix = ExpressionSpray(2, [exprdsl.parse("x2*y1^2/2", 2), exprdsl.parse("0", 2)],
-                      Box.cube(2, 1.0), "hand-fixture")
+fix = make_custom(doc=exprdsl.parse_spray_source(
+          "dim = 2\nG1 = x2*y1^2/2\nG2 = 0"), label="hand-fixture")
 p = PointTM((0.1, -0.2), (0.7, 0.4))
 print(f"spray {fix.label} at y = {p.y}: expected chi = (y2/2, -y1/2) = "
       f"({p.y[1] / 2}, {-p.y[0] / 2})\n")

@@ -13,13 +13,13 @@ import numpy as np
 from spraylab import curvature as cv
 from spraylab import projective as pj
 from spraylab import spray_core as sc
-from spraylab.spray_core import Box, ExpressionSpray, PointTM
+from spraylab.spray_core import PointTM, make_custom
 from spraylab import exprdsl
 
 np.set_printoptions(precision=6, suppress=True)
 
-fix = ExpressionSpray(2, [exprdsl.parse("x2*y1^2/2", 2), exprdsl.parse("0", 2)],
-                      Box.cube(2, 1.0), "hand-fixture")
+fix = make_custom(doc=exprdsl.parse_spray_source(
+          "dim = 2\nG1 = x2*y1^2/2\nG2 = 0"), label="hand-fixture")
 p = PointTM((0.1, -0.2), (0.7, 0.4))
 
 print(f"base spray {fix.label}: chi = {cv.chi_definition(fix, p)}")

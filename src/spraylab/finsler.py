@@ -34,11 +34,10 @@ import numpy as np
 
 from . import exprdsl, jets
 from .jets import Jet, JetDomainError
-from .spray_core import (Box, Frame, FunctionSpray, PointTM, SprayChart,
-                         _normalize_metric, _parse_x_expr, _product,
-                         carrier_sum, carrier_value, metric_draws,
-                         metric_spray_fn, rel_residual, riemann_two_index,
-                         solve_carrier, tensor_values)
+from .spray_core import (Box, Frame, PointTM, SprayChart, _normalize_metric,
+                         _parse_x_expr, _product, carrier_sum, carrier_value,
+                         metric_draws, metric_spray_fn, rel_residual,
+                         riemann_two_index, solve_carrier, tensor_values)
 
 COND_LIMIT = 1e8
 
@@ -145,7 +144,7 @@ def induced_spray(F: FinslerMetric) -> SprayChart:
         (sol,) = solve_carrier(g, [q])
         return [0.25 * v for v in sol]
 
-    F._spray = FunctionSpray(n, fn, F.domain, f"spray({F.label})")
+    F._spray = SprayChart(n, fn, F.domain, f"spray({F.label})")
     F._spray.metric = F
     return F._spray
 
@@ -232,8 +231,8 @@ class RandersData:
         """The Riemannian spray of alpha, built once, so that its frames are
         shared by every caller."""
         if self._alpha is None:
-            self._alpha = FunctionSpray(self.n, metric_spray_fn(self.a_asts, self.n),
-                                        self.box, "alpha")
+            self._alpha = SprayChart(self.n, metric_spray_fn(self.a_asts, self.n),
+                                     self.box, "alpha")
         return self._alpha
 
     def volume_alpha(self):
@@ -279,7 +278,7 @@ class RandersData:
                                                   for j in range(n))
                     for i in range(n)]
 
-        return FunctionSpray(n, fn, self.box, "randers-hat")
+        return SprayChart(n, fn, self.box, "randers-hat")
 
     # -- pointwise quantities ------------------------------------------------------
 

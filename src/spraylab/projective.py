@@ -28,9 +28,8 @@ import numpy as np
 
 from . import exprdsl, jets
 from .jets import Jet, JetDomainError
-from .spray_core import (Box, Frame, PointTM, ScalarField, SprayChart, _frozen,
-                         _product, carrier_sum, carrier_value, plus_outer_y,
-                         rel_residual)
+from .spray_core import (Box, Frame, PointTM, SprayChart, _frozen, _product,
+                         carrier_sum, carrier_value, plus_outer_y, rel_residual)
 
 DEFAULT_SIGMAS = ("1", "exp(x1)", "1+0.5*x1^2")    # when no volume form is given
 
@@ -145,7 +144,8 @@ class DeformedSpray(SprayChart):
     """
 
     def __init__(self, base: SprayChart, dV: VolumeForm):
-        super().__init__(base.n, base.domain,
+        # no coefficient function: both evaluations are composed (below)
+        super().__init__(base.n, None, base.domain,
                          f"hat({base.label}; dV={dV.label})")
         self.base = base
         self.volume = dV
@@ -178,7 +178,9 @@ class DeformedSpray(SprayChart):
             self._tau[key] = _frozen([np.asarray(pp + py) for pp, py in terms])
         return self._tau[key]
 
-    def _make_coefficient_jets(self, frame, lifted):
+    def _make_coefficient_jets(self, frame):
+        """The coefficient jets from the S-jet and the y^i jets of the base
+        frame one order deeper: the frame lifts no coordinates of its own."""
         fr = self.base.frame(frame.point, frame.order + 1)
         S = self.S(frame.point, frame.order + 1)
         scale = 1.0 / (self.n + 1)
@@ -187,11 +189,8 @@ class DeformedSpray(SprayChart):
                 for i in range(self.n)]
 
     def eval_coefficients(self, xs, ys):
-        """The coefficients at float arguments only.
-
-        Frames get their coefficient jets from `_make_coefficient_jets`,
-        which reads the S-jet off a base frame one order deeper.
-        """
+        """The coefficients at float arguments only (frames take theirs from
+        `_make_coefficient_jets`)."""
         p = PointTM(tuple(xs), tuple(ys))
         S = s_value(self.base.frame(p, 1), self.volume)
         base_vals = self.base.coefficients(p)
@@ -225,18 +224,18 @@ def projective_invariance_check(G1: SprayChart, G2: SprayChart,
 
 
 def with_projective_factor(G: SprayChart, P, label: str = "") -> SprayChart:
-    """The spray G^i + P(x, y) y^i for a 1-homogeneous scalar factor P."""
-    field = P if isinstance(P, ScalarField) else ScalarField(P, G.n)
+    """The spray G^i + P(x, y) y^i for a 1-homogeneous scalar factor P, given
+    as expression text and parsed once.  On floats it reads G's own values,
+    evaluated once per (x, y)."""
+    ast = exprdsl.parse(P, G.n)
 
-    class _Shifted(SprayChart):
-        def eval_coefficients(self, xs, ys):
-            # on floats G's own values, evaluated once per (x, y)
-            base = (G.eval_coefficients(xs, ys) if isinstance(xs[0], Jet)
-                    else G.coefficients(PointTM(tuple(xs), tuple(ys))))
-            pv = field.carrier(xs, ys)
-            return [base[i] + pv * ys[i] for i in range(G.n)]
+    def fn(xs, ys):
+        base = (G.eval_coefficients(xs, ys) if isinstance(xs[0], Jet)
+                else G.coefficients(PointTM(tuple(xs), tuple(ys))))
+        pv = exprdsl.evaluate(ast, list(xs) + list(ys))
+        return [base[i] + pv * ys[i] for i in range(G.n)]
 
-    return _Shifted(G.n, G.domain, label or f"{G.label}+P*y")
+    return SprayChart(G.n, fn, G.domain, label or f"{G.label}+P*y")
 
 
 # -- hat-quantities ------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Sprays on a coordinate chart: Berwald connection, curvature tensors, zoo.
 
-A spray is given by n coefficient functions G^i(x, y), positively
-2-homogeneous in y, evaluated over any arithmetic carrier (floats or jets).
+A spray is its coefficients G^i(x, y), positively 2-homogeneous in y: a
+:class:`SprayChart` holds one function fn(xs, ys) -> [G^1, ..., G^n] that
+runs over any arithmetic carrier (floats or jets), and new sprays come from
+old ones by closures over their functions (`metric_spray_fn`,
+`projective.with_projective_factor`).
 All tensor work happens in a :class:`Frame`: the jets of G^i at one point,
 from which connection coefficients, curvature tensors and their horizontal /
 vertical derivatives follow.  The tensors are float tables of values and
@@ -13,7 +16,9 @@ components: the upper index comes first, so ``R4[0][i, j, k, l]`` holds the
 curvature slot with upper i and lower j, k, l (antisymmetric in k, l).
 The public tensor operations (`nonlinear_connection` ... `riemann_four_index`)
 return the value table of the point's frame itself, a read-only float array;
-`covariant_derivative_h` returns a new one.
+`covariant_derivative_h` returns a new one.  Fields that these operations
+differentiate (`horizontal_partial`, `covariant_derivative_h`) are carrier
+functions f(xs, ys) too, evaluated on a frame's coordinate jets.
 """
 
 from __future__ import annotations
@@ -298,8 +303,7 @@ class Frame:
         self.point = point
         self.order = order
         self.n = spray.n
-        self.G = spray._make_coefficient_jets(
-            self, jets.lift_point(point.x + point.y, order))
+        self.G = spray._make_coefficient_jets(self)
 
     # x^i and y^i as jets, lifted on first use: few frames read them (S and
     # the deformed coefficients read y^i), and frames stay cached
@@ -520,17 +524,20 @@ class Frame:
 # -- spray charts -----------------------------------------------------------------
 
 class SprayChart:
-    """Dimension n plus n coefficient functions over an explicit domain box.
+    """A spray on a chart: dimension n, the coefficient function
+    fn(xs, ys) -> [G^1, ..., G^n] over any carrier (floats or jets), and an
+    explicit domain box.
 
     The coefficients are evaluated once per point: on jets once per (x, y)
     at the highest order asked there (`frame`), on floats once per (x, y)
     (`coefficients`).
     """
 
-    def __init__(self, n: int, domain: Box, label: str):
+    def __init__(self, n: int, fn, domain: Box, label: str):
         if n < 2:
             raise ValueError("sprays need chart dimension n >= 2")
         self.n = n
+        self._fn = fn
         self.domain = domain
         self.label = label
         self.metric = None      # the FinslerMetric of an induced spray
@@ -538,11 +545,13 @@ class SprayChart:
         self._values = {}       # (x, y) -> the float coefficients (`coefficients`)
         self._deformed = {}     # VolumeForm -> DeformedSpray (projective.deform)
 
-    # subclasses provide carrier-generic evaluation
     def eval_coefficients(self, xs, ys):
-        raise NotImplementedError
+        """G^i at carrier arguments x = xs, y = ys."""
+        return self._fn(xs, ys)
 
-    def _make_coefficient_jets(self, frame: Frame, lifted):
+    def _make_coefficient_jets(self, frame: Frame) -> list:
+        """G^i as jets at the frame's point, on the lift of (x, y) to its order."""
+        lifted = jets.lift_point(frame.point.x + frame.point.y, frame.order)
         out = self.eval_coefficients(lifted[: self.n], lifted[self.n:])
         return [jets.as_jet(v, lifted[0]) for v in out]
 
@@ -599,24 +608,6 @@ class SprayChart:
         return f"SprayChart({self.label!r}, n={self.n})"
 
 
-class FunctionSpray(SprayChart):
-    def __init__(self, n, fn, domain, label):
-        super().__init__(n, domain, label)
-        self._fn = fn
-
-    def eval_coefficients(self, xs, ys):
-        return self._fn(xs, ys)
-
-
-class ExpressionSpray(SprayChart):
-    def __init__(self, n, coeff_asts, domain, label):
-        super().__init__(n, domain, label)
-        self.coeff_asts = list(coeff_asts)
-
-    def eval_coefficients(self, xs, ys):
-        return exprdsl.evaluate_many(self.coeff_asts, list(xs) + list(ys))
-
-
 # -- public tensor operations -------------------------------------------------------
 
 def nonlinear_connection(G: SprayChart, p: PointTM) -> np.ndarray:
@@ -652,68 +643,28 @@ def riemann_four_index(G: SprayChart, p: PointTM) -> np.ndarray:
     return G.frame(p, 3).R4[0]
 
 
-# -- scalar / tensor fields over the chart -------------------------------------------
+# -- fields over the chart ----------------------------------------------------------
 
-class ScalarField:
-    """A scalar function of (x, y) usable in jet computations.
-
-    Wraps either a DSL expression or a callable ``fn(xs, ys) -> carrier``.
-    """
-
-    def __init__(self, source, n: int, label: str = ""):
-        self.n = n
-        self.label = label
-        if isinstance(source, str):
-            source = exprdsl.parse(source, n)
-        self.ast = source if not callable(source) else None
-        self.fn = source if callable(source) else None
-
-    def carrier(self, xs, ys):
-        if self.fn is not None:
-            return self.fn(xs, ys)
-        return exprdsl.evaluate(self.ast, list(xs) + list(ys))
-
-    def jet(self, frame: Frame) -> Jet:
-        v = self.carrier(frame.xj, frame.yj)
-        return jets.as_jet(v, frame.xj[0])
-
-
-class TensorField:
-    """A rank <= 2 tensor field given componentwise by scalar fields."""
-
-    def __init__(self, components, roles, n: int, label: str = ""):
-        comps = np.asarray(components, dtype=object)
-        if comps.ndim != len(roles):
-            raise ValueError("rank of components does not match roles")
-        if comps.ndim > 2:
-            raise ValueError("covariant_derivative_h supports rank <= 2 fields")
-        self.components = comps
-        self.roles = tuple(roles)
-        self.n = n
-        self.label = label
-
-    def jets(self, frame: Frame):
-        out = np.empty(self.components.shape, dtype=object)
-        for idx in np.ndindex(self.components.shape):
-            f = self.components[idx]
-            f = f if isinstance(f, ScalarField) else ScalarField(f, self.n)
-            out[idx] = f.jet(frame)
-        return out
-
-
-def horizontal_partial(field, G: SprayChart, p: PointTM, k: int) -> float:
-    """delta f / delta x^k = df/dx^k - N^m_k df/dy^m for a scalar field."""
-    if not isinstance(field, ScalarField):
-        field = ScalarField(field, G.n)
+def horizontal_partial(f, G: SprayChart, p: PointTM, k: int) -> float:
+    """delta f / delta x^k = df/dx^k - N^m_k df/dy^m for a scalar field given
+    by a carrier function f(xs, ys), evaluated on the frame's coordinate jets."""
     fr = G.frame(p, 1)
-    return float(fr.hpart(fr.table(field.jet(fr), 1))[0][k])
+    return float(fr.hpart(fr.table(jets.as_jet(f(fr.xj, fr.yj), fr.xj[0]), 1))[0][k])
 
 
-def covariant_derivative_h(field: TensorField, G: SprayChart,
-                           p: PointTM) -> np.ndarray:
-    """Horizontal covariant derivative of a rank <= 2 field; appends a lower index."""
+def covariant_derivative_h(f, roles, G: SprayChart, p: PointTM) -> np.ndarray:
+    """Horizontal covariant derivative of a rank <= 2 tensor field; appends a
+    lower index.  f(xs, ys) gives the components (nested lists of carriers,
+    one level per entry of `roles`, "up" or "down"), evaluated on the frame's
+    coordinate jets."""
     fr = G.frame(p, 2)      # Gamma needs second partials of G
-    return fr.cov_h(fr.table(field.jets(fr), 1), field.roles)[0]
+    comps = np.asarray(f(fr.xj, fr.yj), dtype=object)
+    if comps.ndim != len(roles):
+        raise ValueError("rank of components does not match roles")
+    if comps.ndim > 2:
+        raise ValueError("covariant_derivative_h supports rank <= 2 fields")
+    lift = np.frompyfunc(lambda v: jets.as_jet(v, fr.xj[0]), 1, 1)
+    return fr.cov_h(fr.table(lift(comps), 1), roles)[0]
 
 
 # -- sampling protocol ----------------------------------------------------------------
@@ -909,7 +860,7 @@ def metric_spray_fn(g_asts, n):
 
 
 def make_flat(n: int = 2, box: float = 1.0) -> SprayChart:
-    return FunctionSpray(n, lambda xs, ys: [0.0] * n, Box.cube(n, box), "flat")
+    return SprayChart(n, lambda xs, ys: [0.0] * n, Box.cube(n, box), "flat")
 
 
 def make_riemannian(g, n: int, box: float = 1.0, label: str = "riemannian"):
@@ -918,7 +869,7 @@ def make_riemannian(g, n: int, box: float = 1.0, label: str = "riemannian"):
     g_asts, domain = _normalize_metric(g, n), Box.cube(n, box)
     for _ in metric_draws(g_asts, n, domain, "g"):
         pass
-    return FunctionSpray(n, metric_spray_fn(g_asts, n), domain, label)
+    return SprayChart(n, metric_spray_fn(g_asts, n), domain, label)
 
 
 def make_sphere(n: int = 3, kappa: float = 1.0) -> SprayChart:
@@ -950,10 +901,13 @@ def make_example72(A="0", B="0", C="0", D="0", f="0", box: float = 1.0):
               + (v1 * y12 + v2 * y22) / 3.0)
         return [g1, g2]
 
-    return FunctionSpray(n, fn, Box.cube(n, box), "example72")
+    return SprayChart(n, fn, Box.cube(n, box), "example72")
 
 
 def make_custom(file=None, doc=None, label: str = ""):
+    """The spray of a spray-definition document (`exprdsl.SprayFileDoc`, or
+    read from `file`): its G1..Gn expressions, evaluated with one memo, or
+    the induced spray of its Randers metric block."""
     label = label or (f"custom(file={file})" if file is not None else "custom")
     if doc is None:
         if file is None:
@@ -962,7 +916,9 @@ def make_custom(file=None, doc=None, label: str = ""):
         doc = exprdsl.load_spray_file(file)
     if doc.metric is not None:
         return make_randers(doc.metric, doc.one_form or {}, doc.dim, box=doc.box)
-    return ExpressionSpray(doc.dim, doc.coeffs, Box.cube(doc.dim, doc.box), label)
+    coeffs = doc.coeffs
+    return SprayChart(doc.dim, lambda xs, ys: exprdsl.evaluate_many(
+        coeffs, list(xs) + list(ys)), Box.cube(doc.dim, doc.box), label)
 
 
 def make_randers(a, b, n: int, box: float = 1.0) -> SprayChart:

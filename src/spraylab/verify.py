@@ -418,14 +418,7 @@ def _part(*parts):
 
 
 class SuiteRunner:
-    """Runs the identity suite, or some of its groups, for one spray over a
-    point sample."""
-
-    # suite group -> the part methods that fill it
-    GROUPS = {"base": ("_homogeneity", "_connection_rows"),
-              "four-index": ("_four_index_rows",), "chi": ("_chi_rows",),
-              "weyl": ("_weyl_t_rows",), "isotropic": ("_isotropic_rows",),
-              "s-closed": ("_s_closed_rows",), "volume": ("_volume_rows",)}
+    """Runs the identity suite for one spray over a point sample."""
 
     def __init__(self, spray: SprayChart, points, volumes=None,
                  tolerances=None):
@@ -443,18 +436,19 @@ class SuiteRunner:
     shifted = cached_property(
         lambda run: pj.with_projective_factor(run.spray, "0.3*y1 + 0.1*y2"))
 
-    def run(self, groups=None):
-        groups = set(self.GROUPS if groups is None else groups)
-        unknown = groups - set(self.GROUPS)
-        if unknown:
-            raise ValueError(f"unknown suite groups {sorted(unknown)}")
+    def run(self):
         for pt in self.data:    # the top order first: lower orders read it
             pt.fr
             for dV in self.volumes:     # its coefficients read S at order 4
                 pj.deform(self.spray, dV).frame(pt.p, 3)
-        for group, methods in self.GROUPS.items():
-            for name in methods if group in groups else ():
-                getattr(self, name)()
+        self._homogeneity()
+        self._connection_rows()
+        self._four_index_rows()
+        self._chi_rows()
+        self._weyl_t_rows()
+        self._isotropic_rows()
+        self._s_closed_rows()
+        self._volume_rows()
         return self.rows
 
     def _fill(self, *parts):
@@ -493,6 +487,6 @@ class SuiteRunner:
         self._bianchi_second_rows()
 
 
-def run_suite(spray, points, volumes=None, tolerances=None, groups=None):
-    """Run the identity suite (or selected groups); returns the Row objects."""
-    return SuiteRunner(spray, points, volumes, tolerances).run(groups)
+def run_suite(spray, points, volumes=None, tolerances=None):
+    """Run the identity suite; returns the Row objects."""
+    return SuiteRunner(spray, points, volumes, tolerances).run()

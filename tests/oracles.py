@@ -1,9 +1,10 @@
 """Independent numerical oracles for the test suite.
 
 Everything here but `randers_spray` is deliberately jet-free:
-Richardson-extrapolated central finite differences and the classical
-index-gymnastics formulas, so the jet engine and the tensor code are checked
-against arithmetic that shares no code path with them.  `randers_spray`
+Richardson-extrapolated central finite differences, the classical
+index-gymnastics formulas and closed forms on floats, so the jet engine and
+the tensor code are checked against arithmetic that shares no code path with
+them.  `randers_spray`
 evaluates a closed form on jets: it shares the jet kernel with the library,
 and none of its expression, linear-solve or spray code.
 """
@@ -110,6 +111,23 @@ def spray_riemann_fd(coeff, x, y, h=1e-4):
                 acc -= dG[i, n + j] * dG[j, n + k]
             R[i, k] = acc
     return R
+
+
+def projectively_flat_riemann(P, P_x, P_y, P_xy, y):
+    """R^i_k of the projectively flat spray G^i = P y^i, in closed form from
+    P and its partials at one point (floats):
+
+        R^i_k = Xi delta^i_k + tau_k y^i,   Xi = P^2 - P_{x^m} y^m,
+        tau_k = 3 (P_{x^k} - P P_{.k}) + Xi_{.k},
+
+    with Xi_{.k} = 2 P P_{.k} - P_{x^m y^k} y^m - P_{x^k}.  P_x and P_y are
+    the gradients in x and in y, P_xy[m, k] the partial in x^m and y^k.
+    """
+    P_x, P_y, P_xy, y = (np.asarray(v, dtype=float) for v in (P_x, P_y, P_xy, y))
+    xi = P * P - P_x @ y
+    xi_y = 2.0 * P * P_y - y @ P_xy - P_x
+    tau = 3.0 * (P_x - P * P_y) + xi_y
+    return xi * np.eye(len(y)) + np.outer(y, tau)
 
 
 def leibniz_partial(f_jet, g_jet, alpha):

@@ -17,8 +17,7 @@ from spraylab import finsler as fl
 from spraylab import projective as pj
 from spraylab import spray_core as sc
 from spraylab import verify
-from spraylab.spray_core import Box, ExpressionSpray, make_family, \
-    sample_points
+from spraylab.spray_core import make_custom, make_family, sample_points
 
 import exprgen
 import oracles
@@ -110,7 +109,7 @@ def test_criterion_3_bianchi_suites(zoo):
     recon = {"reconstruct-4from2", "contract-3idx", "contract-2idx"}
     worst = {"first": 0.0, "second": 0.0, "recon": 0.0}
     for sp, pts in zoo:
-        rows = verify.run_suite(sp, pts, groups=("base", "four-index"))
+        rows = verify.run_suite(sp, pts)
         for r in rows:
             if r.id in first:
                 worst["first"] = max(worst["first"], r.max_residual)
@@ -201,9 +200,9 @@ def test_criterion_7_sphere_family():
         worst_e = max(worst_e, sc.rel_residual(etav, scale))
         worst_g = max(worst_g, sc.rel_residual((3 - 2) * 2.0 * etav, scale))
     sp2 = make_family("sphere", n=2, kappa=1.0)
-    rows = verify.run_suite(sp2, sample_points(sp2, 10, seed=SEED),
-                            groups=("isotropic",))
-    na = {r.id for r in rows if not r.applicable}
+    rows = verify.run_suite(sp2, sample_points(sp2, 10, seed=SEED))
+    isotropic = {s.id for s in verify.ROWS if s.part == "isotropic"}
+    na = {r.id for r in rows if not r.applicable and r.id in isotropic}
     ok = (worst_w <= 1e-8 and worst_e <= 1e-7 and worst_g <= 1e-7
           and {"isotropic-grad", "eta-isotropic"} <= na)
     report("criterion 7 (sphere family)", ok,
@@ -246,9 +245,8 @@ def test_criterion_9_s_closed_implies_chi(zoo):
             chi = cv.chi_definition(sp, p)
             worst = max(worst, sc.rel_residual(
                 chi, sp.frame(p, 3).R2_table[0]))
-    fixture = ExpressionSpray(2, [exprdsl.parse("x2*y1^2/2", 2),
-                                  exprdsl.parse("0", 2)], Box.cube(2, 1.0),
-                              "non-closed")
+    fixture = make_custom(doc=exprdsl.parse_spray_source(
+                  "dim = 2\nG1 = x2*y1^2/2\nG2 = 0"), label="non-closed")
     fpts = sample_points(fixture, 10, seed=SEED)
     fres = pj.s_closed_residual(fixture, fpts)
     excluded = max(fres["vertical_hessian"], fres["curl"]) > 1e-8

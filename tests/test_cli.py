@@ -302,6 +302,39 @@ def test_exit_code_contract_on_fuzzed_command_lines(argv):
         json.loads(out.getvalue())
 
 
+def test_exit_code_contract_on_fuzzed_expression_files(tmp_path):
+    # custom(file=...) sprays whose coefficients are random DSL expressions
+    # (`exprgen.gen_expr`): every other case made 2-homogeneous as
+    # (y1^2 + ... + yn^2) * (E) with E over x only, the rest left raw, which
+    # the homogeneity check refuses mostly.  Same contract as the fuzz above.
+    rng = np.random.default_rng(9)
+    codes = []
+    for case in range(16):
+        n = 2 + case % 4 // 2
+        coeffs = [exprgen.gen_expr(rng, n, depth=2) for _ in range(n)]
+        if case % 2 == 0:
+            ysq = " + ".join(f"y{i}^2" for i in range(1, n + 1))
+            coeffs = [f"({ysq}) * ({e.replace('y', 'x')})" for e in coeffs]
+        path = tmp_path / f"case{case}.spray"
+        path.write_text(f"dim = {n}\n" + "".join(
+            f"G{i} = {e}\n" for i, e in enumerate(coeffs, start=1)))
+        for command in ("evaluate", "verify"):
+            argv = [command, "--spray", f"custom(file={path})", "--points", "2"]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as e:
+                    code = e.code
+            assert code in (0, 1, 2), (argv, code)
+            assert "Traceback" not in err.getvalue(), argv
+            assert "line 0, column 0" not in err.getvalue(), argv
+            if code in (0, 1):
+                json.loads(out.getvalue())
+            codes.append(code)
+    assert 0 in codes and 2 in codes, codes
+
+
 def test_exp_overflow_is_a_located_domain_error(tmp_path, capsys):
     # at seed 4 a sample point has 900*x1 > 709.78, where math.exp overflows
     # before any jet is formed: one located line and exit 2, no traceback
@@ -445,9 +478,9 @@ def test_evaluate_evaluates_the_coefficients_once_per_point(monkeypatch, capsys)
     evaluations, orders = [], []
     make, init = sc.SprayChart._make_coefficient_jets, sc.Frame.__init__
 
-    def counted(self, frame, lifted):
+    def counted(self, frame):
         evaluations.append(frame.order)
-        return make(self, frame, lifted)
+        return make(self, frame)
 
     def recorded(self, spray, point, order, *args):
         orders.append(order)
@@ -486,12 +519,13 @@ def test_verify_evaluates_each_coefficient_input_once(monkeypatch, capsys):
     factored = {"jets": [], "floats": []}
     evaluated, reciprocals, deformed = [], [], []
     factor, recip = sc.factor_carrier, jets.Jet.reciprocal
-    coefficients = sc.FunctionSpray.eval_coefficients
+    coefficients = sc.SprayChart.eval_coefficients
     deformed_jets = pj.DeformedSpray._make_coefficient_jets
+    resolve, resolved = cli._resolve_spray, []
 
-    def counted_deformed(self, frame, lifted):
+    def counted_deformed(self, frame):
         deformed.append((self.volume, frame.point))
-        return deformed_jets(self, frame, lifted)
+        return deformed_jets(self, frame)
 
     def counted_factor(A):
         carrier = "jets" if isinstance(A[0][0], jets.Jet) else "floats"
@@ -504,19 +538,27 @@ def test_verify_evaluates_each_coefficient_input_once(monkeypatch, capsys):
 
     def counted_coefficients(self, xs, ys):
         if not isinstance(xs[0], jets.Jet):
-            evaluated.append((tuple(xs), tuple(ys)))
+            evaluated.append((self, tuple(xs), tuple(ys)))
         return coefficients(self, xs, ys)
+
+    def recorded_spray(args):
+        resolved.append(resolve(args))
+        return resolved[-1]
 
     monkeypatch.setattr(sc, "factor_carrier", counted_factor)
     monkeypatch.setattr(jets.Jet, "reciprocal", counted_reciprocal)
-    monkeypatch.setattr(sc.FunctionSpray, "eval_coefficients", counted_coefficients)
+    monkeypatch.setattr(sc.SprayChart, "eval_coefficients", counted_coefficients)
     monkeypatch.setattr(pj.DeformedSpray, "_make_coefficient_jets", counted_deformed)
+    monkeypatch.setattr(cli, "_resolve_spray", recorded_spray)
     code, out, _ = run_cli("verify", "--spray", "sphere(n=4,kappa=1)", "--points",
                            "1", "--seed", "3", capsys=capsys)
     assert code == 0 and json.loads(out)["rows"]
     for carrier, distinct in (("jets", 1), ("floats", 6)):    # 5 x in set-up
         assert len(factored[carrier]) == len(set(factored[carrier])) == distinct
-    assert len(evaluated) == len(set(evaluated)) == 24   # 4 (x, s y) per x
+    # those of the base spray: the shifted spray's float path reads them
+    (base, _sigma, _metric), = resolved
+    on_base = [(xs, ys) for spray, xs, ys in evaluated if spray is base]
+    assert len(on_base) == len(set(on_base)) == 24   # 4 (x, s y) per x
     assert len(deformed) == len(set(deformed)) == 3
     # at the one x, 1/D and 1/D^2 of g = 4/D, D = (1 + |x|^2)^2, 1/g of the
     # four equal pivots, and 1/sigma of the two sigmas that read x
@@ -541,8 +583,11 @@ def test_verify_builds_one_frame_per_spray_and_point(monkeypatch, capsys):
                            "1", "--seed", "3", capsys=capsys)
     assert code == 0 and json.loads(out)["rows"]
     assert set(built.values()) == {1}, built
-    kinds = {type(spray) for spray, _x, _y in built}
-    assert pj.DeformedSpray in kinds and len(kinds) == 3, kinds
+    # the base spray, the shifted spray G + P y and the three deformed ones
+    sprays = {spray for spray, _x, _y in built}
+    deformed = [s for s in sprays if isinstance(s, pj.DeformedSpray)]
+    assert len(sprays) == 5 and len(deformed) == 3, sprays
+    assert {type(s) for s in sprays} == {sc.SprayChart, pj.DeformedSpray}
 
 
 def test_unknown_tolerance_id_rejected(capsys):

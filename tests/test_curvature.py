@@ -6,7 +6,7 @@ import pytest
 from spraylab import curvature as cv
 from spraylab import exprdsl
 from spraylab import spray_core as sc
-from spraylab.spray_core import (Box, ExpressionSpray, PointTM, make_family,
+from spraylab.spray_core import (PointTM, make_custom, make_family,
                                  sample_points)
 
 P2 = PointTM((0.1, -0.2), (0.7, 0.4))
@@ -15,18 +15,15 @@ P3 = PointTM((0.1, -0.2, 0.3), (0.5, -0.6, 0.4))
 
 @pytest.fixture(scope="module")
 def hand_fixture():
-    return ExpressionSpray(2, [exprdsl.parse("x2*y1^2/2", 2),
-                               exprdsl.parse("0", 2)], Box.cube(2, 1.0),
-                           "hand-fixture")
+    return make_custom(doc=exprdsl.parse_spray_source(
+               "dim = 2\nG1 = x2*y1^2/2\nG2 = 0"), label="hand-fixture")
 
 
 @pytest.fixture(scope="module")
 def custom3():
     # a 3D spray that is neither of scalar curvature nor chi-closed
-    return ExpressionSpray(3, [exprdsl.parse("x2*y1^2/2", 3),
-                               exprdsl.parse("x3*y2^2/3", 3),
-                               exprdsl.parse("0", 3)], Box.cube(3, 1.0),
-                           "custom3")
+    return make_custom(doc=exprdsl.parse_spray_source(
+               "dim = 3\nG1 = x2*y1^2/2\nG2 = x3*y2^2/3\nG3 = 0"), label="custom3")
 
 
 @pytest.fixture(scope="module")

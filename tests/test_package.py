@@ -113,7 +113,11 @@ def _hat(table):
     return lambda G, dV, p: table(pj.deform(G, dV).frame(p, 1))
 
 
-FIELD = sc.TensorField(np.array(["x1*y2", "y1^2"], dtype=object), ("down",), 2)
+def _covector(xs, ys):
+    """The covector field (x1 y2, y1^2) over any carrier."""
+    return [xs[0] * ys[1], ys[0] * ys[0]]
+
+
 TENSOR_OPERATIONS = {
     "nonlinear_connection": (lambda G, dV, p: sc.nonlinear_connection(G, p),
                              _base(lambda fr: fr.N_values)),
@@ -126,7 +130,7 @@ TENSOR_OPERATIONS = {
     "riemann_four_index": (lambda G, dV, p: sc.riemann_four_index(G, p),
                            _base(lambda fr: fr.R4[0])),
     "covariant_derivative_h": (
-        lambda G, dV, p: sc.covariant_derivative_h(FIELD, G, p), None),
+        lambda G, dV, p: sc.covariant_derivative_h(_covector, ("down",), G, p), None),
     "chi_definition": (lambda G, dV, p: cv.chi_definition(G, p),
                        _base(lambda fr: fr.chi[0])),
     "chi_trace": (lambda G, dV, p: cv.chi_trace(G, p), None),
@@ -211,6 +215,31 @@ def _unused_imports(path: Path) -> list:
 def test_sources_have_no_unused_imports():
     assert [u for path in sorted((SRC / "spraylab").glob("*.py"))
             for u in _unused_imports(path)] == []
+
+
+def _names_read(node) -> set:
+    """Every name that `node` reads: as a Name, an attribute or an import."""
+    return {getattr(n, "id", None) or getattr(n, "attr", None) or n.name
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+
+
+def _unreferenced_private_definitions(src: Path) -> list:
+    """The module-level private functions and classes of the modules in `src`
+    whose name no other top-level statement of any of them reads.  A use
+    inside its own body (recursion) does not count."""
+    stmts = [(path.name, stmt) for path in sorted(src.glob("*.py"))
+             for stmt in ast.parse(path.read_text()).body]
+    reads = [(stmt, _names_read(stmt)) for _, stmt in stmts]
+    return [f"{module}:{stmt.lineno}: {stmt.name}" for module, stmt in stmts
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            and stmt.name.startswith("_") and not stmt.name.startswith("__")
+            and not any(stmt.name in names for other, names in reads
+                        if other is not stmt)]
+
+
+def test_sources_have_no_unreferenced_private_definitions():
+    assert _unreferenced_private_definitions(SRC / "spraylab") == []
 
 
 def test_frozen_records_compare_and_hash_by_value():

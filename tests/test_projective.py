@@ -7,8 +7,10 @@ from spraylab import curvature as cv
 from spraylab import exprdsl
 from spraylab import projective as pj
 from spraylab import spray_core as sc
-from spraylab.spray_core import (Box, ExpressionSpray, PointTM, make_family,
+from spraylab.spray_core import (PointTM, make_custom, make_family,
                                  sample_points)
+
+import oracles
 
 P2 = PointTM((0.1, -0.2), (0.7, 0.4))
 P3 = PointTM((0.1, -0.2, 0.3), (0.5, -0.6, 0.4))
@@ -23,9 +25,8 @@ def flat2():
 
 @pytest.fixture(scope="module")
 def hand_fixture():
-    return ExpressionSpray(2, [exprdsl.parse("x2*y1^2/2", 2),
-                               exprdsl.parse("0", 2)], Box.cube(2, 1.0),
-                           "hand-fixture")
+    return make_custom(doc=exprdsl.parse_spray_source(
+               "dim = 2\nG1 = x2*y1^2/2\nG2 = 0"), label="hand-fixture")
 
 
 @pytest.fixture(scope="module")
@@ -112,9 +113,8 @@ def test_projective_invariance(flat2, hand_fixture):
                                           sample_points(hand_fixture, 10,
                                                         seed=42)) < 1e-10
     # negative control: not a projective change
-    unrelated = ExpressionSpray(2, [exprdsl.parse("y2^2", 2),
-                                    exprdsl.parse("0", 2)], Box.cube(2, 1.0),
-                                "unrelated")
+    unrelated = make_custom(doc=exprdsl.parse_spray_source(
+                    "dim = 2\nG1 = y2^2\nG2 = 0"), label="unrelated")
     assert pj.projective_invariance_check(flat2, unrelated, dV, pts) > 1e-2
     with pytest.raises(ValueError, match="dimension"):
         pj.projective_invariance_check(flat2, make_family("sphere", n=3), dV,
@@ -166,10 +166,9 @@ def test_projective_ricci(sphere3, hand_fixture):
 def test_projective_ricci_decomposition_nonquadratic():
     # Ric_hat_jl = Ric_jl + (n-1)/2 tau_{.j.l} - H_jl, exercised on a spray
     # whose chi has a genuinely nonzero symmetrized vertical hessian
-    sp = ExpressionSpray(3, [exprdsl.parse("y1^4/(y1^2+y2^2+y3^2)", 3),
-                             exprdsl.parse("x1*y2^2", 3),
-                             exprdsl.parse("x2*y3^2", 3)],
-                         Box.cube(3, 1.0), "nonquad3")
+    sp = make_custom(doc=exprdsl.parse_spray_source(
+             "dim = 3\nG1 = y1^4/(y1^2+y2^2+y3^2)\nG2 = x1*y2^2\n"
+             "G3 = x2*y3^2"), label="nonquad3")
     dV = pj.VolumeForm("exp(x1)", 3)
     n = 3
     out = pj.projective_ricci(sp, dV, P3)
@@ -270,6 +269,48 @@ def test_eta_hat_matches_direct_route(hand_fixture, sphere3):
     assert largest["example72"] > 1.0 and largest["hand-fixture"] > 0.01, largest
 
 
+def test_projectively_flat_riemann_against_the_closed_form():
+    # G^i = P y^i on the flat chart: the direct R2 of the shifted spray
+    # against `oracles.projectively_flat_riemann`, P's partials taken
+    # symbolically and evaluated on floats (no jets)
+    src = "sqrt(y1^2+y2^2+y3^2)*x1/3 + (x2*y1 - x1*y3)/(2+x3) + 0.2*y2"
+    sp = pj.with_projective_factor(sc.make_flat(3), src)
+    P = exprdsl.parse(src, 3)
+    dP = [exprdsl.differentiate(P, a) for a in range(6)]
+    ddP = [[exprdsl.differentiate(dP[m], 3 + k) for k in range(3)] for m in range(3)]
+    for p in sample_points(sp, 6, seed=1):
+        z = list(p.x + p.y)
+
+        def at(*asts):
+            return [exprdsl.evaluate(e, z) for e in asts]
+
+        want = oracles.projectively_flat_riemann(
+            *at(P), at(*dP[:3]), at(*dP[3:]), [at(*row) for row in ddP], p.y)
+        got = sc.riemann_two_index(sp, p)
+        assert sc.rel_residual(got - want, want) <= 1e-12
+
+
+def test_deformed_frames_lift_no_coordinates(monkeypatch):
+    # a deformed frame reads G, S and y^i off the base frame one order
+    # deeper: with those built, it lifts no coordinates of its own
+    from spraylab import jets
+    sp = make_family("sphere", n=4, kappa=1.0)
+    p = sample_points(sp, 1, seed=3)[0]
+    hat = pj.deform(sp, pj.VolumeForm("exp(x1)", 4))
+    base = sp.frame(p, 4)
+    hat.S(p, 4)
+    base.xj, base.yj
+    lifts, lift = [], jets.lift_point
+
+    def counted(coords, order):
+        lifts.append((coords, order))
+        return lift(coords, order)
+
+    monkeypatch.setattr(jets, "lift_point", counted)
+    fr = hat.frame(p, 3)
+    assert lifts == [] and fr.order == 3 and len(fr.G) == 4
+
+
 def test_projectively_flat_spray_at_n3_with_chi():
     # G^i = P y^i on the flat chart: W = 0 and D = 0 while chi != 0, so the
     # deformed spray is isotropic with eta_hat = 0 although chi is large
@@ -330,26 +371,32 @@ def test_chi_via_s_route_and_orderings(hand_fixture):
         pj.chi_via_s(hand_fixture, pj.VolumeForm.constant(2), P2, "sideways")
 
 
+def _on_frame(src, fr):
+    """The jet of the expression `src` at the frame's point."""
+    return exprdsl.evaluate(exprdsl.parse(src, fr.n), fr.xj + fr.yj)
+
+
 def test_rapcsak_residuals(flat2, sphere3):
     # the Euclidean norm is projectively equivalent to the flat spray
     fr = flat2.frame(P2, 3)
-    r = fr.rapcsak(fr.table(sc.ScalarField("sqrt(y1^2+y2^2)", 2).jet(fr), 2))
+    r = fr.rapcsak(fr.table(_on_frame("sqrt(y1^2+y2^2)", fr), 2))
     assert np.abs(r).max() < 1e-14
     # negative control: Euclidean norm against the curved sphere spray
     fr = sphere3.frame(P3, 3)
-    r2 = fr.rapcsak(fr.table(sc.ScalarField("sqrt(y1^2+y2^2+y3^2)", 3).jet(fr), 2))
+    r2 = fr.rapcsak(fr.table(_on_frame("sqrt(y1^2+y2^2+y3^2)", fr), 2))
     assert np.abs(r2).max() > 1e-3
 
 
 def test_dual_residual_of_curvature_scalar(sphere3):
     # for an isotropic spray in dimension 3 the curvature scalar R is dually
     # equivalent to the spray; on the unit sphere chart R has a closed form
-    L = sc.ScalarField("4*(y1^2+y2^2+y3^2)/(1+x1^2+x2^2+x3^2)^2", 3)
+    L = "4*(y1^2+y2^2+y3^2)/(1+x1^2+x2^2+x3^2)^2"
     for p in sample_points(sphere3, 5, seed=50):
         R = cv.curvature_scalar(sphere3, p)
-        assert abs(L.carrier(p.x, p.y) - R) <= 1e-14 * (1.0 + abs(R))
+        value = exprdsl.evaluate(exprdsl.parse(L, 3), list(p.x + p.y))
+        assert abs(value - R) <= 1e-14 * (1.0 + abs(R))
         fr = sphere3.frame(p, 3)
-        d = fr.rapcsak(fr.table(L.jet(fr), 2), 0.5)
+        d = fr.rapcsak(fr.table(_on_frame(L, fr), 2), 0.5)
         assert sc.rel_residual(d, fr.R2_table[0]) < 1e-7
 
 

@@ -9,8 +9,8 @@ import pytest
 
 from spraylab import exprdsl
 from spraylab import spray_core as sc
-from spraylab.spray_core import (Box, ExpressionSpray, PointTM, TensorField,
-                                 make_family, sample_points)
+from spraylab.spray_core import (Box, PointTM, make_custom, make_family,
+                                 sample_points)
 
 import oracles
 
@@ -22,9 +22,8 @@ EX72 = dict(A="x1", B="x2^2", C="x1*x2", D="1+x1", f="x1*x2")
 @pytest.fixture(scope="module")
 def fixture_spray():
     # G^1 = x2 y1^2 / 2, G^2 = 0: curvature worked out by hand, Pi not closed
-    return ExpressionSpray(2, [exprdsl.parse("x2*y1^2/2", 2),
-                               exprdsl.parse("0", 2)], Box.cube(2, 1.0),
-                           "hand-fixture")
+    return make_custom(doc=exprdsl.parse_spray_source(
+               "dim = 2\nG1 = x2*y1^2/2\nG2 = 0"), label="hand-fixture")
 
 
 @pytest.fixture(scope="module")
@@ -48,8 +47,8 @@ def test_nonlinear_connection_flat():
 
 
 def test_nonlinear_connection_single_term():
-    sp = ExpressionSpray(2, [exprdsl.parse("y1^2", 2), exprdsl.parse("0", 2)],
-                         Box.cube(2, 1.0), "quad")
+    sp = make_custom(doc=exprdsl.parse_spray_source(
+             "dim = 2\nG1 = y1^2\nG2 = 0"), label="quad")
     N = sc.nonlinear_connection(sp, P2)
     fd = oracles.fd_partial(lambda z: sp.coefficients(PointTM(P2.x, (z[0], z[1])))[0],
                             P2.y, 0)
@@ -100,30 +99,32 @@ def test_berwald_curvature_contraction(curved_metric_spray):
 
 
 def test_horizontal_partial_examples(curved_metric_spray):
+    def x1(xs, ys):
+        return xs[0]
+
+    def y1(xs, ys):
+        return ys[0]
+
     flat = make_family("flat", n=2)
     # on f(x) = x1 the horizontal derivative reduces to d/dx1
-    assert sc.horizontal_partial("x1", flat, P2, 0) == pytest.approx(1.0)
+    assert sc.horizontal_partial(x1, flat, P2, 0) == pytest.approx(1.0)
     # on f = y1 with a flat spray all horizontal derivatives vanish
-    assert sc.horizontal_partial("y1", flat, P2, 0) == 0.0
+    assert sc.horizontal_partial(y1, flat, P2, 0) == 0.0
     # on f = y1 over a curved metric spray it equals -N^1_k
     sp = make_family("sphere", n=2, kappa=1.0)
     q = sample_points(sp, 1, seed=4)[0]
     N = sc.nonlinear_connection(sp, q)
     for k in range(2):
-        assert sc.horizontal_partial("y1", sp, q, k) == pytest.approx(
+        assert sc.horizontal_partial(y1, sp, q, k) == pytest.approx(
             -N[0, k], abs=1e-12)
 
 
 def test_covariant_derivative_scalar_flat():
     flat = make_family("flat", n=2)
-    td = sc.covariant_derivative_h(TensorField(np.array("3.5", dtype=object)
-                                               .reshape(()), (), 2, "const"),
-                                   flat, P2)
+    td = sc.covariant_derivative_h(lambda xs, ys: 3.5, (), flat, P2)
     assert np.all(td == 0.0)
     # S = -y1 on the flat spray: S_{|k} = 0
-    td2 = sc.covariant_derivative_h(
-        TensorField(np.array("-y1", dtype=object).reshape(()), (), 2, "S"),
-        flat, P2)
+    td2 = sc.covariant_derivative_h(lambda xs, ys: -ys[0], (), flat, P2)
     assert np.all(td2 == 0.0)
 
 
@@ -154,10 +155,9 @@ def test_covariant_derivative_covector_against_fd_assembly():
             v -= sum(I0[m] * Gm[m, k, pp] for m in range(n))
             expect[k, pp] = v
 
-    field = TensorField(np.array(
-        [lambda xs, ys, k=k: _mean_cartan_jet(F, xs, ys, k) for k in range(n)],
-        dtype=object), ("down",), 2, "I")
-    got = sc.covariant_derivative_h(field, sp, p)
+    got = sc.covariant_derivative_h(
+        lambda xs, ys: [_mean_cartan_jet(F, xs, ys, k) for k in range(n)],
+        ("down",), sp, p)
     assert np.abs(got - expect).max() < 1e-6
 
 
@@ -209,14 +209,12 @@ def test_covariant_derivative_mixed_tensor_against_fd():
     n = 2
     b_src = ["1+x2", "x1*x2"]
 
-    def t_comp(i, j):
-        return lambda xs, ys, i=i, j=j: ys[i] * exprdsl.evaluate(
-            exprdsl.parse(b_src[j], 2), list(xs) + list(ys))
+    def t_comps(xs, ys):
+        b = [exprdsl.evaluate(exprdsl.parse(src, 2), list(xs) + list(ys))
+             for src in b_src]
+        return [[ys[i] * b[j] for j in range(n)] for i in range(n)]
 
-    field = TensorField(np.array([[t_comp(i, j) for j in range(n)]
-                                  for i in range(n)], dtype=object),
-                        ("up", "down"), 2, "T")
-    got = sc.covariant_derivative_h(field, sp, p)
+    got = sc.covariant_derivative_h(t_comps, ("up", "down"), sp, p)
 
     def t_val(z):
         env = list(z)
@@ -241,9 +239,14 @@ def test_covariant_derivative_mixed_tensor_against_fd():
 
 
 def test_covariant_derivative_rejects_high_rank():
+    flat = make_family("flat", n=2)
+    cube = [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]]
     with pytest.raises(ValueError, match="rank <= 2"):
-        TensorField(np.empty((2, 2, 2), dtype=object),
-                    ("up", "down", "down"), 2)
+        sc.covariant_derivative_h(lambda xs, ys: cube, ("up", "down", "down"),
+                                  flat, P2)
+    with pytest.raises(ValueError, match="does not match roles"):
+        sc.covariant_derivative_h(lambda xs, ys: list(ys), ("up", "down"),
+                                  flat, P2)
 
 
 def test_frame_rejects_points_outside_domain():
@@ -382,9 +385,28 @@ def test_homogeneity_suite_all_zoo_sprays():
         assert worst <= 1e-9
 
 
+def test_every_spray_is_a_spray_chart_but_the_deformed_one():
+    # a spray is its coefficient function: the families, the induced and
+    # Randers sprays and G + P y are plain `SprayChart`s over a closure
+    from spraylab import finsler as fl
+    from spraylab import projective as pj
+    from spraylab import verify
+    rd = fl.RandersData(A_CURVED, {1: "0.2*x2", 2: "-0.1*x1"}, 2, box=0.8)
+    doc = exprdsl.parse_spray_source("dim = 2\nG1 = x2*y1^2/2\nG2 = 0")
+    flat = make_family("flat", n=2)
+    sprays = [flat, make_family("sphere", n=2), make_family("example72", **EX72),
+              make_family("riemannian", g=A_CURVED, n=2),
+              make_family("randers", a=A_CURVED, b={1: "0.2*x2"}, n=2, box=0.8),
+              make_family("custom", doc=doc),
+              verify.SuiteRunner(flat, sample_points(flat, 1, seed=1)).shifted,
+              fl.induced_spray(rd.metric()), rd.alpha_spray(), rd.deformed_spray()]
+    for sp in sprays:
+        assert type(sp) is sc.SprayChart, sp
+    assert type(pj.deform(flat, pj.VolumeForm("exp(x1)", 2))) is pj.DeformedSpray
+
+
 def test_homogeneity_violation_detected():
-    bad = sc.FunctionSpray(2, lambda xs, ys: [ys[0], 0.0], Box.cube(2, 1.0),
-                           "bad")
+    bad = sc.SprayChart(2, lambda xs, ys: [ys[0], 0.0], Box.cube(2, 1.0), "bad")
     with pytest.raises(ValueError, match="homogeneity"):
         bad.check_homogeneity(sample_points(bad, 5, seed=1))
 
@@ -1171,8 +1193,8 @@ def test_float_s_matches_the_s_jet_value_bit_for_bit(value_zoo):
     # Pi = -0.0 where y1, y2 < 0, and "1+0*x1" reads x with dlog = 0, so
     # there S is -0.0 only if the products y^m dlog_m are +0.0 as in `s_jet`
     from spraylab import projective as pj
-    zeros = ExpressionSpray(2, [exprdsl.parse("0*y1^2", 2), exprdsl.parse("0*y2^2", 2)],
-                            Box.cube(2, 1.0), "signed-zero")
+    zeros = make_custom(doc=exprdsl.parse_spray_source(
+                "dim = 2\nG1 = 0*y1^2\nG2 = 0*y2^2"), label="signed-zero")
     negative = 0
     for sp in value_zoo + [zeros]:
         for sigma in ("1", "exp(x1)", "1+0*x1"):

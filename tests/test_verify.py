@@ -1,4 +1,4 @@
-"""The suite runner itself: groups, applicability logic, hard sprays."""
+"""The suite runner itself: row order, applicability logic, hard sprays."""
 
 import math
 from collections import defaultdict
@@ -8,17 +8,16 @@ import pytest
 from spraylab import cli, exprdsl, verify
 from spraylab import finsler as fl
 from spraylab import projective as pj
-from spraylab.spray_core import Box, ExpressionSpray, make_family, sample_points
+from spraylab.spray_core import make_custom, make_family, sample_points
 
 
 @pytest.fixture(scope="module")
 def nonquad3():
     # coefficients not quadratic in y: nonzero Berwald curvature exercises
     # the curvature-coupling terms of the covariant identities
-    return ExpressionSpray(3, [exprdsl.parse("y1^4/(y1^2+y2^2+y3^2)", 3),
-                               exprdsl.parse("x1*y2^2 + x3*y1*y2", 3),
-                               exprdsl.parse("x2*y3^2", 3)],
-                           Box.cube(3, 1.0), "nonquad3")
+    return make_custom(doc=exprdsl.parse_spray_source(
+               "dim = 3\nG1 = y1^4/(y1^2+y2^2+y3^2)\nG2 = x1*y2^2 + x3*y1*y2\n"
+               "G3 = x2*y3^2"), label="nonquad3")
 
 
 def test_full_suite_on_non_berwaldian_spray(nonquad3):
@@ -44,20 +43,13 @@ def test_full_suite_on_randers_spray():
     assert len(cartan) == 1 and cartan[0].passed is True
 
 
-def test_group_selection(nonquad3):
-    pts = sample_points(nonquad3, 2, seed=1)
-    rows = verify.run_suite(nonquad3, pts, groups=("chi",))
-    assert {r.id for r in rows} == {"chi-route-trace", "chi-route-local",
-                                    "chi-route-T", "chi-homogeneity",
-                                    "chi-y-contraction"}
-    with pytest.raises(ValueError, match="unknown suite groups"):
-        verify.run_suite(nonquad3, pts, groups=("nope",))
-
-
 def test_not_applicable_rows_report_null(nonquad3):
     # this spray is not isotropic: the isotropy-conditional rows must be n/a
     pts = sample_points(nonquad3, 4, seed=2)
-    rows = verify.run_suite(nonquad3, pts, groups=("isotropic",))
+    isotropic = {"isotropic-4idx", "isotropic-grad", "eta-isotropic",
+                 "dual-equivalence-R"}
+    rows = [r for r in verify.run_suite(nonquad3, pts) if r.id in isotropic]
+    assert len(rows) == len(isotropic)
     for r in rows:
         assert r.passed is None
         assert not r.applicable
@@ -82,16 +74,17 @@ def test_row_argmax_points_are_sample_indices(nonquad3):
 def test_four_index_group_at_dimension_four():
     # dim-8 jets: the covariant derivatives of the Bianchi rows at n = 4
     sp = make_family("sphere", n=4, kappa=1.0)
-    rows = verify.run_suite(sp, sample_points(sp, 2, seed=7),
-                            groups=("four-index",))
+    four_index = {s.id for s in verify.ROWS
+                  if s.part in ("four-index", "bianchi-second")}
+    rows = [r for r in verify.run_suite(sp, sample_points(sp, 2, seed=7))
+            if r.id in four_index]
     assert len(rows) == 11
     assert all(r.passed is True for r in rows), [r.id for r in rows]
 
 
 def test_tolerance_override_applies(nonquad3):
     pts = sample_points(nonquad3, 2, seed=4)
-    rows = verify.run_suite(nonquad3, pts, groups=("base",),
-                            tolerances={"homogeneity": 1e-30})
+    rows = verify.run_suite(nonquad3, pts, tolerances={"homogeneity": 1e-30})
     hom = next(r for r in rows if r.id == "homogeneity")
     assert hom.tolerance == 1e-30
     assert hom.passed is False
