@@ -207,25 +207,18 @@ def cmd_evaluate(args) -> int:
     order = args.order if args.order is not None else 4
     if order < 3:
         raise InputError("--order below 3 cannot produce the curvature tables")
-    pt_docs = []
-    for p in points:
-        # the top order first: the lower orders read this one frame
-        top = spray.frame(p, min(order, 4))
-        q = {
-            "G": [g.value for g in top.G],
-            "N": sc.nonlinear_connection(spray, p).tolist(),
-            "R": sc.riemann_two_index(spray, p).tolist(),
-            "Ric_jl": cv.ricci_tensor(spray, p).tolist(),
-            "Ric": cv.ricci_scalar(spray, p),
-            "R_scalar": cv.curvature_scalar(spray, p),
-            "chi": cv.chi_definition(spray, p).tolist(),
-            "T": cv.t_curvature(spray, p).tolist(),
-            "W": cv.weyl(spray, p).tolist(),
-            "S": {v.label: float(pj.s_curvature(spray, v, p)) for v in vols},
-        }
-        if order >= 4:
-            q["eta"] = cv.eta(spray, p).tolist()
-        pt_docs.append({"x": list(p.x), "y": list(p.y), "quantities": q})
+    top, pt_docs = min(order, 4), []
+    for block in sc.point_blocks(points, spray.n, top):
+        frames, S = [], []
+        for p in block:
+            # the top order first: the lower orders and S read this one frame
+            frames.append(spray.frame(p, top))
+            S.append({v.label: float(pj.s_curvature(spray, v, p)) for v in vols})
+        qs = cv.quantities(sc.Frame.block(frames, top))
+        for j, (p, fr) in enumerate(zip(block, frames)):
+            q = {name: t[j].tolist() for name, t in qs.items()}
+            q["G"], q["S"] = [g.value for g in fr.G], S[j]
+            pt_docs.append({"x": list(p.x), "y": list(p.y), "quantities": q})
     cls = cv.classify(spray, points)
     doc = _document(args, "evaluate", sigmas, cls, [], pt_docs)
     _emit(doc, args, time.time() - t0)

@@ -22,8 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from .records import Record
-from .spray_core import (PointTM, SprayChart, carrier_value, plus_outer_y,
-                         rel_residual)
+from .spray_core import (Frame, PointTM, SprayChart, _minus_delta, carrier_value,
+                         plus_outer_y, point_blocks, rel_residual, riemann_values)
 
 FLAG_TOL = 1e-6          # classification flags (looser than identity rows)
 
@@ -69,7 +69,7 @@ def ricci_scalar(G: SprayChart, p: PointTM) -> float:
 
 def curvature_scalar(G: SprayChart, p: PointTM) -> float:
     """R = Ric / (n - 1)."""
-    return ricci_scalar(G, p) / (G.n - 1)
+    return float(G.frame(p, 2).r_scalar[0])
 
 
 def t_curvature(G: SprayChart, p: PointTM) -> np.ndarray:
@@ -78,28 +78,48 @@ def t_curvature(G: SprayChart, p: PointTM) -> np.ndarray:
 
 
 def weyl(G: SprayChart, p: PointTM, route: str = "direct") -> np.ndarray:
-    """Weyl curvature W^i_k; `route` is "direct" or "via_chi".
+    """Weyl curvature W^i_k; `route` is "direct" or "via_chi" (`weyl_values`)."""
+    return weyl_values(G.frame(p, 3), route)
+
+
+def weyl_values(fr: Frame, route: str = "direct") -> np.ndarray:
+    """Weyl curvature W^i_k of a frame or a block (`Frame.block`).
 
     direct:  W^i_k = A^i_k - A^m_{k.m} y^i/(n+1) with A^i_k = R^i_k - R delta^i_k
     via_chi: W^i_k = T^i_k + 3 chi_k y^i/(n+1)
     """
-    fr = G.frame(p, 3)
     n = fr.n
     if route == "via_chi":
-        return plus_outer_y(fr.T, fr.chi, 3.0 / (n + 1), fr.y_table)[0]
+        return plus_outer_y([fr.T[0]], [fr.chi[0]], 3.0 / (n + 1), fr.y_table)[0]
     if route == "direct":
-        Av, dA = (t.copy() for t in fr.R2_table[:2])
-        for t, r in zip((Av, dA), fr.r_scalar):
-            t[np.diag_indices(n)] -= r
-        div = np.einsum("mkm->k", dA[..., n:])           # A^m_{k.m}
-        return Av - np.outer(np.array(p.y), div / (n + 1))
+        A = [t.copy() for t in fr.R2_table[:2]]
+        _minus_delta(A, fr.r_scalar)
+        div = np.einsum("...mkm->...k", A[1][..., n:])          # A^m_{k.m}
+        return A[0] - fr.y[..., :, None] * (div / (n + 1))[..., None, :]
     raise ValueError(f"unknown Weyl route {route!r}")
 
 
 def eta(G: SprayChart, p: PointTM) -> np.ndarray:
-    """eta_k = (1/2) R_{.k|m} y^m - R_{|k}."""
-    fr = G.frame(p, 4)
+    """eta_k = (1/2) R_{.k|m} y^m - R_{|k} (`eta_values`)."""
+    return eta_values(G.frame(p, 4))
+
+
+def eta_values(fr: Frame) -> np.ndarray:
+    """eta_k of a frame or a block of order >= 4."""
     return fr.rapcsak(fr.r_scalar, 0.5)
+
+
+def quantities(fr: Frame) -> dict:
+    """The quantities `spraylab evaluate` reports from a frame or a block,
+    by name: N, R (cross-checked), Ric_jl, Ric, R_scalar, chi, T, W and, at
+    order 4, eta, each read off the frame as its public operation reads it
+    (values alone: no first partials of R4, T or chi are built)."""
+    q = {"N": fr.N_values, "R": riemann_values(fr), "Ric_jl": fr.ric_jl,
+         "Ric": fr.ric[0], "R_scalar": fr.r_scalar[0], "chi": fr.chi[0],
+         "T": fr.T[0], "W": weyl_values(fr)}
+    if fr.order >= 4:
+        q["eta"] = eta_values(fr)
+    return q
 
 
 # -- classification ---------------------------------------------------------------
@@ -129,14 +149,17 @@ class Classification(Record):
 
 
 def classify(G: SprayChart, points) -> Classification:
-    """Classify a spray over a point sample by its T, W and chi residuals."""
+    """Classify a spray over a point sample by its T, W and chi residuals,
+    read off blocks of points (`point_blocks`)."""
     if not points:
         raise ValueError("classification needs a non-empty point set")
-    t_res = w_res = c_res = 0.0
-    for p in points:
-        fr = G.frame(p, 3)
+    worst = [0.0, 0.0, 0.0]
+    for block in point_blocks(points, G.n, 3):
+        fr = Frame.block([G.frame(p, 3) for p in block], 3)
         R2v = fr.R2_table[0]
-        t_res = max(t_res, rel_residual(fr.T[0], R2v))
-        w_res = max(w_res, rel_residual(weyl(G, p, "direct"), R2v))
-        c_res = max(c_res, rel_residual(fr.chi[0], R2v))
-    return Classification(t_res, w_res, c_res)
+        res = [rel_residual(t, R2v, lead=1)
+               for t in (fr.T[0], weyl_values(fr), fr.chi[0])]
+        for i, r in enumerate(res):
+            for v in r.tolist():    # in point order, as max over floats keeps them
+                worst[i] = max(worst[i], v)
+    return Classification(*worst)

@@ -19,6 +19,12 @@ return the value table of the point's frame itself, a read-only float array;
 `covariant_derivative_h` returns a new one.  Fields that these operations
 differentiate (`horizontal_partial`, `covariant_derivative_h`) are carrier
 functions f(xs, ys) too, evaluated on a frame's coordinate jets.
+The float layer also runs on blocks of points (`Frame.block`): a frame over
+the stacked jets of several points' frames, whose tables carry a leading
+point axis, so that a reader of many points (`evaluate`,
+`curvature.classify`) makes one numpy call per block and quantity.  A block
+holds as many points as keep its deepest stacked table, the order-k
+partials of G, within BLOCK_BYTES (`point_blocks`).
 """
 
 from __future__ import annotations
@@ -102,14 +108,21 @@ class PointTM(Frozen):
         return PointTM(self.x, tuple(s * v for v in self.y))
 
 
-def rel_residual(diff, *refs) -> float:
-    """Residual scaled by 1 + the largest component entering the identity."""
+def rel_residual(diff, *refs, lead: int = 0):
+    """Residual scaled by 1 + the largest component entering the identity.
+
+    With `lead` leading point axes (the tables of a block, `Frame.block`) it
+    is one residual per point, an array; otherwise a float.  A NaN component
+    of a reference leaves the scale as it is (`max`, `np.fmax`)."""
     scale = 1.0
     for r in refs:
-        r = np.asarray(r, dtype=float)
+        r = np.abs(np.asarray(r, dtype=float))
         if r.size:
-            scale = max(scale, 1.0 + float(np.abs(r).max()))
-    return float(np.abs(np.asarray(diff, dtype=float)).max() / scale)
+            m = 1.0 + r.max(axis=tuple(range(lead, r.ndim)) if lead else None)
+            scale = np.fmax(scale, m) if lead else max(scale, float(m))
+    diff = np.abs(np.asarray(diff, dtype=float))
+    out = diff.max(axis=tuple(range(lead, diff.ndim)) if lead else None) / scale
+    return out if lead else float(out)
 
 
 # -- generic linear algebra over carriers ---------------------------------------
@@ -210,10 +223,25 @@ def tensor_values(arr) -> np.ndarray:
     return out
 
 
-def plus_outer_y(X, v, c: float, yt) -> list:
+def _at(t, k: int, *ix):
+    """t[..., *ix, :, ..., :] with k whole axes after `ix`: a table's index
+    and slot axes are counted from the right, past any leading point axis."""
+    return t[(Ellipsis,) + ix + (slice(None),) * k]
+
+
+def plus_outer_y(X, v, c: float, yt, lo: int = 0) -> list:
     """X^i_k + c v_k y^i on tables [values(, first partials)], with `yt` the
-    table of y^i (`Frame.y_table`)."""
-    return [x + c * t for x, t in zip(X, _product("i,k->ik", yt, v))]
+    table of y^i (`Frame.y_table`); the orders from `lo` on."""
+    return [x + c * t for x, t in zip(X[lo:], _product("i,k->ik", yt, v, lo))]
+
+
+def _minus_delta(X: list, r, lo: int = 0) -> None:
+    """X^i_k - r delta^i_k in place, on the tables of X (orders lo, lo + 1,
+    ...) and the table of the scalar r (orders from lo on too)."""
+    for q, (t, s) in enumerate(zip(X, r), lo):
+        for m in range(t.shape[-1 - q]):
+            d = _at(t, q, m, m)
+            d -= s
 
 
 def _frozen(tables: list) -> list:
@@ -224,21 +252,25 @@ def _frozen(tables: list) -> list:
 
 
 class _Table:
-    """A curvature table [values, first partials] (`Frame`) built as values
-    alone, and whole on the first read past [0]: `build(depth)` gives it to
-    `depth`, with the bits of `build(0)` in its values.  Most readers of a
-    deep frame take the values alone."""
+    """A curvature table [values, first partials] (`Frame`) built on its
+    first read, to the deepest order that read asks for: `build(lo, hi)`
+    gives the tables of orders lo..hi, and a deeper read adds its orders to
+    the ones already built.  The values of a whole build hold the bits of a
+    values-only one.  Most readers of a deep frame take the values alone;
+    a reader of the whole table (a slice) builds it in one go."""
     __slots__ = ("_build", "_depth", "_t")
 
     def __init__(self, build, depth: int):
-        self._build, self._depth, self._t = build, depth, _frozen(build(0))
+        self._build, self._depth, self._t = build, depth, []
 
     def __len__(self):
         return self._depth + 1
 
     def __getitem__(self, i):
-        if i != 0 and len(self._t) <= self._depth:
-            self._t = _frozen(self._build(self._depth))
+        # an index past the depth builds the whole table, then IndexError
+        top = min(i, self._depth) if isinstance(i, int) and i >= 0 else self._depth
+        if top >= len(self._t):
+            self._t = self._t + _frozen(self._build(len(self._t), top))
         return self._t[i]
 
 
@@ -258,22 +290,24 @@ def _partial_reads(dim: int, k: int):
 
 @lru_cache(maxsize=None)
 def _product_terms(spec: str, q: int) -> list:
-    """(einsum subscripts, slots on A) of each order-q term of `_product`."""
+    """(einsum subscripts, slots on A) of each order-q term of `_product`;
+    a leading `...` carries any point axis."""
     a, b, c = spec.replace("->", ",").split(",")
     s, terms = "zw"[:q], []
     for on_a in itertools.product((True, False), repeat=q):
         p = "".join(x for x, t in zip(s, on_a) if t)
         r = "".join(x for x, t in zip(s, on_a) if not t)
-        terms.append((f"{a}{p},{b}{r}->{c}{s}", len(p)))
+        terms.append((f"...{a}{p},...{b}{r}->...{c}{s}", len(p)))
     return terms
 
 
-def _product(spec: str, A: list, B: list) -> list:
+def _product(spec: str, A: list, B: list, lo: int = 0) -> list:
     """Table of the einsum `spec` of two tables [values, first, ...], by the
-    product rule: each slot of a partial falls on A or on B."""
+    product rule: each slot of a partial falls on A or on B.  It holds the
+    orders from `lo` on (each order's terms read only A and B)."""
     return [carrier_sum([np.einsum(sub, A[i], B[q - i])
                          for sub, i in _product_terms(spec, q)])
-            for q in range(min(len(A), len(B)))]
+            for q in range(lo, min(len(A), len(B)))]
 
 
 # -- the jet workshop ------------------------------------------------------------
@@ -293,17 +327,44 @@ class Frame:
     computed from those.  R2, Ric and R are [values] at order 2 and gain a
     partial per order up to 4; the other curvature tables are [values] at
     order 3 and [values, first partials] deeper, the slot last as in
-    `table`; R4 and T build the partials on their first read (`_Table`).
+    `table`; R4, T and chi build each order on its first read (`_Table`).
     `hpart` and `cov_h` take the horizontal derivative of any such
     table, one partial shorter.
+
+    A block (`Frame.block`) is a frame over the stacked jets of several
+    points' frames: every float table gains a leading point axis (`lead`
+    is 1), one entry per point, and runs the same code, since every einsum
+    spec starts with `...` and every slice counts its index and slot axes
+    from the right (`_at`) or past the point axis (`_slots`).  Per point,
+    its tables hold the bits of the point's own frame.  A block has no point
+    of its own, so no coordinate jets and no Pi; `point_blocks` bounds its
+    size.
     """
+
+    lead = 0        # leading point axes of every float table (1 on a block)
 
     def __init__(self, spray: "SprayChart", point: PointTM, order: int):
         self.spray = spray
         self.point = point
         self.order = order
         self.n = spray.n
+        self.y = np.array(point.y)
         self.G = spray._make_coefficient_jets(self)
+
+    @classmethod
+    def block(cls, frames: list, order: int) -> "Frame":
+        """The block over `frames` (one spray's, each of order >= `order`),
+        as a frame of order `order`: G is their jets stacked as an object
+        array [point, i], y their y^i as [point, i].  It is not a frame
+        build: no coefficients are evaluated (`__init__` is not run)."""
+        fr = cls.__new__(cls)
+        fr.spray, fr.point, fr.order, fr.n = frames[0].spray, None, order, frames[0].n
+        fr.lead = 1
+        fr.y = np.array([f.y for f in frames])
+        fr.G = np.empty((len(frames), fr.n), dtype=object)
+        for row, f in zip(fr.G, frames):
+            row[:] = f.G
+        return fr
 
     # x^i and y^i as jets, lifted on first use: few frames read them (S and
     # the deformed coefficients read y^i), and frames stay cached
@@ -322,7 +383,8 @@ class Frame:
         second[..., a, b] the mixed one.  They are read off the normalized
         coefficients (partial = coefficient * alpha!) through the order-k
         prefix that jets of every order >= k share.  It needs no frame: the
-        Finsler layer reads the partials of L = F^2 through it too.
+        Finsler layer reads the partials of L = F^2 through it too.  Any
+        object array of jets stacks: a block's G gives tables [point, i, ...].
         """
         arr = np.asarray(arr, dtype=object)
         if not 0 <= k <= min(j.order for j in arr.flat):
@@ -338,26 +400,36 @@ class Frame:
             raise ValueError(f"{name} needs a frame of order >= {low}, not {self.order}")
         return min(deepest, self.order - low)
 
-    def _g_partials(self, k: int, low: int) -> list:
-        """The partials of G of orders low..k, as in `table(G, k)`."""
-        return self.table(self.G, k)[low:] if k >= low else []
+    def _slots(self, *slots) -> tuple:
+        """The index that cuts the first slot axes of a table of G (`table`)
+        to `slots`: they follow its point axis, if any, and its axis i."""
+        return (slice(None),) * (self.lead + 1) + slots
 
-    def hpart(self, T, N=None) -> list:
+    def _g_partials(self, k: int, low: int, *slots) -> list:
+        """The partials of G of orders low..k, as in `table(G, k)`, each with
+        its first slot axes cut to `slots`."""
+        cut = self._slots(*slots)
+        return [t[cut] for t in self.table(self.G, k)[low:]] if k >= low else []
+
+    def hpart(self, T, N=None, lo: int = 0) -> list:
         """Horizontal derivative delta T/delta x^m = dT/dx^m - N^s_m dT/dy^s.
 
         T is a table [values, first, ...] (`table`) of any rank; the result
         is the table of delta T/delta x^m, one partial shorter, with m a
-        trailing index axis before the slot axes.  Its partials come by the
-        product rule on the table of N (`table(G, depth)`, depth that of T);
-        `N`, a table of N^s_m at the point (another spray's, or R4's), replaces it.
+        trailing index axis before the slot axes, from order `lo` on.  Its
+        partials come by the product rule on the table of N (`table(G,
+        depth)`, depth that of T); `N`, a table of N^s_m at the point
+        (another spray's, or R4's), replaces it.
         """
-        n, rank, depth = self.n, T[0].ndim, len(T) - 1
+        n, rank, depth = self.n, T[0].ndim - self.lead, len(T) - 1
         if N is None:   # the contiguous N_values: einsum's bits follow strides
-            N = [self.N_values] + [t[:, n:] for t in self._g_partials(depth, 2)]
-        x, y = ((slice(None),) * rank + (s,) for s in (slice(None, n), slice(n, None)))
+            N = [self.N_values] + self._g_partials(depth, 2, slice(n, None))
+        # the first slot axis of every partial follows the axes of the values
+        x, y = ((slice(None),) * T[0].ndim + (s,)
+                for s in (slice(None, n), slice(n, None)))
         idx = "abcdefgh"[:rank]
-        NTy = _product(f"{idx}s,sm->{idx}m", [t[y] for t in T[1:]], N)
-        return [t[x] - d for t, d in zip(T[1:], NTy)]
+        NTy = _product(f"{idx}s,sm->{idx}m", [t[y] for t in T[1:]], N, lo)
+        return [t[x] - d for t, d in zip(T[1 + lo:], NTy)]
 
     def cov_h(self, T, roles, conn=None) -> list:
         """Horizontal covariant derivative T_{|m} of a table T (`table`).
@@ -374,8 +446,8 @@ class Frame:
                 raise ValueError("a float connection takes tables of depth 1")
             N, Gamma = [conn[0]], [conn[1]]
         else:
-            N, Gamma = None, [self.Gamma_values] + [
-                t[:, n:, n:] for t in self._g_partials(depth + 1, 3)]
+            N, Gamma = None, [self.Gamma_values] + self._g_partials(
+                depth + 1, 3, slice(n, None), slice(n, None))
         out = self.hpart(T, N)
         idx = "abcdefgh"[: len(roles)]
         for axis, role in enumerate(roles):
@@ -395,36 +467,40 @@ class Frame:
         gives the Rapcsak residual, a = 1/2 the dual-equivalence residual and
         eta (L = R).
         """
-        n = self.n
+        y = slice(self.n, None)
         v, g, h = L
-        Lvh = self.cov_h([g[n:], h[n:]], ("down",), conn)[0]   # [k, m] = L_{.k|m}
-        return a * (Lvh @ np.array(self.point.y)) - self.cov_h([v, g], (), conn)[0]
+        Lvh = self.cov_h([_at(g, 0, y), _at(h, 1, y)], ("down",), conn)[0]  # L_{.k|m}
+        # a matrix product per point: the bits of Lvh @ y at each point
+        return a * (Lvh @ self.y[..., None])[..., 0] - self.cov_h([v, g], (), conn)[0]
 
     # -- connection and curvature fields ----------------------------------------
 
     @cached_property
     def N_values(self) -> np.ndarray:
         """Nonlinear connection N^i_j = dG^i/dy^j as floats."""
-        return _frozen([self.table(self.G, 1)[1][:, self.n:].copy()])[0]
+        y = slice(self.n, None)
+        return _frozen([self.table(self.G, 1)[1][self._slots(y)].copy()])[0]
 
     @cached_property
     def Gamma_values(self) -> np.ndarray:
         """Berwald connection Gamma^i_jk = d^2G^i/dy^j dy^k as floats."""
-        return _frozen([self.table(self.G, 2)[2][:, self.n:, self.n:].copy()])[0]
+        y = slice(self.n, None)
+        return _frozen([self.table(self.G, 2)[2][self._slots(y, y)].copy()])[0]
 
     @cached_property
     def y_table(self):
         """y^j as a table [values, first, second]: delta in its y slot."""
         n = self.n
-        return _frozen([np.array(self.point.y), np.eye(n, 2 * n, n),
-                        np.zeros((n, 2 * n, 2 * n))])
+        first = np.zeros(self.y.shape + (2 * n,))
+        first[..., n:] = np.eye(n)
+        return _frozen([self.y, first, np.zeros(first.shape + (2 * n,))])
 
     @cached_property
     def B(self):
         """Berwald curvature B^{ i}_{j kl} = d^3G^i/dy^j dy^k dy^l, stored [i,j,k,l]."""
         n, depth = self.n, self._depth("B")
-        return _frozen([t[:, n:, n:, n:].copy()
-                        for t in self.table(self.G, depth + 3)[3:]])
+        y = slice(n, None)
+        return _frozen([t.copy() for t in self._g_partials(depth + 3, 3, y, y, y)])
 
     @cached_property
     def Pi(self):
@@ -445,12 +521,13 @@ class Frame:
         Gt = self.table(self.G, depth + 2)
         x, y = slice(None, n), slice(n, None)
 
-        def part(q, *slots):    # table of the order-q partials of G in `slots`
-            return [Gt[q + e][(slice(None),) + slots] for e in range(depth + 1)]
+        def part(*slots):   # table of the partials of G in `slots`
+            cut = self._slots(*slots)
+            return [Gt[len(slots) + e][cut] for e in range(depth + 1)]
 
-        terms = zip(part(1, x), _product("j,ijk->ik", self.y_table, part(2, x, y)),
-                    _product("j,ijk->ik", part(0), part(2, y, y)),
-                    _product("ij,jk->ik", part(1, y), part(1, y)))
+        terms = zip(part(x), _product("j,ijk->ik", self.y_table, part(x, y)),
+                    _product("j,ijk->ik", part(), part(y, y)),
+                    _product("ij,jk->ik", part(y), part(y)))
         return _frozen([2.0 * dx - yH + 2.0 * GG - NN for dx, yH, GG, NN in terms])
 
     @cached_property
@@ -465,25 +542,26 @@ class Frame:
         A[i,j,k,l] = delta Gamma^i_jl / delta x^k + Gamma^i_ks Gamma^s_jl,
         R4 = A - (A with k, l swapped).
         """
-        n = self.n
+        y = slice(self.n, None)
 
-        def build(depth):
+        def build(lo, depth):
             Gt = self.table(self.G, depth + 3)
-            Gm = [t[:, n:, n:] for t in Gt[2:]]         # Gamma and its partials
-            hG = self.hpart(Gm, [t[:, n:] for t in Gt[1: depth + 2]])   # [i,j,l,m]
-            GG = _product("iks,sjl->ijkl", Gm[:depth + 1], Gm)
+            Gm = [t[self._slots(y, y)] for t in Gt[2:]]         # Gamma, partials
+            N = [t[self._slots(y)] for t in Gt[1: depth + 2]]
+            hG = self.hpart(Gm, N, lo)                              # [i,j,l,m]
+            GG = _product("iks,sjl->ijkl", Gm[:depth + 1], Gm, lo)
             out = []
-            for h, gg in zip(hG, GG):
-                A = np.swapaxes(h, 2, 3) + gg
-                out.append(A - np.swapaxes(A, 2, 3))
+            for q, (h, gg) in enumerate(zip(hG, GG), lo):
+                A = np.swapaxes(h, -2 - q, -1 - q) + gg
+                out.append(A - np.swapaxes(A, -2 - q, -1 - q))
             return out
         return _Table(build, self._depth("R4"))
 
     @cached_property
     def ric(self):
         """Ricci scalar Ric = R^m_m with its partials: the trace of `R2_table`."""
-        return _frozen([np.asarray(carrier_sum(t[m, m] for m in range(self.n)))
-                        for t in self.R2_table])
+        return _frozen([np.asarray(carrier_sum(_at(t, q, m, m) for m in range(self.n)))
+                        for q, t in enumerate(self.R2_table)])
 
     @cached_property
     def r_scalar(self):
@@ -493,32 +571,38 @@ class Frame:
     @cached_property
     def chi(self):
         """chi_k = -(1/6) {dRic/dy^k + 2 dR^m_k/dy^m}, from `R2_table`."""
-        n, _ = self.n, self._depth("chi")
-        out = []
-        for d, ric in zip(self.R2_table[1:], self.ric[1:]):
-            t = carrier_sum([ric[n:]] + [2.0 * d[m, :, n + m] for m in range(n)])
-            out.append(t / -6.0)
-        return _frozen(out)
+        n = self.n
+
+        def build(lo, depth):
+            out = []
+            for q in range(lo, depth + 1):
+                d, ric = self.R2_table[q + 1], self.ric[q + 1]
+                t = carrier_sum([_at(ric, q, slice(n, None))]
+                                + [2.0 * _at(d, q, m, slice(None), n + m)
+                                   for m in range(n)])
+                out.append(t / -6.0)
+            return out
+        return _Table(build, self._depth("chi"))
 
     @cached_property
     def T(self):
         """T^i_k = R^i_k - {R delta^i_k - (1/2) dR/dy^k y^i}, from `R2_table`."""
-        n = self.n
+        y = slice(self.n, None)
 
-        def build(depth):
+        def build(lo, depth):
             R = self.r_scalar
             out = plus_outer_y(self.R2_table[:depth + 1],
-                               [d[n:] for d in R[1:depth + 2]], 0.5, self.y_table)
-            for t, r in zip(out, R):
-                t[np.diag_indices(n)] -= r
+                               [_at(d, q, y) for q, d in enumerate(R[1:depth + 2])],
+                               0.5, self.y_table, lo)
+            _minus_delta(out, R[lo:], lo)
             return out
         return _Table(build, self._depth("T"))
 
     @cached_property
     def ric_jl(self) -> np.ndarray:
         """Ricci tensor Ric_jl = (R^{ m}_{j ml} + R^{ m}_{l mj}) / 2, as floats."""
-        ric = np.einsum("mjml->jl", self.R4[0])
-        return _frozen([0.5 * (ric + ric.T)])[0]
+        ric = np.einsum("...mjml->...jl", self.R4[0])
+        return _frozen([0.5 * (ric + np.swapaxes(ric, -1, -2))])[0]
 
 
 # -- spray charts -----------------------------------------------------------------
@@ -627,14 +711,22 @@ def berwald_curvature(G: SprayChart, p: PointTM) -> np.ndarray:
 
 def riemann_two_index(G: SprayChart, p: PointTM) -> np.ndarray:
     """R^i_k by the direct spray formula, cross-asserted against y^j R4 y^l."""
-    fr = G.frame(p, 3)
+    return riemann_values(G.frame(p, 3))
+
+
+def riemann_values(fr: Frame) -> np.ndarray:
+    """R^i_k of a frame or a block (`R2_table`), checked at every point
+    against the contraction y^j R^{ i}_{j kl} y^l; the first point that
+    disagrees raises CrossCheckError."""
     direct = fr.R2_table[0]
-    contracted = np.einsum("ijkl,j,l->ik", fr.R4[0], p.y, p.y)
-    res = rel_residual(direct - contracted, direct, contracted)
-    if res > CROSS_CHECK_TOL:
+    contracted = np.einsum("...ijkl,...j,...l->...ik", fr.R4[0], fr.y, fr.y)
+    res = np.ravel(rel_residual(direct - contracted, direct, contracted,
+                                lead=fr.lead))
+    bad = res[res > CROSS_CHECK_TOL]
+    if bad.size:
         raise CrossCheckError(
-            f"{G.label}: direct two-index curvature disagrees with the "
-            f"four-index contraction (residual {res:.2e} > {CROSS_CHECK_TOL:.0e})")
+            f"{fr.spray.label}: direct two-index curvature disagrees with the "
+            f"four-index contraction (residual {bad[0]:.2e} > {CROSS_CHECK_TOL:.0e})")
     return direct
 
 
@@ -689,6 +781,21 @@ def sample_points(spray: SprayChart, count: int, seed: int):
     return pts
 
 
+BLOCK_BYTES = 1 << 18    # the deepest stacked table of one block (`point_blocks`)
+
+
+def point_blocks(points: list, n: int, order: int) -> list:
+    """`points` cut into consecutive blocks for `Frame.block` at `order`.
+
+    A block holds as many points as keep its deepest stacked table, the
+    order-`order` partials of G (n (2n)^order floats per point), within
+    BLOCK_BYTES: 8 points for n = 3 at order 4.  So the memory of a block
+    does not grow with the point count, and its tables stay small enough to
+    be read from cache."""
+    step = max(1, BLOCK_BYTES // (8 * n * (2 * n) ** order))
+    return [points[i:i + step] for i in range(0, len(points), step)]
+
+
 # -- the spray zoo ---------------------------------------------------------------------
 
 def _parse_x_expr(src, n, what):
@@ -721,19 +828,41 @@ def metric_draws(asts, n: int, box: Box, letter: str):
     """The metric of entries `asts` at the x of `box.check_sample()`: yields
     (x, evaluation memo, values) at each, after refusing one that is not
     positive definite (a ValueError naming the metric by `letter` and the
-    point).  A singular value passes: its caller names it."""
+    point).  A singular value passes: its caller names it.
+
+    Each draw evaluates its distinct entries (equal entries are one node)
+    through one memo, and one Cholesky factorization tests the stack of all
+    draws; only when it fails are the draws tested one by one, so the first
+    indefinite draw is the one named.  A draw that cannot be evaluated
+    raises once the draws before it are yielded, as if they came one at a
+    time."""
+    entries = list({id(a): a for row in asts for a in row}.values())
+    draws, failure = [], None
     for x in box.check_sample():
         x = list(x) + [0.0] * n
         memo = {}
-        v = np.array([[carrier_value(exprdsl.evaluate(asts[i][j], x, memo))
-                       for j in range(n)] for i in range(n)])
         try:
-            np.linalg.cholesky(v)
-        except np.linalg.LinAlgError:
-            if np.linalg.slogdet(v)[0] != 0.0:     # sign 0: singular
-                raise ValueError(f"metric {letter}_ij is not positive definite "
-                                 f"at x = {tuple(x[:n])}") from None
+            val = {id(a): carrier_value(exprdsl.evaluate(a, x, memo)) for a in entries}
+        except ArithmeticError as e:    # a domain error, raised in its turn below
+            failure = e
+            break
+        draws.append((x, memo, np.array([[val[id(a)] for a in row] for row in asts])))
+    try:
+        np.linalg.cholesky(np.array([v for _, _, v in draws]).reshape(-1, n, n))
+        definite = True
+    except np.linalg.LinAlgError:
+        definite = False
+    for x, memo, v in draws:
+        if not definite:
+            try:
+                np.linalg.cholesky(v)
+            except np.linalg.LinAlgError:
+                if np.linalg.slogdet(v)[0] != 0.0:     # sign 0: singular
+                    raise ValueError(f"metric {letter}_ij is not positive definite "
+                                     f"at x = {tuple(x[:n])}") from None
         yield x, memo, v
+    if failure is not None:
+        raise failure
 
 
 def _truncated(v, order: int):

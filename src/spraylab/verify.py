@@ -96,7 +96,8 @@ class PointData:
     B = cached_property(lambda pt: pt.fr.B[0])
     # order-4 tables: R^i_k to second partials, R^{ i}_{j kl} to first
     R2 = cached_property(lambda pt: pt.fr.R2_table)
-    R4 = cached_property(lambda pt: pt.fr.R4)
+    # (read whole: one build of both orders, not the values and then the rest)
+    R4 = cached_property(lambda pt: pt.fr.R4[:])
     # R^p_{ kl} = y^j R^{ p}_{j kl} and its first partials
     R3 = cached_property(lambda pt: _product("pjkl,j->pkl", pt.R4, pt.fr.y_table))
     # horizontal covariant derivatives, direction last: [i,j,k,l,m] = R^{ i}_{j kl|m}
@@ -105,7 +106,7 @@ class PointData:
     covR3 = cached_property(lambda pt: pt.fr.cov_h(pt.R3, ROLES4[:3])[0])
     covR2 = cached_property(lambda pt: pt.fr.cov_h(pt.R2[:2], ROLES4[:2])[0])
     weyl = cached_property(lambda pt: cv.weyl(pt.spray, pt.p, "direct"))
-    eta = cached_property(lambda pt: pt.fr.rapcsak(pt.fr.r_scalar, 0.5))
+    eta = cached_property(lambda pt: cv.eta_values(pt.fr))
     volumes = cached_property(lambda pt: [VolumeData(pt, dV) for dV in pt.run.volumes])
 
     def euler(self):

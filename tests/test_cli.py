@@ -415,14 +415,43 @@ def test_a_cli_process_ends_as_main_returns(capsys):
 
 
 def test_evaluate_builds_the_values_of_r4_and_t_alone(monkeypatch, capsys):
-    # evaluate reads R4[0] and T[0] of order-4 frames: no first partials
-    depths = []
+    # evaluate reads R4[0], T[0] and chi[0] of order-4 blocks: no first
+    # partials, and each table is built on a block, not on a point's frame
+    builds = []
     init = sc._Table.__init__
     monkeypatch.setattr(sc._Table, "__init__", lambda t, build, depth: init(
-        t, lambda d: depths.append(d) or build(d), depth))
+        t, lambda lo, hi, b=build: builds.append((lo, hi)) or b(lo, hi), depth))
+    blocks = []
+    block = sc.Frame.block
+    monkeypatch.setattr(sc.Frame, "block", lambda frames, order: blocks.append(
+        len(frames)) or block(frames, order))
     code, _, _ = run_cli("evaluate", "--spray", "sphere(n=3,kappa=1)",
                          "--points", "2", capsys=capsys)
-    assert code == 0 and depths and set(depths) == {0}, depths
+    # R4, T and chi on the evaluate block and T and chi on the classify block
+    assert code == 0 and blocks == [2, 2], blocks
+    assert builds and set(builds) == {(0, 0)} and len(builds) == 5, builds
+
+
+def test_evaluate_memory_does_not_grow_with_the_point_count(monkeypatch, capsys):
+    # evaluate (and its classification) stacks the jets of one block of
+    # points at a time: the leading axis of every stacked table stops growing
+    # with the point count, and its deepest partials stay within BLOCK_BYTES
+    reads = []
+    table = sc.Frame.table
+    monkeypatch.setattr(sc.Frame, "table", staticmethod(
+        lambda arr, k: reads.append((np.shape(arr), k)) or table(arr, k)))
+    largest = {}
+    for count in (3, 100, 200):
+        reads.clear()
+        code, out, _ = run_cli("evaluate", "--spray", "sphere(n=3,kappa=1)",
+                               "--points", str(count), capsys=capsys)
+        assert code == 0 and len(json.loads(out)["points"]) == count
+        stacked = [(s[0], k) for s, k in reads if len(s) == 2]
+        assert stacked and {s[-1:] for s, _ in reads} == {(3,)}
+        for points, k in stacked:
+            assert points * 8 * 3 * 6 ** k <= sc.BLOCK_BYTES, (count, points, k)
+        largest[count] = max(points for points, _ in stacked)
+    assert largest[3] == 3 and largest[100] == largest[200] < 100, largest
 
 
 def test_json_byte_determinism(capsys):

@@ -839,25 +839,162 @@ def test_lower_orders_read_the_leading_tables_of_the_one_frame(value_zoo):
 
 def test_r4_and_t_build_their_partials_on_the_first_read_past_the_values(
         monkeypatch):
-    # R4 and T of an order-4 frame are built as values alone; indexing past
-    # [0] builds the whole table, whose values hold the same bits
-    depths = []
+    # R4, T and chi of an order-4 frame are built as values alone on the
+    # first read of [0]; a read past [0] adds the first partials alone, and a
+    # first read of the whole table builds both orders at once; both hold
+    # the same bits
+    builds = []
     init = sc._Table.__init__
     monkeypatch.setattr(sc._Table, "__init__", lambda t, build, depth: init(
-        t, lambda d: depths.append(d) or build(d), depth))
+        t, lambda lo, hi, b=build: builds.append((lo, hi)) or b(lo, hi), depth))
     sp = make_family("sphere", n=3, kappa=1.0)
     (p,) = sample_points(sp, 1, seed=3)
-    for name in ("R4", "T"):
+    for name in ("R4", "T", "chi"):
         lazy, whole = sc.Frame(sp, p, 4), sc.Frame(sp, p, 4)
-        depths.clear()
+        builds.clear()
         values = getattr(lazy, name)[0]
-        assert depths == [0] and len(getattr(lazy, name)) == 2, name
+        assert builds == [(0, 0)] and len(getattr(lazy, name)) == 2, name
         table = getattr(whole, name)[:]
-        assert depths == [0, 0, 1] and len(table) == 2, name
+        assert builds == [(0, 0), (0, 1)] and len(table) == 2, name
         assert values.tobytes() == table[0].tobytes(), name
         assert getattr(lazy, name)[1].tobytes() == table[1].tobytes(), name
         assert getattr(lazy, name)[0].tobytes() == values.tobytes(), name
-        assert depths == [0, 0, 1, 1], name
+        assert builds == [(0, 0), (0, 1), (1, 1)], name
+        with pytest.raises(IndexError):
+            getattr(lazy, name)[2]
+
+
+# the float tables of a frame that a block stacks, with the lowest order
+# that defines each (R4, T and chi are read whole)
+BLOCK_TABLES = (("N_values", 1), ("Gamma_values", 2), ("y_table", 1),
+                ("R2_table", 2), ("ric", 2), ("r_scalar", 2), ("B", 3),
+                ("R4", 3), ("chi", 3), ("T", 3), ("ric_jl", 3))
+
+
+def _tables(fr, name):
+    t = getattr(fr, name)
+    return [t] if isinstance(t, np.ndarray) else list(t[:])
+
+
+def test_block_tables_equal_the_per_point_operations_bit_for_bit(value_zoo):
+    # a block's tables, and the readers run on them, hold at each point the
+    # bits of that point's own frame and of the public per-point operations
+    from spraylab import curvature as cv
+    from spraylab import projective as pj
+    ROLES = ("up", "down")
+    for sp in value_zoo:
+        points = sample_points(sp, 5, seed=61)
+        for spray in (sp, pj.deform(sp, pj.VolumeForm("exp(x1)", sp.n))):
+            for order in (3, 4):
+                frames = [sc.Frame(spray, p, order) for p in points]
+                public = [
+                    ("N", sc.nonlinear_connection, lambda b: b.N_values),
+                    ("Gamma", sc.berwald_connection, lambda b: b.Gamma_values),
+                    ("B", sc.berwald_curvature, lambda b: b.B[0]),
+                    ("R", sc.riemann_two_index, sc.riemann_values),
+                    ("R4", sc.riemann_four_index, lambda b: b.R4[0]),
+                    ("chi", cv.chi_definition, lambda b: b.chi[0]),
+                    ("Ric_jl", cv.ricci_tensor, lambda b: b.ric_jl),
+                    ("Ric", cv.ricci_scalar, lambda b: b.ric[0]),
+                    ("R_scalar", cv.curvature_scalar, lambda b: b.r_scalar[0]),
+                    ("T", cv.t_curvature, lambda b: b.T[0]),
+                    ("W", cv.weyl, cv.weyl_values),
+                    ("W-via-chi", lambda G, p: cv.weyl(G, p, "via_chi"),
+                     lambda b: cv.weyl_values(b, "via_chi"))]
+                if order == 4:
+                    public += [("eta", cv.eta, cv.eta_values),
+                               ("chi-from-T", cv.chi_from_t, lambda b: np.einsum(
+                                   "...mkm->...k", b.T[1][..., sp.n:]) / -3.0)]
+                for size in (1, 2):     # 5 points in blocks of 2: a ragged last one
+                    for i in range(0, len(points), size):
+                        block = sc.Frame.block(frames[i:i + size], order)
+                        assert block.lead == 1 and block.order == order
+                        for j, (p, fr) in enumerate(zip(points[i:i + size],
+                                                        frames[i:i + size])):
+                            where = (spray.label, order, size, i + j)
+                            for name, low in BLOCK_TABLES:
+                                if order < low:
+                                    continue
+                                got, want = _tables(block, name), _tables(fr, name)
+                                assert len(got) == len(want), (name, where)
+                                for g, w in zip(got, want):
+                                    assert np.array_equal(g[j], w), (name, where)
+                            derived = [
+                                ("hpart", lambda f: f.hpart(f.R2_table)),
+                                ("cov_h", lambda f: f.cov_h(f.R2_table[:2], ROLES)),
+                                ("rapcsak", lambda f: [f.rapcsak(f.r_scalar[:3])])]
+                            for name, op in derived[: 3 if order == 4 else 2]:
+                                for g, w in zip(op(block), op(fr), strict=True):
+                                    assert np.array_equal(g[j], w), (name, where)
+                            for name, op, reader in public:
+                                assert np.array_equal(reader(block)[j], op(spray, p)), \
+                                    (name, where)
+                            q = sc.rel_residual(block.T[0], block.R2_table[0], lead=1)
+                            assert q[j] == sc.rel_residual(fr.T[0], fr.R2_table[0])
+
+
+def test_riemann_values_name_the_first_point_that_disagrees(value_zoo):
+    # the cross-check of R^i_k against y^j R^{ i}_{j kl} y^l runs on a whole
+    # block and raises at its first failing point, with the message that
+    # point's own frame gives
+    sp = value_zoo[0]
+    frames = [sc.Frame(sp, p, 3) for p in sample_points(sp, 3, seed=5)]
+    block = sc.Frame.block(frames, 3)
+    R2 = block.R2_table[0].copy()
+    R2[1] += 1e-3
+    R2[2] += 1.0
+    block.__dict__["R2_table"] = [R2]
+    frames[1].__dict__["R2_table"] = [R2[1]]
+    messages = []
+    for fr in (block, frames[1]):
+        with pytest.raises(sc.CrossCheckError) as e:
+            sc.riemann_values(fr)
+        messages.append(str(e.value))
+    assert messages[0] == messages[1] and "two-index curvature" in messages[0]
+    assert sc.riemann_values(frames[0]) is frames[0].R2_table[0]
+
+
+def test_point_blocks_bound_the_stacked_tables():
+    # the deepest stacked table of a block, n (2n)^order floats a point,
+    # stays within BLOCK_BYTES; every point is in exactly one block, in order
+    points = list(range(23))
+    for n, order, size in ((3, 4, 8), (4, 4, 2), (2, 4, 64), (3, 3, 50),
+                           (8, 4, 1)):
+        blocks = sc.point_blocks(points, n, order)
+        assert len(blocks[0]) == min(size, len(points)), (n, order)
+        assert [p for b in blocks for p in b] == points
+        if size > 1:
+            assert size * 8 * n * (2 * n) ** order <= sc.BLOCK_BYTES
+
+
+def test_metric_draws_name_the_first_indefinite_draw():
+    # one Cholesky factorization tests the stack of draws; when it fails, the
+    # draws before the first indefinite one are still yielded and that one is
+    # named; a draw that cannot be evaluated raises in its turn
+    box = Box.cube(2, 1.0)
+    xs = box.check_sample()
+    assert [i for i, x in enumerate(xs) if x[0] < -0.93] == [10]
+    assert [i for i, x in enumerate(xs) if x[1] >= 0.85] == [4, 13]
+
+    def drawn(g22, error):
+        asts = sc._normalize_metric({(1, 1): "x1 + 0.93", (2, 2): g22}, 2)
+        got = []
+        with pytest.raises(error) as e:
+            for x, memo, v in sc.metric_draws(asts, 2, box, "g"):
+                assert x[2:] == [0.0, 0.0] and memo and v.shape == (2, 2)
+                got.append(tuple(x[:2]))
+        return got, str(e.value)
+
+    indefinite = f"metric g_ij is not positive definite at x = {xs[10]}"
+    assert drawn("1", ValueError) == (xs[:10], indefinite)
+    # draw 13 cannot be evaluated: draw 10 is named all the same
+    assert drawn("1 + 0*log(0.95 - x2)", ValueError) == (xs[:10], indefinite)
+    # draw 4 cannot be evaluated: its error, after draws 0-3
+    got, msg = drawn("1 + 0*log(0.85 - x2)", exprdsl.ExprDomainError)
+    assert got == xs[:4] and "log of non-positive value" in msg
+    # a singular metric passes to its caller
+    singular = sc._normalize_metric({(1, 1): "1", (2, 2): "1", (1, 2): "1"}, 2)
+    assert len(list(sc.metric_draws(singular, 2, box, "g"))) == 20
 
 
 def _leaves(v):
