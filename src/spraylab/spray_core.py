@@ -229,16 +229,15 @@ def _at(t, k: int, *ix):
     return t[(Ellipsis,) + ix + (slice(None),) * k]
 
 
-def plus_outer_y(X, v, c: float, yt, lo: int = 0) -> list:
+def plus_outer_y(X, v, c: float, yt) -> list:
     """X^i_k + c v_k y^i on tables [values(, first partials)], with `yt` the
-    table of y^i (`Frame.y_table`); the orders from `lo` on."""
-    return [x + c * t for x, t in zip(X[lo:], _product("i,k->ik", yt, v, lo))]
+    table of y^i (`Frame.y_table`)."""
+    return [x + c * t for x, t in zip(X, _product("i,k->ik", yt, v))]
 
 
-def _minus_delta(X: list, r, lo: int = 0) -> None:
-    """X^i_k - r delta^i_k in place, on the tables of X (orders lo, lo + 1,
-    ...) and the table of the scalar r (orders from lo on too)."""
-    for q, (t, s) in enumerate(zip(X, r), lo):
+def _minus_delta(X: list, r) -> None:
+    """X^i_k - r delta^i_k in place, on the tables of X and of the scalar r."""
+    for q, (t, s) in enumerate(zip(X, r)):
         for m in range(t.shape[-1 - q]):
             d = _at(t, q, m, m)
             d -= s
@@ -253,11 +252,10 @@ def _frozen(tables: list) -> list:
 
 class _Table:
     """A curvature table [values, first partials] (`Frame`) built on its
-    first read, to the deepest order that read asks for: `build(lo, hi)`
-    gives the tables of orders lo..hi, and a deeper read adds its orders to
-    the ones already built.  The values of a whole build hold the bits of a
-    values-only one.  Most readers of a deep frame take the values alone;
-    a reader of the whole table (a slice) builds it in one go."""
+    first read: values alone for a read of [0], the whole table for any
+    other read (`build(depth)`, with the bits of `build(0)` in its values).
+    Most readers of a deep frame take the values alone; a reader of the
+    whole table reads a slice first, so that it builds once."""
     __slots__ = ("_build", "_depth", "_t")
 
     def __init__(self, build, depth: int):
@@ -267,10 +265,9 @@ class _Table:
         return self._depth + 1
 
     def __getitem__(self, i):
-        # an index past the depth builds the whole table, then IndexError
-        top = min(i, self._depth) if isinstance(i, int) and i >= 0 else self._depth
-        if top >= len(self._t):
-            self._t = self._t + _frozen(self._build(len(self._t), top))
+        depth = 0 if i == 0 else self._depth     # a slice is not 0
+        if len(self._t) <= depth:
+            self._t = _frozen(self._build(depth))
         return self._t[i]
 
 
@@ -301,13 +298,12 @@ def _product_terms(spec: str, q: int) -> list:
     return terms
 
 
-def _product(spec: str, A: list, B: list, lo: int = 0) -> list:
+def _product(spec: str, A: list, B: list) -> list:
     """Table of the einsum `spec` of two tables [values, first, ...], by the
-    product rule: each slot of a partial falls on A or on B.  It holds the
-    orders from `lo` on (each order's terms read only A and B)."""
+    product rule: each slot of a partial falls on A or on B."""
     return [carrier_sum([np.einsum(sub, A[i], B[q - i])
                          for sub, i in _product_terms(spec, q)])
-            for q in range(lo, min(len(A), len(B)))]
+            for q in range(min(len(A), len(B)))]
 
 
 # -- the jet workshop ------------------------------------------------------------
@@ -327,7 +323,7 @@ class Frame:
     computed from those.  R2, Ric and R are [values] at order 2 and gain a
     partial per order up to 4; the other curvature tables are [values] at
     order 3 and [values, first partials] deeper, the slot last as in
-    `table`; R4, T and chi build each order on its first read (`_Table`).
+    `table`; R4, T and chi are built on their first read (`_Table`).
     `hpart` and `cov_h` take the horizontal derivative of any such
     table, one partial shorter.
 
@@ -411,15 +407,14 @@ class Frame:
         cut = self._slots(*slots)
         return [t[cut] for t in self.table(self.G, k)[low:]] if k >= low else []
 
-    def hpart(self, T, N=None, lo: int = 0) -> list:
+    def hpart(self, T, N=None) -> list:
         """Horizontal derivative delta T/delta x^m = dT/dx^m - N^s_m dT/dy^s.
 
         T is a table [values, first, ...] (`table`) of any rank; the result
         is the table of delta T/delta x^m, one partial shorter, with m a
-        trailing index axis before the slot axes, from order `lo` on.  Its
-        partials come by the product rule on the table of N (`table(G,
-        depth)`, depth that of T); `N`, a table of N^s_m at the point
-        (another spray's, or R4's), replaces it.
+        trailing index axis before the slot axes.  Its partials come by the
+        product rule on the table of N (`table(G, depth)`, depth that of T);
+        `N`, a table of N^s_m at the point (another spray's, or R4's), replaces it.
         """
         n, rank, depth = self.n, T[0].ndim - self.lead, len(T) - 1
         if N is None:   # the contiguous N_values: einsum's bits follow strides
@@ -428,8 +423,8 @@ class Frame:
         x, y = ((slice(None),) * T[0].ndim + (s,)
                 for s in (slice(None, n), slice(n, None)))
         idx = "abcdefgh"[:rank]
-        NTy = _product(f"{idx}s,sm->{idx}m", [t[y] for t in T[1:]], N, lo)
-        return [t[x] - d for t, d in zip(T[1 + lo:], NTy)]
+        NTy = _product(f"{idx}s,sm->{idx}m", [t[y] for t in T[1:]], N)
+        return [t[x] - d for t, d in zip(T[1:], NTy)]
 
     def cov_h(self, T, roles, conn=None) -> list:
         """Horizontal covariant derivative T_{|m} of a table T (`table`).
@@ -544,14 +539,14 @@ class Frame:
         """
         y = slice(self.n, None)
 
-        def build(lo, depth):
+        def build(depth):
             Gt = self.table(self.G, depth + 3)
             Gm = [t[self._slots(y, y)] for t in Gt[2:]]         # Gamma, partials
             N = [t[self._slots(y)] for t in Gt[1: depth + 2]]
-            hG = self.hpart(Gm, N, lo)                              # [i,j,l,m]
-            GG = _product("iks,sjl->ijkl", Gm[:depth + 1], Gm, lo)
+            hG = self.hpart(Gm, N)                                  # [i,j,l,m]
+            GG = _product("iks,sjl->ijkl", Gm[:depth + 1], Gm)
             out = []
-            for q, (h, gg) in enumerate(zip(hG, GG), lo):
+            for q, (h, gg) in enumerate(zip(hG, GG)):
                 A = np.swapaxes(h, -2 - q, -1 - q) + gg
                 out.append(A - np.swapaxes(A, -2 - q, -1 - q))
             return out
@@ -573,9 +568,9 @@ class Frame:
         """chi_k = -(1/6) {dRic/dy^k + 2 dR^m_k/dy^m}, from `R2_table`."""
         n = self.n
 
-        def build(lo, depth):
+        def build(depth):
             out = []
-            for q in range(lo, depth + 1):
+            for q in range(depth + 1):
                 d, ric = self.R2_table[q + 1], self.ric[q + 1]
                 t = carrier_sum([_at(ric, q, slice(n, None))]
                                 + [2.0 * _at(d, q, m, slice(None), n + m)
@@ -589,12 +584,12 @@ class Frame:
         """T^i_k = R^i_k - {R delta^i_k - (1/2) dR/dy^k y^i}, from `R2_table`."""
         y = slice(self.n, None)
 
-        def build(lo, depth):
+        def build(depth):
             R = self.r_scalar
             out = plus_outer_y(self.R2_table[:depth + 1],
                                [_at(d, q, y) for q, d in enumerate(R[1:depth + 2])],
-                               0.5, self.y_table, lo)
-            _minus_delta(out, R[lo:], lo)
+                               0.5, self.y_table)
+            _minus_delta(out, R)
             return out
         return _Table(build, self._depth("T"))
 
@@ -828,41 +823,19 @@ def metric_draws(asts, n: int, box: Box, letter: str):
     """The metric of entries `asts` at the x of `box.check_sample()`: yields
     (x, evaluation memo, values) at each, after refusing one that is not
     positive definite (a ValueError naming the metric by `letter` and the
-    point).  A singular value passes: its caller names it.
-
-    Each draw evaluates its distinct entries (equal entries are one node)
-    through one memo, and one Cholesky factorization tests the stack of all
-    draws; only when it fails are the draws tested one by one, so the first
-    indefinite draw is the one named.  A draw that cannot be evaluated
-    raises once the draws before it are yielded, as if they came one at a
-    time."""
-    entries = list({id(a): a for row in asts for a in row}.values())
-    draws, failure = [], None
+    point).  A singular value passes: its caller names it."""
     for x in box.check_sample():
         x = list(x) + [0.0] * n
         memo = {}
+        v = np.array([[carrier_value(exprdsl.evaluate(asts[i][j], x, memo))
+                       for j in range(n)] for i in range(n)])
         try:
-            val = {id(a): carrier_value(exprdsl.evaluate(a, x, memo)) for a in entries}
-        except ArithmeticError as e:    # a domain error, raised in its turn below
-            failure = e
-            break
-        draws.append((x, memo, np.array([[val[id(a)] for a in row] for row in asts])))
-    try:
-        np.linalg.cholesky(np.array([v for _, _, v in draws]).reshape(-1, n, n))
-        definite = True
-    except np.linalg.LinAlgError:
-        definite = False
-    for x, memo, v in draws:
-        if not definite:
-            try:
-                np.linalg.cholesky(v)
-            except np.linalg.LinAlgError:
-                if np.linalg.slogdet(v)[0] != 0.0:     # sign 0: singular
-                    raise ValueError(f"metric {letter}_ij is not positive definite "
-                                     f"at x = {tuple(x[:n])}") from None
+            np.linalg.cholesky(v)
+        except np.linalg.LinAlgError:
+            if np.linalg.slogdet(v)[0] != 0.0:     # sign 0: singular
+                raise ValueError(f"metric {letter}_ij is not positive definite "
+                                 f"at x = {tuple(x[:n])}") from None
         yield x, memo, v
-    if failure is not None:
-        raise failure
 
 
 def _truncated(v, order: int):

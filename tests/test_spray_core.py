@@ -839,27 +839,26 @@ def test_lower_orders_read_the_leading_tables_of_the_one_frame(value_zoo):
 
 def test_r4_and_t_build_their_partials_on_the_first_read_past_the_values(
         monkeypatch):
-    # R4, T and chi of an order-4 frame are built as values alone on the
-    # first read of [0]; a read past [0] adds the first partials alone, and a
-    # first read of the whole table builds both orders at once; both hold
-    # the same bits
-    builds = []
+    # R4, T and chi of an order-4 frame are built on their first read: values
+    # alone for [0], the whole table for a slice or a read past [0]; both
+    # hold the same bits in their values
+    depths = []
     init = sc._Table.__init__
     monkeypatch.setattr(sc._Table, "__init__", lambda t, build, depth: init(
-        t, lambda lo, hi, b=build: builds.append((lo, hi)) or b(lo, hi), depth))
+        t, lambda d, b=build: depths.append(d) or b(d), depth))
     sp = make_family("sphere", n=3, kappa=1.0)
     (p,) = sample_points(sp, 1, seed=3)
     for name in ("R4", "T", "chi"):
         lazy, whole = sc.Frame(sp, p, 4), sc.Frame(sp, p, 4)
-        builds.clear()
+        depths.clear()
         values = getattr(lazy, name)[0]
-        assert builds == [(0, 0)] and len(getattr(lazy, name)) == 2, name
+        assert depths == [0] and len(getattr(lazy, name)) == 2, name
         table = getattr(whole, name)[:]
-        assert builds == [(0, 0), (0, 1)] and len(table) == 2, name
+        assert depths == [0, 1] and len(table) == 2, name
         assert values.tobytes() == table[0].tobytes(), name
         assert getattr(lazy, name)[1].tobytes() == table[1].tobytes(), name
         assert getattr(lazy, name)[0].tobytes() == values.tobytes(), name
-        assert builds == [(0, 0), (0, 1), (1, 1)], name
+        assert depths == [0, 1, 1], name
         with pytest.raises(IndexError):
             getattr(lazy, name)[2]
 
@@ -878,12 +877,17 @@ def _tables(fr, name):
 
 def test_block_tables_equal_the_per_point_operations_bit_for_bit(value_zoo):
     # a block's tables, and the readers run on them, hold at each point the
-    # bits of that point's own frame and of the public per-point operations
+    # bits of that point's own frame and of the public per-point operations:
+    # in blocks of 1 and 2 of the first 5 points (a ragged last block of 1),
+    # and in the blocks that evaluate cuts (`point_blocks`) of all 66 points:
+    # 8 (n = 3, order 4), 50 (n = 3, order 3) and 64 (n = 2, order 4), each
+    # with a ragged last block
     from spraylab import curvature as cv
     from spraylab import projective as pj
     ROLES = ("up", "down")
     for sp in value_zoo:
-        points = sample_points(sp, 5, seed=61)
+        points = sample_points(sp, 66, seed=61)
+        first = list(range(5))
         for spray in (sp, pj.deform(sp, pj.VolumeForm("exp(x1)", sp.n))):
             for order in (3, 4):
                 frames = [sc.Frame(spray, p, order) for p in points]
@@ -905,32 +909,35 @@ def test_block_tables_equal_the_per_point_operations_bit_for_bit(value_zoo):
                     public += [("eta", cv.eta, cv.eta_values),
                                ("chi-from-T", cv.chi_from_t, lambda b: np.einsum(
                                    "...mkm->...k", b.T[1][..., sp.n:]) / -3.0)]
-                for size in (1, 2):     # 5 points in blocks of 2: a ragged last one
-                    for i in range(0, len(points), size):
-                        block = sc.Frame.block(frames[i:i + size], order)
-                        assert block.lead == 1 and block.order == order
-                        for j, (p, fr) in enumerate(zip(points[i:i + size],
-                                                        frames[i:i + size])):
-                            where = (spray.label, order, size, i + j)
-                            for name, low in BLOCK_TABLES:
-                                if order < low:
-                                    continue
-                                got, want = _tables(block, name), _tables(fr, name)
-                                assert len(got) == len(want), (name, where)
-                                for g, w in zip(got, want):
-                                    assert np.array_equal(g[j], w), (name, where)
-                            derived = [
-                                ("hpart", lambda f: f.hpart(f.R2_table)),
-                                ("cov_h", lambda f: f.cov_h(f.R2_table[:2], ROLES)),
-                                ("rapcsak", lambda f: [f.rapcsak(f.r_scalar[:3])])]
-                            for name, op in derived[: 3 if order == 4 else 2]:
-                                for g, w in zip(op(block), op(fr), strict=True):
-                                    assert np.array_equal(g[j], w), (name, where)
-                            for name, op, reader in public:
-                                assert np.array_equal(reader(block)[j], op(spray, p)), \
-                                    (name, where)
-                            q = sc.rel_residual(block.T[0], block.R2_table[0], lead=1)
-                            assert q[j] == sc.rel_residual(fr.T[0], fr.R2_table[0])
+                cuts = [first[i:i + size] for size in (1, 2) for i in range(0, 5, size)]
+                for cut in cuts + sc.point_blocks(list(range(66)), sp.n, order):
+                    block = sc.Frame.block([frames[k] for k in cut], order)
+                    assert block.lead == 1 and block.order == order
+                    derived = [
+                        ("hpart", lambda f: f.hpart(f.R2_table)),
+                        ("cov_h", lambda f: f.cov_h(f.R2_table[:2], ROLES)),
+                        ("rapcsak", lambda f: [f.rapcsak(f.r_scalar[:3])])]
+                    derived = derived[: 3 if order == 4 else 2]
+                    tables = {name: _tables(block, name)
+                              for name, low in BLOCK_TABLES if order >= low}
+                    ops = {name: op(block) for name, op in derived}
+                    reads = {name: reader(block) for name, _, reader in public}
+                    res = sc.rel_residual(block.T[0], block.R2_table[0], lead=1)
+                    for j, k in enumerate(cut):
+                        p, fr = points[k], frames[k]
+                        where = (spray.label, order, len(cut), k)
+                        for name, got in tables.items():
+                            want = _tables(fr, name)
+                            assert len(got) == len(want), (name, where)
+                            for g, w in zip(got, want):
+                                assert np.array_equal(g[j], w), (name, where)
+                        for name, op in derived:
+                            for g, w in zip(ops[name], op(fr), strict=True):
+                                assert np.array_equal(g[j], w), (name, where)
+                        for name, op, _ in public:
+                            assert np.array_equal(reads[name][j], op(spray, p)), \
+                                (name, where)
+                        assert res[j] == sc.rel_residual(fr.T[0], fr.R2_table[0])
 
 
 def test_riemann_values_name_the_first_point_that_disagrees(value_zoo):
