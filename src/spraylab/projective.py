@@ -15,11 +15,12 @@ a jet (the deformed coefficients are differentiated further), tau as a
 float table of values and partials (`Frame.hpart` on the table of P).  The
 value of S alone (`s_curvature`, the float deformed coefficients) is read on
 floats off N on the point's frame (`s_value`), bit for bit the jet's value.
-eta of the deformed spray is read off the base order-4 frame only (`eta_hat`);
-its direct route, which needs order-5 base jets, is kept as the reference in
-the tests.  Every hat-quantity is a float array (a dict of them and floats
-for `projective_ricci`); R_hat by the direct route, D and T_hat are the
-read-only tables of the deformed spray's frame.
+eta of the deformed spray (`eta_hat`) is taken under its own connection, on
+its order-3 frame, from R_hat = R + tau on the base order-4 frame; the direct
+route to R_hat's partials, which needs order-5 base jets, is kept as the
+reference in the tests.  Every hat-quantity is a float array (a dict of them
+and floats for `projective_ricci`); R_hat by the direct route, D and T_hat
+are the read-only tables of the deformed spray's frame.
 """
 
 from __future__ import annotations
@@ -290,23 +291,14 @@ def weyl_hat(G: SprayChart, dV: VolumeForm, p: PointTM) -> np.ndarray:
 
 
 def eta_hat(G: SprayChart, dV: VolumeForm, p: PointTM) -> np.ndarray:
-    """The eta-covector of the deformed spray (a projective invariant), read
-    off the order-4 base frame.  With P = S/(n+1) the deformed spray has
-
-        R_hat = R + tau,     N_hat^i_j = N^i_j - P_{.j} y^i - P delta^i_j,
-        Gamma_hat^i_jk = Gamma^i_jk - P_{.j.k} y^i - P_{.j} delta^i_k
-                         - P_{.k} delta^i_j,
-
-    and eta_hat = (1/2) R_hat_{.k|m} y^m - R_hat_{|k} under (N_hat, Gamma_hat).
-    """
-    n, fr = G.n, G.frame(p, 4)
-    P, dP, ddP = (t / (n + 1.0) for t in fr.table(deform(G, dV).S(p, 4), 2))
-    y, eye, Py = np.array(p.y), np.eye(n), dP[n:]
-    N = fr.N_values - np.multiply.outer(y, Py) - P * eye
-    Gamma = (fr.Gamma_values - np.einsum("i,jk->ijk", y, ddP[n:, n:])
-             - np.einsum("ik,j->ijk", eye, Py) - np.einsum("ij,k->ijk", eye, Py))
-    R = [r + t for r, t in zip(fr.r_scalar, deform(G, dV).tau(p))]
-    return fr.rapcsak(R, 0.5, (N, Gamma))
+    """The eta-covector of the deformed spray (a projective invariant),
+    eta_hat = (1/2) R_hat_{.k|m} y^m - R_hat_{|k} under the deformed spray's
+    own connection, on its order-3 frame.  R_hat = R + tau is read off the
+    order-4 base frame: the deformed frame's own R would need order-5 base
+    jets."""
+    hat = deform(G, dV)
+    R = [r + t for r, t in zip(G.frame(p, 4).r_scalar, hat.tau(p))]
+    return hat.frame(p, 3).rapcsak(R, 0.5)
 
 
 # -- S-closed sprays -------------------------------------------------------------------

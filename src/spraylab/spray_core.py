@@ -318,14 +318,15 @@ class Frame:
     hold the bits of a frame built at the lower order (`table` reads the
     prefix that jets of every order share).
     Its jets are G, the coordinates (`yj`, `xj`) and the scalar Pi, from
-    which S is built; tensors are float tables, cached lazily, read off
-    `table(G, k)` per quantity (at order 4 it outweighs what is kept) or
-    computed from those.  R2, Ric and R are [values] at order 2 and gain a
-    partial per order up to 4; the other curvature tables are [values] at
-    order 3 and [values, first partials] deeper, the slot last as in
-    `table`; R4, T and chi are built on their first read (`_Table`).
+    which S is built; tensors are float tables, cached lazily, read off one
+    table of G's partials per frame, kept at the deepest order read so far
+    (`_g_partials`), or computed from those.  R2, Ric and R are [values] at
+    order 2 and gain a partial per order up to 4; the other curvature tables
+    are [values] at order 3 and [values, first partials] deeper, the slot
+    last as in `table`; R4, T and chi are built on their first read
+    (`_Table`).
     `hpart` and `cov_h` take the horizontal derivative of any such
-    table, one partial shorter.
+    table, one partial shorter, under the frame's own connection.
 
     A block (`Frame.block`) is a frame over the stacked jets of several
     points' frames: every float table gains a leading point axis (`lead`
@@ -338,6 +339,7 @@ class Frame:
     """
 
     lead = 0        # leading point axes of every float table (1 on a block)
+    _gt = ()        # the one table of G read so far (`_g_partials`)
 
     def __init__(self, spray: "SprayChart", point: PointTM, order: int):
         self.spray = spray
@@ -401,24 +403,30 @@ class Frame:
         to `slots`: they follow its point axis, if any, and its axis i."""
         return (slice(None),) * (self.lead + 1) + slots
 
-    def _g_partials(self, k: int, low: int, *slots) -> list:
-        """The partials of G of orders low..k, as in `table(G, k)`, each with
-        its first slot axes cut to `slots`."""
+    def _g_partials(self, depth: int, *slots) -> list:
+        """The table [values, first, ...] to `depth` of the partials of G in
+        `slots`: the orders len(slots) .. len(slots) + depth of `table(G, k)`,
+        each with its first slot axes cut to `slots`.  The frame keeps one
+        table of G, at the deepest order read so far, and a lower order reads
+        its leading tables: the bits of `table(G, k)`."""
+        k = len(slots) + depth
+        if len(self._gt) <= k:
+            self._gt = _frozen(self.table(self.G, k))
         cut = self._slots(*slots)
-        return [t[cut] for t in self.table(self.G, k)[low:]] if k >= low else []
+        return [t[cut] for t in self._gt[len(slots):k + 1]]
 
-    def hpart(self, T, N=None) -> list:
+    def hpart(self, T) -> list:
         """Horizontal derivative delta T/delta x^m = dT/dx^m - N^s_m dT/dy^s.
 
         T is a table [values, first, ...] (`table`) of any rank; the result
         is the table of delta T/delta x^m, one partial shorter, with m a
         trailing index axis before the slot axes.  Its partials come by the
-        product rule on the table of N (`table(G, depth)`, depth that of T);
-        `N`, a table of N^s_m at the point (another spray's, or R4's), replaces it.
+        product rule on the table of the frame's N (`table(G, depth)`, depth
+        that of T).
         """
         n, rank, depth = self.n, T[0].ndim - self.lead, len(T) - 1
-        if N is None:   # the contiguous N_values: einsum's bits follow strides
-            N = [self.N_values] + self._g_partials(depth, 2, slice(n, None))
+        # the contiguous N_values (einsum's bits follow strides), then partials
+        N = [self.N_values] + self._g_partials(depth - 1, slice(n, None))[1:]
         # the first slot axis of every partial follows the axes of the values
         x, y = ((slice(None),) * T[0].ndim + (s,)
                 for s in (slice(None, n), slice(n, None)))
@@ -426,24 +434,16 @@ class Frame:
         NTy = _product(f"{idx}s,sm->{idx}m", [t[y] for t in T[1:]], N)
         return [t[x] - d for t, d in zip(T[1:], NTy)]
 
-    def cov_h(self, T, roles, conn=None) -> list:
+    def cov_h(self, T, roles) -> list:
         """Horizontal covariant derivative T_{|m} of a table T (`table`).
 
         `hpart` plus Gamma^i_sm T^{..s..} for each upper index and minus
         Gamma^s_jm T_{..s..} for each lower index, the partials by the product
-        rule on the table of Gamma (`table(G, depth + 1)`).  `conn`, a float
-        pair (N, Gamma) of another spray at the same point, replaces the
-        frame's connection; it takes tables of depth 1 only.
+        rule on the table of the frame's Gamma (`table(G, depth + 1)`).
         """
-        n, depth = self.n, len(T) - 1
-        if conn is not None:
-            if depth != 1:
-                raise ValueError("a float connection takes tables of depth 1")
-            N, Gamma = [conn[0]], [conn[1]]
-        else:
-            N, Gamma = None, [self.Gamma_values] + self._g_partials(
-                depth + 1, 3, slice(n, None), slice(n, None))
-        out = self.hpart(T, N)
+        y, depth = slice(self.n, None), len(T) - 1
+        Gamma = [self.Gamma_values] + self._g_partials(depth - 1, y, y)[1:]
+        out = self.hpart(T)
         idx = "abcdefgh"[: len(roles)]
         for axis, role in enumerate(roles):
             src = idx[:axis] + "s" + idx[axis + 1:]
@@ -452,21 +452,21 @@ class Frame:
             out = [o + t if role == "up" else o - t for o, t in zip(out, terms)]
         return out
 
-    def rapcsak(self, L, a: float = 1.0, conn=None) -> np.ndarray:
+    def rapcsak(self, L, a: float = 1.0) -> np.ndarray:
         """The covector a L_{.k|m} y^m - L_{|k} of a scalar L, as floats.
 
         `L` is the table [value, first, second] of L (`table(jet, 2)`, or
         `r_scalar` at order 4).  The vertical derivative is taken first and
         the horizontal covariant derivative of the resulting covector second,
-        under the frame's connection or `conn` (see `cov_h`).  a = 1
-        gives the Rapcsak residual, a = 1/2 the dual-equivalence residual and
-        eta (L = R).
+        under the frame's own connection (see `cov_h`).  a = 1 gives the
+        Rapcsak residual, a = 1/2 the dual-equivalence residual and eta
+        (L = R).
         """
         y = slice(self.n, None)
         v, g, h = L
-        Lvh = self.cov_h([_at(g, 0, y), _at(h, 1, y)], ("down",), conn)[0]  # L_{.k|m}
+        Lvh = self.cov_h([_at(g, 0, y), _at(h, 1, y)], ("down",))[0]  # L_{.k|m}
         # a matrix product per point: the bits of Lvh @ y at each point
-        return a * (Lvh @ self.y[..., None])[..., 0] - self.cov_h([v, g], (), conn)[0]
+        return a * (Lvh @ self.y[..., None])[..., 0] - self.cov_h([v, g], ())[0]
 
     # -- connection and curvature fields ----------------------------------------
 
@@ -474,13 +474,13 @@ class Frame:
     def N_values(self) -> np.ndarray:
         """Nonlinear connection N^i_j = dG^i/dy^j as floats."""
         y = slice(self.n, None)
-        return _frozen([self.table(self.G, 1)[1][self._slots(y)].copy()])[0]
+        return _frozen([self._g_partials(0, y)[0].copy()])[0]
 
     @cached_property
     def Gamma_values(self) -> np.ndarray:
         """Berwald connection Gamma^i_jk = d^2G^i/dy^j dy^k as floats."""
         y = slice(self.n, None)
-        return _frozen([self.table(self.G, 2)[2][self._slots(y, y)].copy()])[0]
+        return _frozen([self._g_partials(0, y, y)[0].copy()])[0]
 
     @cached_property
     def y_table(self):
@@ -495,7 +495,7 @@ class Frame:
         """Berwald curvature B^{ i}_{j kl} = d^3G^i/dy^j dy^k dy^l, stored [i,j,k,l]."""
         n, depth = self.n, self._depth("B")
         y = slice(n, None)
-        return _frozen([t.copy() for t in self._g_partials(depth + 3, 3, y, y, y)])
+        return _frozen([t.copy() for t in self._g_partials(depth, y, y, y)])
 
     @cached_property
     def Pi(self):
@@ -513,16 +513,13 @@ class Frame:
         product rule; the partial of the factor y^j is delta in its y slot.
         """
         n, depth = self.n, self._depth("R2", 2, 2)
-        Gt = self.table(self.G, depth + 2)
         x, y = slice(None, n), slice(n, None)
-
-        def part(*slots):   # table of the partials of G in `slots`
-            cut = self._slots(*slots)
-            return [Gt[len(slots) + e][cut] for e in range(depth + 1)]
-
-        terms = zip(part(x), _product("j,ijk->ik", self.y_table, part(x, y)),
-                    _product("j,ijk->ik", part(), part(y, y)),
-                    _product("ij,jk->ik", part(y), part(y)))
+        Gyy = self._g_partials(depth, y, y)     # the deepest first: one table of G
+        Gy = self._g_partials(depth, y)
+        terms = zip(self._g_partials(depth, x),
+                    _product("j,ijk->ik", self.y_table, self._g_partials(depth, x, y)),
+                    _product("j,ijk->ik", self._g_partials(depth), Gyy),
+                    _product("ij,jk->ik", Gy, Gy))
         return _frozen([2.0 * dx - yH + 2.0 * GG - NN for dx, yH, GG, NN in terms])
 
     @cached_property
@@ -532,18 +529,16 @@ class Frame:
         R^{ i}_{j kl} = delta Gamma^i_jl / delta x^k - delta Gamma^i_jk / delta x^l
                         + Gamma^i_ks Gamma^s_jl - Gamma^s_jk Gamma^i_ls
 
-        from one `table(G, depth + 3)`: `hpart` of the table of Gamma, under
-        the table of N read off it too, and the products by `_product`.  With
+        from the table of Gamma (`table(G, depth + 3)`): its `hpart`, and the
+        products by `_product`.  With
         A[i,j,k,l] = delta Gamma^i_jl / delta x^k + Gamma^i_ks Gamma^s_jl,
         R4 = A - (A with k, l swapped).
         """
         y = slice(self.n, None)
 
         def build(depth):
-            Gt = self.table(self.G, depth + 3)
-            Gm = [t[self._slots(y, y)] for t in Gt[2:]]         # Gamma, partials
-            N = [t[self._slots(y)] for t in Gt[1: depth + 2]]
-            hG = self.hpart(Gm, N)                                  # [i,j,l,m]
+            Gm = self._g_partials(depth + 1, y, y)              # Gamma, partials
+            hG = self.hpart(Gm)                                     # [i,j,l,m]
             GG = _product("iks,sjl->ijkl", Gm[:depth + 1], Gm)
             out = []
             for q, (h, gg) in enumerate(zip(hG, GG)):

@@ -387,7 +387,9 @@ ROWS = (
             "curvature of the base spray"),
     RowSpec("douglas-volume-independent", "douglas", "douglas-invariant", 1e-8,
             V.douglas_change, "the Berwald curvature of the deformed spray does not "
-            "depend on the volume form"),
+            "depend on the volume form",
+            _requires((lambda run: len(run.volumes) >= 2,
+                       "not applicable with one volume form: nothing to compare"))),
     RowSpec("projective-invariance", "volume", "deformation-projective", 1e-9,
             lambda v: pj.projective_invariance_check(v.spray, v.pt.run.shifted, v.dV,
                                                      [v.p]),

@@ -88,6 +88,13 @@ def test_evaluate_s_column_reassembles(capsys):
                                                                  abs=1e-12)
 
 
+def _unscored(doc) -> list:
+    """The applicable rows of a verify report that have no residual: `pass`
+    is null only on a row that does not apply."""
+    return [r["id"] for r in doc["rows"]
+            if r["applicable"] and r["max_residual"] is None]
+
+
 def test_verify_sphere_all_rows_pass(capsys):
     code, out, _ = run_cli("verify", "--spray", "sphere(n=3,kappa=1)",
                            "--points", "5", "--seed", "11", capsys=capsys)
@@ -96,6 +103,29 @@ def test_verify_sphere_all_rows_pass(capsys):
     assert all(r["pass"] is not False for r in doc["rows"])
     applicable = [r for r in doc["rows"] if r["pass"] is not None]
     assert len(applicable) == len(doc["rows"])  # nothing n/a at n = 3 isotropic
+    assert _unscored(doc) == []
+
+
+def test_douglas_row_needs_two_volume_forms(tmp_path, capsys):
+    # with one volume form there is no second Douglas tensor to compare with
+    path = tmp_path / "withsigma.spray"
+    path.write_text("dim = 2\nG1 = x2*y1^2/2\nG2 = 0\nsigma = exp(x1)\n")
+    spec = ("--spray", "example72(f=x1*x2)")
+    for argv, sigmas in ((spec + ("--sigma", "1"), 1), (("--file", str(path)), 1),
+                         (spec, 3)):
+        code, out, _ = run_cli("verify", *argv, "--points", "2", "--seed", "1",
+                               capsys=capsys)
+        doc = json.loads(out)
+        assert code == 0 and len(doc["config"]["sigma"]) == sigmas, argv
+        assert _unscored(doc) == [], argv
+        row = {r["id"]: r for r in doc["rows"]}["douglas-volume-independent"]
+        if sigmas == 1:
+            assert row["applicable"] is False and row["pass"] is None
+            assert row["note"] == ("not applicable with one volume form: "
+                                   "nothing to compare")
+        else:
+            assert row["applicable"] is True and row["pass"] is True
+            assert row["max_residual"] is not None and row["note"] == ""
 
 
 def test_verify_flat_is_fast(capsys):
@@ -617,6 +647,47 @@ def test_verify_builds_one_frame_per_spray_and_point(monkeypatch, capsys):
     deformed = [s for s in sprays if isinstance(s, pj.DeformedSpray)]
     assert len(sprays) == 5 and len(deformed) == 3, sprays
     assert {type(s) for s in sprays} == {sc.SprayChart, pj.DeformedSpray}
+
+
+def test_each_frame_reads_one_table_of_g(monkeypatch, capsys):
+    # a frame, or a block, keeps one table of G's partials at the deepest
+    # order read so far, and a lower order reads its leading tables: every
+    # further read of its G is deeper than the last
+    frames, reads = {}, []
+    init, block, table = sc.Frame.__init__, sc.Frame.block, sc.Frame.table
+
+    def built(self, *args):
+        init(self, *args)
+        frames[id(self.G)] = self
+
+    def stacked(points, order):
+        fr = block(points, order)
+        frames[id(fr.G)] = fr
+        return fr
+
+    monkeypatch.setattr(sc.Frame, "__init__", built)
+    monkeypatch.setattr(sc.Frame, "block", stacked)
+    monkeypatch.setattr(sc.Frame, "table", staticmethod(
+        lambda arr, k: reads.append((arr, k)) or table(arr, k)))
+    randers2 = ("randers(a11=1+x2^2,a22=1+x1^2,a12=x1*x2/2,b1=0.2*x2,"
+                "b2=-0.1*x1,box=0.8)")
+    for argv in (("verify", "--spray", "sphere(n=4,kappa=1)", "--points", "2"),
+                 ("verify", "--spray", randers2, "--points", "2"),
+                 ("evaluate", "--spray", "sphere(n=3,kappa=1)", "--points", "10")):
+        frames.clear()
+        reads.clear()
+        code, _, _ = run_cli(*argv, "--seed", "3", capsys=capsys)
+        assert code == 0, argv
+        orders = {}     # frame -> the orders k of its `table(G, k)` reads
+        for arr, k in reads:
+            fr = frames.get(id(arr))
+            if fr is not None and fr.G is arr:
+                orders.setdefault(fr, []).append(k)
+        # frames and blocks (`classify` reads blocks in either command)
+        assert {fr.lead for fr in orders} == {0, 1}, argv
+        assert any(len(ks) > 1 for ks in orders.values()), argv
+        for fr, ks in orders.items():
+            assert all(a < b for a, b in zip(ks, ks[1:])), (argv, fr.spray, ks)
 
 
 def test_unknown_tolerance_id_rejected(capsys):

@@ -1,6 +1,6 @@
 """The package surface: lazy imports per command, the public names, tensor
 results as plain arrays, the semantics of the plain record types, and no
-unused imports in the sources."""
+unused imports or parameters in the sources."""
 
 import ast
 import copy
@@ -215,6 +215,44 @@ def _unused_imports(path: Path) -> list:
 def test_sources_have_no_unused_imports():
     assert [u for path in sorted((SRC / "spraylab").glob("*.py"))
             for u in _unused_imports(path)] == []
+
+
+# the parameters that an interface requires and the body does not read
+INTERFACE_PARAMETERS = {"cmd_list(args)", "_TolAction.__call__(option_string)",
+                        "Frozen.__setattr__(value)", "make_flat.<lambda>(xs)",
+                        "make_flat.<lambda>(ys)"}
+
+
+def _unused_parameters(path: Path) -> list:
+    """The parameters of the functions and lambdas of a module that their
+    body never reads, each as `path:line: qualified.name(parameter)`."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda, ast.ClassDef)):
+                inner = scope + [getattr(child, "name", "<lambda>")]
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = child.args
+                params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                          a.vararg, a.kwarg) if p is not None]
+                body = child.body if isinstance(child.body, list) else [child.body]
+                read = {n.id for stmt in body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                out.extend(f"{path.name}:{child.lineno}: {'.'.join(inner)}({p})"
+                           for p in params if p not in read)
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text()), [])
+    return out
+
+
+def test_sources_have_no_unused_parameters():
+    unused = [u for path in sorted((SRC / "spraylab").glob("*.py"))
+              for u in _unused_parameters(path)]
+    assert {u.split(": ", 1)[1] for u in unused} <= INTERFACE_PARAMETERS, unused
 
 
 def _names_read(node) -> set:
