@@ -208,18 +208,21 @@ def cmd_evaluate(args) -> int:
     if order < 3:
         raise InputError("--order below 3 cannot produce the curvature tables")
     top, pt_docs = min(order, 4), []
-    for block in sc.point_blocks(points, spray.n, top):
-        frames, S = [], []
-        for p in block:
-            # the top order first: the lower orders and S read this one frame
-            frames.append(spray.frame(p, top))
-            S.append({v.label: float(pj.s_curvature(spray, v, p)) for v in vols})
-        qs = cv.quantities(sc.Frame.block(frames, top))
-        for j, (p, fr) in enumerate(zip(block, frames)):
-            q = {name: t[j].tolist() for name, t in qs.items()}
-            q["G"], q["S"] = [g.value for g in fr.G], S[j]
-            pt_docs.append({"x": list(p.x), "y": list(p.y), "quantities": q})
-    cls = cv.classify(spray, points)
+
+    def blocks():
+        """The blocks of the points' frames at the top order (the lower
+        orders read it), each reported before `classify` reads it."""
+        for fr in sc.frame_blocks(spray, points, top):
+            S = {v.label: pj.s_value(fr, v) for v in vols}
+            qs = cv.quantities(fr)
+            for j, f in enumerate(fr.frames):
+                q = {name: t[j].tolist() for name, t in qs.items()}
+                q["G"] = fr.G_values[j].tolist()
+                q["S"] = {label: float(v[j]) for label, v in S.items()}
+                pt_docs.append({"x": list(f.point.x), "y": list(f.point.y),
+                                "quantities": q})
+            yield fr
+    cls = cv.classify(blocks())
     doc = _document(args, "evaluate", sigmas, cls, [], pt_docs)
     _emit(doc, args, time.time() - t0)
     return 0

@@ -12,7 +12,7 @@ The definition and T are the float tables ``Frame.chi`` and ``Frame.T``, and
 Ric and R are the traces of R^i_k (``Frame.ric``, ``Frame.r_scalar``), all
 computed from the partials of G.  Every operation returns a float array of
 components; where the value is a frame's table (chi, Ric_jl, T), it is that
-read-only array itself.
+read-only array itself; a `*_values` form takes a frame or a block.
 The metric route through the mean Cartan torsion lives in
 :mod:`spraylab.finsler`; volume-form routes live in :mod:`spraylab.projective`.
 """
@@ -22,8 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from .records import Record
-from .spray_core import (Frame, PointTM, SprayChart, _minus_delta, carrier_value,
-                         plus_outer_y, point_blocks, rel_residual, riemann_values)
+from .spray_core import (Frame, PointTM, SprayChart, _minus_delta, plus_outer_y,
+                         rel_residual, riemann_values)
 
 FLAG_TOL = 1e-6          # classification flags (looser than identity rows)
 
@@ -37,24 +37,36 @@ def chi_definition(G: SprayChart, p: PointTM) -> np.ndarray:
 
 def chi_trace(G: SprayChart, p: PointTM) -> np.ndarray:
     """chi_k = -(1/2) R^{ m}_{m kl} y^l from the four-index tensor."""
-    return -0.5 * np.einsum("mmkl,l->k", G.frame(p, 3).R4[0], np.array(p.y))
+    return chi_trace_values(G.frame(p, 3))
+
+
+def chi_trace_values(fr: Frame) -> np.ndarray:
+    """`chi_trace` of a frame or a block (`Frame.block`)."""
+    return -0.5 * np.einsum("...mmkl,...l->...k", fr.R4[0], fr.y)
 
 
 def chi_local(G: SprayChart, p: PointTM) -> np.ndarray:
     """Volume-form-free local formula built from Pi = dG^m/dy^m."""
-    fr = G.frame(p, 3)
+    return chi_local_values(G.frame(p, 3))
+
+
+def chi_local_values(fr: Frame) -> np.ndarray:
+    """`chi_local` of a frame or a block."""
     n = fr.n
-    _, grad, second = fr.table(fr.Pi, 2)
-    Gv = np.array([carrier_value(g) for g in fr.G])
-    acc = (np.einsum("mk,m->k", second[:n, n:], np.array(p.y))
-           - 2.0 * np.einsum("km,m->k", second[n:, n:], Gv))
-    return 0.5 * (acc - grad[:n])
+    _, grad, second = fr.table_of(lambda f: f.Pi, 2)
+    acc = (np.einsum("...mk,...m->...k", second[..., :n, n:], fr.y)
+           - 2.0 * np.einsum("...km,...m->...k", second[..., n:, n:], fr.G_values))
+    return 0.5 * (acc - grad[..., :n])
 
 
 def chi_from_t(G: SprayChart, p: PointTM) -> np.ndarray:
     """chi_k = -(1/3) dT^m_k/dy^m (needs one extra vertical order)."""
-    dT = G.frame(p, 4).T[1][..., G.n:]
-    return np.einsum("mkm->k", dT) / -3.0
+    return chi_from_t_values(G.frame(p, 4))
+
+
+def chi_from_t_values(fr: Frame) -> np.ndarray:
+    """`chi_from_t` of a frame or a block of order >= 4."""
+    return np.einsum("...mkm->...k", fr.T[1][..., fr.n:]) / -3.0
 
 
 def ricci_tensor(G: SprayChart, p: PointTM) -> np.ndarray:
@@ -148,18 +160,13 @@ class Classification(Record):
         return self.chi_residual <= FLAG_TOL
 
 
-def classify(G: SprayChart, points) -> Classification:
+def classify(blocks) -> Classification:
     """Classify a spray over a point sample by its T, W and chi residuals,
-    read off blocks of points (`point_blocks`)."""
-    if not points:
+    read off the caller's frames or blocks of order >= 3 (`frame_blocks`)."""
+    res = [np.concatenate(r) for r in zip(*(
+        [np.reshape(rel_residual(t, fr.R2_table[0], lead=fr.lead), -1)
+         for t in (fr.T[0], weyl_values(fr), fr.chi[0])] for fr in blocks))]
+    if not res:
         raise ValueError("classification needs a non-empty point set")
-    worst = [0.0, 0.0, 0.0]
-    for block in point_blocks(points, G.n, 3):
-        fr = Frame.block([G.frame(p, 3) for p in block], 3)
-        R2v = fr.R2_table[0]
-        res = [rel_residual(t, R2v, lead=1)
-               for t in (fr.T[0], weyl_values(fr), fr.chi[0])]
-        for i, r in enumerate(res):
-            for v in r.tolist():    # in point order, as max over floats keeps them
-                worst[i] = max(worst[i], v)
-    return Classification(*worst)
+    # np.max, unlike max, keeps a NaN wherever it sits
+    return Classification(*(float(np.max(r)) for r in res))

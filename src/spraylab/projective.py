@@ -20,7 +20,8 @@ its order-3 frame, from R_hat = R + tau on the base order-4 frame; the direct
 route to R_hat's partials, which needs order-5 base jets, is kept as the
 reference in the tests.  Every hat-quantity is a float array (a dict of them
 and floats for `projective_ricci`); R_hat by the direct route, D and T_hat
-are the read-only tables of the deformed spray's frame.
+are the read-only tables of the deformed spray's frame.  A `*_values` form
+takes a frame or a block of points; its point operation calls it.
 """
 
 from __future__ import annotations
@@ -92,17 +93,18 @@ def s_jet(fr: Frame, dV: VolumeForm) -> Jet:
     return out
 
 
-def s_value(fr: Frame, dV: VolumeForm) -> float:
-    """S at the frame's point on floats, with the bits of `s_jet(fr, dV)`'s
-    value: the trace of `N_values`, then minus y^m dlog_m in `s_jet`'s
-    order.  Where dlog_m is a jet there (sigma reads x), its product with
-    y^m is a bincount started at +0.0, so the float product gets + 0.0."""
-    y, dlog = fr.point.y, dV.dlog(list(fr.point.x))
-    out = carrier_sum(fr.N_values[m, m] for m in range(fr.n))
+def s_value(fr: Frame, dV: VolumeForm):
+    """S on floats at a frame's point or a block's [point], with the bits
+    of `s_jet`'s value: the trace of `N_values`, then minus y^m dlog_m in
+    `s_jet`'s order.  Where dlog_m is a jet there (sigma reads x), its
+    product with y^m is a bincount started at +0.0: so + 0.0 here."""
+    frames = fr.frames if fr.lead else [fr]
+    dlog = np.reshape([dV.dlog(list(f.point.x)) for f in frames], fr.y.shape)
+    out = carrier_sum(fr.N_values[..., m, m] for m in range(fr.n))
     for m in range(fr.n):
-        t = y[m] * dlog[m]
+        t = fr.y[..., m] * dlog[..., m]
         out = out - (t + 0.0 if dV.varies else t)
-    return float(out)
+    return out if fr.lead else float(out)
 
 
 def s_curvature(G: SprayChart, dV: VolumeForm, p: PointTM) -> float:
@@ -122,14 +124,21 @@ def chi_via_s(G: SprayChart, dV: VolumeForm, p: PointTM,
     plain vertical derivative to the result.  Both are computed so their
     difference can be reported; do not assume they coincide a priori.
     """
-    fr = G.frame(p, 3)
-    n = fr.n
-    S = deform(G, dV).S(p, 3)
+    return chi_via_s_values(G.frame(p, 3), dV, ordering)
+
+
+def chi_via_s_values(fr: Frame, dV: VolumeForm,
+                     ordering: str = "vertical-first") -> np.ndarray:
+    """`chi_via_s` on a frame or a block."""
+    n, hat = fr.n, deform(fr.spray, dV)
+    S = fr.table_of(lambda f: hat.S(f.point, 3), 2)
     if ordering == "vertical-first":
-        return 0.5 * fr.rapcsak(fr.table(S, 2))
+        return 0.5 * fr.rapcsak(S)
     if ordering == "horizontal-first":
-        Sh = fr.hpart(fr.table(S, 2))       # [m(, a)] = S_{|m} (and its partials)
-        return 0.5 * (Sh[1][:, n:].T @ np.array(p.y) - Sh[0])
+        Sh = fr.hpart(S)            # [m(, a)] = S_{|m} (and its partials)
+        # a matrix product per point: S_{|m.k} y^m
+        dSy = (np.swapaxes(Sh[1][..., n:], -1, -2) @ fr.y[..., None])[..., 0]
+        return 0.5 * (dSy - Sh[0])
     raise ValueError(f"unknown ordering {ordering!r}")
 
 
@@ -166,18 +175,19 @@ class DeformedSpray(SprayChart):
         return top.truncated(order - 1)
 
     def tau(self, p: PointTM) -> list:
-        """The table [tau, first, second partials] of tau = P^2 + P_{|m} y^m,
-        P = S/(n+1), from `table(S, 3)` on the base frame of order 4 at p,
-        built once per point for `hat_riemann`, `projective_ricci`, `eta_hat`
-        and the suite's Ricci split."""
+        """`tau_values` at p, built once per point."""
         key = (p.x, p.y)
         if key not in self._tau:
-            fr = self.base.frame(p, 4)
-            P = [t / (self.n + 1.0) for t in fr.table(self.S(p, 4), 3)]
-            terms = zip(_product(",->", P[:3], P[:3]),
-                        _product("m,m->", fr.hpart(P), fr.y_table))
-            self._tau[key] = _frozen([np.asarray(pp + py) for pp, py in terms])
+            self._tau[key] = self.tau_values(self.base.frame(p, 4))
         return self._tau[key]
+
+    def tau_values(self, fr: Frame) -> list:
+        """The table [tau, first, second partials] of tau = P^2 + P_{|m} y^m,
+        P = S/(n+1), on a base frame or block of order 4."""
+        P = [t / (self.n + 1.0) for t in fr.table_of(lambda f: self.S(f.point, 4), 3)]
+        terms = zip(_product(",->", P[:3], P[:3]),
+                    _product("m,m->", fr.hpart(P), fr.y_table))
+        return _frozen([np.asarray(pp + py) for pp, py in terms])
 
     def _make_coefficient_jets(self, frame):
         """The coefficient jets from the S-jet and the y^i jets of the base
@@ -190,12 +200,17 @@ class DeformedSpray(SprayChart):
                 for i in range(self.n)]
 
     def eval_coefficients(self, xs, ys):
-        """The coefficients at float arguments only (frames take theirs from
-        `_make_coefficient_jets`)."""
-        p = PointTM(tuple(xs), tuple(ys))
-        S = s_value(self.base.frame(p, 1), self.volume)
-        base_vals = self.base.coefficients(p)
-        return [base_vals[i] - S * ys[i] / (self.n + 1) for i in range(self.n)]
+        """The coefficients at float arguments only (frames take theirs
+        from `_make_coefficient_jets`)."""
+        return self.coefficient_values(self.base.frame(PointTM(tuple(xs), tuple(ys)), 1))
+
+    def coefficient_values(self, fr: Frame) -> np.ndarray:
+        """G^i - S y^i/(n+1) on floats at a base frame's point or a block's
+        [point, i], from the base spray's float coefficients and `s_value`."""
+        S = np.asarray(s_value(fr, self.volume))
+        frames = fr.frames if fr.lead else [fr]
+        G = np.reshape([self.base.coefficients(f.point) for f in frames], fr.y.shape)
+        return G - S[..., None] * fr.y / (self.n + 1)
 
 
 def deform(G: SprayChart, dV: VolumeForm) -> DeformedSpray:
@@ -216,12 +231,17 @@ def projective_invariance_check(G1: SprayChart, G2: SprayChart,
     """
     if G1.n != G2.n:
         raise ValueError("sprays live on charts of different dimension")
-    h1, h2 = deform(G1, dV), deform(G2, dV)
-    worst = 0.0
-    for p in points:
-        a, b = h1.coefficients(p), h2.coefficients(p)
-        worst = max(worst, rel_residual(a - b, a, b))
-    return worst
+    res = [projective_invariance_values(G1.frame(p, 1), G2.frame(p, 1), dV)
+           for p in points]
+    # np.max, unlike max, keeps a NaN wherever it sits
+    return float(np.max(res, initial=0.0))
+
+
+def projective_invariance_values(fr1: Frame, fr2: Frame, dV: VolumeForm):
+    """`projective_invariance_check` on two sprays' frames or blocks."""
+    a = deform(fr1.spray, dV).coefficient_values(fr1)
+    b = deform(fr2.spray, dV).coefficient_values(fr2)
+    return rel_residual(a - b, a, b, lead=fr1.lead)
 
 
 def with_projective_factor(G: SprayChart, P, label: str = "") -> SprayChart:
@@ -249,17 +269,21 @@ def hat_riemann(G: SprayChart, dV: VolumeForm, p: PointTM,
     formula: R_hat^i_k = R^i_k + tau delta^i_k - (1/2) tau_{.k} y^i
              + 3 chi_k y^i/(n+1)
     """
-    n = G.n
     if route == "direct":
         return deform(G, dV).frame(p, 2).R2_table[0]
     if route == "formula":
-        fr = G.frame(p, 3)
-        tau_v, dtau = deform(G, dV).tau(p)[:2]
-        v = -0.5 * dtau[n:] + 3.0 * fr.chi[0] / (n + 1)
-        comps = plus_outer_y(fr.R2_table[:1], [v], 1.0, fr.y_table)[0]
-        comps[np.diag_indices(n)] += tau_v
-        return comps
+        return hat_riemann_formula(G.frame(p, 3), deform(G, dV).tau(p))
     raise ValueError(f"unknown route {route!r}")
+
+
+def hat_riemann_formula(fr: Frame, tau: list) -> np.ndarray:
+    """`hat_riemann`'s formula on a base frame or block, with its tau."""
+    n = fr.n
+    v = -0.5 * tau[1][..., n:] + 3.0 * fr.chi[0] / (n + 1)
+    comps = plus_outer_y(fr.R2_table[:1], [v], 1.0, fr.y_table)[0]
+    for i in range(n):
+        comps[..., i, i] += tau[0]
+    return comps
 
 
 def projective_ricci(G: SprayChart, dV: VolumeForm, p: PointTM) -> dict:
@@ -270,14 +294,19 @@ def projective_ricci(G: SprayChart, dV: VolumeForm, p: PointTM) -> dict:
     hessian of chi, H_jl = (chi_{j.l} + chi_{l.j})/2.  The contraction
     Ric_hat_jl y^j y^l equals the scalar.
     """
-    n, hat = G.n, deform(G, dV)
-    hat_fr = hat.frame(p, 3)
-    fr = G.frame(p, 4)
-    tau_v = float(hat.tau(p)[0])
-    ric_hat = float(fr.ric[0]) + (n - 1) * tau_v
-    dchi = fr.chi[1][:, n:]      # chi_{j.l}
-    H = 0.5 * (dchi + dchi.T)
-    return {"ric_jl": hat_fr.ric_jl, "ric": ric_hat, "h_jl": H, "tau": tau_v}
+    hat = deform(G, dV)
+    out = projective_ricci_values(G.frame(p, 4), hat.frame(p, 3), hat.tau(p))
+    return dict(out, ric=float(out["ric"]), tau=float(out["tau"]))
+
+
+def projective_ricci_values(fr: Frame, hfr: Frame, tau: list) -> dict:
+    """`projective_ricci` from a base frame or block of order 4, the
+    deformed spray's (`hfr`) and tau there (`DeformedSpray.tau_values`)."""
+    n = fr.n
+    dchi = fr.chi[1][..., n:]    # chi_{j.l}
+    H = 0.5 * (dchi + np.swapaxes(dchi, -1, -2))
+    return {"ric_jl": hfr.ric_jl, "ric": fr.ric[0] + (n - 1) * tau[0],
+            "h_jl": H, "tau": tau[0]}
 
 
 def douglas(G: SprayChart, dV: VolumeForm, p: PointTM) -> np.ndarray:
@@ -297,8 +326,13 @@ def eta_hat(G: SprayChart, dV: VolumeForm, p: PointTM) -> np.ndarray:
     order-4 base frame: the deformed frame's own R would need order-5 base
     jets."""
     hat = deform(G, dV)
-    R = [r + t for r, t in zip(G.frame(p, 4).r_scalar, hat.tau(p))]
-    return hat.frame(p, 3).rapcsak(R, 0.5)
+    return eta_hat_values(G.frame(p, 4), hat.frame(p, 3), hat.tau(p))
+
+
+def eta_hat_values(fr: Frame, hfr: Frame, tau: list) -> np.ndarray:
+    """`eta_hat` from a base frame or block of order 4, the deformed
+    spray's (`hfr`) and tau there."""
+    return hfr.rapcsak([r + t for r, t in zip(fr.r_scalar, tau)], 0.5)
 
 
 # -- S-closed sprays -------------------------------------------------------------------
@@ -312,15 +346,15 @@ def s_closed_residual(G: SprayChart, points) -> dict:
     if not points:
         raise ValueError("need a non-empty point set")
     n = G.n
-    lin = curl = lin_raw = curl_raw = 0.0
+    res = []
     for p in points:
         fr = G.frame(p, 3)
         _, grad, second = fr.table(fr.Pi, 2)
         gv, hess = grad[n:], second[n:, n:]
         curlm = second[n:, :n] - second[:n, n:]   # d(dPi/dy^k)/dx^l - (k<->l)
-        lin = max(lin, rel_residual(hess, gv))
-        curl = max(curl, rel_residual(curlm, gv))
-        lin_raw = max(lin_raw, float(np.abs(hess).max()))
-        curl_raw = max(curl_raw, float(np.abs(curlm).max()))
+        res.append((rel_residual(hess, gv), rel_residual(curlm, gv),
+                    np.abs(hess).max(), np.abs(curlm).max()))
+    # np.max, unlike max, keeps a NaN wherever it sits
+    lin, curl, lin_raw, curl_raw = (float(v) for v in np.max(res, axis=0))
     return {"vertical_hessian": lin, "curl": curl,
             "vertical_hessian_raw": lin_raw, "curl_raw": curl_raw}

@@ -83,11 +83,12 @@ def _render(obj, indent: int) -> str:
 
 
 def _locate(obj) -> str:
-    """The path of the first non-finite float in rendering order, or None."""
+    """The path of the first non-finite float, or None, in the document's
+    own order: rows and points before the classification that sums them."""
     if isinstance(obj, float):
         return None if math.isfinite(obj) else ""
     if isinstance(obj, dict):
-        parts = ((f".{k}", obj[k]) for k in sorted(obj))
+        parts = ((f".{k}", v) for k, v in obj.items())
     elif isinstance(obj, (list, tuple)):
         parts = ((f"[{i}]", v) for i, v in enumerate(obj))
     else:

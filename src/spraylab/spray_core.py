@@ -21,10 +21,10 @@ differentiate (`horizontal_partial`, `covariant_derivative_h`) are carrier
 functions f(xs, ys) too, evaluated on a frame's coordinate jets.
 The float layer also runs on blocks of points (`Frame.block`): a frame over
 the stacked jets of several points' frames, whose tables carry a leading
-point axis, so that a reader of many points (`evaluate`,
-`curvature.classify`) makes one numpy call per block and quantity.  A block
-holds as many points as keep its deepest stacked table, the order-k
-partials of G, within BLOCK_BYTES (`point_blocks`).
+point axis, so that a reader of many points (`evaluate`, `verify`) makes
+one numpy call per block and quantity.  A block holds as many points as
+keep its deepest stacked table, the order-k partials of G, within
+BLOCK_BYTES (`point_blocks`).
 """
 
 from __future__ import annotations
@@ -255,7 +255,8 @@ class _Table:
     first read: values alone for a read of [0], the whole table for any
     other read (`build(depth)`, with the bits of `build(0)` in its values).
     Most readers of a deep frame take the values alone; a reader of the
-    whole table reads a slice first, so that it builds once."""
+    whole table reads a slice first, so that it builds once.  A frame that
+    keeps one is a reference cycle (see `frame_blocks`)."""
     __slots__ = ("_build", "_depth", "_t")
 
     def __init__(self, build, depth: int):
@@ -334,8 +335,8 @@ class Frame:
     spec starts with `...` and every slice counts its index and slot axes
     from the right (`_at`) or past the point axis (`_slots`).  Per point,
     its tables hold the bits of the point's own frame.  A block has no point
-    of its own, so no coordinate jets and no Pi; `point_blocks` bounds its
-    size.
+    of its own, so no coordinate jets and no Pi (`table_of` stacks each
+    point frame's); `point_blocks` bounds its size.
     """
 
     lead = 0        # leading point axes of every float table (1 on a block)
@@ -357,7 +358,7 @@ class Frame:
         build: no coefficients are evaluated (`__init__` is not run)."""
         fr = cls.__new__(cls)
         fr.spray, fr.point, fr.order, fr.n = frames[0].spray, None, order, frames[0].n
-        fr.lead = 1
+        fr.lead, fr.frames = 1, frames
         fr.y = np.array([f.y for f in frames])
         fr.G = np.empty((len(frames), fr.n), dtype=object)
         for row, f in zip(fr.G, frames):
@@ -372,7 +373,7 @@ class Frame:
                                                     fr.order)[fr.n:])
 
     @staticmethod
-    def table(arr, k: int):
+    def table(arr, k: int, lead: int = 0):
         """Values and all partials up to order k of a tensor of jets.
 
         Returns [values, first, second, ...] to order k, as float arrays with
@@ -382,15 +383,35 @@ class Frame:
         coefficients (partial = coefficient * alpha!) through the order-k
         prefix that jets of every order >= k share.  It needs no frame: the
         Finsler layer reads the partials of L = F^2 through it too.  Any
-        object array of jets stacks: a block's G gives tables [point, i, ...].
+        object array of jets stacks; with `lead` point axes (a block's G:
+        [point, i, ...]) each point's entries keep the layout of its own
+        table, so an einsum over a block sums in the point's order.
         """
         arr = np.asarray(arr, dtype=object)
         if not 0 <= k <= min(j.order for j in arr.flat):
             raise ValueError(f"cannot read order-{k} partials from these jets")
         size, reads = _partial_reads(arr.flat[0].dim, k)
         coeffs = np.stack([j.coeffs[:size] for j in arr.flat])
-        coeffs = coeffs.reshape(arr.shape + (size,))
-        return [coeffs[..., pos] * fact for pos, fact in reads]
+        if not lead:
+            coeffs = coeffs.reshape(arr.shape + (size,))
+            return [coeffs[..., pos] * fact for pos, fact in reads]
+        pts, idx = arr.shape[:lead], arr.shape[lead:]
+        per = coeffs.reshape(math.prod(pts), -1, size).transpose(0, 2, 1)
+        out = []
+        for pos, fact in reads:
+            t = np.take(per, pos, axis=1).reshape(pts + pos.shape + idx)
+            ix = range(t.ndim - len(idx), t.ndim)
+            out.append(np.moveaxis(t, ix, range(lead, lead + len(idx))) * fact)
+        return out
+
+    def table_of(self, jet_of, k: int) -> list:
+        """`table` of `jet_of(frame)`, stacked over a block's frames."""
+        if not self.lead:
+            return self.table(jet_of(self), k)
+        jets_ = np.empty(len(self.frames), dtype=object)
+        for i, f in enumerate(self.frames):
+            jets_[i] = jet_of(f)
+        return self.table(jets_, k, self.lead)
 
     def _depth(self, name: str, low: int = 3, deepest: int = 1) -> int:
         """Partial depth of a curvature table: 0 at order `low`, <= `deepest`."""
@@ -411,7 +432,7 @@ class Frame:
         its leading tables: the bits of `table(G, k)`."""
         k = len(slots) + depth
         if len(self._gt) <= k:
-            self._gt = _frozen(self.table(self.G, k))
+            self._gt = _frozen(self.table(self.G, k, self.lead))
         cut = self._slots(*slots)
         return [t[cut] for t in self._gt[len(slots):k + 1]]
 
@@ -469,6 +490,11 @@ class Frame:
         return a * (Lvh @ self.y[..., None])[..., 0] - self.cov_h([v, g], ())[0]
 
     # -- connection and curvature fields ----------------------------------------
+
+    @cached_property
+    def G_values(self) -> np.ndarray:
+        """The coefficients G^i as floats."""
+        return self._g_partials(0)[0]
 
     @cached_property
     def N_values(self) -> np.ndarray:
@@ -784,6 +810,17 @@ def point_blocks(points: list, n: int, order: int) -> list:
     be read from cache."""
     step = max(1, BLOCK_BYTES // (8 * n * (2 * n) ** order))
     return [points[i:i + step] for i in range(0, len(points), step)]
+
+
+def frame_blocks(G: SprayChart, points: list, order: int):
+    """The blocks of `G`'s frames at `points` (`point_blocks`), one at a
+    time.  A block's lazy tables refer back to it (`_Table`): they are
+    dropped before the next, so no block waits for the garbage collector."""
+    for block in point_blocks(points, G.n, order):
+        fr = Frame.block([G.frame(p, order) for p in block], order)
+        yield fr
+        for name in ("R4", "T", "chi"):
+            fr.__dict__.pop(name, None)
 
 
 # -- the spray zoo ---------------------------------------------------------------------

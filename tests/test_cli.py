@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -400,9 +401,9 @@ def test_verify_classifies_once(monkeypatch, capsys):
     code, out, _ = run_cli("verify", "--spray", spec, "--points", "3",
                            "--seed", "7", capsys=capsys)
     assert code == 0 and len(calls) == 1
-    # the block the report had when the suite and the report each classified
+    # the classification of the sample's blocks, which the suite holds
     sp = cli._build_spray(*cli._parse_family_spec(spec))
-    cls = classify(sp, sc.sample_points(sp, 3, 7))
+    cls = classify(sc.frame_blocks(sp, sc.sample_points(sp, 3, 7), 3))
     assert json.loads(out)["classification"] == {
         "isotropy_residual": cls.isotropy_residual,
         "scalar_residual": cls.scalar_residual,
@@ -446,7 +447,8 @@ def test_a_cli_process_ends_as_main_returns(capsys):
 
 def test_evaluate_builds_the_values_of_r4_and_t_alone(monkeypatch, capsys):
     # evaluate reads R4[0], T[0] and chi[0] of order-4 blocks: no first
-    # partials, and each table is built on a block, not on a point's frame
+    # partials, and each table is built on a block, not on a point's frame;
+    # the classification reads the same blocks, so it builds nothing more
     builds = []
     init = sc._Table.__init__
     monkeypatch.setattr(sc._Table, "__init__", lambda t, build, depth: init(
@@ -457,9 +459,9 @@ def test_evaluate_builds_the_values_of_r4_and_t_alone(monkeypatch, capsys):
         len(frames)) or block(frames, order))
     code, _, _ = run_cli("evaluate", "--spray", "sphere(n=3,kappa=1)",
                          "--points", "2", capsys=capsys)
-    # R4, T and chi on the evaluate block and T and chi on the classify block
-    assert code == 0 and blocks == [2, 2], blocks
-    assert builds == [0] * 5, builds
+    # R4, T and chi on the one block, which evaluate and classify both read
+    assert code == 0 and blocks == [2], blocks
+    assert builds == [0] * 3, builds
 
 
 def test_evaluate_memory_does_not_grow_with_the_point_count(monkeypatch, capsys):
@@ -469,7 +471,7 @@ def test_evaluate_memory_does_not_grow_with_the_point_count(monkeypatch, capsys)
     reads = []
     table = sc.Frame.table
     monkeypatch.setattr(sc.Frame, "table", staticmethod(
-        lambda arr, k: reads.append((np.shape(arr), k)) or table(arr, k)))
+        lambda arr, k, *lead: reads.append((np.shape(arr), k)) or table(arr, k, *lead)))
     largest = {}
     for count in (3, 100, 200):
         reads.clear()
@@ -482,6 +484,81 @@ def test_evaluate_memory_does_not_grow_with_the_point_count(monkeypatch, capsys)
             assert points * 8 * 3 * 6 ** k <= sc.BLOCK_BYTES, (count, points, k)
         largest[count] = max(points for points, _ in stacked)
     assert largest[3] == 3 and largest[100] == largest[200] < 100, largest
+
+
+ZOO2D = ("flat(n=2)", "riemannian(g11=1+x2^2,g22=1+x1^2,g12=x1*x2/2)",
+         "example72(A=x1,B=x2^2,C=x1*x2,D=1+x1,f=x1*x2)",
+         "randers(a11=1+x2^2,a22=1+x1^2,a12=x1*x2/2,b1=0.2*x2,b2=-0.1*x1,box=0.8)")
+
+
+def test_verify_reports_do_not_depend_on_the_block_size(monkeypatch, capsys,
+                                                        tmp_path):
+    # every row reads blocks of points (`point_blocks` at order 4): blocks of
+    # one point, ragged blocks of three and the default blocks give the same
+    # report bytes, JSON and text (its wall clock masked)
+    nonquad = tmp_path / "nonquad3.spray"
+    nonquad.write_text("dim = 3\nG1 = y1^4/(y1^2+y2^2+y3^2)\n"
+                       "G2 = x1*y2^2 + x3*y1*y2\nG3 = x2*y3^2\n")
+    runs = [(spec, 2, 10) for spec in ZOO2D] + [
+        ("sphere(n=4,kappa=1)", 4, 4), (f"custom(file={nonquad})", 3, 7)]
+    default = sc.BLOCK_BYTES
+    for spec, n, points in runs:
+        per_point = 8 * n * (2 * n) ** 4
+        reports, cuts = [], []
+        for block_bytes in (per_point, 3 * per_point, default):
+            monkeypatch.setattr(sc, "BLOCK_BYTES", block_bytes)
+            cuts.append([len(b) for b in sc.point_blocks(range(points), n, 4)])
+            for fmt in ("json", "text"):
+                code, out, _ = run_cli("verify", "--spray", spec, "--points",
+                                       str(points), "--seed", "2", "--format", fmt,
+                                       capsys=capsys)
+                assert code == 0, spec
+                reports.append(out.rsplit("wall clock:", 1)[0])
+        assert cuts[0] == [1] * points and cuts[1][0] == 3 != cuts[1][-1], cuts
+        assert cuts[2] != cuts[1], cuts
+        assert reports[0::2] == [reports[0]] * 3, spec
+        assert reports[1::2] == [reports[1]] * 3, spec
+
+
+def test_verify_makes_few_einsum_calls(monkeypatch, capsys):
+    # the rows read blocks of points: one einsum per block and quantity, not
+    # one per point (2261 calls when every row ran once per point, 218 on
+    # one block of the 10 points)
+    calls = [0]
+    einsum = np.einsum
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counted)
+    code, _, _ = run_cli("verify", "--spray", "flat(n=2)", "--points", "10",
+                         "--seed", "3", capsys=capsys)
+    assert code == 0 and calls[0] <= 750, calls
+
+
+def test_evaluate_frees_its_blocks_without_the_garbage_collector(monkeypatch,
+                                                                  capsys):
+    # a block's lazy tables (R4, T, chi) refer back to it; once evaluate and
+    # its classification move on, `frame_blocks` drops them, so each block is
+    # freed by reference counting instead of waiting with its stacked tables
+    refs = []
+    block = sc.Frame.block
+
+    def tracked(frames, order):
+        fr = block(frames, order)
+        refs.append(weakref.ref(fr))
+        return fr
+
+    monkeypatch.setattr(sc.Frame, "block", tracked)
+    gc.disable()
+    try:
+        code, _, _ = run_cli("evaluate", "--spray", "sphere(n=3,kappa=1)",
+                             "--points", "20", capsys=capsys)
+        alive = [ref() is not None for ref in refs]
+    finally:
+        gc.enable()
+    assert code == 0 and alive == [False] * 3, alive
 
 
 def test_json_byte_determinism(capsys):
@@ -668,12 +745,15 @@ def test_each_frame_reads_one_table_of_g(monkeypatch, capsys):
     monkeypatch.setattr(sc.Frame, "__init__", built)
     monkeypatch.setattr(sc.Frame, "block", stacked)
     monkeypatch.setattr(sc.Frame, "table", staticmethod(
-        lambda arr, k: reads.append((arr, k)) or table(arr, k)))
+        lambda arr, k, *lead: reads.append((arr, k)) or table(arr, k, *lead)))
     randers2 = ("randers(a11=1+x2^2,a22=1+x1^2,a12=x1*x2/2,b1=0.2*x2,"
                 "b2=-0.1*x1,box=0.8)")
-    for argv in (("verify", "--spray", "sphere(n=4,kappa=1)", "--points", "2"),
-                 ("verify", "--spray", randers2, "--points", "2"),
-                 ("evaluate", "--spray", "sphere(n=3,kappa=1)", "--points", "10")):
+    # G's tables are read on blocks (S too, off a block's N_values); only the
+    # mean-Cartan chi route of a metric's spray reads them on a point's frame
+    for argv, leads in (
+            (("verify", "--spray", "sphere(n=4,kappa=1)", "--points", "2"), {1}),
+            (("verify", "--spray", randers2, "--points", "2"), {0, 1}),
+            (("evaluate", "--spray", "sphere(n=3,kappa=1)", "--points", "10"), {1})):
         frames.clear()
         reads.clear()
         code, _, _ = run_cli(*argv, "--seed", "3", capsys=capsys)
@@ -683,8 +763,7 @@ def test_each_frame_reads_one_table_of_g(monkeypatch, capsys):
             fr = frames.get(id(arr))
             if fr is not None and fr.G is arr:
                 orders.setdefault(fr, []).append(k)
-        # frames and blocks (`classify` reads blocks in either command)
-        assert {fr.lead for fr in orders} == {0, 1}, argv
+        assert {fr.lead for fr in orders} == leads, argv
         assert any(len(ks) > 1 for ks in orders.values()), argv
         for fr, ks in orders.items():
             assert all(a < b for a, b in zip(ks, ks[1:])), (argv, fr.spray, ks)

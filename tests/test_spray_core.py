@@ -940,6 +940,47 @@ def test_block_tables_equal_the_per_point_operations_bit_for_bit(value_zoo):
                         assert res[j] == sc.rel_residual(fr.T[0], fr.R2_table[0])
 
 
+def test_block_forms_of_the_suite_readers_equal_their_point_operations(value_zoo):
+    # each reader that the suite calls on a block (`verify.Block`) has one
+    # form for a frame or a block, and the point operation calls it: per
+    # point, a block's result holds the bits of the point operation, in
+    # blocks of 2 with a ragged last block of 1
+    from spraylab import curvature as cv
+    from spraylab import projective as pj
+    for sp in value_zoo:
+        points = sample_points(sp, 5, seed=71)
+        dV = pj.VolumeForm("exp(x1)", sp.n)
+        hat = pj.deform(sp, dV)
+        for p in points:
+            sp.frame(p, 4)
+            hat.frame(p, 3)
+        for cut in (points[:2], points[2:4], points[4:]):
+            fr = sc.Frame.block([sp.frame(p, 4) for p in cut], 4)
+            hfr = sc.Frame.block([hat.frame(p, 3) for p in cut], 3)
+            tau = hat.tau_values(fr)
+            ricci = pj.projective_ricci_values(fr, hfr, tau)
+            reads = [
+                (cv.chi_trace_values(fr), cv.chi_trace),
+                (cv.chi_local_values(fr), cv.chi_local),
+                (cv.chi_from_t_values(fr), cv.chi_from_t),
+                (pj.s_value(fr, dV), lambda G, p: pj.s_curvature(G, dV, p)),
+                (pj.chi_via_s_values(fr, dV), lambda G, p: pj.chi_via_s(G, dV, p)),
+                (pj.chi_via_s_values(fr, dV, "horizontal-first"),
+                 lambda G, p: pj.chi_via_s(G, dV, p, "horizontal-first")),
+                (pj.hat_riemann_formula(fr, tau),
+                 lambda G, p: pj.hat_riemann(G, dV, p, "formula")),
+                (hfr.R2_table[0], lambda G, p: pj.hat_riemann(G, dV, p)),
+                (pj.eta_hat_values(fr, hfr, tau), lambda G, p: pj.eta_hat(G, dV, p)),
+                (hfr.B[0], lambda G, p: pj.douglas(G, dV, p)),
+                (hfr.T[0], lambda G, p: pj.weyl_hat(G, dV, p))]
+            reads += [(ricci[k], lambda G, p, k=k: pj.projective_ricci(G, dV, p)[k])
+                      for k in ("ric_jl", "ric", "h_jl", "tau")]
+            reads += [(t, lambda G, p, q=q: hat.tau(p)[q]) for q, t in enumerate(tau)]
+            for j, p in enumerate(cut):
+                for k, (got, point_op) in enumerate(reads):
+                    assert np.array_equal(got[j], point_op(sp, p)), (sp.label, k, j)
+
+
 def test_riemann_values_name_the_first_point_that_disagrees(value_zoo):
     # the cross-check of R^i_k against y^j R^{ i}_{j kl} y^l runs on a whole
     # block and raises at its first failing point, with the message that

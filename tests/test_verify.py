@@ -3,6 +3,7 @@
 import math
 from collections import defaultdict
 
+import numpy as np
 import pytest
 
 from spraylab import cli, exprdsl, verify
@@ -121,6 +122,37 @@ def test_nan_residual_fails_its_row():
     assert math.isnan(row.max_residual)
     assert row.passed is False
     assert row.argmax_point == 1
+
+
+def test_a_nan_mid_block_fails_its_row_at_its_point():
+    # the rows combine their sub-residuals elementwise (np.maximum, np.max),
+    # which keep a NaN wherever it sits: a NaN at the third point of a block
+    # in the second part of a row fails the row there; a NaN in T clears the
+    # isotropy flag, so the isotropic rows are not applicable
+    sp = make_family("sphere", n=3, kappa=1.0)
+    runner = verify.SuiteRunner(sp, sample_points(sp, 5, seed=8))
+    (blk,) = runner.blocks
+
+    def poisoned(fr, name, *where):
+        value = getattr(fr, name)       # an array, or a table [values, ...]
+        single = isinstance(value, np.ndarray)
+        tables = [np.array(t) for t in ([value] if single else value[:])]
+        tables[0][where] = np.nan
+        fr.__dict__[name] = tables[0] if single else tables
+
+    poisoned(blk.fr, "Gamma_values", 2, 0, 1, 1)   # Gamma y - N, after N y - 2G
+    poisoned(blk.fr, "B", 2, 0, 0, 0, 1)           # a transpose of B
+    poisoned(blk.fr, "ric", 2)                     # Ric after Ric_jl symmetry
+    poisoned(blk.fr, "T", 2, 1, 0)
+    poisoned(blk.scaled, "chi", 5, 1)              # point 2 at s = 2
+    rows = {r.id: r for r in runner.run()}
+    for rid in ("euler-connection", "berwald-symmetry", "ricci-trace",
+                "chi-homogeneity", "t-trace"):
+        row = rows[rid]
+        assert math.isnan(row.max_residual) and row.passed is False, rid
+        assert row.argmax_point == 2 and not np.isnan(row.residuals[:2]).any(), rid
+    assert math.isnan(runner.cls.isotropy_residual) and not runner.cls.isotropic
+    assert rows["isotropic-4idx"].applicable is False
 
 
 def test_deform_is_memoized_per_volume_form():
