@@ -212,8 +212,16 @@ def cmd_evaluate(args) -> int:
     def blocks():
         """The blocks of the points' frames at the top order (the lower
         orders read it), each reported before `classify` reads it."""
-        for fr in sc.frame_blocks(spray, points, top):
-            S = {v.label: pj.s_value(fr, v) for v in vols}
+        for block in sc.point_blocks(points, spray.n, top):
+            frames, dlog = [], []
+            for p in block:
+                # each point's frame, then the dlog sigma its S reads: the
+                # first domain error is the first on a per-point run
+                frames.append(spray.frame(p, top))
+                dlog.append([v.dlog(list(p.x)) for v in vols])
+            fr = sc.Frame.block(frames, top)
+            S = {v.label: pj.s_value(fr, v, [d[i] for d in dlog])
+                 for i, v in enumerate(vols)}
             qs = cv.quantities(fr)
             for j, f in enumerate(fr.frames):
                 q = {name: t[j].tolist() for name, t in qs.items()}

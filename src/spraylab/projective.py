@@ -93,13 +93,16 @@ def s_jet(fr: Frame, dV: VolumeForm) -> Jet:
     return out
 
 
-def s_value(fr: Frame, dV: VolumeForm):
+def s_value(fr: Frame, dV: VolumeForm, dlog=None):
     """S on floats at a frame's point or a block's [point], with the bits
     of `s_jet`'s value: the trace of `N_values`, then minus y^m dlog_m in
     `s_jet`'s order.  Where dlog_m is a jet there (sigma reads x), its
-    product with y^m is a bincount started at +0.0: so + 0.0 here."""
-    frames = fr.frames if fr.lead else [fr]
-    dlog = np.reshape([dV.dlog(list(f.point.x)) for f in frames], fr.y.shape)
+    product with y^m is a bincount started at +0.0: so + 0.0 here.
+    `dlog` is `dV.dlog` at each point's x, if the caller holds it."""
+    if dlog is None:
+        frames = fr.frames if fr.lead else [fr]
+        dlog = [dV.dlog(list(f.point.x)) for f in frames]
+    dlog = np.reshape(dlog, fr.y.shape)
     out = carrier_sum(fr.N_values[..., m, m] for m in range(fr.n))
     for m in range(fr.n):
         t = fr.y[..., m] * dlog[..., m]
@@ -149,8 +152,9 @@ class DeformedSpray(SprayChart):
 
     The coefficients compose functionally: jet evaluation pulls one extra
     derivative order from the base spray (for Pi inside S) rather than
-    expanding anything symbolically.  It owns S (`S`) and tau (`tau`), the
-    scalars of (G, dV) that every hat-quantity reads.
+    expanding anything symbolically.  It owns the scalars of (G, dV) that
+    every hat-quantity reads: S (`S`), built once per point, and tau
+    (`tau_values`), read off a base frame or block.
     """
 
     def __init__(self, base: SprayChart, dV: VolumeForm):
@@ -160,7 +164,6 @@ class DeformedSpray(SprayChart):
         self.base = base
         self.volume = dV
         self._S = {}            # (x, y) -> S on the highest base frame asked for
-        self._tau = {}          # (x, y) -> tau on the order-4 base frame
 
     def S(self, p: PointTM, order: int) -> Jet:
         """S at p to this order for deformed frames, `chi_via_s`, `eta_hat`
@@ -175,11 +178,8 @@ class DeformedSpray(SprayChart):
         return top.truncated(order - 1)
 
     def tau(self, p: PointTM) -> list:
-        """`tau_values` at p, built once per point."""
-        key = (p.x, p.y)
-        if key not in self._tau:
-            self._tau[key] = self.tau_values(self.base.frame(p, 4))
-        return self._tau[key]
+        """`tau_values` on the base frame at p."""
+        return self.tau_values(self.base.frame(p, 4))
 
     def tau_values(self, fr: Frame) -> list:
         """The table [tau, first, second partials] of tau = P^2 + P_{|m} y^m,

@@ -82,19 +82,21 @@ def _render(obj, indent: int) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
-def _locate(obj) -> str:
-    """The path of the first non-finite float, or None, in the document's
-    own order: rows and points before the classification that sums them."""
+def _locate(obj, top: bool = True) -> str:
+    """The path of the first non-finite float in rendering order, or None,
+    but with the document's classification last: the rows and points it
+    sums are named first."""
     if isinstance(obj, float):
         return None if math.isfinite(obj) else ""
     if isinstance(obj, dict):
-        parts = ((f".{k}", v) for k, v in obj.items())
+        keys = sorted(obj, key=lambda k: (top and k == "classification", k))
+        parts = ((f".{k}", obj[k]) for k in keys)
     elif isinstance(obj, (list, tuple)):
         parts = ((f"[{i}]", v) for i, v in enumerate(obj))
     else:
         return None
     for part, v in parts:
-        path = _locate(v)
+        path = _locate(v, False)
         if path is not None:
             return part + path
     return None

@@ -255,21 +255,40 @@ class _Table:
     first read: values alone for a read of [0], the whole table for any
     other read (`build(depth)`, with the bits of `build(0)` in its values).
     Most readers of a deep frame take the values alone; a reader of the
-    whole table reads a slice first, so that it builds once.  A frame that
-    keeps one is a reference cycle (see `frame_blocks`)."""
-    __slots__ = ("_build", "_depth", "_t")
+    whole table reads a slice first, so that it builds once.  What is built
+    is kept in `store[key]`, the frame's own dict: the frame does not keep
+    the table, whose `build` refers back to it (`lazy_table`), so the two
+    make no reference cycle and a frame is freed by reference counting."""
+    __slots__ = ("_build", "_depth", "_store", "_key")
 
-    def __init__(self, build, depth: int):
-        self._build, self._depth, self._t = build, depth, []
+    def __init__(self, build, depth: int, store: dict, key: str):
+        self._build, self._depth, self._store, self._key = build, depth, store, key
 
     def __len__(self):
         return self._depth + 1
 
     def __getitem__(self, i):
         depth = 0 if i == 0 else self._depth     # a slice is not 0
-        if len(self._t) <= depth:
-            self._t = _frozen(self._build(depth))
-        return self._t[i]
+        t = self._store.get(self._key, ())
+        if len(t) <= depth:
+            t = self._store[self._key] = _frozen(self._build(depth))
+        return t[i]
+
+
+class lazy_table:
+    """A frame's `_Table` of the decorated `build(frame, depth)`, made anew
+    on each read over the tables the frame keeps (under `_` + its name).
+    Like `cached_property`, an entry under its own name in the frame's
+    dict takes its place."""
+
+    def __init__(self, build):
+        self.build, self.key, self.__doc__ = build, "_" + build.__name__, build.__doc__
+
+    def __get__(self, fr, owner=None):
+        if fr is None:
+            return self
+        return _Table(lambda depth: self.build(fr, depth),
+                      fr._depth(self.build.__name__), fr.__dict__, self.key)
 
 
 @lru_cache(maxsize=None)
@@ -392,16 +411,14 @@ class Frame:
             raise ValueError(f"cannot read order-{k} partials from these jets")
         size, reads = _partial_reads(arr.flat[0].dim, k)
         coeffs = np.stack([j.coeffs[:size] for j in arr.flat])
-        if not lead:
-            coeffs = coeffs.reshape(arr.shape + (size,))
-            return [coeffs[..., pos] * fact for pos, fact in reads]
         pts, idx = arr.shape[:lead], arr.shape[lead:]
         per = coeffs.reshape(math.prod(pts), -1, size).transpose(0, 2, 1)
         out = []
         for pos, fact in reads:
             t = np.take(per, pos, axis=1).reshape(pts + pos.shape + idx)
-            ix = range(t.ndim - len(idx), t.ndim)
-            out.append(np.moveaxis(t, ix, range(lead, lead + len(idx))) * fact)
+            s = t.ndim - len(idx)       # the index axes move before the slots
+            out.append(t.transpose(*range(lead), *range(s, t.ndim),
+                                   *range(lead, s)) * fact)
         return out
 
     def table_of(self, jet_of, k: int) -> list:
@@ -548,8 +565,8 @@ class Frame:
                     _product("ij,jk->ik", Gy, Gy))
         return _frozen([2.0 * dx - yH + 2.0 * GG - NN for dx, yH, GG, NN in terms])
 
-    @cached_property
-    def R4(self):
+    @lazy_table
+    def R4(self, depth):
         """Four-index curvature of the Berwald connection, stored [i,j,k,l]:
 
         R^{ i}_{j kl} = delta Gamma^i_jl / delta x^k - delta Gamma^i_jk / delta x^l
@@ -561,17 +578,14 @@ class Frame:
         R4 = A - (A with k, l swapped).
         """
         y = slice(self.n, None)
-
-        def build(depth):
-            Gm = self._g_partials(depth + 1, y, y)              # Gamma, partials
-            hG = self.hpart(Gm)                                     # [i,j,l,m]
-            GG = _product("iks,sjl->ijkl", Gm[:depth + 1], Gm)
-            out = []
-            for q, (h, gg) in enumerate(zip(hG, GG)):
-                A = np.swapaxes(h, -2 - q, -1 - q) + gg
-                out.append(A - np.swapaxes(A, -2 - q, -1 - q))
-            return out
-        return _Table(build, self._depth("R4"))
+        Gm = self._g_partials(depth + 1, y, y)              # Gamma, partials
+        hG = self.hpart(Gm)                                     # [i,j,l,m]
+        GG = _product("iks,sjl->ijkl", Gm[:depth + 1], Gm)
+        out = []
+        for q, (h, gg) in enumerate(zip(hG, GG)):
+            A = np.swapaxes(h, -2 - q, -1 - q) + gg
+            out.append(A - np.swapaxes(A, -2 - q, -1 - q))
+        return out
 
     @cached_property
     def ric(self):
@@ -584,35 +598,27 @@ class Frame:
         """The scalar R = Ric/(n-1) with its partials."""
         return _frozen([np.asarray(t / float(self.n - 1)) for t in self.ric])
 
-    @cached_property
-    def chi(self):
+    @lazy_table
+    def chi(self, depth):
         """chi_k = -(1/6) {dRic/dy^k + 2 dR^m_k/dy^m}, from `R2_table`."""
-        n = self.n
+        n, out = self.n, []
+        for q in range(depth + 1):
+            d, ric = self.R2_table[q + 1], self.ric[q + 1]
+            t = carrier_sum([_at(ric, q, slice(n, None))]
+                            + [2.0 * _at(d, q, m, slice(None), n + m)
+                               for m in range(n)])
+            out.append(t / -6.0)
+        return out
 
-        def build(depth):
-            out = []
-            for q in range(depth + 1):
-                d, ric = self.R2_table[q + 1], self.ric[q + 1]
-                t = carrier_sum([_at(ric, q, slice(n, None))]
-                                + [2.0 * _at(d, q, m, slice(None), n + m)
-                                   for m in range(n)])
-                out.append(t / -6.0)
-            return out
-        return _Table(build, self._depth("chi"))
-
-    @cached_property
-    def T(self):
+    @lazy_table
+    def T(self, depth):
         """T^i_k = R^i_k - {R delta^i_k - (1/2) dR/dy^k y^i}, from `R2_table`."""
-        y = slice(self.n, None)
-
-        def build(depth):
-            R = self.r_scalar
-            out = plus_outer_y(self.R2_table[:depth + 1],
-                               [_at(d, q, y) for q, d in enumerate(R[1:depth + 2])],
-                               0.5, self.y_table)
-            _minus_delta(out, R)
-            return out
-        return _Table(build, self._depth("T"))
+        y, R = slice(self.n, None), self.r_scalar
+        out = plus_outer_y(self.R2_table[:depth + 1],
+                           [_at(d, q, y) for q, d in enumerate(R[1:depth + 2])],
+                           0.5, self.y_table)
+        _minus_delta(out, R)
+        return out
 
     @cached_property
     def ric_jl(self) -> np.ndarray:
@@ -814,13 +820,9 @@ def point_blocks(points: list, n: int, order: int) -> list:
 
 def frame_blocks(G: SprayChart, points: list, order: int):
     """The blocks of `G`'s frames at `points` (`point_blocks`), one at a
-    time.  A block's lazy tables refer back to it (`_Table`): they are
-    dropped before the next, so no block waits for the garbage collector."""
+    time."""
     for block in point_blocks(points, G.n, order):
-        fr = Frame.block([G.frame(p, order) for p in block], order)
-        yield fr
-        for name in ("R4", "T", "chi"):
-            fr.__dict__.pop(name, None)
+        yield Frame.block([G.frame(p, order) for p in block], order)
 
 
 # -- the spray zoo ---------------------------------------------------------------------

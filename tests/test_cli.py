@@ -380,12 +380,38 @@ def test_exp_overflow_is_a_located_domain_error(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_the_first_domain_error_is_the_first_point_s(tmp_path, capsys):
+    # at seed 11, sigma is not positive at point 1 and G overflows at point
+    # 2 of the same block: evaluate and verify name point 1's error, as they
+    # would build the points one by one
+    path = tmp_path / "overflow.spray"
+    path.write_text("dim = 2\nG1 = y1^2*exp(900*x1)\nG2 = 0\n")
+    sigma = "(x1+0.634)^2+(x2-0.771)^2-0.0001"
+    for command in ("evaluate", "verify"):
+        code, out, err = run_cli(command, "--file", str(path), "--sigma", sigma,
+                                 "--points", "4", "--seed", "11", capsys=capsys)
+        assert code == 2 and out == ""
+        assert err == f"domain error: volume density {sigma!r} is not positive\n", err
+
+
 def test_non_finite_report_value_names_its_path():
     from spraylab import report
     doc = {"points": [{"quantities": {"G": [float("inf"), 0.0]}}]}
     with pytest.raises(report.NonFiniteError) as info:
         report.canonical_json(doc)
     assert " at points[0].quantities.G[0];" in str(info.value)
+    # the first in rendering order (sorted keys), but the classification,
+    # which sums the rows, after them
+    nan = float("nan")
+    doc = {"points": [{"quantities": {"N": [nan], "G": [nan]}}],
+           "classification": {"chi_residual": nan}}
+    with pytest.raises(report.NonFiniteError) as info:
+        report.canonical_json(doc)
+    assert " at points[0].quantities.G[0];" in str(info.value)
+    doc = {"rows": [{"max_residual": nan}], "classification": {"chi_residual": nan}}
+    with pytest.raises(report.NonFiniteError) as info:
+        report.canonical_json(doc)
+    assert " at rows[0].max_residual;" in str(info.value)
 
 
 def test_verify_classifies_once(monkeypatch, capsys):
@@ -451,8 +477,8 @@ def test_evaluate_builds_the_values_of_r4_and_t_alone(monkeypatch, capsys):
     # the classification reads the same blocks, so it builds nothing more
     builds = []
     init = sc._Table.__init__
-    monkeypatch.setattr(sc._Table, "__init__", lambda t, build, depth: init(
-        t, lambda d, b=build: builds.append(d) or b(d), depth))
+    monkeypatch.setattr(sc._Table, "__init__", lambda t, build, *rest: init(
+        t, lambda d, b=build: builds.append(d) or b(d), *rest))
     blocks = []
     block = sc.Frame.block
     monkeypatch.setattr(sc.Frame, "block", lambda frames, order: blocks.append(
@@ -539,9 +565,10 @@ def test_verify_makes_few_einsum_calls(monkeypatch, capsys):
 
 def test_evaluate_frees_its_blocks_without_the_garbage_collector(monkeypatch,
                                                                   capsys):
-    # a block's lazy tables (R4, T, chi) refer back to it; once evaluate and
-    # its classification move on, `frame_blocks` drops them, so each block is
-    # freed by reference counting instead of waiting with its stacked tables
+    # a block's lazy tables (R4, T, chi) refer back to it, but the block
+    # keeps only what they built (`lazy_table`): once evaluate and its
+    # classification move on, each block is freed by reference counting
+    # instead of waiting with its stacked tables
     refs = []
     block = sc.Frame.block
 

@@ -844,8 +844,8 @@ def test_r4_and_t_build_their_partials_on_the_first_read_past_the_values(
     # hold the same bits in their values
     depths = []
     init = sc._Table.__init__
-    monkeypatch.setattr(sc._Table, "__init__", lambda t, build, depth: init(
-        t, lambda d, b=build: depths.append(d) or b(d), depth))
+    monkeypatch.setattr(sc._Table, "__init__", lambda t, build, *rest: init(
+        t, lambda d, b=build: depths.append(d) or b(d), *rest))
     sp = make_family("sphere", n=3, kappa=1.0)
     (p,) = sample_points(sp, 1, seed=3)
     for name in ("R4", "T", "chi"):
