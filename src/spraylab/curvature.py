@@ -162,7 +162,7 @@ class Classification(Record):
 
 def classify(blocks) -> Classification:
     """Classify a spray over a point sample by its T, W and chi residuals,
-    read off the caller's frames or blocks of order >= 3 (`frame_blocks`)."""
+    read off the caller's frames or blocks (`Frame.block`) of order >= 3."""
     res = [np.concatenate(r) for r in zip(*(
         [np.reshape(rel_residual(t, fr.R2_table[0], lead=fr.lead), -1)
          for t in (fr.T[0], weyl_values(fr), fr.chi[0])] for fr in blocks))]

@@ -818,13 +818,6 @@ def point_blocks(points: list, n: int, order: int) -> list:
     return [points[i:i + step] for i in range(0, len(points), step)]
 
 
-def frame_blocks(G: SprayChart, points: list, order: int):
-    """The blocks of `G`'s frames at `points` (`point_blocks`), one at a
-    time."""
-    for block in point_blocks(points, G.n, order):
-        yield Frame.block([G.frame(p, order) for p in block], order)
-
-
 # -- the spray zoo ---------------------------------------------------------------------
 
 def _parse_x_expr(src, n, what):

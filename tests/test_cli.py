@@ -427,9 +427,10 @@ def test_verify_classifies_once(monkeypatch, capsys):
     code, out, _ = run_cli("verify", "--spray", spec, "--points", "3",
                            "--seed", "7", capsys=capsys)
     assert code == 0 and len(calls) == 1
-    # the classification of the sample's blocks, which the suite holds
+    # the classification of the sample's frames, which the suite's blocks
+    # stack with the same bits
     sp = cli._build_spray(*cli._parse_family_spec(spec))
-    cls = classify(sc.frame_blocks(sp, sc.sample_points(sp, 3, 7), 3))
+    cls = classify(sp.frame(p, 3) for p in sc.sample_points(sp, 3, 7))
     assert json.loads(out)["classification"] == {
         "isotropy_residual": cls.isotropy_residual,
         "scalar_residual": cls.scalar_residual,

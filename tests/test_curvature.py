@@ -140,14 +140,14 @@ def test_eta_flat_sphere_and_nonzero_fixture(custom3):
 
 def test_classify_flags(custom3, ex72):
     flat = make_family("flat", n=2)
-    cl = cv.classify(sc.frame_blocks(flat, sample_points(flat, 10, seed=1), 3))
+    cl = cv.classify(flat.frame(p, 3) for p in sample_points(flat, 10, seed=1))
     assert cl.isotropic and cl.scalar_curvature and cl.chi_zero
-    cl72 = cv.classify(sc.frame_blocks(ex72, sample_points(ex72, 20, seed=2), 3))
+    cl72 = cv.classify(ex72.frame(p, 3) for p in sample_points(ex72, 20, seed=2))
     assert cl72.isotropic and cl72.scalar_curvature and cl72.chi_zero
-    cl3 = cv.classify(sc.frame_blocks(custom3, sample_points(custom3, 20, seed=3), 3))
+    cl3 = cv.classify(custom3.frame(p, 3) for p in sample_points(custom3, 20, seed=3))
     assert not cl3.isotropic and not cl3.scalar_curvature and not cl3.chi_zero
     with pytest.raises(ValueError, match="non-empty"):
-        cv.classify(sc.frame_blocks(flat, [], 3))
+        cv.classify([])
 
 
 def test_scalar_plus_chi_implies_isotropic():
@@ -160,6 +160,6 @@ def test_scalar_plus_chi_implies_isotropic():
            make_family("randers", a={(1, 1): "1+x2^2", (2, 2): "1+x1^2"},
                        b={1: "0.2*x2", 2: "-0.1*x1"}, n=2, box=0.8)]
     for sp in zoo:
-        cl = cv.classify(sc.frame_blocks(sp, sample_points(sp, 15, seed=51), 3))
+        cl = cv.classify(sp.frame(p, 3) for p in sample_points(sp, 15, seed=51))
         if cl.scalar_curvature and cl.chi_zero:
             assert cl.isotropic, sp.label
