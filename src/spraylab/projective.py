@@ -13,8 +13,9 @@ the suite cross-checks.  Hat-quantities read S and tau = P^2 + P_{|m} y^m,
 P = S/(n+1), off the deformed spray, which builds each once per point: S as
 a jet (the deformed coefficients are differentiated further), tau as a
 float table of values and partials (`Frame.hpart` on the table of P).  The
-value of S alone (`s_curvature`, the float deformed coefficients) is read on
-floats off N on the point's frame (`s_value`), bit for bit the jet's value.
+value of S alone (`s_curvature`) is read on floats off N on the point's
+frame (`s_value`), bit for bit the jet's value, and the float deformed
+coefficients take G's values off the same frame (`Frame.G_values`).
 eta of the deformed spray (`eta_hat`) is taken under its own connection, on
 its order-3 frame, from R_hat = R + tau on the base order-4 frame; the direct
 route to R_hat's partials, which needs order-5 base jets, is kept as the
@@ -206,11 +207,9 @@ class DeformedSpray(SprayChart):
 
     def coefficient_values(self, fr: Frame) -> np.ndarray:
         """G^i - S y^i/(n+1) on floats at a base frame's point or a block's
-        [point, i], from the base spray's float coefficients and `s_value`."""
+        [point, i], from the base frame's `G_values` and `s_value`."""
         S = np.asarray(s_value(fr, self.volume))
-        frames = fr.frames if fr.lead else [fr]
-        G = np.reshape([self.base.coefficients(f.point) for f in frames], fr.y.shape)
-        return G - S[..., None] * fr.y / (self.n + 1)
+        return fr.G_values - S[..., None] * fr.y / (self.n + 1)
 
 
 def deform(G: SprayChart, dV: VolumeForm) -> DeformedSpray:
@@ -246,13 +245,12 @@ def projective_invariance_values(fr1: Frame, fr2: Frame, dV: VolumeForm):
 
 def with_projective_factor(G: SprayChart, P, label: str = "") -> SprayChart:
     """The spray G^i + P(x, y) y^i for a 1-homogeneous scalar factor P, given
-    as expression text and parsed once.  On floats it reads G's own values,
-    evaluated once per (x, y)."""
+    as expression text and parsed once, over G's coefficients evaluated on
+    the same carrier."""
     ast = exprdsl.parse(P, G.n)
 
     def fn(xs, ys):
-        base = (G.eval_coefficients(xs, ys) if isinstance(xs[0], Jet)
-                else G.coefficients(PointTM(tuple(xs), tuple(ys))))
+        base = G.eval_coefficients(xs, ys)
         pv = exprdsl.evaluate(ast, list(xs) + list(ys))
         return [base[i] + pv * ys[i] for i in range(G.n)]
 

@@ -113,15 +113,14 @@ def rel_residual(diff, *refs, lead: int = 0):
 
     With `lead` leading point axes (the tables of a block, `Frame.block`) it
     is one residual per point, an array; otherwise a float.  A NaN component
-    of a reference leaves the scale as it is (`max`, `np.fmax`)."""
+    of a reference leaves the scale as it is (`np.fmax`)."""
     scale = 1.0
     for r in refs:
         r = np.abs(np.asarray(r, dtype=float))
         if r.size:
-            m = 1.0 + r.max(axis=tuple(range(lead, r.ndim)) if lead else None)
-            scale = np.fmax(scale, m) if lead else max(scale, float(m))
+            scale = np.fmax(scale, 1.0 + r.max(axis=tuple(range(lead, r.ndim))))
     diff = np.abs(np.asarray(diff, dtype=float))
-    out = diff.max(axis=tuple(range(lead, diff.ndim)) if lead else None) / scale
+    out = diff.max(axis=tuple(range(lead, diff.ndim))) / scale
     return out if lead else float(out)
 
 
@@ -250,45 +249,40 @@ def _frozen(tables: list) -> list:
     return tables
 
 
-class _Table:
-    """A curvature table [values, first partials] (`Frame`) built on its
-    first read: values alone for a read of [0], the whole table for any
-    other read (`build(depth)`, with the bits of `build(0)` in its values).
-    Most readers of a deep frame take the values alone; a reader of the
-    whole table reads a slice first, so that it builds once.  What is built
-    is kept in `store[key]`, the frame's own dict: the frame does not keep
-    the table, whose `build` refers back to it (`lazy_table`), so the two
-    make no reference cycle and a frame is freed by reference counting."""
-    __slots__ = ("_build", "_depth", "_store", "_key")
-
-    def __init__(self, build, depth: int, store: dict, key: str):
-        self._build, self._depth, self._store, self._key = build, depth, store, key
-
-    def __len__(self):
-        return self._depth + 1
-
-    def __getitem__(self, i):
-        depth = 0 if i == 0 else self._depth     # a slice is not 0
-        t = self._store.get(self._key, ())
-        if len(t) <= depth:
-            t = self._store[self._key] = _frozen(self._build(depth))
-        return t[i]
-
-
 class lazy_table:
-    """A frame's `_Table` of the decorated `build(frame, depth)`, made anew
-    on each read over the tables the frame keeps (under `_` + its name).
-    Like `cached_property`, an entry under its own name in the frame's
-    dict takes its place."""
+    """A curvature table [values, first partials] of a frame (`Frame`),
+    built by the decorated `build(frame, depth)` on its first read: values
+    alone for a read of [0], the whole table for any other read (with the
+    bits of `build(frame, 0)` in its values).  Most readers of a deep frame
+    take the values alone; a reader of the whole table reads a slice first,
+    so that it builds once.  A read of the attribute checks the frame's
+    order (`Frame._depth`) and returns a copy of the descriptor bound to the
+    frame; what it builds is kept in the frame's dict under `_` + its name.
+    The frame does not keep the bound copy, which refers to it, so the two
+    make no reference cycle and a frame is freed by reference counting.
+    Like `cached_property`, an entry under its own name in the frame's dict
+    takes its place."""
 
     def __init__(self, build):
-        self.build, self.key, self.__doc__ = build, "_" + build.__name__, build.__doc__
+        self.build, self.name, self.__doc__ = build, build.__name__, build.__doc__
 
     def __get__(self, fr, owner=None):
         if fr is None:
             return self
-        return _Table(lambda depth: self.build(fr, depth),
-                      fr._depth(self.build.__name__), fr.__dict__, self.key)
+        bound = object.__new__(lazy_table)
+        bound.__dict__.update(vars(self), fr=fr, depth=fr._depth(self.name))
+        return bound
+
+    def __len__(self):
+        return self.depth + 1
+
+    def __getitem__(self, i):
+        depth = 0 if i == 0 else self.depth     # a slice is not 0
+        kept, key = self.fr.__dict__, "_" + self.name
+        t = kept.get(key, ())
+        if len(t) <= depth:
+            t = kept[key] = _frozen(self.build(self.fr, depth))
+        return t[i]
 
 
 @lru_cache(maxsize=None)
@@ -339,12 +333,11 @@ class Frame:
     prefix that jets of every order share).
     Its jets are G, the coordinates (`yj`, `xj`) and the scalar Pi, from
     which S is built; tensors are float tables, cached lazily, read off one
-    table of G's partials per frame, kept at the deepest order read so far
-    (`_g_partials`), or computed from those.  R2, Ric and R are [values] at
-    order 2 and gain a partial per order up to 4; the other curvature tables
-    are [values] at order 3 and [values, first partials] deeper, the slot
-    last as in `table`; R4, T and chi are built on their first read
-    (`_Table`).
+    table of G's partials per frame, at the frame's order (`_g_partials`),
+    or computed from those.  R2, Ric and R are [values] at order 2 and gain
+    a partial per order up to 4; the other curvature tables are [values] at
+    order 3 and [values, first partials] deeper, the slot last as in
+    `table`; R4, T and chi are built on their first read (`lazy_table`).
     `hpart` and `cov_h` take the horizontal derivative of any such
     table, one partial shorter, under the frame's own connection.
 
@@ -359,7 +352,6 @@ class Frame:
     """
 
     lead = 0        # leading point axes of every float table (1 on a block)
-    _gt = ()        # the one table of G read so far (`_g_partials`)
 
     def __init__(self, spray: "SprayChart", point: PointTM, order: int):
         self.spray = spray
@@ -441,15 +433,20 @@ class Frame:
         to `slots`: they follow its point axis, if any, and its axis i."""
         return (slice(None),) * (self.lead + 1) + slots
 
+    @cached_property
+    def _gt(self) -> list:
+        """The one table of G's partials, `table(G, order)` (`_g_partials`)."""
+        return _frozen(self.table(self.G, self.order, self.lead))
+
     def _g_partials(self, depth: int, *slots) -> list:
         """The table [values, first, ...] to `depth` of the partials of G in
         `slots`: the orders len(slots) .. len(slots) + depth of `table(G, k)`,
-        each with its first slot axes cut to `slots`.  The frame keeps one
-        table of G, at the deepest order read so far, and a lower order reads
-        its leading tables: the bits of `table(G, k)`."""
+        each with its first slot axes cut to `slots`.  They are the leading
+        tables of the frame's one table of G, at its order (`_gt`): the bits
+        of `table(G, k)`, whose ValueError a k past the order raises."""
         k = len(slots) + depth
-        if len(self._gt) <= k:
-            self._gt = _frozen(self.table(self.G, k, self.lead))
+        if k > self.order:
+            raise ValueError(f"cannot read order-{k} partials from these jets")
         cut = self._slots(*slots)
         return [t[cut] for t in self._gt[len(slots):k + 1]]
 
@@ -510,7 +507,9 @@ class Frame:
 
     @cached_property
     def G_values(self) -> np.ndarray:
-        """The coefficients G^i as floats."""
+        """The coefficients G^i as floats, the values of G's jets: those of
+        a spray's own function hold the bits of its float evaluation
+        (`SprayChart.coefficients`)."""
         return self._g_partials(0)[0]
 
     @cached_property
@@ -634,9 +633,10 @@ class SprayChart:
     fn(xs, ys) -> [G^1, ..., G^n] over any carrier (floats or jets), and an
     explicit domain box.
 
-    The coefficients are evaluated once per point: on jets once per (x, y)
-    at the highest order asked there (`frame`), on floats once per (x, y)
-    (`coefficients`).
+    The coefficients are evaluated on jets once per (x, y), at the highest
+    order asked there (`frame`), and on floats at each call (`coefficients`),
+    for readers at points without a frame (homogeneity, set-up checks); a
+    frame's values (`Frame.G_values`) hold the bits of the float evaluation.
     """
 
     def __init__(self, n: int, fn, domain: Box, label: str):
@@ -648,7 +648,6 @@ class SprayChart:
         self.label = label
         self.metric = None      # the FinslerMetric of an induced spray
         self._frames = {}       # (x, y) -> the one frame kept there (`frame`)
-        self._values = {}       # (x, y) -> the float coefficients (`coefficients`)
         self._deformed = {}     # VolumeForm -> DeformedSpray (projective.deform)
 
     def eval_coefficients(self, xs, ys):
@@ -662,15 +661,9 @@ class SprayChart:
         return [jets.as_jet(v, lifted[0]) for v in out]
 
     def coefficients(self, p: PointTM) -> np.ndarray:
-        """G^i at p on floats, evaluated once per (x, y): a read-only array
-        that every caller shares."""
-        key = (p.x, p.y)
-        out = self._values.get(key)
-        if out is None:
-            out = np.array([carrier_value(v) for v in
-                            self.eval_coefficients(list(p.x), list(p.y))])
-            out = self._values[key] = _frozen([out])[0]
-        return out
+        """G^i at p, evaluated on floats."""
+        return np.array([carrier_value(v) for v in
+                         self.eval_coefficients(list(p.x), list(p.y))])
 
     def frame(self, p: PointTM, order: int) -> Frame:
         """The one frame kept at p, of order at least `order`: the reader

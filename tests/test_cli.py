@@ -3,6 +3,7 @@
 import contextlib
 import gc
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -337,7 +338,9 @@ def test_exit_code_contract_on_fuzzed_expression_files(tmp_path):
     # custom(file=...) sprays whose coefficients are random DSL expressions
     # (`exprgen.gen_expr`): every other case made 2-homogeneous as
     # (y1^2 + ... + yn^2) * (E) with E over x only, the rest left raw, which
-    # the homogeneity check refuses mostly.  Same contract as the fuzz above.
+    # the homogeneity check refuses mostly.  Each file runs with two random
+    # volume forms over x, 1.5 + sin(E) and a raw E (which the set-up check
+    # may refuse), in JSON and in text.  Same contract as the fuzz above.
     rng = np.random.default_rng(9)
     codes = []
     for case in range(16):
@@ -346,11 +349,15 @@ def test_exit_code_contract_on_fuzzed_expression_files(tmp_path):
         if case % 2 == 0:
             ysq = " + ".join(f"y{i}^2" for i in range(1, n + 1))
             coeffs = [f"({ysq}) * ({e.replace('y', 'x')})" for e in coeffs]
+        wrapped, raw = (exprgen.gen_expr(rng, n, depth=2).replace("y", "x")
+                        for _ in range(2))
         path = tmp_path / f"case{case}.spray"
         path.write_text(f"dim = {n}\n" + "".join(
             f"G{i} = {e}\n" for i, e in enumerate(coeffs, start=1)))
-        for command in ("evaluate", "verify"):
-            argv = [command, "--spray", f"custom(file={path})", "--points", "2"]
+        for command, fmt in itertools.product(("evaluate", "verify"), ("json", "text")):
+            argv = [command, "--spray", f"custom(file={path})", "--points", "2",
+                    "--sigma", f"1.5 + sin({wrapped})", "--sigma", raw,
+                    "--format", fmt]
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 try:
@@ -361,7 +368,9 @@ def test_exit_code_contract_on_fuzzed_expression_files(tmp_path):
             assert "Traceback" not in err.getvalue(), argv
             assert "line 0, column 0" not in err.getvalue(), argv
             if code in (0, 1):
-                json.loads(out.getvalue())
+                assert out.getvalue(), argv
+                if fmt == "json":
+                    json.loads(out.getvalue())
             codes.append(code)
     assert 0 in codes and 2 in codes, codes
 
@@ -477,9 +486,10 @@ def test_evaluate_builds_the_values_of_r4_and_t_alone(monkeypatch, capsys):
     # partials, and each table is built on a block, not on a point's frame;
     # the classification reads the same blocks, so it builds nothing more
     builds = []
-    init = sc._Table.__init__
-    monkeypatch.setattr(sc._Table, "__init__", lambda t, build, *rest: init(
-        t, lambda d, b=build: builds.append(d) or b(d), *rest))
+    for name in ("R4", "T", "chi"):
+        lazy = vars(sc.Frame)[name]     # its bound copies share its `build`
+        monkeypatch.setattr(lazy, "build", lambda fr, d, b=lazy.build: (
+            builds.append(d) or b(fr, d)))
     blocks = []
     block = sc.Frame.block
     monkeypatch.setattr(sc.Frame, "block", lambda frames, order: blocks.append(
@@ -755,9 +765,8 @@ def test_verify_builds_one_frame_per_spray_and_point(monkeypatch, capsys):
 
 
 def test_each_frame_reads_one_table_of_g(monkeypatch, capsys):
-    # a frame, or a block, keeps one table of G's partials at the deepest
-    # order read so far, and a lower order reads its leading tables: every
-    # further read of its G is deeper than the last
+    # a frame, or a block, reads one table of G's partials, at its own order,
+    # and every lower order is a leading table of it (`Frame._gt`)
     frames, reads = {}, []
     init, block, table = sc.Frame.__init__, sc.Frame.block, sc.Frame.table
 
@@ -777,11 +786,15 @@ def test_each_frame_reads_one_table_of_g(monkeypatch, capsys):
     randers2 = ("randers(a11=1+x2^2,a22=1+x1^2,a12=x1*x2/2,b1=0.2*x2,"
                 "b2=-0.1*x1,box=0.8)")
     # G's tables are read on blocks (S too, off a block's N_values); only the
-    # mean-Cartan chi route of a metric's spray reads them on a point's frame
-    for argv, leads in (
-            (("verify", "--spray", "sphere(n=4,kappa=1)", "--points", "2"), {1}),
-            (("verify", "--spray", randers2, "--points", "2"), {0, 1}),
-            (("evaluate", "--spray", "sphere(n=3,kappa=1)", "--points", "10"), {1})):
+    # mean-Cartan chi route of a metric's spray reads them on a point's frame.
+    # verify's blocks are of orders 1 (G + P y), 3 (the deformed sprays and
+    # (x, s y)) and 4 (the base spray); evaluate's of its order
+    for argv, leads, depths in (
+            (("verify", "--spray", "sphere(n=4,kappa=1)", "--points", "2"), {1},
+             {1, 3, 4}),
+            (("verify", "--spray", randers2, "--points", "2"), {0, 1}, {1, 3, 4}),
+            (("evaluate", "--spray", "sphere(n=3,kappa=1)", "--points", "10"), {1},
+             {4})):
         frames.clear()
         reads.clear()
         code, _, _ = run_cli(*argv, "--seed", "3", capsys=capsys)
@@ -792,9 +805,9 @@ def test_each_frame_reads_one_table_of_g(monkeypatch, capsys):
             if fr is not None and fr.G is arr:
                 orders.setdefault(fr, []).append(k)
         assert {fr.lead for fr in orders} == leads, argv
-        assert any(len(ks) > 1 for ks in orders.values()), argv
+        assert {fr.order for fr in orders} == depths, argv
         for fr, ks in orders.items():
-            assert all(a < b for a, b in zip(ks, ks[1:])), (argv, fr.spray, ks)
+            assert ks == [fr.order], (argv, fr.spray, fr.lead, ks)
 
 
 def test_unknown_tolerance_id_rejected(capsys):

@@ -824,6 +824,8 @@ def test_lower_orders_read_the_leading_tables_of_the_one_frame(value_zoo):
                 built = sc.Frame(spray, p, order)
                 for g, h in zip(top.G, built.G, strict=True):
                     assert g.truncated(order).coeffs.tobytes() == h.coeffs.tobytes()
+                with pytest.raises(ValueError, match=f"order-{order + 1} partials"):
+                    built._g_partials(order + 1)    # past its one table of G
                 for name, low in FRAME_TABLES:
                     if order < low:
                         continue
@@ -843,9 +845,10 @@ def test_r4_and_t_build_their_partials_on_the_first_read_past_the_values(
     # alone for [0], the whole table for a slice or a read past [0]; both
     # hold the same bits in their values
     depths = []
-    init = sc._Table.__init__
-    monkeypatch.setattr(sc._Table, "__init__", lambda t, build, *rest: init(
-        t, lambda d, b=build: depths.append(d) or b(d), *rest))
+    for name in ("R4", "T", "chi"):
+        lazy = vars(sc.Frame)[name]     # its bound copies share its `build`
+        monkeypatch.setattr(lazy, "build", lambda fr, d, b=lazy.build: (
+            depths.append(d) or b(fr, d)))
     sp = make_family("sphere", n=3, kappa=1.0)
     (p,) = sample_points(sp, 1, seed=3)
     for name in ("R4", "T", "chi"):
@@ -1247,31 +1250,33 @@ def test_metric_sliced_from_a_deeper_order_equals_a_fresh_one_bit_for_bit():
                     assert a.coeffs.tobytes() == b.coeffs.tobytes(), (sp.label, order)
 
 
-def test_float_coefficients_are_evaluated_once_and_read_only(value_zoo):
-    # `coefficients` keeps one read-only array per (x, y), which homogeneity,
-    # the deformed spray and G + P y (its float path reads G's) all share;
-    # it must hold the bits of a fresh evaluation, on a spray never asked
+# a 3-D spray through sqrt, exp, sin, cos, log, abs and quotients
+CUSTOM3 = ("dim = 3\n"
+           "G1 = sqrt(y1^2 + y2^2 + y3^2) * (0.3*y1*exp(0.2*x1) + 0.1*y2*sin(x2))"
+           " + y1*y3*cos(x3)\n"
+           "G2 = (y1^2 + 2*y2^2) * log(2 + x1^2) / (3 + x2^2) + abs(x3)*y2*y3\n"
+           "G3 = x2*y3^2 + (y1^3 + y3^3) / sqrt(y1^2 + y2^2 + y3^2)\n")
+
+
+def test_frame_values_are_the_float_coefficients(value_zoo):
+    # the values of G's jets, on a point's frame and on a block of orders 1,
+    # 3 and 4, hold the bits of the float evaluation (`coefficients`), since
+    # quotients are pinned (`jets.quotient`) and powers multiply in the
+    # product's order: so the deformed spray's float coefficients and those
+    # of G + P y read G off its frames (`Frame.G_values`)
     from spraylab import projective as pj
-
-    def family(sp):
-        return [sp, pj.deform(sp, pj.VolumeForm("exp(x1)", sp.n)),
-                pj.with_projective_factor(sp, "0.3*y1 + 0.1*y2")]
-
-    fresh_zoo = [make_family("sphere", n=3, kappa=1.0),
-                 make_family("example72", **EX72),
-                 make_family("randers", a=A_CURVED, b={1: "0.2*x2", 2: "-0.1*x1"},
-                             n=2, box=0.8)]
-    for sp, fresh_sp in zip(value_zoo, fresh_zoo, strict=True):
-        for p in sample_points(sp, 3, seed=68):
-            for spray, fresh in zip(family(sp), family(fresh_sp), strict=True):
-                want = np.array([sc.carrier_value(v) for v in
-                                 fresh.eval_coefficients(list(p.x), list(p.y))])
-                got = spray.coefficients(p)
-                assert spray.coefficients(p) is got
-                assert got.tobytes() == want.tobytes(), spray.label
-                assert not got.flags.writeable
-                with pytest.raises(ValueError):
-                    got[0] = 0.0
+    custom = make_custom(doc=exprdsl.parse_spray_source(CUSTOM3), label="custom3")
+    for sp in [*value_zoo, custom]:
+        for spray in (sp, pj.with_projective_factor(sp, "0.3*y1 + 0.1*y2")):
+            points = [q for p in sample_points(spray, 3, seed=68)
+                      for q in (p, p.scaled(-0.5))]
+            want = np.array([spray.coefficients(p) for p in points])
+            for order in (1, 3, 4):
+                frames = [sc.Frame(spray, p, order) for p in points]
+                for fr, w in zip(frames, want, strict=True):
+                    assert fr.G_values.tobytes() == w.tobytes(), (spray.label, order)
+                block = sc.Frame.block(frames, order)
+                assert block.G_values.tobytes() == want.tobytes(), (spray.label, order)
 
 
 def test_placed_rhs_matches_the_2n_product_loop_bit_for_bit():
