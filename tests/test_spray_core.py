@@ -1262,8 +1262,8 @@ def test_frame_values_are_the_float_coefficients(value_zoo):
     # the values of G's jets, on a point's frame and on a block of orders 1,
     # 3 and 4, hold the bits of the float evaluation (`coefficients`), since
     # quotients are pinned (`jets.quotient`) and powers multiply in the
-    # product's order: so the deformed spray's float coefficients and those
-    # of G + P y read G off its frames (`Frame.G_values`)
+    # product's order: so a deformed spray's float coefficients read its
+    # base spray's (G, or G + P y) off the base frames (`Frame.G_values`)
     from spraylab import projective as pj
     custom = make_custom(doc=exprdsl.parse_spray_source(CUSTOM3), label="custom3")
     for sp in [*value_zoo, custom]:
