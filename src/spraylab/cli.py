@@ -128,7 +128,7 @@ def _volumes(sigmas, spray):
         try:
             v = pj.VolumeForm(s, spray.n)
             v.check_positive(spray.domain)
-        except (exprdsl.ExprSyntaxError, ValueError, JetDomainError) as e:
+        except ValueError as e:     # ExprSyntaxError is one
             raise InputError(f"bad volume density {s!r}: {e}") from None
         vols.append(v)
     return vols
@@ -214,11 +214,11 @@ def cmd_evaluate(args) -> int:
         orders read it), each reported before `classify` reads it."""
         for block in sc.point_blocks(points, spray.n, top):
             frames, dlog = [], []
-            for p in block:
+            for f in spray.frames(block, top):
                 # each point's frame, then the dlog sigma its S reads: the
                 # first domain error is the first on a per-point run
-                frames.append(spray.frame(p, top))
-                dlog.append([v.dlog(list(p.x)) for v in vols])
+                frames.append(f)
+                dlog.append([v.dlog(list(f.point.x)) for v in vols])
             fr = sc.Frame.block(frames, top)
             S = {v.label: pj.s_value(fr, v, [d[i] for d in dlog])
                  for i, v in enumerate(vols)}

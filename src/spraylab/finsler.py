@@ -134,7 +134,10 @@ def induced_spray(F: FinslerMetric) -> SprayChart:
         memo = {}
         g = [[0.5 * exprdsl.evaluate(F._dLyy[i][j], env, memo) for j in range(n)]
              for i in range(n)]
-        _check_cond(np.array([[carrier_value(v) for v in row] for row in g]))
+        gv = np.stack(np.broadcast_arrays(*(carrier_value(v) for row in g
+                                            for v in row)), -1)
+        for m in gv.reshape(-1, n, n):      # per point on block jets
+            _check_cond(m)
         q = []
         for l in range(n):
             acc = -exprdsl.evaluate(F._dLx[l], env, memo)

@@ -12,6 +12,19 @@ truncate to the lower order, and :meth:`Jet.d` (the formal derivative, i.e.
 the jet of the derivative function) lowers the order by one.  The multi-index
 table is sorted by (total degree, lexicographic), which makes the table of
 order K-1 a prefix of the table of order K so truncation is a slice.
+
+A block jet holds the jets of several points at once: its coefficients carry
+one leading point axis, ``coeffs[point, pos]``, in the same class and ops, so
+that carrier-generic code (expression evaluation, linear solves) runs once
+per block of points.  Each point's row holds the bits of that point's own
+evaluation: arithmetic is elementwise per row, a product is one
+`np.bincount` whose bins are offset by point * size (bincount adds each
+bin's terms in input order, so each row sums in the per-point order), and
+every value-dependent step decides per point: the series of the analytic
+functions are the same `math` calls on each point's value, the sign of
+`absolute` is taken per row, and a domain error at any point raises.  A
+branch that cannot be taken per point raises `BlockSplit`.  Per-point jets
+and floats mix with block jets by broadcasting.
 """
 
 from __future__ import annotations
@@ -24,6 +37,11 @@ import numpy as np
 
 class JetDomainError(ArithmeticError):
     """An operation left the domain where the expansion stays finite."""
+
+
+class BlockSplit(Exception):
+    """A data-dependent branch goes different ways at the points of a block
+    jet: the caller evaluates the points one by one."""
 
 
 @lru_cache(maxsize=None)
@@ -70,6 +88,7 @@ class JetSpace:
         self.weights = (order + 1) ** np.arange(dim, -1, -1, dtype=np.int64)
         self._keys = self.keys(self.rows)
         self._product = None
+        self._block_bins = {}
         self._deriv = {}
         self._fact = np.array([math.prod(math.factorial(a) for a in e)
                                for e in self.exponents], dtype=float)
@@ -97,6 +116,20 @@ class JetSpace:
             self._product = (ia, ib, self.positions(self._keys[ia] + self._keys[ib]))
         return self._product
 
+    def _block_sum(self, w) -> np.ndarray:
+        """The coefficients [point, pos] of a product of block jets from its
+        terms w[point, pair] (`_product_table` order): one bincount, each
+        point's bins offset by point * size, so each bin adds its terms in
+        the order of the per-point product."""
+        points = len(w)
+        bins = self._block_bins.get(points)
+        if bins is None:
+            it = self._product_table()[2]
+            bins = self._block_bins[points] = (
+                it + self.size * np.arange(points)[:, None]).ravel()
+        return np.bincount(bins, weights=w.ravel(), minlength=points * self.size
+                           ).reshape(points, self.size)
+
     def _deriv_table(self, slot):
         if slot not in self._deriv:
             m = self.size_at[self.order - 1] if self.order >= 1 else 0
@@ -108,7 +141,9 @@ class JetSpace:
 
 
 class Jet:
-    """Truncated Taylor expansion of a smooth function at a point."""
+    """Truncated Taylor expansion of a smooth function at a point, or of one
+    function at each point of a block (`coeffs[point, pos]`, see the module
+    doc); `value` is then one float per point, an array."""
 
     __slots__ = ("space", "coeffs")
 
@@ -119,23 +154,22 @@ class Jet:
     # -- construction -------------------------------------------------------
 
     @staticmethod
-    def constant(value: float, dim: int, order: int) -> "Jet":
+    def constant(value, dim: int, order: int) -> "Jet":
+        """The constant `value`; an array of values makes a block jet."""
         sp = jet_space(dim, order)
-        c = np.zeros(sp.size)
-        c[0] = value
+        c = np.zeros(value.shape + (sp.size,) if isinstance(value, np.ndarray)
+                     else sp.size)
+        c[..., 0] = value
         return Jet(sp, c)
 
     @staticmethod
-    def variable(slot: int, value: float, dim: int, order: int) -> "Jet":
+    def variable(slot: int, value, dim: int, order: int) -> "Jet":
         if not 0 <= slot < dim:
             raise ValueError(f"variable slot {slot} out of range for dim {dim}")
-        sp = jet_space(dim, order)
-        c = np.zeros(sp.size)
-        c[0] = value
+        c = Jet.constant(value, dim, order).coeffs
         if order >= 1:
-            unit = tuple(1 if i == slot else 0 for i in range(dim))
-            c[sp.index[unit]] = 1.0
-        return Jet(sp, c)
+            c[..., dim - slot] = 1.0    # (degree, lex) order: x^slot's unit exponent
+        return Jet(jet_space(dim, order), c)
 
     # -- basic queries ------------------------------------------------------
 
@@ -148,9 +182,15 @@ class Jet:
         return self.space.order
 
     @property
-    def value(self) -> float:
-        """Value of the function at the expansion point."""
-        return float(self.coeffs[0])
+    def value(self):
+        """Value of the function at the expansion point (a float), or at
+        each point of a block (an array)."""
+        c = self.coeffs
+        return float(c[0]) if c.ndim == 1 else c[:, 0].copy()
+
+    def row(self, i: int) -> "Jet":
+        """Point i's jet of a block jet; a per-point jet is its own row."""
+        return Jet(self.space, self.coeffs[i]) if self.coeffs.ndim == 2 else self
 
     def partial(self, alpha) -> float:
         """True partial derivative d^alpha f at the point (factorial-corrected)."""
@@ -169,7 +209,7 @@ class Jet:
         if order == self.order:
             return self
         sp = jet_space(self.dim, order)
-        return Jet(sp, self.coeffs[: sp.size])
+        return Jet(sp, self.coeffs[..., : sp.size])
 
     def d(self, slot: int) -> "Jet":
         """Jet of the partial derivative with respect to variable `slot`."""
@@ -179,7 +219,8 @@ class Jet:
             raise ValueError(f"slot {slot} out of range")
         sp = jet_space(self.dim, self.order - 1)
         src, mult = self.space._deriv_table(slot)
-        return Jet(sp, self.coeffs[src] * mult)
+        c = self.coeffs
+        return Jet(sp, (c[src] if c.ndim == 1 else c[:, src]) * mult)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -196,7 +237,7 @@ class Jet:
             a, b = self._align(other)
             return Jet(a.space, a.coeffs + b.coeffs)
         c = self.coeffs.copy()
-        c[0] += other
+        c.T[0] += other     # the constant term, of each point's row on a block
         return Jet(self.space, c)
 
     __radd__ = __add__
@@ -206,12 +247,12 @@ class Jet:
             a, b = self._align(other)
             return Jet(a.space, a.coeffs - b.coeffs)
         c = self.coeffs.copy()
-        c[0] -= other
+        c.T[0] -= other
         return Jet(self.space, c)
 
     def __rsub__(self, other):
         c = -self.coeffs
-        c[0] += other
+        c.T[0] += other
         return Jet(self.space, c)
 
     def __neg__(self):
@@ -221,9 +262,11 @@ class Jet:
         if isinstance(other, Jet):
             a, b = self._align(other)
             ia, ib, it = a.space._product_table()
-            c = np.bincount(it, weights=a.coeffs[ia] * b.coeffs[ib],
-                            minlength=a.space.size)
-            return Jet(a.space, c)
+            ca, cb = a.coeffs, b.coeffs
+            if ca.ndim == cb.ndim == 1:
+                return Jet(a.space, np.bincount(it, weights=ca[ia] * cb[ib],
+                                                minlength=a.space.size))
+            return Jet(a.space, a.space._block_sum(ca[..., ia] * cb[..., ib]))
         return Jet(self.space, self.coeffs * other)
 
     __rmul__ = __mul__
@@ -257,67 +300,97 @@ class Jet:
 
     # -- analytic functions -------------------------------------------------
 
-    def _compose(self, series) -> "Jet":
-        """Evaluate sum_m series[m] * (self - value)^m by Horner's rule."""
-        t = self - self.value
+    def _compose(self, series_of) -> "Jet":
+        """Evaluate sum_m s[m] * (self - value)^m by Horner's rule, with
+        s = series_of(value, order) computed per point on a block."""
+        v = self.value
+        if self.coeffs.ndim == 1:
+            series = series_of(v, self.order)
+        else:
+            series = [np.array(col) for col in
+                      zip(*(series_of(a, self.order) for a in v.tolist()))]
+        t = self - v
         acc = Jet.constant(series[-1], self.dim, self.order)
         for cm in reversed(series[:-1]):
             acc = acc * t + cm
         return acc
 
     def reciprocal(self) -> "Jet":
-        a0 = self.value
-        if a0 == 0.0:
-            raise JetDomainError("division by zero")
-        series = [(-1.0) ** m / a0 ** (m + 1) for m in range(self.order + 1)]
-        return self._compose(series)
+        return self._compose(_reciprocal_series)
 
     def sqrt(self) -> "Jet":
-        a0 = self.value
-        if a0 <= 0.0:
-            raise JetDomainError(f"sqrt of non-positive value {a0}")
-        series = [math.sqrt(a0)]
-        for m in range(1, self.order + 1):
-            series.append(series[-1] * (0.5 - (m - 1)) / (m * a0))
-        return self._compose(series)
+        return self._compose(_sqrt_series)
 
     def exp(self) -> "Jet":
-        e = exp(self.value)
-        series = [e / math.factorial(m) for m in range(self.order + 1)]
-        return self._compose(series)
+        return self._compose(_exp_series)
 
     def log(self) -> "Jet":
-        a0 = self.value
-        if a0 <= 0.0:
-            raise JetDomainError(f"log of non-positive value {a0}")
-        series = [math.log(a0)]
-        for m in range(1, self.order + 1):
-            series.append((-1.0) ** (m - 1) / (m * a0 ** m))
-        return self._compose(series)
+        return self._compose(_log_series)
 
     def sin(self) -> "Jet":
-        s, c = math.sin(self.value), math.cos(self.value)
-        cycle = (s, c, -s, -c)
-        series = [cycle[m % 4] / math.factorial(m) for m in range(self.order + 1)]
-        return self._compose(series)
+        return self._compose(_sin_series)
 
     def cos(self) -> "Jet":
-        s, c = math.sin(self.value), math.cos(self.value)
-        cycle = (c, -s, -c, s)
-        series = [cycle[m % 4] / math.factorial(m) for m in range(self.order + 1)]
-        return self._compose(series)
+        return self._compose(_cos_series)
 
     def absolute(self) -> "Jet":
         a0 = self.value
-        if a0 == 0.0:
+        if np.any(a0 == 0.0):
             raise JetDomainError("abs is not differentiable at zero")
-        return self if a0 > 0 else -self
+        if self.coeffs.ndim == 1:
+            return self if a0 > 0 else -self
+        return Jet(self.space, np.where((a0 > 0)[:, None], self.coeffs, -self.coeffs))
 
     def __repr__(self):
+        if self.coeffs.ndim == 2:
+            return f"Jet(dim={self.dim}, order={self.order}, {len(self.coeffs)} points)"
         head = ", ".join(
             f"{e}:{c:.6g}" for e, c in zip(self.space.exponents[:6], self.coeffs[:6])
             if c != 0.0)
         return f"Jet(dim={self.dim}, order={self.order}, [{head or '0'}...])"
+
+
+# -- Taylor series of the analytic functions at one value --------------------
+
+def _reciprocal_series(a0: float, order: int) -> list:
+    if a0 == 0.0:
+        raise JetDomainError("division by zero")
+    return [(-1.0) ** m / a0 ** (m + 1) for m in range(order + 1)]
+
+
+def _sqrt_series(a0: float, order: int) -> list:
+    if a0 <= 0.0:
+        raise JetDomainError(f"sqrt of non-positive value {a0}")
+    series = [math.sqrt(a0)]
+    for m in range(1, order + 1):
+        series.append(series[-1] * (0.5 - (m - 1)) / (m * a0))
+    return series
+
+
+def _exp_series(a0: float, order: int) -> list:
+    e = exp(a0)
+    return [e / math.factorial(m) for m in range(order + 1)]
+
+
+def _log_series(a0: float, order: int) -> list:
+    if a0 <= 0.0:
+        raise JetDomainError(f"log of non-positive value {a0}")
+    series = [math.log(a0)]
+    for m in range(1, order + 1):
+        series.append((-1.0) ** (m - 1) / (m * a0 ** m))
+    return series
+
+
+def _sin_series(a0: float, order: int) -> list:
+    s, c = math.sin(a0), math.cos(a0)
+    cycle = (s, c, -s, -c)
+    return [cycle[m % 4] / math.factorial(m) for m in range(order + 1)]
+
+
+def _cos_series(a0: float, order: int) -> list:
+    s, c = math.sin(a0), math.cos(a0)
+    cycle = (c, -s, -c, s)
+    return [cycle[m % 4] / math.factorial(m) for m in range(order + 1)]
 
 
 # -- carrier-generic helpers -------------------------------------------------
@@ -387,10 +460,10 @@ def quotient(a, b, inv):
         return divide(a, b)
     if isinstance(a, Jet):
         out = a * inv
-        out.coeffs[0] = a.value / b.value
+        out.coeffs.T[0] = a.value / b.value
     else:
         out = inv * a
-        out.coeffs[0] = a / b.value
+        out.coeffs.T[0] = a / b.value
     return out
 
 
@@ -424,9 +497,11 @@ def lift_variable(slot: int, value: float, dim: int, order: int) -> Jet:
 
 
 def lift_point(coords, order: int):
-    """Lift a full coordinate tuple, returning one jet per variable."""
-    dim = len(coords)
-    return [Jet.variable(i, float(v), dim, order) for i, v in enumerate(coords)]
+    """Lift a full coordinate tuple, returning one jet per variable; an array
+    of points [point, variable] lifts to block jets."""
+    coords = np.asarray(coords, dtype=float)
+    dim = coords.shape[-1]
+    return [Jet.variable(i, coords[..., i], dim, order) for i in range(dim)]
 
 
 @lru_cache(maxsize=None)
@@ -454,6 +529,8 @@ def _is_coordinate(j, slot: int, space: JetSpace) -> bool:
     if space.order == 0:
         return True
     c = j.coeffs    # (degree, lex) order puts x^slot's unit exponent at dim - slot
+    if c.ndim == 2:     # a block: every point's row
+        return all(_is_coordinate(Jet(space, row), slot, space) for row in c)
     return c[space.dim - slot] == 1.0 and np.count_nonzero(c) == 1 + (c[0] != 0.0)
 
 
@@ -461,36 +538,46 @@ def small_lift(vs, first: int = 0):
     """`lift_point(values, K)` in len(vs) variables when `vs` are the
     coordinate jets of slots first, first + 1, ... of one lift in more
     variables (`lift_point(x + y, K)[:n]` for first = 0, `[n:]` for
-    first = n); None for any other carriers."""
+    first = n), block jets for a block lift; None for any other carriers."""
     vs = list(vs)
     space = getattr(vs[0], "space", None)
     if space is None or space.dim <= len(vs) or not all(
             _is_coordinate(j, first + i, space) for i, j in enumerate(vs)):
         return None
-    return lift_point([j.value for j in vs], space.order)
+    return lift_point(np.array([j.coeffs.T[0] for j in vs]).T, space.order)
 
 
-def embed(v, dim: int):
-    """`v` with every jet in it (nested in lists or tuples), a jet of the
-    leading variables, embedded into jet_space(dim, order) through
-    `_embed_map`, zeros elsewhere.  Other values pass through, and a jet met
-    twice is embedded once."""
+def map_jets(f, v):
+    """`v` with f applied to every jet in it (nested in lists or tuples), once
+    per jet object: a jet met twice maps to one result.  Other values pass
+    through."""
     memo = {}
 
     def one(v):
+        if type(v) is Jet:
+            out = memo.get(id(v))
+            if out is None:
+                out = memo[id(v)] = f(v)
+            return out
         if isinstance(v, (list, tuple)):
-            return type(v)(one(u) for u in v)
-        if not isinstance(v, Jet):
-            return v
-        out = memo.get(id(v))
-        if out is None:
-            sp = jet_space(dim, v.order)
-            c = np.zeros(sp.size)
-            c[_embed_map(v.dim, dim, v.order)] = v.coeffs
-            out = memo[id(v)] = Jet(sp, c)
-        return out
+            out = [one(u) for u in v]
+            return out if type(v) is list else type(v)(out)
+        return v
 
     return one(v)
+
+
+def embed(v, dim: int):
+    """`v` with every jet in it (`map_jets`), a jet of the leading variables,
+    embedded into jet_space(dim, order) through `_embed_map`, zeros
+    elsewhere."""
+    def one(j):
+        sp = jet_space(dim, j.order)
+        c = np.zeros(j.coeffs.shape[:-1] + (sp.size,))
+        c.T[_embed_map(j.dim, dim, j.order)] = j.coeffs.T
+        return Jet(sp, c)
+
+    return map_jets(one, v)
 
 
 def x_only(f, xs):

@@ -57,12 +57,6 @@ class VolumeForm:
     def constant(n: int) -> "VolumeForm":
         return VolumeForm("1", n, label="1")
 
-    def sigma(self, env):
-        v = exprdsl.evaluate(self.ast, env)
-        if carrier_value(v) <= 0.0:
-            raise JetDomainError(f"volume density {self.label!r} is not positive")
-        return v
-
     def dlog(self, xs):
         """d(log sigma)/dx^k for all k at x, computed as (d sigma/dx^k) / sigma,
         the n quotients through one reciprocal of a jet sigma."""
@@ -74,10 +68,13 @@ class VolumeForm:
         return [jets.quotient(exprdsl.evaluate(d, xs, memo), s, inv) for d in self.dast]
 
     def check_positive(self, box: Box):
-        """sigma > 0 at the sampled x of `box.check_sample()`."""
+        """sigma > 0 at the sampled x of `box.check_sample()`, or a
+        ValueError naming the first x where it is not (its caller names the
+        density)."""
         zeros = [0.0] * self.n
         for x in box.check_sample():
-            self.sigma(list(x) + zeros)
+            if carrier_value(exprdsl.evaluate(self.ast, list(x) + zeros)) <= 0.0:
+                raise ValueError(f"not positive at x = {x}")
 
     def __repr__(self):
         return f"VolumeForm({self.label!r})"

@@ -24,7 +24,10 @@ the stacked jets of several points' frames, whose tables carry a leading
 point axis, so that a reader of many points (`evaluate`, `verify`) makes
 one numpy call per block and quantity.  A block holds as many points as
 keep its deepest stacked table, the order-k partials of G, within
-BLOCK_BYTES (`point_blocks`).
+BLOCK_BYTES (`point_blocks`).  The frames of such a block are built from
+one evaluation of the coefficients on block jets (`SprayChart.frames`,
+`jets.Jet`), each point's frame from its row, with the bits of the point's
+own build.
 """
 
 from __future__ import annotations
@@ -126,7 +129,8 @@ def rel_residual(diff, *refs, lead: int = 0):
 
 # -- generic linear algebra over carriers ---------------------------------------
 
-def carrier_value(c) -> float:
+def carrier_value(c):
+    """The value of a carrier: a float, or one per point of a block jet."""
     return c.value if isinstance(c, Jet) else float(c)
 
 
@@ -143,13 +147,25 @@ def factor_carrier(A):
     place k, the multipliers of rows k+1.., row k of U from the diagonal on,
     the reciprocal of the pivot), for `solve_factored`.  Pivot jets with
     equal coefficients (a diagonal of one expression) share one reciprocal.
+    On block jets the pivot is chosen per point, the first of largest
+    magnitude as `max` takes it; points that pivot on different rows (or
+    meet a NaN, which `max` and `argmax` rank apart) raise `BlockSplit`.
     """
     n = len(A)
     a = [row[:] for row in A]
     steps, inverses = [], {}
     for k in range(n):
-        piv = max(range(k, n), key=lambda r: abs(carrier_value(a[r][k])))
-        if abs(carrier_value(a[piv][k])) == 0.0:
+        mags = [abs(carrier_value(a[r][k])) for r in range(k, n)]
+        if any(np.ndim(m) for m in mags):
+            m = np.array(np.broadcast_arrays(*mags))    # [row, point]
+            first = m.argmax(axis=0)
+            if np.isnan(m).any() or (first != first[0]).any():
+                raise jets.BlockSplit("the points of a block pivot on different rows")
+            piv, zero = k + int(first[0]), (m[first[0]] == 0.0).any()
+        else:
+            piv = k + max(range(n - k), key=mags.__getitem__)
+            zero = mags[piv - k] == 0.0
+        if zero:
             raise JetDomainError("degenerate linear system (zero pivot)")
         a[k], a[piv] = a[piv], a[k]
         p = a[k][k]
@@ -171,11 +187,21 @@ def _minus_product(acc, f, v):
     """acc - f * v on carriers.  The product is skipped when f is a jet with
     no nonzero coefficient and acc and v are jets of its space: its bincount
     would add zero terms to +0.0 (v finite), and acc - 0.0 is acc bit for
-    bit.  A diagonal g leaves every multiplier and off-diagonal U entry so."""
-    if (isinstance(f, Jet) and isinstance(acc, Jet) and isinstance(v, Jet)
-            and acc.space is f.space is v.space and not np.count_nonzero(f.coeffs)):
+    bit.  A diagonal g leaves every multiplier and off-diagonal U entry so.
+    On block jets the skip is per point: a point whose row of f is zero
+    keeps its row of acc, where the product could turn 0 * inf into NaN."""
+    if not (isinstance(f, Jet) and isinstance(acc, Jet) and isinstance(v, Jet)
+            and acc.space is f.space is v.space):
+        return acc - f * v
+    if f.coeffs.ndim == 1:
+        return acc - f * v if np.count_nonzero(f.coeffs) else acc
+    zero = ~f.coeffs.any(axis=1)
+    if zero.all():
         return acc
-    return acc - f * v
+    out = acc - f * v
+    if zero.any():
+        out.coeffs = np.where(zero[:, None], acc.coeffs, out.coeffs)
+    return out
 
 
 def solve_factored(steps, B):
@@ -327,7 +353,9 @@ class Frame:
 
     The frame's order bounds how many derivatives remain available: every
     vertical (.d on a y slot) or horizontal derivative consumes one order.
-    Its jets come from one evaluation of the spray's coefficients.  A reader
+    Its jets come from one evaluation of the spray's coefficients, at its
+    point, or are its row `G` of one evaluation at a block of points
+    (`SprayChart.frames`), which holds the same bits.  A reader
     that needs fewer orders takes the leading tables of each quantity: they
     hold the bits of a frame built at the lower order (`table` reads the
     prefix that jets of every order share).
@@ -353,13 +381,14 @@ class Frame:
 
     lead = 0        # leading point axes of every float table (1 on a block)
 
-    def __init__(self, spray: "SprayChart", point: PointTM, order: int):
+    def __init__(self, spray: "SprayChart", point: PointTM, order: int, G=None):
         self.spray = spray
         self.point = point
         self.order = order
         self.n = spray.n
         self.y = np.array(point.y)
-        self.G = spray._make_coefficient_jets(self)
+        # G given: the point's row of a block build (`SprayChart.frames`)
+        self.G = spray._make_coefficient_jets(self) if G is None else G
 
     @classmethod
     def block(cls, frames: list, order: int) -> "Frame":
@@ -634,9 +663,10 @@ class SprayChart:
     explicit domain box.
 
     The coefficients are evaluated on jets once per (x, y), at the highest
-    order asked there (`frame`), and on floats at each call (`coefficients`),
-    for readers at points without a frame (homogeneity, set-up checks); a
-    frame's values (`Frame.G_values`) hold the bits of the float evaluation.
+    order asked there (`frame`), or once per block of points on block jets
+    (`frames`), and on floats at each call (`coefficients`), for readers at
+    points without a frame (homogeneity, set-up checks); a frame's values
+    (`Frame.G_values`) hold the bits of the float evaluation.
     """
 
     def __init__(self, n: int, fn, domain: Box, label: str):
@@ -656,7 +686,12 @@ class SprayChart:
 
     def _make_coefficient_jets(self, frame: Frame) -> list:
         """G^i as jets at the frame's point, on the lift of (x, y) to its order."""
-        lifted = jets.lift_point(frame.point.x + frame.point.y, frame.order)
+        return self._coefficient_jets(frame.point.x + frame.point.y, frame.order)
+
+    def _coefficient_jets(self, xy, order: int) -> list:
+        """G^i on the lift of `xy` to `order`: the (x, y) of one point, or
+        [point, x + y] of a block, whose lift is to block jets."""
+        lifted = jets.lift_point(xy, order)
         out = self.eval_coefficients(lifted[: self.n], lifted[self.n:])
         return [jets.as_jet(v, lifted[0]) for v in out]
 
@@ -678,6 +713,34 @@ class SprayChart:
                                  f"the declared domain box")
             fr = self._frames[key] = Frame(self, p, order)
         return fr
+
+    def frames(self, points: list, order: int):
+        """The frames `frame(p, order)` at `points`, yielded in point order,
+        the points without such a frame built as one block: their (x, y)
+        lifted to block jets once, the coefficients evaluated on them once,
+        and each point's frame made from its row of the block's G jets,
+        which holds the bits of its own build.  A block is built where it
+        pays (from BLOCK_BUILD_POINTS points) and for a spray that evaluates
+        coefficients of its own (a deformed spray composes its base's
+        frames).  A block build that fails, on a domain error at any point
+        or on points that branch apart (`jets.BlockSplit`), keeps nothing:
+        its points are then built one by one as the frames are taken, so the
+        caller's work at a point comes before the next point's build, and
+        the first error is the first point's, as on a run point by point."""
+        todo = [p for p in points if (p.x, p.y) not in self._frames
+                or self._frames[p.x, p.y].order < order]
+        if (self._fn is not None and len(todo) >= BLOCK_BUILD_POINTS
+                and all(self.domain.contains(p.x) for p in todo)):
+            try:
+                G = self._coefficient_jets([p.x + p.y for p in todo], order)
+                built = [Frame(self, p, order, [g.row(i) for g in G])
+                         for i, p in enumerate(todo)]
+            except (ArithmeticError, ValueError, jets.BlockSplit):
+                built = []
+            for p, fr in zip(todo, built):
+                self._frames[p.x, p.y] = fr
+        for p in points:
+            yield self.frame(p, order)
 
     def homogeneity_residual(self, p: PointTM) -> float:
         """Worst relative residual of G(x, s*y) = s^2 G(x, y), s in HOMOGENEITY_SCALES;
@@ -797,6 +860,24 @@ def sample_points(spray: SprayChart, count: int, seed: int):
 
 
 BLOCK_BYTES = 1 << 18    # the deepest stacked table of one block (`point_blocks`)
+# The fewest points that `SprayChart.frames` builds as one block.  A block
+# op costs more than a per-point op, and the more so the larger the jets, so
+# a block pays only when it stands for enough points.  Frame builds in µs
+# per point, one by one -> as blocks of P (2 cores, numpy 2, CPython 3.11):
+#
+#   spray, order            P = 2        P = 4        P = 8        P = 16
+#   sphere(n=2), 4       326 -> 357   301 -> 198   303 -> 117   292 -> 83
+#   sphere(n=3), 4       538 -> 657   543 -> 414   549 -> 297   490 -> 217
+#   sphere(n=4), 3       696 -> 856   711 -> 524   697 -> 363   672 -> 286
+#   sphere(n=4), 4       903 -> 1491  909 -> 1011  913 -> 794   907 -> 643
+#   EX72 (n=2), 4         91 -> 157    91 -> 94     90 -> 59     88 -> 46
+#   RANDERS2, 4          772 -> 1279  777 -> 721  763 -> 460   774 -> 357
+#   3-D DSL spray, 4     619 -> 1364  588 -> 853  586 -> 575   604 -> 461
+#
+# From 8 points on no case loses.  `point_blocks` cuts blocks of 2 for
+# n = 4 at order 4 (so `verify` builds those frames one by one), of 8 for
+# n = 3 and of 64 for n = 2.
+BLOCK_BUILD_POINTS = 8
 
 
 def point_blocks(points: list, n: int, order: int) -> list:
@@ -806,7 +887,8 @@ def point_blocks(points: list, n: int, order: int) -> list:
     order-`order` partials of G (n (2n)^order floats per point), within
     BLOCK_BYTES: 8 points for n = 3 at order 4.  So the memory of a block
     does not grow with the point count, and its tables stay small enough to
-    be read from cache."""
+    be read from cache.  Its frames are built as one block where that pays
+    (BLOCK_BUILD_POINTS, `SprayChart.frames`)."""
     step = max(1, BLOCK_BYTES // (8 * n * (2 * n) ** order))
     return [points[i:i + step] for i in range(0, len(points), step)]
 
@@ -858,13 +940,6 @@ def metric_draws(asts, n: int, box: Box, letter: str):
         yield x, memo, v
 
 
-def _truncated(v, order: int):
-    """`v` with every jet in it (nested in lists or tuples) cut to `order`."""
-    if isinstance(v, (list, tuple)):
-        return type(v)(_truncated(u, order) for u in v)
-    return v.truncated(order) if isinstance(v, Jet) else v
-
-
 def _placed_rhs(dg, ly) -> list:
     """q_l = sum_{k,m} c_lkm y^k y^m, c_lkm = 2 dg_lk/dx^m - dg_mk/dx^l, as
     jets in 2n variables, from dg on the n-variable lift of x (jets, or
@@ -878,42 +953,45 @@ def _placed_rhs(dg, ly) -> list:
     the bits of the 2n product y^k y^m at the y-only positions, for the
     reason `jets.x_only` gives, and that product is zero elsewhere.  A float
     c scales all of Y (`Jet.__mul__`).  c is exact at the x-only positions;
-    the sign of a zero there does not matter.
+    the sign of a zero there does not matter.  On block jets every array
+    gains a trailing point axis (coefficients transposed, [pos, point]), and
+    each point takes the same steps.
     """
     n, small = len(ly), ly[0].space
+    points = ly[0].coeffs.shape[:-1]        # () or (points,)
     ix, iy = jets._xy_split(n, small.order)
     space = jets.jet_space(2 * n, small.order)
     # y^k y^m is zero above degree 2: the product of order-2 prefixes, padded
     low = min(small.order, 2)
-    Y = np.zeros((n, n, small.size))
+    Y = np.zeros((n, n, small.size) + points)
     for k in range(n):
         for m in range(k, n):
-            c = (ly[k].truncated(low) * ly[m].truncated(low)).coeffs
-            Y[k, m, :c.size] = Y[m, k, :c.size] = c
-    Y = Y[..., iy]                          # y^k y^m at each 2n position
+            c = (ly[k].truncated(low) * ly[m].truncated(low)).coeffs.T
+            Y[k, m, :len(c)] = Y[m, k, :len(c)] = c
+    Y = Y[:, :, iy]                         # y^k y^m at each 2n position
     pure = ix == 0                          # the y-only positions
     Y2n = np.zeros_like(Y)                  # the 2n product y^k y^m
-    Y2n[..., pure] = Y[..., pure]
-    D = np.zeros((n, n, n, small.size))     # dg_ij/dx^k at [i, j, k]
+    Y2n[:, :, pure] = Y[:, :, pure]
+    D = np.zeros((n, n, n, small.size) + points)     # dg_ij/dx^k at [i, j, k]
     for i, j, k in itertools.product(range(n), repeat=3):
         v = dg[i][j][k]
         if isinstance(v, Jet):
-            D[i, j, k] = v.coeffs
+            D[i, j, k] = v.coeffs.T
         else:
             D[i, j, k, 0] = v
-    C = 2.0 * D - D.transpose(2, 1, 0, 3)   # c_lkm at [l, k, m]
+    C = 2.0 * D - np.swapaxes(D, 0, 2)      # c_lkm at [l, k, m]
     q = []
     for l in range(n):      # one l at a time: no large temporary (peak RSS)
-        P = C[l][..., ix] * Y + 0.0
+        P = C[l][:, :, ix] * Y + 0.0
         for k, m in itertools.product(range(n), repeat=2):
             if not (isinstance(dg[l][k][m], Jet) or isinstance(dg[m][k][l], Jet)):
                 P[k, m] = Y2n[k, m] * C[l, k, m, 0]
-        P = P.reshape(n * n, -1)
+        P = P.reshape((n * n,) + P.shape[2:])
         # sum the n^2 rows left to right, as the product loop: P.sum(axis=0) moves bits
         acc = P[0]
         for row in P[1:]:
             acc = acc + row
-        q.append(Jet(space, acc))
+        q.append(Jet(space, np.ascontiguousarray(acc.T)))
     return q
 
 
@@ -932,7 +1010,8 @@ def metric_spray_fn(g_asts, n):
     coefficients).  So they are built once per x: on x-only jets at the
     highest order asked there, a lower order reading prefix slices of them
     (`Jet.truncated`, the bits of a fresh evaluation), and once per x on
-    floats.
+    floats.  A block of points (`SprayChart.frames`) runs the same steps on
+    block jets, once per block.
     """
     memos = [{} for _ in range(n)]      # one per slot: equal entries share dg
     dg = [[[exprdsl.differentiate(g_asts[i][j], k, memos[k]) for k in range(n)]
@@ -953,12 +1032,22 @@ def metric_spray_fn(g_asts, n):
             raise JetDomainError(f"metric g_ij is singular at x = {x}") from None
 
     def metric_at(xs):
-        """`metric(xs)` once per x, on the x-only lift or on floats (see above)."""
+        """`metric(xs)` once per x, on the x-only lift or on floats (see above).
+        A block lift is evaluated once, and each point's row is kept at its
+        x for the frames built there later one by one."""
         x, order = tuple(map(carrier_value, xs)), getattr(xs[0], "order", -1)
+        if np.ndim(x[0]):
+            out = metric(xs)
+            for i, xi in enumerate(zip(*(v.tolist() for v in x))):
+                top = kept.get((xi, False))
+                if top is None or top[0] < order:
+                    kept[xi, False] = (order, jets.map_jets(lambda j: j.row(i), out))
+            return out
         top = kept.get((x, order < 0))
         if top is None or top[0] < order:
             top = kept[x, order < 0] = (order, metric(xs))
-        return top[1] if top[0] == order else _truncated(top[1], order)
+        return top[1] if top[0] == order else jets.map_jets(
+            lambda j: j.truncated(order), top[1])
 
     def fn(xs, ys):
         lx, ly = jets.small_lift(xs), jets.small_lift(ys, n)

@@ -480,14 +480,15 @@ class SuiteRunner:
     @cached_property
     def blocks(self) -> list:
         """The sample's blocks (`point_blocks` at order 4).  The frames come
-        first, point by point: the top order of the base spray (lower orders
-        read it), then the deformed spray's per volume form (its coefficients
-        read S at order 4), so the first domain error is the first point's."""
-        for p in self.points:
-            self.spray.frame(p, 4)
-            for dV in self.volumes:
-                pj.deform(self.spray, dV).frame(p, 3)
+        first: the top order of the base spray (lower orders read it), built
+        a block at a time (`SprayChart.frames`), then at each point the
+        deformed spray's per volume form (its coefficients read S at order
+        4), so the first domain error is the first point's."""
         cut = point_blocks(list(range(len(self.points))), self.spray.n, 4)
+        for indices in cut:
+            for fr in self.spray.frames([self.points[i] for i in indices], 4):
+                for dV in self.volumes:
+                    pj.deform(self.spray, dV).frame(fr.point, 3)
         return [Block(self, indices) for indices in cut]
 
     # the classification flags that the hypotheses read and the report echoes

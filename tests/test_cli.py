@@ -403,6 +403,22 @@ def test_the_first_domain_error_is_the_first_point_s(tmp_path, capsys):
         assert err == f"domain error: volume density {sigma!r} is not positive\n", err
 
 
+def test_a_refused_volume_density_is_named_once(capsys):
+    # set-up refuses a density by its name, once, and says why: not
+    # positive at the first sampled x of the box, or reading y.  Before, the
+    # first was "bad volume density 'x1-5': volume density 'x1-5' is not
+    # positive".  The error at a sample point keeps its own line (above).
+    spray = "sphere(n=3,kappa=1)"
+    x = sc.make_family("sphere", n=3, kappa=1.0).domain.check_sample()[0]
+    for sigma, why in (("x1-5", f"not positive at x = {x}"),
+                       ("y1", "volume densities must depend on x only")):
+        for command in ("evaluate", "verify"):
+            code, out, err = run_cli(command, "--spray", spray, "--sigma", sigma,
+                                     "--points", "3", capsys=capsys)
+            assert (code, out) == (2, "")
+            assert err == f"error: bad volume density {sigma!r}: {why}\n", err
+
+
 def test_non_finite_report_value_names_its_path():
     from spraylab import report
     doc = {"points": [{"quantities": {"G": [float("inf"), 0.0]}}]}
@@ -645,53 +661,79 @@ def test_order_flag(capsys):
     assert docs[0]["points"] == docs[1]["points"]
 
 
-def test_evaluate_evaluates_the_coefficients_once_per_point(monkeypatch, capsys):
-    # the top-order frame comes first and the lower orders read its tables;
-    # before, each of the orders 1-4 evaluated the coefficients (12 on 3
-    # points).  An --order above 4 builds no deeper frame than --order 4.
-    evaluations, orders = [], []
-    make, init = sc.SprayChart._make_coefficient_jets, sc.Frame.__init__
+def _evaluated_points(xy, order) -> list:
+    """(x + y, order) of each point that one coefficient evaluation covers:
+    a point's (x, y) or a block's [point, x + y]."""
+    rows = np.atleast_2d(np.asarray(xy, dtype=float))
+    return [(tuple(row.tolist()), order) for row in rows]
 
-    def counted(self, frame):
-        evaluations.append(frame.order)
-        return make(self, frame)
+
+def test_evaluate_evaluates_the_coefficients_once_per_point(monkeypatch, capsys):
+    # each sample point's coefficients are evaluated once, at the top order
+    # (4), whose frame the lower orders read, and a block of points
+    # (`SprayChart.frames`) is one evaluation: 20 points of sphere(n=3) are
+    # blocks of 8, 8 and 4 (`point_blocks`), and the 4, fewer than
+    # BLOCK_BUILD_POINTS, are evaluated one by one.  Before blocks, one
+    # evaluation per point; before the top order came first, each of the
+    # orders 1-4 evaluated the coefficients.  An --order above 4 builds no
+    # deeper frame than --order 4.
+    evaluations, points, orders = [], [], []
+    make, init = sc.SprayChart._coefficient_jets, sc.Frame.__init__
+
+    def counted(self, xy, order):
+        evaluations.append(len(np.atleast_2d(xy)))
+        points.extend(_evaluated_points(xy, order))
+        return make(self, xy, order)
 
     def recorded(self, spray, point, order, *args):
         orders.append(order)
         init(self, spray, point, order, *args)
 
-    monkeypatch.setattr(sc.SprayChart, "_make_coefficient_jets", counted)
+    monkeypatch.setattr(sc.SprayChart, "_coefficient_jets", counted)
     monkeypatch.setattr(sc.Frame, "__init__", recorded)
-    spec = ("evaluate", "--spray", "sphere(n=3,kappa=1)", "--points", "3",
+    spec = ("evaluate", "--spray", "sphere(n=3,kappa=1)", "--points", "20",
             "--seed", "1")
     docs = []
     for order in ("4", "9"):
-        evaluations.clear()
-        orders.clear()
+        for log in (evaluations, points, orders):
+            log.clear()
         code, out, _ = run_cli(*spec, "--order", order, capsys=capsys)
         assert code == 0
-        assert evaluations == [4, 4, 4] and max(orders) == 4, (evaluations, orders)
-        docs.append(json.loads(out))
+        doc = json.loads(out)
+        sample = [tuple(p["x"] + p["y"]) for p in doc["points"]]
+        assert sorted(points) == sorted((xy, 4) for xy in sample), points
+        assert evaluations == [8, 8, 1, 1, 1, 1], evaluations
+        assert max(orders) == 4 and len(orders) == 20, orders
+        docs.append(doc)
     assert docs[1]["config"].pop("order") == 9
     assert docs[0]["config"].pop("order") == 4
     assert docs[0] == docs[1]
 
 
+def _values_per_point(A) -> list:
+    """The values of a carrier matrix at each of its points: one point for
+    floats and jets, a row per point of block jets."""
+    cols = np.broadcast_arrays(*(sc.carrier_value(v) for row in A for v in row))
+    return [tuple(r) for r in np.stack(cols, -1).reshape(-1, len(cols)).tolist()]
+
+
 def test_verify_evaluates_each_coefficient_input_once(monkeypatch, capsys):
     # the suite asks for a metric spray at one x many times (frames at
-    # (x, s y), deformed and shifted sprays, float coefficients): g is
-    # factored once per x on jets and once per x on floats, the float
+    # (x, s y), deformed and shifted sprays, float coefficients): at each
+    # point g is factored once on jets and once on floats, the float
     # coefficients are evaluated once per (x, y), the deformed coefficient
-    # jets once per (volume form, point), and every jet reciprocal is of
-    # another jet (one per denominator node and per distinct pivot).
-    # Before, one point (set-up included) factored g 4 times on jets at 1 x
-    # and 30 times on floats at 6 x, made 30 float evaluations at 24 (x, y),
-    # built deformed coefficient jets 6 times for 3 volume forms and took 44
+    # jets once per volume form, and every jet reciprocal is of another jet
+    # (one per denominator node and per distinct pivot).  Counted per point:
+    # sphere(n=3) at 9 points factors g on the block of the first 8, whose
+    # rows serve the later frames there, and on the 9th alone.  Before, one
+    # point (set-up included) factored g 4 times on jets at 1 x and 30 times
+    # on floats at 6 x, made 30 float evaluations at 24 (x, y), built
+    # deformed coefficient jets 6 times for 3 volume forms and took 44
     # reciprocals.
     from spraylab import jets
     from spraylab import projective as pj
     factored = {"jets": [], "floats": []}
-    evaluated, reciprocals, deformed = [], [], []
+    evaluated, reciprocals, deformed, blocks = [], [], [], []
     factor, recip = sc.factor_carrier, jets.Jet.reciprocal
     coefficients = sc.SprayChart.eval_coefficients
     deformed_jets = pj.DeformedSpray._make_coefficient_jets
@@ -703,11 +745,14 @@ def test_verify_evaluates_each_coefficient_input_once(monkeypatch, capsys):
 
     def counted_factor(A):
         carrier = "jets" if isinstance(A[0][0], jets.Jet) else "floats"
-        factored[carrier].append(tuple(sc.carrier_value(v) for row in A for v in row))
+        factored[carrier] += _values_per_point(A)
+        if isinstance(A[0][0], jets.Jet) and A[0][0].coeffs.ndim == 2:
+            blocks.append(len(A[0][0].coeffs))
         return factor(A)
 
     def counted_reciprocal(self):
-        reciprocals.append((self.space, self.coeffs.tobytes()))
+        reciprocals.extend((self.space, row.tobytes())
+                           for row in np.atleast_2d(self.coeffs))
         return recip(self)
 
     def counted_coefficients(self, xs, ys):
@@ -724,19 +769,51 @@ def test_verify_evaluates_each_coefficient_input_once(monkeypatch, capsys):
     monkeypatch.setattr(sc.SprayChart, "eval_coefficients", counted_coefficients)
     monkeypatch.setattr(pj.DeformedSpray, "_make_coefficient_jets", counted_deformed)
     monkeypatch.setattr(cli, "_resolve_spray", recorded_spray)
-    code, out, _ = run_cli("verify", "--spray", "sphere(n=4,kappa=1)", "--points",
-                           "1", "--seed", "3", capsys=capsys)
+    code, out, _ = run_cli("verify", "--spray", "sphere(n=3,kappa=1)", "--points",
+                           "9", "--seed", "3", capsys=capsys)
     assert code == 0 and json.loads(out)["rows"]
-    for carrier, distinct in (("jets", 1), ("floats", 6)):    # 5 x in set-up
+    assert blocks == [8]
+    for carrier, distinct in (("jets", 9), ("floats", 5 + 9)):    # 5 x in set-up
         assert len(factored[carrier]) == len(set(factored[carrier])) == distinct
     # those of the base spray: the shifted spray's float path reads them
     (base, _sigma, _metric), = resolved
     on_base = [(xs, ys) for spray, xs, ys in evaluated if spray is base]
-    assert len(on_base) == len(set(on_base)) == 24   # 4 (x, s y) per x
-    assert len(deformed) == len(set(deformed)) == 3
-    # at the one x, 1/D and 1/D^2 of g = 4/D, D = (1 + |x|^2)^2, 1/g of the
-    # four equal pivots, and 1/sigma of the two sigmas that read x
-    assert len(reciprocals) == len(set(reciprocals)) == 5
+    assert len(on_base) == len(set(on_base)) == (5 + 9) * 4   # 4 (x, s y) per x
+    assert len(deformed) == len(set(deformed)) == 9 * 3
+    # at each x, 1/D and 1/D^2 of g = 4/D, D = (1 + |x|^2)^2, 1/g of the
+    # three equal pivots, and 1/sigma of the two sigmas that read x
+    assert len(reciprocals) == len(set(reciprocals)) == 9 * 5
+
+
+def test_a_singular_metric_mid_block_is_the_block_s_first_error():
+    # point 3 of a block of 8 has a singular g, and point 6 leaves the
+    # domain of log in g: the block build fails, and its points, built one
+    # by one, name point 3's failure, as a run point by point would.
+    # Nothing of the failed block is kept: the frames of points 0-2 only.
+    from spraylab import exprdsl
+    from spraylab.jets import JetDomainError
+    g = {(1, 1): "(x1 - 0.25)^2", (2, 2): "1 + log(0.45 - x2)^2", (3, 3): "1"}
+    spray = sc.SprayChart(3, sc.metric_spray_fn(sc._normalize_metric(g, 3), 3),
+                          sc.Box.cube(3, 1.0), "mid-block")
+    x1 = (-0.4, -0.3, -0.2, 0.25, 0.1, 0.2, 0.3, 0.4)
+    x2 = (0.0, 0.1, 0.2, 0.3, 0.1, 0.2, 0.5, 0.0)
+    pts = [sc.PointTM((a, b, -0.2), (1.0, 0.5, 0.25)) for a, b in zip(x1, x2)]
+    tried, make = [], sc.SprayChart._coefficient_jets
+
+    def counted(self, xy, order):
+        tried.append(len(np.atleast_2d(xy)))
+        return make(self, xy, order)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sc.SprayChart, "_coefficient_jets", counted)
+        with pytest.raises(JetDomainError) as info:
+            list(spray.frames(pts, 4))
+    assert str(info.value) == f"metric g_ij is singular at x = {pts[3].x}"
+    assert tried == [8, 1, 1, 1, 1]
+    assert sorted(spray._frames) == sorted((p.x, p.y) for p in pts[:3])
+    # the later point fails on its own the other way
+    with pytest.raises(exprdsl.ExprDomainError, match="log of non-positive"):
+        spray.frame(pts[6], 4)
 
 
 def test_verify_builds_one_frame_per_spray_and_point(monkeypatch, capsys):

@@ -302,3 +302,81 @@ def test_exp_overflow_is_a_domain_error():
     with pytest.raises(JetDomainError, match="overflows"):
         lift_variable(0, 800.0, dim=2, order=2).exp()
     assert jets.exp(700.0) == math.exp(700.0)
+
+
+# -- block jets: one leading point axis, each row the per-point op's bits -------
+
+BLOCK_SIZES = ((2, 4), (3, 4), (4, 4), (6, 4), (8, 4))
+
+
+def _block_operands(dim, order, points, seed):
+    """Two block jets of random coefficients, with +0.0 and -0.0 among them
+    and values kept away from zero (the domain of every op below), and
+    their rows as per-point jets."""
+    rng = np.random.default_rng(seed)
+    sp = jets.jet_space(dim, order)
+    out = []
+    for _ in range(2):
+        c = rng.uniform(-1.0, 1.0, (points, sp.size))
+        c[rng.random(c.shape) < 0.2] = 0.0
+        c[rng.random(c.shape) < 0.1] = -0.0
+        c[:, 0] = rng.choice([-1.0, 1.0], points) * rng.uniform(0.2, 1.5, points)
+        out.append(Jet(sp, c))
+    return out
+
+
+def _unary_ops(order):
+    return {
+        "neg": lambda a: -a, "truncated": lambda a: a.truncated(order - 1),
+        "d": lambda a: a.d(a.dim - 1), "powi3": lambda a: a.powi(3),
+        "powi-2": lambda a: a.powi(-2), "powi0": lambda a: a.powi(0),
+        "reciprocal": Jet.reciprocal, "exp": Jet.exp, "sin": Jet.sin,
+        "cos": Jet.cos, "absolute": Jet.absolute,
+        "sqrt": lambda a: a.absolute().sqrt(), "log": lambda a: a.absolute().log(),
+        "+s": lambda a: a + 0.75, "s+": lambda a: 0.75 + a, "-s": lambda a: a - 0.75,
+        "s-": lambda a: 0.75 - a, "*s": lambda a: a * -1.25, "s*": lambda a: -1.25 * a,
+        "/s": lambda a: a / 3.0, "s/": lambda a: 3.0 / a,
+        "quotient-float": lambda a: jets.quotient(2.5, a, a.reciprocal()),
+    }
+
+
+BINARY_OPS = {
+    "+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b,
+    "/": lambda a, b: a / b, "quotient": lambda a, b: jets.quotient(a, b, b.reciprocal()),
+}
+
+
+@given(st.sampled_from(BLOCK_SIZES), st.sampled_from((1, 2, 7)), st.integers(0, 10 ** 6))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_block_jet_ops_are_the_per_point_ops_row_by_row(size, points, seed):
+    dim, order = size
+    A, B = _block_operands(dim, order, points, seed)
+    rows = [(A.row(i), B.row(i)) for i in range(points)]
+    ops = [(name, lambda a, b, f=f: f(a)) for name, f in _unary_ops(order).items()]
+    for name, f in ops + list(BINARY_OPS.items()):
+        block = f(A, B)     # x^0 is the constant 1, one row for every point
+        for i, (a, b) in enumerate(rows):
+            one = f(a, b)
+            assert one.space is block.space, name
+            assert one.coeffs.tobytes() == block.row(i).coeffs.tobytes(), (name, i)
+    # a per-point jet mixes with a block by broadcasting, row by row
+    a0 = rows[0][0]
+    for name, f in BINARY_OPS.items():
+        block = f(a0, B)
+        for i, (_, b) in enumerate(rows):
+            assert f(a0, b).coeffs.tobytes() == block.row(i).coeffs.tobytes(), name
+
+
+@pytest.mark.parametrize("dim, order", BLOCK_SIZES)
+def test_a_block_with_one_row_outside_the_domain_raises(dim, order):
+    A, _ = _block_operands(dim, order, 7, dim)
+    for value, op in ((0.0, Jet.reciprocal), (0.0, Jet.absolute), (-0.5, Jet.sqrt),
+                      (0.0, Jet.sqrt), (-0.5, Jet.log), (0.0, lambda a: a.powi(-1)),
+                      (800.0, Jet.exp), (0.0, lambda a: 1.0 / a)):
+        c = A.coeffs.copy()
+        c[:, 0] = 0.5
+        c[4, 0] = value
+        with pytest.raises(JetDomainError):
+            op(Jet(A.space, c))
+        c[4, 0] = 0.5                   # every row inside: no error
+        op(Jet(A.space, c))

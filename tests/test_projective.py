@@ -45,8 +45,8 @@ def test_volume_form_validation():
     with pytest.raises(ValueError, match="x only"):
         pj.VolumeForm("y1", 2)
     v = pj.VolumeForm("x1", 2)
-    with pytest.raises(Exception, match="not positive"):
-        v.sigma([-1.0, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match=r"not positive at x = \("):
+        v.check_positive(sc.Box.cube(2, 1.0))
 
 
 def test_s_curvature_flat(flat2):

@@ -1236,7 +1236,7 @@ def test_metric_sliced_from_a_deeper_order_equals_a_fresh_one_bit_for_bit():
             served(lift[:n], lift[n:])
             for order in range(1, 6):
                 gk, dgk = _metric_jets(g, n, jets.lift_point(p.x, order))
-                for a, b in zip(_leaves(sc._truncated(top, order)),
+                for a, b in zip(_leaves(jets.map_jets(lambda j: j.truncated(order), top)),
                                 _leaves((sc.factor_carrier(gk), dgk)), strict=True):
                     assert type(a) is type(b)
                     if isinstance(a, jets.Jet):
@@ -1334,6 +1334,36 @@ def test_zero_jet_skips_leave_the_solve_bit_for_bit(monkeypatch):
                 for a, b in zip(got, ref, strict=True):
                     assert a.space is b.space
                     assert a.coeffs.tobytes() == b.coeffs.tobytes(), (label, order)
+
+
+def test_block_solves_decide_each_point_as_its_own_solve():
+    # on block jets the zero-multiplier skip is per point: a point whose
+    # multiplier is zero keeps acc, where the block product would turn
+    # 0 * inf into NaN; pivots are chosen per point, and points that pivot
+    # on different rows split the block (`jets.BlockSplit`)
+    from spraylab import jets
+    sp = jets.jet_space(3, 2)
+    rng = np.random.default_rng(5)
+    acc, f, v = (jets.Jet(sp, rng.uniform(-1, 1, (3, sp.size))) for _ in range(3))
+    f.coeffs[1] = 0.0
+    v.coeffs[1, 2] = np.inf
+    with np.errstate(invalid="ignore"):     # the block product's 0 * inf
+        out = sc._minus_product(acc, f, v)
+    for i in range(3):
+        one = sc._minus_product(acc.row(i), f.row(i), v.row(i))
+        assert out.row(i).coeffs.tobytes() == one.coeffs.tobytes(), i
+    assert out.row(1).coeffs.tobytes() == acc.row(1).coeffs.tobytes()
+    # |a00| against |a10|: both points pivot on row 1, then on rows 0 and 1
+    a00, a10 = (jets.Jet(sp, rng.uniform(-1, 1, (2, sp.size))) for _ in range(2))
+    a00.coeffs[:, 0], a10.coeffs[:, 0] = (0.25, -0.5), (-1.0, 2.0)
+    A = [[a00, 1.0], [a10, 3.0]]
+    steps = sc.factor_carrier(A)
+    for i in range(2):
+        assert steps[0][0] == sc.factor_carrier(
+            [[a00.row(i), 1.0], [a10.row(i), 3.0]])[0][0] == 1
+    a10.coeffs[1, 0] = 0.1
+    with pytest.raises(jets.BlockSplit):
+        sc.factor_carrier(A)
 
 
 def test_jet_products_of_one_order_4_sphere_frame(monkeypatch):
