@@ -785,6 +785,24 @@ def test_verify_evaluates_each_coefficient_input_once(monkeypatch, capsys):
     assert len(reciprocals) == len(set(reciprocals)) == 9 * 5
 
 
+def test_reports_built_in_blocks_are_those_built_point_by_point(monkeypatch, capsys):
+    # the frames of a block come from one evaluation on block jets; with
+    # every frame built on its own the reports are the same bytes
+    specs = [("evaluate", "--spray", "sphere(n=3,kappa=1)", "--points", "20"),
+             ("evaluate", "--spray", "sphere(n=2,kappa=1)", "--order", "3",
+              "--points", "9"),
+             ("verify", "--spray", "randers(a11=1+x2^2,a22=1+x1^2,a12=x1*x2/2,"
+              "b1=0.2*x2,b2=-0.1*x1,box=0.8)", "--points", "9"),
+             ("verify", "--spray", "example72(A=x1,B=x2^2,C=x1*x2,D=1+x1,f=x1*x2)",
+              "--points", "9")]
+    for spec in specs:
+        blocks = run_cli(*spec, "--seed", "4", capsys=capsys)
+        with monkeypatch.context() as m:
+            m.setattr(sc, "BLOCK_BUILD_POINTS", 10 ** 9)
+            alone = run_cli(*spec, "--seed", "4", capsys=capsys)
+        assert blocks[0] == 0 and blocks == alone, spec
+
+
 def test_a_singular_metric_mid_block_is_the_block_s_first_error():
     # point 3 of a block of 8 has a singular g, and point 6 leaves the
     # domain of log in g: the block build fails, and its points, built one

@@ -1336,6 +1336,38 @@ def test_zero_jet_skips_leave_the_solve_bit_for_bit(monkeypatch):
                     assert a.coeffs.tobytes() == b.coeffs.tobytes(), (label, order)
 
 
+def test_a_block_build_holds_each_point_s_own_frame(value_zoo, monkeypatch):
+    # `SprayChart.frames` builds the frames of a block of points from one
+    # coefficient evaluation on block jets: each frame's G jets must be
+    # those of the point's own build byte for byte, on the value zoo,
+    # sphere(n=2), RIEMANNIAN2, flat, a DSL spray through every function
+    # and the shifted sprays G + P y, at orders 1 to 4
+    from spraylab import projective as pj
+    blocks, make = [], sc.SprayChart._coefficient_jets
+
+    def counted(self, xy, order):
+        blocks.append(len(np.atleast_2d(xy)))
+        return make(self, xy, order)
+
+    monkeypatch.setattr(sc.SprayChart, "_coefficient_jets", counted)
+    custom = make_custom(doc=exprdsl.parse_spray_source(CUSTOM3), label="custom3")
+    sprays = [*value_zoo, make_family("sphere", n=2, kappa=1.0), custom,
+              make_family("riemannian", g=A_CURVED, n=2), make_family("flat", n=2)]
+    for sp in sprays:
+        for spray in (sp, pj.with_projective_factor(sp, "0.3*y1 + 0.1*y2")):
+            points = sample_points(spray, sc.BLOCK_BUILD_POINTS + 1, seed=69)
+            for order in (1, 2, 3, 4):
+                spray._frames.clear()
+                blocks.clear()
+                built = list(spray.frames(points, order))
+                assert blocks == [len(points)], (spray.label, blocks)
+                for p, fr in zip(points, built, strict=True):
+                    own = sc.Frame(spray, p, order).G
+                    for a, b in zip(fr.G, own, strict=True):
+                        assert a.space is b.space
+                        assert a.coeffs.tobytes() == b.coeffs.tobytes(), (spray.label, order)
+
+
 def test_block_solves_decide_each_point_as_its_own_solve():
     # on block jets the zero-multiplier skip is per point: a point whose
     # multiplier is zero keeps acc, where the block product would turn
